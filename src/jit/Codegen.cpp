@@ -462,7 +462,7 @@ typedef struct LlhdJitApi {
   void (*drv_arr)(void *ctx, unsigned site, const u64 *val, unsigned n);
   void (*call)(void *ctx, unsigned site, const u64 *args, unsigned n);
 } LlhdJitApi;
-extern "C" int llhd_jit_abi_version = 1;
+extern "C" { int llhd_jit_abi_version = 1; }
 
 // Semantics below mirror sim/RtOps.cpp's evalIntFast bit for bit.
 static inline u64 jm(u64 v, unsigned w) {

@@ -7,12 +7,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <vector>
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace llhd;
@@ -20,8 +24,14 @@ using namespace llhd::jit;
 
 namespace {
 
-/// FNV-1a over the generated source: the key of the process-wide cache
-/// of loaded objects (same source => same object, e.g. bench reps).
+/// Everything between the compiler and `-o`: the one compile command
+/// (see HostCompiler.h). Part of every object-cache key, so an object
+/// built under other flags is never served.
+const char *const CompileFlags[] = {"-std=c++17", "-O1",    "-pipe",
+                                    "-fPIC",      "-shared", "-nostdlib"};
+
+/// FNV-1a: the key of the process-wide cache of loaded objects (same
+/// compiler, flags and source => same object, e.g. bench reps).
 uint64_t fnv1a(const std::string &S) {
   uint64_t H = 14695981039346656037ull;
   for (char C : S) {
@@ -76,6 +86,53 @@ bool writeFile(const std::string &Path, const std::string &Data) {
   return Ok;
 }
 
+/// \p Arg quoted for a POSIX shell, bare when that is unambiguous.
+std::string shellQuote(const std::string &Arg) {
+  if (!Arg.empty() &&
+      Arg.find_first_not_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRS"
+                            "TUVWXYZ0123456789_+-=./:,@") == std::string::npos)
+    return Arg;
+  std::string Out = "'";
+  for (char C : Arg)
+    Out += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  return Out + "'";
+}
+
+/// Runs \p Args (argv[0] is looked up on PATH when it has no slash)
+/// without a shell, stdout and stderr written to \p Log, and waits for
+/// it. Empty on a zero exit, else why it failed.
+std::string spawnAndWait(const std::vector<std::string> &Args,
+                         const std::string &Log) {
+  std::vector<char *> Argv;
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+
+  posix_spawn_file_actions_t Fa;
+  posix_spawn_file_actions_init(&Fa);
+  posix_spawn_file_actions_addopen(&Fa, STDOUT_FILENO, Log.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&Fa, STDOUT_FILENO, STDERR_FILENO);
+  pid_t Pid = 0;
+  int Rc = posix_spawnp(&Pid, Argv[0], &Fa, nullptr, Argv.data(), environ);
+  posix_spawn_file_actions_destroy(&Fa);
+  if (Rc != 0)
+    return std::string("cannot run host compiler: ") + strerror(Rc);
+
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return std::string("cannot wait for host compiler: ") +
+             strerror(errno);
+  if (WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+    return "";
+  if (WIFSIGNALED(Status))
+    return "host compiler killed by signal " +
+           std::to_string(WTERMSIG(Status));
+  return "host compiler failed (exit status " +
+         std::to_string(WEXITSTATUS(Status)) + ")";
+}
+
 void removeTree(const std::string &Dir) {
   for (const char *Name : {"jit.cpp", "jit.so", "jit.log"})
     unlink((Dir + "/" + Name).c_str());
@@ -85,9 +142,9 @@ void removeTree(const std::string &Dir) {
 } // namespace
 
 std::string HostCompiler::findCompiler() {
-  // 1. The test/override hook: used verbatim, even when bogus — a bad
-  //    path exercises the compile-failure fallback; the empty string
-  //    disables compilation.
+  // 1. The test/override hook: one program, used verbatim even when
+  //    bogus — a bad path exercises the compile-failure fallback; the
+  //    empty string disables compilation.
   if (const char *Env = getenv("LLHD_JIT_CXX"))
     return Env;
   // 2. The compiler CMake configured this build with.
@@ -143,15 +200,20 @@ CompileResult HostCompiler::compile(const std::string &Source) {
   // Availability is checked before the cache so that a run with the
   // compiler disabled can never be satisfied by an earlier run's
   // cached object.
-  uint64_t Key = fnv1a(R.Compiler + '\0' + Source);
+  std::string KeyText = R.Compiler;
+  for (const char *F : CompileFlags)
+    (KeyText += '\0') += F;
+  uint64_t Key = fnv1a(KeyText + '\0' + Source);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
     R.Handle = It->second;
+    R.From = ObjectSource::Memory;
     return R;
   }
 
   // Optional cross-process object cache: $LLHD_JIT_CACHE names a
-  // directory of compiled objects keyed by (compiler, source, ABI).
+  // directory of compiled objects keyed by (compiler, flags, source,
+  // ABI).
   // Objects land there via atomic rename (below), so a concurrent
   // process sees either nothing or a complete object — never a torn
   // write.
@@ -169,6 +231,7 @@ CompileResult HostCompiler::compile(const std::string &Source) {
         if (void *H = loadAndCheck(Published, LoadErr)) {
           Cache[Key] = H;
           R.Handle = H;
+          R.From = ObjectSource::Disk;
           return R;
         }
         // Stale or foreign object: fall through and recompile (the
@@ -201,13 +264,16 @@ CompileResult HostCompiler::compile(const std::string &Source) {
     return R;
   }
 
-  R.Command = "'" + R.Compiler + "' -std=c++17 -O2 -fPIC -shared -o '" +
-              So + "' '" + Src + "' > '" + Log + "' 2>&1";
-  int Rc = system(R.Command.c_str());
-  if (Rc != 0) {
-    R.Diagnostics = readFile(Log);
-    R.Error = "host compiler failed (exit status " + std::to_string(Rc) +
-              "): " + R.Command;
+  std::vector<std::string> Args{R.Compiler};
+  Args.insert(Args.end(), std::begin(CompileFlags), std::end(CompileFlags));
+  Args.insert(Args.end(), {"-o", So, Src});
+  for (const std::string &A : Args)
+    R.Command += (R.Command.empty() ? "" : " ") + shellQuote(A);
+  R.Command += " > " + shellQuote(Log) + " 2>&1";
+  std::string SpawnErr = spawnAndWait(Args, Log);
+  R.Diagnostics = readFile(Log);
+  if (!SpawnErr.empty()) {
+    R.Error = SpawnErr + ": " + R.Command;
     if (!Keep)
       removeTree(D);
     return R;
@@ -233,5 +299,6 @@ CompileResult HostCompiler::compile(const std::string &Source) {
 
   Cache[Key] = H;
   R.Handle = H;
+  R.From = ObjectSource::Compiled;
   return R;
 }

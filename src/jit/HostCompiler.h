@@ -3,31 +3,53 @@
 // Compiles a generated C++ translation unit with the host toolchain and
 // loads the resulting shared object. Discovery order for the compiler:
 //
-//   1. $LLHD_JIT_CXX — used verbatim when set; the empty string disables
-//      JIT compilation entirely (the no-host-compiler test hook).
+//   1. $LLHD_JIT_CXX — a single program path (or a bare name looked up
+//      on PATH), exec'd directly with no shell: it cannot carry extra
+//      arguments. The empty string disables JIT compilation entirely
+//      (the no-host-compiler test hook).
 //   2. The compiler CMake recorded at configure time (LLHD_HOST_CXX),
 //      when it still exists and is executable.
 //   3. The first of c++ / g++ / clang++ found on PATH.
 //
-// Every failure mode — no compiler, unwritable or full temp dir, a
-// failing compiler invocation, an unloadable or ABI-mismatched object —
-// returns a result carrying the attempted command and the captured
-// diagnostics instead of aborting, so the engine can log and fall back
-// to interpretation.
+// There is exactly one compile command, spawned with posix_spawn (no
+// shell, so temp-dir paths may contain any character), its stdout and
+// stderr captured in jit.log next to the source:
 //
-// Loaded objects are cached process-wide by source hash and never
-// dlclosed: bound function pointers must outlive every engine. The cache
-// (and the whole compile-and-load path) is serialized behind a mutex, so
-// concurrent callers — batch instances racing to JIT one program — get
-// exactly one compilation per distinct source. Setting $LLHD_JIT_CACHE
-// to a directory additionally persists compiled objects across
-// processes, published with an atomic tmp+rename so concurrent
-// processes never observe a partial object.
+//   <cxx> -std=c++17 -O1 -pipe -fPIC -shared -nostdlib -o jit.so jit.cpp
+//
+// The translation unit includes no headers and calls no library
+// function (jit/Codegen.h), so the object is linked freestanding: no
+// crt files, libstdc++, libm or libgcc_s, which more than halves the
+// per-invocation startup and link cost. Anything the compiler still
+// emits a call to (memcpy/memset) binds against the host process at
+// dlopen(RTLD_NOW). -O1 rather than -O2: the generated code's run phase
+// is bound by callback crossings, not code quality, so -O1 keeps it
+// within noise at about two thirds of the compile time; -Og compiles
+// faster still but measurably slowed the run phase (DESIGN.md has the
+// numbers).
+//
+// Every failure mode — no compiler, unwritable or full temp dir, a
+// compiler that cannot be spawned or fails, an unloadable or
+// ABI-mismatched object — returns a result carrying the attempted
+// command and the captured diagnostics instead of aborting, so the
+// engine can log and fall back to interpretation.
+//
+// Loaded objects are cached process-wide, keyed by (compiler, compile
+// flags, source), and never dlclosed: bound function pointers must
+// outlive every engine. The cache (and the whole compile-and-load path)
+// is serialized behind a mutex, so concurrent callers — batch instances
+// racing to JIT one program — get exactly one compilation per distinct
+// key. Setting $LLHD_JIT_CACHE to a directory additionally persists
+// compiled objects across processes under the same key, published with
+// an atomic tmp+rename so concurrent processes never observe a partial
+// object.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef LLHD_JIT_HOSTCOMPILER_H
 #define LLHD_JIT_HOSTCOMPILER_H
+
+#include "jit/Jit.h" // ObjectSource.
 
 #include <string>
 
@@ -39,9 +61,13 @@ struct CompileResult {
   /// dlopen handle, null on failure. Process lifetime; never dlclosed.
   void *Handle = nullptr;
   bool CompilerFound = false;
+  ObjectSource From = ObjectSource::None; ///< Where Handle came from.
   std::string Compiler; ///< The discovered compiler, empty when none.
-  std::string Command;  ///< The full invocation attempted, for logs.
-  std::string Diagnostics; ///< Captured compiler stderr/stdout.
+  /// Shell-quoted rendering of the invocation, for logs; empty when no
+  /// compiler ran.
+  std::string Command;
+  /// The compiler's stdout/stderr, also on success: warnings land here.
+  std::string Diagnostics;
   std::string Error;    ///< Human-readable failure reason, empty on success.
 
   bool ok() const { return Handle != nullptr; }
@@ -57,9 +83,9 @@ public:
   /// (respecting $LLHD_JIT_TMPDIR / $TMPDIR), dlopens it, and verifies
   /// the embedded ABI version. The temp dir is removed afterwards
   /// unless $LLHD_JIT_KEEP is set. Thread-safe: one compilation per
-  /// distinct (compiler, source) process-wide; with $LLHD_JIT_CACHE
-  /// set, objects are reused across processes. Never throws, never
-  /// aborts.
+  /// distinct (compiler, flags, source) process-wide; with
+  /// $LLHD_JIT_CACHE set, objects are reused across processes. Never
+  /// throws, never aborts.
   static CompileResult compile(const std::string &Source);
 };
 

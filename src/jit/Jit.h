@@ -11,6 +11,7 @@
 #ifndef LLHD_JIT_JIT_H
 #define LLHD_JIT_JIT_H
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,12 +36,23 @@ struct JitOptions {
   std::string ForceDeopt;
 };
 
+/// Where a loaded shared object came from (jit/HostCompiler.h).
+enum class ObjectSource : uint8_t {
+  None,     ///< Nothing loaded: no native units, or the compile failed.
+  Memory,   ///< This process had already loaded the same object.
+  Disk,     ///< Loaded from the $LLHD_JIT_CACHE directory.
+  Compiled, ///< Freshly built by the host compiler.
+};
+
 /// What the JIT did for one engine build; see LirEngine::jitStats().
 struct JitStats {
   bool Enabled = false;       ///< Mode was On or Dump.
   bool CompilerFound = false; ///< A host compiler was discovered.
   bool Compiled = false;      ///< The shared object loaded and bound.
-  double CompileSeconds = 0;  ///< Plan + emit + host compile + dlopen.
+  double CodegenSeconds = 0;  ///< Plan + emit of the translation unit.
+  /// Object lookup, host compiler spawn + wait, and dlopen.
+  double HostCompileSeconds = 0;
+  ObjectSource Object = ObjectSource::None; ///< Where the object came from.
   unsigned NativeUnits = 0;   ///< Process units running as native code.
   unsigned DeoptUnits = 0;    ///< Process units kept on the interpreter.
   unsigned NativeProcs = 0;   ///< Process instances bound to native code.

@@ -89,10 +89,11 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
   if (!St.Enabled)
     return;
   auto T0 = std::chrono::steady_clock::now();
-  auto Done = [&] {
-    St.CompileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
+  auto Elapsed = [&T0] {
+    auto T1 = std::chrono::steady_clock::now();
+    double S = std::chrono::duration<double>(T1 - T0).count();
+    T0 = T1;
+    return S;
   };
 
   // Distinct process units in first-instantiation order: the emission
@@ -139,15 +140,17 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
     }
   }
 
+  St.CodegenSeconds = Elapsed();
   if (Native.empty()) {
     // Nothing admitted; not a failure, the interpreter covers it all.
     Units.clear();
-    Done();
     return;
   }
 
   CompileResult R = HostCompiler::compile(Source);
+  St.HostCompileSeconds = Elapsed();
   St.CompilerFound = R.CompilerFound;
+  St.Object = R.From;
   if (!R.ok()) {
     St.Warning = "blaze jit disabled, falling back to the interpreter: " +
                  R.Error;
@@ -155,7 +158,6 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
       St.Warning += "\n" + R.Diagnostics;
     fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
     Units.clear();
-    Done();
     return;
   }
 
@@ -167,14 +169,12 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
                    "' missing from the generated object";
       fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
       Units.clear();
-      Done();
       return;
     }
     NU.Fn = reinterpret_cast<JitFn>(Sym);
   }
   St.Compiled = true;
   St.NativeUnits = Native.size();
-  Done();
 }
 
 bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,

@@ -3,7 +3,9 @@
 // The Blaze JIT (src/jit/): native code must be byte-for-byte
 // trace-equivalent with the reference interpreter across the whole
 // designs suite, at integer width boundaries through the generated
-// code, and in mixed native/deopt designs. The fallback paths — no
+// code, and in mixed native/deopt designs. The generated code must
+// compile without a single warning under the shipped flags, also from
+// a temp dir whose path needs shell quoting. The fallback paths — no
 // host compiler, failing compiler, unwritable temp dir — must degrade
 // to the interpreter without breaking a single simulation.
 //
@@ -12,8 +14,11 @@
 #include "asm/Parser.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
+#include "jit/HostCompiler.h"
+#include "jit/Runtime.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
+#include "sim/Program.h"
 
 #include "../common/TestDesigns.h"
 
@@ -21,6 +26,9 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace llhd;
 
@@ -261,6 +269,63 @@ TEST_F(JitTest, UnwritableTempDirFallsBack) {
   EXPECT_FALSE(B->jitStats().Compiled);
   EXPECT_EQ(B->jitStats().NativeProcs, 0u);
   EXPECT_FALSE(B->jitStats().Warning.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// The host compile itself
+//===----------------------------------------------------------------------===//
+
+// Every suite design's translation unit compiles warning-free under the
+// shipped flags: the compiler's output is empty on success. A trailing
+// comment makes each source new to the object cache, and an empty
+// $LLHD_JIT_CACHE keeps the on-disk cache out, so each one really runs
+// the compiler.
+TEST_F(JitTest, GeneratedCodeCompilesWithoutWarnings) {
+  EnvGuard G("LLHD_JIT_CACHE", "");
+  for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
+    Context C;
+    Module M(C, D.Key);
+    auto R = moore::compileSystemVerilog(D.Source, D.TopModule, M);
+    ASSERT_TRUE(R.Ok) << D.Key << ": " << R.Error;
+    std::string Err;
+    auto Prog = BlazeSim::buildProgram(M, R.TopUnit, {}, Err);
+    ASSERT_TRUE(Prog) << D.Key << ": " << Err;
+    ASSERT_TRUE(Prog->JitMod) << D.Key;
+    jit::CompileResult CR = jit::HostCompiler::compile(
+        Prog->JitMod->Source + "// diagnostics probe\n");
+    ASSERT_TRUE(CR.ok()) << D.Key << ": " << CR.Error;
+    EXPECT_EQ(CR.From, jit::ObjectSource::Compiled) << D.Key;
+    EXPECT_EQ(CR.Diagnostics, "") << D.Key << ": " << CR.Command;
+  }
+}
+
+// The compiler is spawned without a shell, so a temp dir that needs
+// quoting (a space and a single quote) still compiles natively. The
+// stats record where the object came from: compiled the first time,
+// this process's object cache the second.
+TEST_F(JitTest, QuotedTempDirCompiles) {
+  const char *Tmp = getenv("TMPDIR");
+  std::string Templ =
+      std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/llhd jit's dir-XXXXXX";
+  std::vector<char> Dir(Templ.begin(), Templ.end());
+  Dir.push_back('\0');
+  ASSERT_NE(mkdtemp(Dir.data()), nullptr) << Templ;
+  {
+    EnvGuard G("LLHD_JIT_TMPDIR", Dir.data());
+    std::string Src = widthDesign(32, /*Salt=*/303);
+    uint64_t Ref = interpDigest(Src, "wtop");
+    for (jit::ObjectSource Want :
+         {jit::ObjectSource::Compiled, jit::ObjectSource::Memory}) {
+      auto B = runBlaze(Src, "wtop", jit::JitOptions::Mode::On);
+      const jit::JitStats &St = B->jitStats();
+      EXPECT_EQ(Ref, B->trace().digest());
+      EXPECT_TRUE(St.Compiled) << St.Warning;
+      EXPECT_GT(St.NativeProcs, 0u);
+      EXPECT_EQ(St.Object, Want);
+    }
+  }
+  // The compile removed its own subdirectory; the root must be empty.
+  EXPECT_EQ(rmdir(Dir.data()), 0) << Dir.data();
 }
 
 } // namespace

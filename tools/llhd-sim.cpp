@@ -223,6 +223,21 @@ std::string detectTop(const Module &M, std::string &Error) {
   return "";
 }
 
+/// Where Blaze's shared object came from, for the `blaze jit:` line.
+const char *objectSourceName(jit::ObjectSource S) {
+  switch (S) {
+  case jit::ObjectSource::Memory:
+    return "memory";
+  case jit::ObjectSource::Disk:
+    return "disk";
+  case jit::ObjectSource::Compiled:
+    return "compiled";
+  case jit::ObjectSource::None:
+    break;
+  }
+  return "none";
+}
+
 /// Runs one engine over \p M. \p WantVcd attaches a WaveWriter: with a
 /// \p VcdStream it streams there (bounded memory, arbitrary run
 /// length), otherwise the text lands in the outcome for comparison.
@@ -303,9 +318,11 @@ int runEngine(const std::string &Engine, Module &M, const std::string &Top,
       if (J.Enabled) {
         fprintf(stderr,
                 "blaze jit: %u native unit(s), %u deopt(s), %u native / "
-                "%u interpreted instance(s), compile %.1f ms\n",
+                "%u interpreted instance(s), codegen %.1f ms, host compile "
+                "%.1f ms (object: %s)\n",
                 J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
-                J.CompileSeconds * 1000);
+                J.CodegenSeconds * 1000, J.HostCompileSeconds * 1000,
+                objectSourceName(J.Object));
         for (const auto &[U, R] : J.Deopts)
           fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(),
                   R.c_str());
