@@ -57,6 +57,11 @@ struct JitStats {
   unsigned DeoptUnits = 0;    ///< Process units kept on the interpreter.
   unsigned NativeProcs = 0;   ///< Process instances bound to native code.
   unsigned InterpProcs = 0;   ///< Process instances interpreted.
+  /// Probe sites of native instances that read their signal's storage
+  /// in place, and those resolved through SignalTable::read() on every
+  /// access (sub-signals, bit slices).
+  unsigned DirectPrbs = 0;
+  unsigned ResolvedPrbs = 0;
   /// (unit name, reason) for every deopted unit, in plan order.
   std::vector<std::pair<std::string, std::string>> Deopts;
   /// Set when the whole engine degraded to interpretation (no compiler,

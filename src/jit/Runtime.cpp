@@ -5,6 +5,7 @@
 #include "sim/Design.h"
 #include "sim/LirEngine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <dlfcn.h>
@@ -25,17 +26,39 @@ namespace {
 
 uint64_t apiPrb(void *CtxP, unsigned Site) {
   auto &C = *static_cast<ProcContext *>(CtxP);
-  // Always via read(): it resolves `con` aliases (including element-
+  const PrbSite &S = C.Prbs[Site];
+  // Whole signals read their pre-resolved storage in place; the rest go
+  // through read(), which resolves `con` aliases (including element-
   // aligned sub-signal aliases) exactly like the interpreter's Prb.
-  return C.Eng->Signals.read(C.Prbs[Site].Ref).intValue().zextToU64();
+  if (S.Direct)
+    return S.Direct->intValue().zextToU64();
+  return C.Eng->Signals.read(S.Ref).intValue().zextToU64();
 }
 
 void apiPrbArr(void *CtxP, unsigned Site, uint64_t *Dst, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
-  RtValue V = C.Eng->Signals.read(C.Prbs[Site].Ref);
-  const std::vector<RtValue> &E = V.elements();
-  for (unsigned I = 0; I != N; ++I)
-    Dst[I] = E[I].intValue().zextToU64();
+  const PrbSite &S = C.Prbs[Site];
+  auto copyOut = [&](const RtValue &V) {
+    const std::vector<RtValue> &E = V.elements();
+    for (unsigned I = 0; I != N; ++I)
+      Dst[I] = E[I].intValue().zextToU64();
+  };
+  if (S.Direct)
+    copyOut(*S.Direct);
+  else
+    copyOut(C.Eng->Signals.read(S.Ref));
+}
+
+/// True when a probe can read \p V in place: a two-state scalar of at
+/// most 64 bits, or an array of them (the native lane shapes).
+bool directReadable(const RtValue &V) {
+  auto Lane = [](const RtValue &E) {
+    return E.isInt() && E.intValue().width() <= 64;
+  };
+  if (V.kind() != RtValue::Kind::Array)
+    return Lane(V);
+  const std::vector<RtValue> &Es = V.elements();
+  return std::all_of(Es.begin(), Es.end(), Lane);
 }
 
 void apiDrv(void *CtxP, unsigned Site, uint64_t Val) {
@@ -195,6 +218,12 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
       return false;
     PrbSite Site;
     Site.Ref = S.sigRef();
+    SigRef R = Eng.Signals.resolve(Site.Ref);
+    if (R.wholeSignal()) {
+      const RtValue &V = Eng.Signals.storedValue(R.Sig);
+      if (directReadable(V))
+        Site.Direct = &V;
+    }
     Ctx.Prbs.push_back(std::move(Site));
   }
 

@@ -61,6 +61,13 @@ const LlhdJitApi *apiTable();
 /// One probe site, resolved per instance.
 struct PrbSite {
   SigRef Ref;
+  /// The run's stored value when Ref resolves (through `con` merges and
+  /// alias records) to a whole signal holding a two-state scalar of at
+  /// most 64 bits, or an array of them: probes read it in place. Null
+  /// for sub-signals and bit slices, which go through
+  /// SignalTable::read() on every access. Valid for the whole run (see
+  /// SignalTable's stable-address invariant).
+  const RtValue *Direct = nullptr;
 };
 
 /// One drive site, resolved per instance.

@@ -63,6 +63,14 @@ concept EngineTraits = requires(E &Eng, uint32_t I, bool Initial) {
   { Eng.procName(I) } -> std::convertible_to<std::string>;
 };
 
+/// Sorts and dedups a wake list; most lists hold at most one unit.
+inline void sortUnique(std::vector<uint32_t> &V) {
+  if (V.size() < 2)
+    return;
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
 template <EngineTraits Engine>
 SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
                       SimState &St, bool Resumed = false) {
@@ -226,12 +234,8 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
       EntsToRun.insert(EntsToRun.end(), Ws.begin(), Ws.end());
       WIdx.collect(S, curGen, ProcsToRun);
     }
-    std::sort(ProcsToRun.begin(), ProcsToRun.end());
-    ProcsToRun.erase(std::unique(ProcsToRun.begin(), ProcsToRun.end()),
-                     ProcsToRun.end());
-    std::sort(EntsToRun.begin(), EntsToRun.end());
-    EntsToRun.erase(std::unique(EntsToRun.begin(), EntsToRun.end()),
-                    EntsToRun.end());
+    sortUnique(ProcsToRun);
+    sortUnique(EntsToRun);
 
     for (uint32_t PI : ProcsToRun) {
       if (Eng.procSenseStable(PI)) {
@@ -252,6 +256,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
   if (Wave)
     Wave->finish();
   Stats.EndTime = Now;
+  Stats.DrivesScheduled = Sched.totalScheduled();
   Stats.Finished = Eng.finishRequested();
   if (!Stats.Finished) {
     bool AllHalted = Eng.numProcs() != 0;

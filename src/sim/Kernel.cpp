@@ -156,7 +156,15 @@ bool SignalTable::write(const SigRef &RefIn, const RtValue &V,
     return true;
   }
 
-  // Two-state and sub-signal drives: last write wins.
+  // Two-state drives: last write wins. A whole scalar signal compares
+  // and assigns in place; sub-signals splice through a copy of the old
+  // element.
+  if (Ref.wholeSignal() && SV.isInt() && V.isInt()) {
+    if (SV.intValue() == V.intValue())
+      return false;
+    SV.intValue() = V.intValue();
+    return true;
+  }
   RtValue Old = readSubValue(SV, Ref);
   if (Old == V)
     return false;
@@ -180,15 +188,13 @@ uint32_t Scheduler::allocSlot() {
 
 void Scheduler::recycle(uint32_t Idx, std::vector<SigUpdate> &Updates,
                         std::vector<ProcWake> &Wakes) {
+  // The caller's buffers are empty: swapping hands the slot's events
+  // over without touching them, and leaves the slot empty buffers whose
+  // capacity lets it schedule again without allocating.
+  assert(Updates.empty() && Wakes.empty());
   Slot &S = Arena[Idx];
-  Updates.insert(Updates.end(),
-                 std::make_move_iterator(S.Updates.begin()),
-                 std::make_move_iterator(S.Updates.end()));
-  Wakes.insert(Wakes.end(), S.Wakes.begin(), S.Wakes.end());
-  // clear() keeps the vectors' capacity, so a recycled slot schedules
-  // without allocating.
-  S.Updates.clear();
-  S.Wakes.clear();
+  Updates.swap(S.Updates);
+  Wakes.swap(S.Wakes);
   FreeSlots.push_back(Idx);
 }
 

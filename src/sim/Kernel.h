@@ -47,6 +47,13 @@ namespace llhd {
 /// this run's values and driver slots, so N batch instances read one
 /// layout concurrently without any synchronisation while writing their
 /// private state.
+///
+/// Stored values have stable addresses for the lifetime of a run: the
+/// value vector is sized once (create() while building, makeRun() per
+/// run) and never resized afterwards, and every later update — write(),
+/// setStoredValue() on checkpoint restore — assigns into the existing
+/// element. Native probe sites (jit/Runtime.h) rely on this and keep a
+/// pointer to the value they read.
 class SignalTable {
 public:
   SignalTable() : L(std::make_shared<Layout>()) {}
@@ -230,7 +237,8 @@ public:
   }
 
   /// Pops the earliest time slot into \p Updates / \p Wakes (cleared
-  /// first; capacity is reused across pops).
+  /// first, then swapped with the slot's buffers; capacity circulates
+  /// between the caller and the slot pool).
   void pop(std::vector<SigUpdate> &Updates, std::vector<ProcWake> &Wakes);
 
   /// Event count statistics.
@@ -381,19 +389,30 @@ public:
 
   Mode mode() const { return TheMode; }
 
+  /// Folds one change into the digest: FNV-1a over the time, the
+  /// signal and the bytes of V.toString().
   void record(Time T, SignalId S, const RtValue &V) {
     if (TheMode == Mode::Off)
       return;
     ++NumChanges;
-    std::string Val = V.toString();
-    // FNV-1a over (time, signal, value).
-    auto mix = [&](uint64_t X) {
-      Digest ^= X;
-      Digest *= 1099511628211ull;
-    };
     mix(T.Fs);
     mix(T.Delta);
     mix(S);
+    if (TheMode == Mode::Hash && V.isInt() && V.intValue().fitsU64()) {
+      // The decimal digits toString() would produce, without building
+      // the string: hashing stays allocation-free for any width.
+      char Buf[20];
+      char *P = Buf + sizeof(Buf);
+      uint64_t X = V.intValue().zextToU64();
+      do {
+        *--P = static_cast<char>('0' + X % 10);
+        X /= 10;
+      } while (X);
+      for (; P != Buf + sizeof(Buf); ++P)
+        mix(static_cast<unsigned char>(*P));
+      return;
+    }
+    std::string Val = V.toString();
     for (char C : Val)
       mix(static_cast<unsigned char>(C));
     if (TheMode == Mode::Full)
@@ -422,6 +441,11 @@ public:
   std::string dump(const SignalTable &Signals) const;
 
 private:
+  void mix(uint64_t X) {
+    Digest ^= X;
+    Digest *= 1099511628211ull;
+  }
+
   Mode TheMode;
   uint64_t Digest = 1469598103934665603ull;
   uint64_t NumChanges = 0;

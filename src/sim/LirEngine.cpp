@@ -95,6 +95,8 @@ void LirEngine::buildJit() {
       ++JitSt.InterpProcs;
       continue;
     }
+    for (const jit::PrbSite &Site : Ctx->Prbs)
+      ++(Site.Direct ? JitSt.DirectPrbs : JitSt.ResolvedPrbs);
     PS.Jit = Ctx.get();
     JitCtxs.push_back(std::move(Ctx));
     ++JitSt.NativeProcs;

@@ -205,6 +205,10 @@ public:
     assert(isInt() && "not an integer value");
     return IV;
   }
+  IntValue &intValue() {
+    assert(isInt() && "not an integer value");
+    return IV;
+  }
   const LogicVec &logicValue() const {
     assert(isLogic() && "not a logic value");
     return LV;

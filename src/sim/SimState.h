@@ -29,6 +29,9 @@ struct SimStats {
   uint64_t Steps = 0;         ///< Time slots processed.
   uint64_t ProcessRuns = 0;   ///< Process resumptions.
   uint64_t EntityEvals = 0;   ///< Entity re-evaluations.
+  /// Signal updates ever scheduled (Scheduler::totalScheduled()), set
+  /// when the run returns; a resumed run counts from the checkpoint.
+  uint64_t DrivesScheduled = 0;
   uint64_t AssertFailures = 0;
   bool Finished = false;      ///< A process called llhd.finish / all halted.
   bool DeltaOverflow = false; ///< Oscillation guard tripped.

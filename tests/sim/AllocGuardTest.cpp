@@ -2,7 +2,9 @@
 //
 // Proves the allocation-free runtime value path: a scalar-only design in
 // steady state performs zero heap allocations per delta cycle on the op
-// path, for both the reference interpreter and the Blaze bytecode engine.
+// path, for the reference interpreter, Blaze's interpreted LIR and
+// Blaze's native code — also while the default hash trace digests
+// values whose decimal text outgrows std::string's inline buffer.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
@@ -15,6 +17,7 @@
 
 #include "asm/Parser.h"
 #include "blaze/Blaze.h"
+#include "jit/HostCompiler.h"
 #include "sim/Interp.h"
 
 #include <gtest/gtest.h>
@@ -65,14 +68,15 @@ namespace {
 /// A purely scalar clocked counter: 1 GHz clock generator process plus a
 /// rising-edge counter process. No aggregates, no var/alloc cells, no
 /// function calls — every value on the op path is a width <= 64 scalar.
-const char *CounterSrc = R"(
+/// `$T` is the counter type and `$INIT` its initial value.
+const char *CounterTemplate = R"(
 entity @top () -> () {
   %z1 = const i1 0
-  %z32 = const i32 0
+  %init = const $T $INIT
   %clk = sig i1 %z1
-  %cnt = sig i32 %z32
+  %cnt = sig $T %init
   inst @clkgen () -> (i1$ %clk)
-  inst @counter (i1$ %clk) -> (i32$ %cnt)
+  inst @counter (i1$ %clk) -> ($T$ %cnt)
 }
 proc @clkgen () -> (i1$ %clk) {
 entry:
@@ -87,9 +91,9 @@ lo:
   drv i1$ %clk, %b0 after %half
   wait %hi for %half
 }
-proc @counter (i1$ %clk) -> (i32$ %cnt) {
+proc @counter (i1$ %clk) -> ($T$ %cnt) {
 entry:
-  %one = const i32 1
+  %one = const $T 1
   %d0 = const time 0s
   br %loop
 loop:
@@ -98,23 +102,47 @@ tick:
   %c = prb i1$ %clk
   br %c, %loop, %up
 up:
-  %v = prb i32$ %cnt
-  %vn = add i32 %v, %one
-  drv i32$ %cnt, %vn after %d0
+  %v = prb $T$ %cnt
+  %vn = add $T %v, %one
+  drv $T$ %cnt, %vn after %d0
   br %loop
 }
 )";
 
+/// A counter design starting at \p Init.
+struct Counter {
+  const char *Ty;
+  uint64_t Init;
+
+  std::string source() const {
+    std::string Src = CounterTemplate;
+    auto Subst = [&Src](const std::string &Key, const std::string &Val) {
+      for (size_t P; (P = Src.find(Key)) != std::string::npos;)
+        Src.replace(P, Key.size(), Val);
+    };
+    Subst("$INIT", std::to_string(Init));
+    Subst("$T", Ty);
+    return Src;
+  }
+};
+
+/// i32 from zero: the trace text stays short.
+const Counter Small{"i32", 0};
+/// i64 from 10^18: every change's decimal text is 19 digits, longer than
+/// std::string's inline buffer, so digesting through a string would
+/// allocate once per change.
+const Counter Wide{"i64", 1000000000000000000ull};
+
 struct RunResult {
   size_t Allocs;      ///< operator new calls during run().
-  uint64_t CountedTo; ///< Final counter signal value.
+  uint64_t CountedTo; ///< Final counter value minus its initial value.
 };
 
 template <typename MakeEngine>
-RunResult countRun(uint64_t Cycles, MakeEngine Make) {
+RunResult countRun(const Counter &C, uint64_t Cycles, MakeEngine Make) {
   Context Ctx;
   Module M(Ctx, "alloc_guard");
-  ParseResult R = parseModule(CounterSrc, M);
+  ParseResult R = parseModule(C.source(), M);
   EXPECT_TRUE(R.Ok) << R.Error;
   auto Engine = Make(M, Cycles);
   size_t Before = GNewCount.load(std::memory_order_relaxed);
@@ -124,46 +152,78 @@ RunResult countRun(uint64_t Cycles, MakeEngine Make) {
   const SignalTable &Sigs = Engine->signals();
   for (SignalId S = 0; S != Sigs.size(); ++S)
     if (Sigs.name(S).find("cnt") != std::string::npos)
-      Counted = Sigs.value(S).intValue().zextToU64();
+      Counted = Sigs.value(S).intValue().zextToU64() - C.Init;
   return {Allocs, Counted};
 }
 
-SimOptions optsFor(uint64_t Cycles) {
+SimOptions optsFor(uint64_t Cycles, Trace::Mode TM) {
   SimOptions Opts;
-  Opts.TraceMode = Trace::Mode::Off;
+  Opts.TraceMode = TM;
   Opts.MaxTime = Time::ns(2 * Cycles);
   return Opts;
+}
+
+/// Runs \p C for 200 and 400 cycles. Doubling the cycle count must not
+/// add a single allocation: the op path (prb/add/drv/wait plus scheduler,
+/// wake index and trace) is allocation-free once the pools are warm.
+template <typename MakeEngine>
+void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make) {
+  RunResult Short = countRun(C, 200, Make);
+  RunResult Long = countRun(C, 400, Make);
+  // The design actually ran and counted.
+  EXPECT_GE(Short.CountedTo, 190u);
+  EXPECT_GE(Long.CountedTo, 390u);
+  EXPECT_EQ(Short.Allocs, Long.Allocs);
+}
+
+auto makeInterp(Trace::Mode TM) {
+  return [TM](Module &M, uint64_t Cycles) {
+    return std::make_unique<InterpSim>(elaborate(M, "top"),
+                                       optsFor(Cycles, TM));
+  };
+}
+
+auto makeBlaze(Trace::Mode TM, jit::JitOptions::Mode Jit) {
+  return [TM, Jit](Module &M, uint64_t Cycles) {
+    BlazeSim::BlazeOptions Opts;
+    static_cast<SimOptions &>(Opts) = optsFor(Cycles, TM);
+    Opts.Jit.M = Jit;
+    auto B = std::make_unique<BlazeSim>(M, "top", Opts);
+    if (Jit != jit::JitOptions::Mode::Off) {
+      // Both processes run native, and their probes read in place.
+      EXPECT_TRUE(B->jitStats().Compiled) << B->jitStats().Warning;
+      EXPECT_EQ(B->jitStats().NativeProcs, 2u);
+      EXPECT_EQ(B->jitStats().ResolvedPrbs, 0u);
+    }
+    return B;
+  };
 }
 
 } // namespace
 
 TEST(AllocGuard, InterpSteadyStateIsAllocationFree) {
-  auto Make = [](Module &M, uint64_t Cycles) {
-    return std::make_unique<InterpSim>(elaborate(M, "top"),
-                                       optsFor(Cycles));
-  };
-  RunResult Short = countRun(200, Make);
-  RunResult Long = countRun(400, Make);
-  // The design actually ran and counted.
-  EXPECT_GE(Short.CountedTo, 190u);
-  EXPECT_GE(Long.CountedTo, 390u);
-  // Doubling the cycle count must not add a single allocation: the op
-  // path (prb/add/drv/wait plus scheduler and wake index) is
-  // allocation-free once the pools are warm.
-  EXPECT_EQ(Short.Allocs, Long.Allocs);
+  expectSteadyStateAllocationFree(Small, makeInterp(Trace::Mode::Off));
 }
 
 TEST(AllocGuard, BlazeSteadyStateIsAllocationFree) {
-  auto Make = [](Module &M, uint64_t Cycles) {
-    BlazeSim::BlazeOptions Opts;
-    static_cast<SimOptions &>(Opts) = optsFor(Cycles);
-    return std::make_unique<BlazeSim>(M, "top", Opts);
-  };
-  RunResult Short = countRun(200, Make);
-  RunResult Long = countRun(400, Make);
-  EXPECT_GE(Short.CountedTo, 190u);
-  EXPECT_GE(Long.CountedTo, 390u);
-  EXPECT_EQ(Short.Allocs, Long.Allocs);
+  expectSteadyStateAllocationFree(
+      Small, makeBlaze(Trace::Mode::Off, jit::JitOptions::Mode::Off));
+}
+
+// The default hash trace digests every change without materialising
+// its text, however long the decimal form.
+TEST(AllocGuard, HashTraceIsAllocationFree) {
+  expectSteadyStateAllocationFree(Wide, makeInterp(Trace::Mode::Hash));
+  expectSteadyStateAllocationFree(
+      Wide, makeBlaze(Trace::Mode::Hash, jit::JitOptions::Mode::Off));
+}
+
+// Native processes: probe, drive and wait callbacks allocate nothing.
+TEST(AllocGuard, BlazeNativeSteadyStateIsAllocationFree) {
+  if (jit::HostCompiler::findCompiler().empty())
+    GTEST_SKIP() << "no host C++ compiler: Blaze runs interpreted";
+  expectSteadyStateAllocationFree(
+      Wide, makeBlaze(Trace::Mode::Hash, jit::JitOptions::Mode::On));
 }
 
 TEST(AllocGuard, RtValueLayout) {

@@ -3,8 +3,9 @@
 // The shared lowering layer: golden LIR dumps for representative units,
 // the process classifier (PureComb / ClockedReg / General), and
 // cross-engine equivalence on the features the layer carries — element-
-// aligned `con` of sub-signals and array slices of signals — plus a
-// whole-suite lowering/classification sweep.
+// aligned `con` of sub-signals and array slices of signals, on Blaze both
+// interpreted and native — plus a whole-suite lowering/classification
+// sweep.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,8 @@ namespace {
 
 struct LirTest : public ::testing::Test {
   Context Ctx;
+  /// JIT statistics of runAllEngines' native Blaze run.
+  jit::JitStats LastJit;
 
   Module *parseFresh(const char *Src, const char *Name) {
     auto *M = new Module(Ctx, Name); // Leaked into the test; fine.
@@ -42,8 +45,10 @@ struct LirTest : public ::testing::Test {
     return lowerUnit(*U);
   }
 
-  /// Runs \p Src on all three engines and checks digest equality;
-  /// returns the interpreter for state inspection.
+  /// Runs \p Src on all three engines — Blaze both interpreted and
+  /// native, where its probes of aliased and sliced signals cross the
+  /// JIT callbacks — and checks digest equality; returns the
+  /// interpreter for state inspection.
   std::unique_ptr<InterpSim> runAllEngines(const char *Src,
                                            const char *Top) {
     Module *M1 = parseFresh(Src, std::string(Top) + ".ref");
@@ -52,19 +57,26 @@ struct LirTest : public ::testing::Test {
     auto Ref = std::make_unique<InterpSim>(std::move(D1));
     Ref->run();
 
-    Module *M2 = parseFresh(Src, std::string(Top) + ".jit");
-    BlazeSim Blaze(*M2, Top);
-    EXPECT_TRUE(Blaze.valid()) << Blaze.error();
-    Blaze.run();
+    auto runBlaze = [&](jit::JitOptions::Mode Jit, const char *Suffix) {
+      Module *M = parseFresh(Src, std::string(Top) + Suffix);
+      BlazeSim::BlazeOptions O;
+      O.Jit.M = Jit;
+      BlazeSim Blaze(*M, Top, O);
+      EXPECT_TRUE(Blaze.valid()) << Blaze.error();
+      Blaze.run();
+      EXPECT_EQ(Ref->trace().digest(), Blaze.trace().digest()) << Suffix;
+      LastJit = Blaze.jitStats();
+    };
+    runBlaze(jit::JitOptions::Mode::Off, ".blaze");
 
     Module *M3 = parseFresh(Src, std::string(Top) + ".comm");
     CommSim Comm(*M3, Top);
     EXPECT_TRUE(Comm.valid()) << Comm.error();
     Comm.run();
-
-    EXPECT_EQ(Ref->trace().digest(), Blaze.trace().digest());
     EXPECT_EQ(Ref->trace().digest(), Comm.trace().digest());
     EXPECT_EQ(Ref->trace().numChanges(), Comm.trace().numChanges());
+
+    runBlaze(jit::JitOptions::Mode::On, ".jit");
     return Ref;
   }
 
@@ -310,6 +322,10 @@ entry:
 )";
   auto Ref = runAllEngines(Src, "top");
   EXPECT_EQ(signalValue(*Ref, "/out").intValue().zextToU64(), 7u);
+  // Natively, the probe of the alias resolves through read() per access.
+  if (LastJit.NativeProcs != 0) {
+    EXPECT_EQ(LastJit.ResolvedPrbs, 1u);
+  }
 }
 
 TEST_F(LirTest, ArraySliceOfSignalAcrossEngines) {
@@ -346,6 +362,56 @@ done:
   EXPECT_EQ(Mem.elements()[1].intValue().zextToU64(), 11u);
   EXPECT_EQ(Mem.elements()[2].intValue().zextToU64(), 22u);
   EXPECT_EQ(Mem.elements()[3].intValue().zextToU64(), 0u);
+}
+
+TEST_F(LirTest, ArrayAndSliceProbesAcrossEngines) {
+  // A whole array signal and an array slice of it, probed by one
+  // process: natively, the whole signal reads its storage in place and
+  // the slice resolves through read() on every access.
+  const char *Src = R"(
+entity @top () -> () {
+  %z8 = const i8 0
+  %arr0 = [i8 %z8, %z8, %z8, %z8]
+  %mem = sig [4 x i8] %arr0
+  %mid = exts [2 x i8]$ %mem, 1
+  %out = sig i8 %z8
+  inst @fill () -> ([4 x i8]$ %mem)
+  inst @mix ([4 x i8]$ %mem, [2 x i8]$ %mid) -> (i8$ %out)
+}
+proc @fill () -> ([4 x i8]$ %m) {
+entry:
+  %a = const i8 3
+  %b = const i8 5
+  %c = const i8 9
+  %d = const i8 17
+  %v = [i8 %a, %b, %c, %d]
+  %t = const time 1ns
+  drv [4 x i8]$ %m, %v after %t
+  halt
+}
+proc @mix ([4 x i8]$ %m, [2 x i8]$ %s) -> (i8$ %o) {
+entry:
+  %w = prb [4 x i8]$ %m
+  %r = prb [2 x i8]$ %s
+  %w0 = extf i8 %w, 0
+  %w3 = extf i8 %w, 3
+  %r0 = extf i8 %r, 0
+  %r1 = extf i8 %r, 1
+  %x = add i8 %w0, %w3
+  %y = add i8 %r0, %r1
+  %z = xor i8 %x, %y
+  %t0 = const time 0s
+  drv i8$ %o, %z after %t0
+  wait %entry for %m
+}
+)";
+  auto Ref = runAllEngines(Src, "top");
+  // (3 + 17) ^ (5 + 9)
+  EXPECT_EQ(signalValue(*Ref, "/out").intValue().zextToU64(), 26u);
+  if (LastJit.NativeProcs != 0) {
+    EXPECT_EQ(LastJit.DirectPrbs, 1u);
+    EXPECT_EQ(LastJit.ResolvedPrbs, 1u);
+  }
 }
 
 // The paper's central cross-simulator claim holds through the shared

@@ -3,7 +3,9 @@
 // The two-lane event wheel in isolation: (time, delta, epsilon) pop
 // ordering, the driveTarget zero-time rule, equal-time slot merging,
 // heap-lane ordering under interleaved past/future schedules — and the
-// stale-timer generation guard observed through a real simulation.
+// stale-timer generation guard observed through a real simulation. Also
+// the change-trace digest: its string-free fast case must hash exactly
+// the bytes of the value's text.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,59 @@ std::vector<Time> drain(Scheduler &S) {
     S.pop(U, W);
   }
   return Order;
+}
+
+/// The digest Trace::record defines: FNV-1a over the time, the signal
+/// and the bytes of the value's text, folded into \p D.
+uint64_t textDigest(uint64_t D, Time T, SignalId S, const std::string &Text) {
+  auto Mix = [&D](uint64_t X) {
+    D ^= X;
+    D *= 1099511628211ull;
+  };
+  Mix(T.Fs);
+  Mix(T.Delta);
+  Mix(S);
+  for (char C : Text)
+    Mix(static_cast<unsigned char>(C));
+  return D;
+}
+
+TEST(TraceTest, DigestHashesTheValueText) {
+  std::vector<RtValue> Vals;
+  for (unsigned W : {1u, 63u, 64u, 65u, 128u}) {
+    Vals.emplace_back(IntValue(W, 0));
+    Vals.emplace_back(IntValue(W, 1));
+    Vals.emplace_back(IntValue(W, 1234567890123456789ull));
+    Vals.emplace_back(IntValue(W, ~0ull)); // Masked to W bits.
+    if (W > 64) {
+      // Beyond u64: the digest takes the multi-word decimal text.
+      Vals.emplace_back(IntValue(W, std::vector<uint64_t>{~0ull, 1}));
+      Vals.emplace_back(IntValue(W, std::vector<uint64_t>{0, 1}));
+    }
+  }
+  Vals.emplace_back(LogicVec(4, Logic::X));
+  Vals.emplace_back(LogicVec(IntValue(8, 0xa5)));
+  Vals.emplace_back(Time::ns(5));
+  Vals.emplace_back(Time(7, 2, 1));
+  Vals.push_back(RtValue::makeArray(
+      {RtValue(IntValue(8, 3)), RtValue(IntValue(8, 200))}));
+
+  for (Trace::Mode M : {Trace::Mode::Hash, Trace::Mode::Full}) {
+    Trace Tr(M);
+    uint64_t Expect = Trace().digest();
+    for (unsigned I = 0; I != Vals.size(); ++I) {
+      Time T(1000 * I, I % 3);
+      Tr.record(T, I, Vals[I]);
+      Expect = textDigest(Expect, T, I, Vals[I].toString());
+      EXPECT_EQ(Tr.digest(), Expect) << "value " << Vals[I].toString();
+    }
+    EXPECT_EQ(Tr.numChanges(), Vals.size());
+    if (M == Trace::Mode::Full) {
+      ASSERT_EQ(Tr.changes().size(), Vals.size());
+      for (unsigned I = 0; I != Vals.size(); ++I)
+        EXPECT_EQ(Tr.changes()[I].Val, Vals[I].toString());
+    }
+  }
 }
 
 TEST(SchedulerTest, DeltaVersusEpsilonOrdering) {

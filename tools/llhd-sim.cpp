@@ -319,10 +319,11 @@ int runEngine(const std::string &Engine, Module &M, const std::string &Top,
         fprintf(stderr,
                 "blaze jit: %u native unit(s), %u deopt(s), %u native / "
                 "%u interpreted instance(s), codegen %.1f ms, host compile "
-                "%.1f ms (object: %s)\n",
+                "%.1f ms (object: %s), probe sites %u direct / %u "
+                "resolved per access\n",
                 J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
                 J.CodegenSeconds * 1000, J.HostCompileSeconds * 1000,
-                objectSourceName(J.Object));
+                objectSourceName(J.Object), J.DirectPrbs, J.ResolvedPrbs);
         for (const auto &[U, R] : J.Deopts)
           fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(),
                   R.c_str());
@@ -349,13 +350,14 @@ int runEngine(const std::string &Engine, Module &M, const std::string &Top,
 void printStats(const RunOutcome &O) {
   fprintf(stderr,
           "%s: %u signals, %u instances, end time %s, %llu slots, "
-          "%llu process runs, %llu entity evals, %llu changes, "
-          "digest %016llx%s%s\n",
+          "%llu process runs, %llu entity evals, %llu drives scheduled, "
+          "%llu changes, digest %016llx%s%s\n",
           O.Engine.c_str(), O.Signals, O.Instances,
           O.Stats.EndTime.toString().c_str(),
           (unsigned long long)O.Stats.Steps,
           (unsigned long long)O.Stats.ProcessRuns,
           (unsigned long long)O.Stats.EntityEvals,
+          (unsigned long long)O.Stats.DrivesScheduled,
           (unsigned long long)O.Changes, (unsigned long long)O.Digest,
           O.Stats.Finished ? ", finished" : "",
           O.Stats.DeltaOverflow ? ", DELTA OVERFLOW" : "");
