@@ -52,8 +52,8 @@ int main(int argc, char **argv) {
     jit::JitOptions::Mode Jit;
   };
   const Config Configs[] = {
-      {"Blaze, no opt, bytecode interp", false, jit::JitOptions::Mode::Off},
-      {"Blaze, CF/IS/CSE/DCE, bytecode", true, jit::JitOptions::Mode::Off},
+      {"Blaze, no opt, LIR interp", false, jit::JitOptions::Mode::Off},
+      {"Blaze, CF/IS/CSE/DCE, LIR interp", true, jit::JitOptions::Mode::Off},
       {"Blaze, no opt, native codegen", false, jit::JitOptions::Mode::On},
       {"Blaze, CF/IS/CSE/DCE + native", true, jit::JitOptions::Mode::On},
   };

@@ -1,8 +1,9 @@
 //===- bench/micro_ops.cpp - google-benchmark microbenchmarks ----------------===//
 //
 // Microbenchmarks of the hot primitives underneath the Table 2 numbers:
-// IntValue arithmetic, assembly parsing, bitcode round trips, and one
-// full simulation step of the accumulator on each engine.
+// IntValue arithmetic, the event wheel (general and word-lane updates),
+// the wake index, assembly parsing, bitcode round trips, and full
+// simulations of one design on each engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,55 +17,22 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <map>
-
 using namespace llhd;
 
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Scheduler baseline: the pre-refactor kernel data structures, kept here
-// so the old-vs-new wheel win stays measurable.
+// Scheduler workload
 //===----------------------------------------------------------------------===//
-
-/// The retired std::map event wheel (one red-black-tree node per distinct
-/// time, allocated and freed per slot).
-class LegacyMapWheel {
-public:
-  void scheduleUpdate(Time T, SigUpdate U) {
-    Queue[T].Updates.push_back(std::move(U));
-  }
-  void scheduleWake(Time T, ProcWake W) { Queue[T].Wakes.push_back(W); }
-  bool empty() const { return Queue.empty(); }
-  Time nextTime() const { return Queue.begin()->first; }
-  void pop(std::vector<SigUpdate> &Updates, std::vector<ProcWake> &Wakes) {
-    auto It = Queue.begin();
-    Updates = std::move(It->second.Updates);
-    Wakes = std::move(It->second.Wakes);
-    Queue.erase(It);
-  }
-
-private:
-  struct Slot {
-    std::vector<SigUpdate> Updates;
-    std::vector<ProcWake> Wakes;
-  };
-  std::map<Time, Slot> Queue;
-};
 
 /// The schedule/pop workload: per simulated slot, a burst of next-delta
 /// events (the dominant traffic) plus a few future-time events, then a
 /// drain of the earliest slot — the steady-state rhythm of the event
-/// loop.
-template <typename Wheel> uint64_t runWheelWorkload(unsigned Slots) {
-  Wheel W;
-  std::vector<SigUpdate> Updates;
-  std::vector<ProcWake> Wakes;
-  SigUpdate U;
-  U.Ref.Sig = 0;
-  U.Val = RtValue(Time::ns(1));
-  U.Driver = 1;
+/// loop. \p Schedule files the slot's one signal update.
+template <typename ScheduleFn>
+uint64_t runWheelWorkload(unsigned Slots, ScheduleFn Schedule) {
+  Scheduler W;
+  SlotEvents Ev;
   uint64_t Popped = 0;
   Time Now;
   for (unsigned I = 0; I != Slots; ++I) {
@@ -73,17 +41,17 @@ template <typename Wheel> uint64_t runWheelWorkload(unsigned Slots) {
     // ordering machinery rather than event-payload copies.
     for (unsigned J = 0; J != 8; ++J)
       W.scheduleWake(driveTarget(Now, Time()), {J, I});
-    W.scheduleUpdate(driveTarget(Now, Time()), U);
+    Schedule(W, driveTarget(Now, Time()), I);
     for (unsigned J = 0; J != 4; ++J) // Spread-out future instants.
       W.scheduleWake(Now.advance(Time::ns(1 + (I * 7 + J * 41) % 97)),
                      {J, I});
     Now = W.nextTime();
-    W.pop(Updates, Wakes);
-    Popped += Updates.size() + Wakes.size();
+    W.pop(Ev);
+    Popped += Ev.Entries.size() + Ev.Wakes.size();
   }
   while (!W.empty()) {
-    W.pop(Updates, Wakes);
-    Popped += Updates.size() + Wakes.size();
+    W.pop(Ev);
+    Popped += Ev.Entries.size() + Ev.Wakes.size();
   }
   return Popped;
 }
@@ -126,38 +94,31 @@ static void BM_IntValueUdiv128(benchmark::State &State) {
 }
 BENCHMARK(BM_IntValueUdiv128);
 
-static void BM_WheelScheduleDrainLegacyMap(benchmark::State &State) {
-  for (auto _ : State)
-    benchmark::DoNotOptimize(runWheelWorkload<LegacyMapWheel>(4096));
-  State.SetItemsProcessed(State.iterations() * 4096 * 13);
-}
-BENCHMARK(BM_WheelScheduleDrainLegacyMap);
-
 static void BM_WheelScheduleDrainTwoLane(benchmark::State &State) {
+  // General updates: a SigUpdate (SigRef + RtValue + driver) per drive.
+  SigUpdate U;
+  U.Ref.Sig = 0;
+  U.Val = RtValue(IntValue(32, 7));
+  U.Driver = 1;
+  auto Schedule = [&U](Scheduler &W, Time T, unsigned) {
+    W.scheduleUpdate(T, U);
+  };
   for (auto _ : State)
-    benchmark::DoNotOptimize(runWheelWorkload<Scheduler>(4096));
+    benchmark::DoNotOptimize(runWheelWorkload(4096, Schedule));
   State.SetItemsProcessed(State.iterations() * 4096 * 13);
 }
 BENCHMARK(BM_WheelScheduleDrainTwoLane);
 
-static void BM_WakeSetLinearScan(benchmark::State &State) {
-  // The retired wake-set computation: for each changed signal, scan all
-  // processes and search each sensitivity list.
-  auto Sens = wakeSensitivities();
-  std::vector<uint32_t> Out;
-  SignalId Changed = 0;
-  for (auto _ : State) {
-    Out.clear();
-    for (uint32_t P = 0; P != WakeProcs; ++P)
-      if (std::find(Sens[P].begin(), Sens[P].end(), Changed) !=
-          Sens[P].end())
-        Out.push_back(P);
-    benchmark::DoNotOptimize(Out.data());
-    Changed = (Changed + 1) % WakeSignals;
-  }
-  State.SetItemsProcessed(State.iterations());
+static void BM_WheelScheduleDrainWord(benchmark::State &State) {
+  // Word-lane updates: one 24-byte entry per drive.
+  auto Schedule = [](Scheduler &W, Time T, unsigned I) {
+    W.scheduleWord(T, 0, I, 1);
+  };
+  for (auto _ : State)
+    benchmark::DoNotOptimize(runWheelWorkload(4096, Schedule));
+  State.SetItemsProcessed(State.iterations() * 4096 * 13);
 }
-BENCHMARK(BM_WakeSetLinearScan);
+BENCHMARK(BM_WheelScheduleDrainWord);
 
 static void BM_WakeSetDenseIndex(benchmark::State &State) {
   // The dense reverse index: one lookup per changed signal.

@@ -49,7 +49,7 @@ int main() {
   });
   Module M2(Ctx, "m2");
   (void)moore::compileSystemVerilog(D.Source, D.TopModule, M2);
-  uint64_t D2 = runEngine("LLHD-Blaze (bytecode)", [&] {
+  uint64_t D2 = runEngine("LLHD-Blaze (native)", [&] {
     BlazeSim Sim(M2, R.TopUnit);
     SimStats St = Sim.run();
     return std::make_pair(Sim.trace().digest(), St.AssertFailures);

@@ -1,13 +1,13 @@
-//===- blaze/Blaze.h - Accelerated bytecode engine (LLHD-Blaze) --*- C++ -*-===//
+//===- blaze/Blaze.h - Accelerated native-code engine ----------*- C++ -*-===//
 //
 // The accelerated simulator of §6.1. The paper's LLHD-Blaze JIT-compiles
-// units via LLVM; this environment has no LLVM, so Blaze implements the
-// same idea one notch lower (documented in DESIGN.md): each unit is
-// compiled once at elaboration into dense register-based bytecode —
-// constants materialised up front, value slots resolved to indices, phis
-// lowered to edge copies — and dispatched in a tight loop. The LLHD
-// optimisation pipeline runs before compilation, mirroring the paper's
-// use of LLVM -O on the generated IR.
+// units to machine code via LLVM; Blaze does the same through the host
+// C++ toolchain (src/jit/, DESIGN.md "Native code generation"): it runs
+// the LLHD optimisation pipeline over a clone of the design, lowers it
+// to the shared runtime IR (sim/Lir.h), emits every admissible process
+// unit as C++, compiles it to a shared object and binds the loaded code
+// per instance. Units the code generator does not admit, and every JIT
+// failure mode, run on the shared LIR interpreter instead.
 //
 //===----------------------------------------------------------------------===//
 

@@ -65,8 +65,12 @@ void apiDrv(void *CtxP, unsigned Site, uint64_t Val) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const DrvSite &S = C.Drvs[Site];
   LirEngine &E = *C.Eng;
-  E.Sched.scheduleUpdate(driveTarget(E.Now, S.Delay),
-                         {S.Ref, RtValue(IntValue(S.Width, Val)), S.Driver});
+  Time T = driveTarget(E.Now, S.Delay);
+  if (S.WordCanon != InvalidSignal)
+    E.Sched.scheduleWord(T, S.WordCanon, Val & S.Mask, S.Driver);
+  else
+    E.Sched.scheduleUpdate(T, {S.Ref, RtValue(IntValue(S.Width, Val)),
+                               S.Driver});
   E.Sched.countScheduled(1);
 }
 
@@ -237,6 +241,14 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
     Site.Delay = T.timeValue();
     Site.Driver = LirEngine::driverId(&Inst, Dp.Origin);
     Site.Width = Dp.Width;
+    if (!Dp.NumElems && Site.Ref.wholeSignal()) {
+      Site.WordCanon = Eng.Signals.wordCanon(Site.Ref.Sig);
+      assert((Site.WordCanon == InvalidSignal ||
+              Eng.Signals.storedValue(Site.WordCanon).intValue().width() ==
+                  Dp.Width) &&
+             "drive value width differs from the signal's");
+      Site.Mask = IntValue::maskOf(Dp.Width);
+    }
     if (Dp.NumElems)
       Site.Scratch = RtValue::makeArray(
           std::vector<RtValue>(Dp.NumElems, RtValue(IntValue(Dp.Width, 0))));

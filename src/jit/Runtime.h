@@ -76,6 +76,11 @@ struct DrvSite {
   Time Delay;
   uint64_t Driver = 0;
   unsigned Width = 0;
+  /// SignalTable::wordCanon() of a scalar drive of a whole signal: when
+  /// valid, drives take the scheduler's word lane with the value masked
+  /// by Mask. InvalidSignal sends them down the general path.
+  SignalId WordCanon = InvalidSignal;
+  uint64_t Mask = 0;
   RtValue Scratch; ///< Array drives: reused element buffer.
 };
 

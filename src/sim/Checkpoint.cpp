@@ -285,7 +285,7 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
   // Both event-wheel lanes, in ascending time order. Restore replays
   // them through the scheduling API, which reproduces intra-slot event
   // order exactly (slots keep scheduling order within one time).
-  std::vector<Scheduler::PendingSlot> Slots = Sched.pendingSlots();
+  std::vector<Scheduler::PendingSlot> Slots = Sched.pendingSlots(Signals);
   bc::putVar(Out, Slots.size());
   for (const Scheduler::PendingSlot &Slot : Slots) {
     putTime(Out, Slot.T);

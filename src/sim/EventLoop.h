@@ -136,8 +136,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
   uint64_t DeltasAtInstant = 0;
   uint64_t LastFs = Resumed ? Now.Fs : ~0ull;
   // Scratch reused across slots; capacity settles after a few steps.
-  std::vector<SigUpdate> Updates;
-  std::vector<ProcWake> Wakes;
+  SlotEvents Ev;
   std::vector<SignalId> Changed;
   std::vector<uint32_t> ProcsToRun, EntsToRun;
   std::vector<uint8_t> ChangedMark(Signals.size(), 0);
@@ -202,22 +201,24 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
     Now = T;
     ++Stats.Steps;
 
-    Sched.pop(Updates, Wakes);
+    Sched.pop(Ev);
 
-    // Apply signal updates; collect changed canonical signals (deduped
+    // Apply signal updates in scheduling order, word and general lanes
+    // interleaved as filed; collect changed canonical signals (deduped
     // via marks, in first-change order).
     Changed.clear();
-    for (SigUpdate &U : Updates) {
-      SignalId Canon = Signals.canonical(U.Ref.Sig);
-      if (Signals.write(U.Ref, U.Val, U.Driver)) {
-        if (!ChangedMark[Canon]) {
-          ChangedMark[Canon] = 1;
-          Changed.push_back(Canon);
-        }
-        Tr.record(Now, Canon, Signals.value(Canon));
-        if (Wave)
-          Wave->onChange(Now, Canon, Signals.value(Canon));
+    for (const UpdateEntry &E : Ev.Entries) {
+      SignalId Canon = commitUpdate(Signals, Ev, E);
+      if (Canon == InvalidSignal)
+        continue;
+      if (!ChangedMark[Canon]) {
+        ChangedMark[Canon] = 1;
+        Changed.push_back(Canon);
       }
+      const RtValue &V = Signals.storedValue(Canon);
+      Tr.record(Now, Canon, V);
+      if (Wave)
+        Wave->onChange(Now, Canon, V);
     }
     for (SignalId S : Changed)
       ChangedMark[S] = 0;
@@ -225,7 +226,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
     // Wake set: fresh timers plus sensitivity matches, each a direct
     // index lookup. Units run in ascending index order for determinism.
     ProcsToRun.clear();
-    for (const ProcWake &W : Wakes)
+    for (const ProcWake &W : Ev.Wakes)
       if (Eng.procWakeGen(W.Proc) == W.Gen && Eng.procWaiting(W.Proc))
         ProcsToRun.push_back(W.Proc);
     EntsToRun.clear();
@@ -257,6 +258,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
     Wave->finish();
   Stats.EndTime = Now;
   Stats.DrivesScheduled = Sched.totalScheduled();
+  Stats.WordDrives = Sched.wordScheduled();
   Stats.Finished = Eng.finishRequested();
   if (!Stats.Finished) {
     bool AllHalted = Eng.numProcs() != 0;

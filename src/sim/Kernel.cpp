@@ -47,12 +47,19 @@ void SignalTable::freeze() {
     B.Parents[S] = Root;
   }
   B.Init = Values;
-  // Precompute the canonical map last: a nonempty Canon is what frozen()
-  // keys on, and canonical() still takes the slow path while we fill it.
-  std::vector<SignalId> Canon(B.Parents.size());
-  for (SignalId S = 0; S != B.Parents.size(); ++S)
-    Canon[S] = canonical(S);
-  B.Canon = std::move(Canon);
+  // canonical() takes the slow path until Frozen is set, last.
+  B.Canon.resize(B.Parents.size());
+  B.WordCanon.assign(B.Parents.size(), InvalidSignal);
+  for (SignalId S = 0; S != B.Parents.size(); ++S) {
+    B.Canon[S] = canonical(S);
+    SignalId Root = B.Parents[S];
+    const RtValue &V = Values[Root];
+    bool Logic = B.Ty[Root] && B.Ty[Root]->isLogic();
+    if (!B.Aliases[Root].valid() && V.isInt() &&
+        V.intValue().width() <= 64 && !Logic)
+      B.WordCanon[S] = Root;
+  }
+  B.Frozen = true;
 }
 
 SignalTable SignalTable::makeRun() const {
@@ -186,19 +193,16 @@ uint32_t Scheduler::allocSlot() {
   return Arena.size() - 1;
 }
 
-void Scheduler::recycle(uint32_t Idx, std::vector<SigUpdate> &Updates,
-                        std::vector<ProcWake> &Wakes) {
+void Scheduler::recycle(uint32_t Idx, SlotEvents &Out) {
   // The caller's buffers are empty: swapping hands the slot's events
   // over without touching them, and leaves the slot empty buffers whose
   // capacity lets it schedule again without allocating.
-  assert(Updates.empty() && Wakes.empty());
-  Slot &S = Arena[Idx];
-  Updates.swap(S.Updates);
-  Wakes.swap(S.Wakes);
+  assert(Out.Entries.empty() && Out.General.empty() && Out.Wakes.empty());
+  Out.swap(Arena[Idx]);
   FreeSlots.push_back(Idx);
 }
 
-Scheduler::Slot &Scheduler::slotFor(Time T) {
+SlotEvents &Scheduler::slotFor(Time T) {
   if (T.Fs <= HeadFs) {
     // Fast lane: sorted linear scan — the lane holds the current
     // instant's few pending delta/epsilon slots.
@@ -222,24 +226,22 @@ Scheduler::Slot &Scheduler::slotFor(Time T) {
   return Arena[Idx];
 }
 
-void Scheduler::pop(std::vector<SigUpdate> &Updates,
-                    std::vector<ProcWake> &Wakes) {
-  Updates.clear();
-  Wakes.clear();
+void Scheduler::pop(SlotEvents &Out) {
+  Out.clear();
   MemoValid = false; // The memoed slot may be the one being recycled.
   // The lanes are disjoint (fast: Fs <= HeadFs, heap: Fs > HeadFs), so
   // a nonempty fast lane always holds the earliest slot.
   if (!Fast.empty()) {
     uint32_t Idx = Fast.front().Idx;
     Fast.erase(Fast.begin());
-    recycle(Idx, Updates, Wakes);
+    recycle(Idx, Out);
     return;
   }
   Time T = Heap.front().T;
   std::pop_heap(Heap.begin(), Heap.end(), HeapOrder());
   uint32_t Idx = Heap.back().Idx;
   Heap.pop_back();
-  recycle(Idx, Updates, Wakes);
+  recycle(Idx, Out);
   // A new physical instant begins: anchor the fast lane to it and pull
   // over any already-scheduled slots of the same instant (they are at
   // the top of the heap, and arrive in ascending time order).
@@ -252,16 +254,35 @@ void Scheduler::pop(std::vector<SigUpdate> &Updates,
   }
 }
 
-std::vector<Scheduler::PendingSlot> Scheduler::pendingSlots() const {
+std::vector<Scheduler::PendingSlot>
+Scheduler::pendingSlots(const SignalTable &Signals) const {
+  auto copyOut = [&](const Ref &R) {
+    const SlotEvents &S = Arena[R.Idx];
+    PendingSlot P{R.T, {}, S.Wakes};
+    P.Updates.reserve(S.Entries.size());
+    for (const UpdateEntry &E : S.Entries) {
+      if (E.Sig == InvalidSignal) {
+        P.Updates.push_back(S.General[E.Aux]);
+        continue;
+      }
+      SigUpdate U;
+      U.Ref.Sig = E.Sig;
+      U.Val = RtValue(
+          IntValue(Signals.storedValue(E.Sig).intValue().width(), E.Word));
+      U.Driver = E.Driver;
+      P.Updates.push_back(std::move(U));
+    }
+    return P;
+  };
   std::vector<PendingSlot> Out;
   Out.reserve(Fast.size() + Heap.size());
   // The fast lane is already sorted and strictly precedes every heap
   // slot; the heap's array order is not sorted, so sort the copies.
   for (const Ref &R : Fast)
-    Out.push_back({R.T, Arena[R.Idx].Updates, Arena[R.Idx].Wakes});
+    Out.push_back(copyOut(R));
   size_t HeapBegin = Out.size();
   for (const Ref &R : Heap)
-    Out.push_back({R.T, Arena[R.Idx].Updates, Arena[R.Idx].Wakes});
+    Out.push_back(copyOut(R));
   std::sort(Out.begin() + HeapBegin, Out.end(),
             [](const PendingSlot &A, const PendingSlot &B) {
               return A.T < B.T;

@@ -9,9 +9,13 @@
 // fast lane holding the handful of pending delta/epsilon slots at the
 // head physical time, and a binary min-heap of future time slots. Slots
 // are recycled through a pool, so steady-state scheduling performs no
-// allocation. The wake set is computed through dense reverse indices —
-// entity watchers live in Design, dynamic process sensitivity in
-// WakeIndex — instead of per-process scans.
+// allocation. Each slot keeps its signal updates in one ordered list of
+// 24-byte entries: a drive of a whole two-state signal of at most 64
+// bits carries its new value inline (the word lane), every other update
+// points into a side vector of general SigUpdates. The wake set is
+// computed through dense reverse indices — entity watchers live in
+// Design, dynamic process sensitivity in WakeIndex — instead of
+// per-process scans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +74,7 @@ public:
   /// alias records (the aliased signal's storage root). After freeze()
   /// this is a single table read.
   SignalId canonical(SignalId S) const {
-    if (!L->Canon.empty())
+    if (L->Frozen)
       return L->Canon[S];
     SignalId Root = ufRoot(S);
     while (L->Aliases[Root].valid())
@@ -91,11 +95,20 @@ public:
   bool connectRefs(const SigRef &A, const SigRef &B);
 
   /// Finalises the layout: fully compresses the union-find (lookups
-  /// become pure reads), precomputes the canonical map, and snapshots
-  /// the current values as the initial values shared by every run.
-  /// Idempotent; called once by elaborate().
+  /// become pure reads), precomputes the canonical and word-lane maps,
+  /// and snapshots the current values as the initial values shared by
+  /// every run. Idempotent; called once by elaborate().
   void freeze();
-  bool frozen() const { return !L->Canon.empty(); }
+  bool frozen() const { return L->Frozen; }
+
+  /// The canonical id of \p S when a drive of the whole of S may take the
+  /// scheduler's word lane: S is not a view into another signal's
+  /// storage (its union-find root has no alias record), and its storage
+  /// holds a two-state integer of at most 64 bits and is not
+  /// logic-typed. InvalidSignal otherwise, and before freeze().
+  SignalId wordCanon(SignalId S) const {
+    return L->Frozen ? L->WordCanon[S] : InvalidSignal;
+  }
 
   /// A fresh per-run view of a frozen table: shares the layout, values
   /// reset to the elaboration-time initial values, no driver slots.
@@ -116,6 +129,17 @@ public:
   /// value changed. \p Driver identifies the driving statement instance
   /// for multi-driver resolution on nine-valued signals.
   bool write(const SigRef &Ref, const RtValue &V, uint64_t Driver);
+  /// Applies a word-lane update to \p Canon, a wordCanon() target:
+  /// compares and assigns the stored integer's word in place. \p W is
+  /// already masked to the signal's width. Returns true if the value
+  /// changed.
+  bool writeWord(SignalId Canon, uint64_t W) {
+    uint64_t &Old = Values[Canon].intValue().inlineWord();
+    if (Old == W)
+      return false;
+    Old = W;
+    return true;
+  }
 
   const std::string &name(SignalId S) const { return L->Name[S]; }
   Type *type(SignalId S) const { return L->Ty[S]; }
@@ -159,8 +183,12 @@ private:
     /// an entry with valid() set makes that signal a view of another
     /// signal's storage. Invalid (the default) means "owns its storage".
     std::vector<SigRef> Aliases;
-    /// Precomputed canonical map (empty until freeze()).
+    /// Set by freeze(); the maps below are valid once it is.
+    bool Frozen = false;
+    /// Precomputed canonical map.
     std::vector<SignalId> Canon;
+    /// Precomputed wordCanon() map.
+    std::vector<SignalId> WordCanon;
     /// Elaboration-time initial values (set at freeze()); the seed for
     /// every run's value vector.
     std::vector<RtValue> Init;
@@ -194,7 +222,7 @@ private:
 // Scheduler
 //===----------------------------------------------------------------------===//
 
-/// A pending signal update.
+/// A pending general signal update: any reference, any value.
 struct SigUpdate {
   SigRef Ref;
   RtValue Val;
@@ -207,6 +235,39 @@ struct ProcWake {
   uint64_t Gen;
 };
 
+/// One signal update of a time slot, in scheduling order (24 bytes).
+///  - A word entry (Sig valid) drives the whole of canonical signal Sig,
+///    a wordCanon() target, to Word (masked to the signal's width).
+///  - A general entry (Sig == InvalidSignal) stands for the SigUpdate at
+///    index Aux of the slot's side vector.
+struct UpdateEntry {
+  SignalId Sig;
+  uint32_t Aux;
+  uint64_t Word;
+  uint64_t Driver;
+};
+static_assert(sizeof(UpdateEntry) == 24, "word-lane entries stay 24 bytes");
+
+/// The events of one time slot. Entries hold every signal update in
+/// scheduling order, whatever its lane; applying them front to back is
+/// what makes equal-time updates last-write-wins.
+struct SlotEvents {
+  std::vector<UpdateEntry> Entries;
+  std::vector<SigUpdate> General; ///< Payloads of the general entries.
+  std::vector<ProcWake> Wakes;
+
+  void clear() {
+    Entries.clear();
+    General.clear();
+    Wakes.clear();
+  }
+  void swap(SlotEvents &O) {
+    Entries.swap(O.Entries);
+    General.swap(O.General);
+    Wakes.swap(O.Wakes);
+  }
+};
+
 /// The (time, delta, epsilon) event wheel.
 ///
 /// Two lanes share a pooled slot arena:
@@ -216,11 +277,24 @@ struct ProcWake {
 ///  - the heap lane is a binary min-heap of future physical instants.
 /// Every distinct Time owns exactly one slot, so events at equal times
 /// are applied in scheduling order (engines rely on this for trace
-/// determinism).
+/// determinism) — across the word and general update kinds too, since
+/// both append to the slot's one entry list.
 class Scheduler {
 public:
+  /// Files a general update. Producers count it with countScheduled();
+  /// checkpoint restore replays through here without counting.
   void scheduleUpdate(Time T, SigUpdate U) {
-    slotForCached(T).Updates.push_back(std::move(U));
+    SlotEvents &S = slotForCached(T);
+    S.Entries.push_back(
+        {InvalidSignal, static_cast<uint32_t>(S.General.size()), 0, 0});
+    S.General.push_back(std::move(U));
+  }
+  /// Files a word-lane update: \p Driver drives the whole of \p Canon,
+  /// a wordCanon() target, to \p Word (masked to its width). Counted in
+  /// wordScheduled(); producers still count it with countScheduled().
+  void scheduleWord(Time T, SignalId Canon, uint64_t Word, uint64_t Driver) {
+    slotForCached(T).Entries.push_back({Canon, 0, Word, Driver});
+    ++WordScheduled;
   }
   void scheduleWake(Time T, ProcWake W) {
     slotForCached(T).Wakes.push_back(W);
@@ -236,16 +310,18 @@ public:
     return std::min(Fast.front().T, Heap.front().T);
   }
 
-  /// Pops the earliest time slot into \p Updates / \p Wakes (cleared
-  /// first, then swapped with the slot's buffers; capacity circulates
-  /// between the caller and the slot pool).
-  void pop(std::vector<SigUpdate> &Updates, std::vector<ProcWake> &Wakes);
+  /// Pops the earliest time slot into \p Out (cleared first, then
+  /// swapped with the slot's buffers; capacity circulates between the
+  /// caller and the slot pool).
+  void pop(SlotEvents &Out);
 
   /// Event count statistics.
   uint64_t totalScheduled() const { return Scheduled; }
   void countScheduled(uint64_t N) { Scheduled += N; }
   /// Restores the lifetime event counter from a checkpoint.
   void setTotalScheduled(uint64_t N) { Scheduled = N; }
+  /// Word-lane updates scheduled by this wheel (not checkpointed).
+  uint64_t wordScheduled() const { return WordScheduled; }
 
   /// A copied-out pending time slot, for checkpointing. Restore replays
   /// slots through scheduleUpdate/scheduleWake in ascending time order,
@@ -255,17 +331,15 @@ public:
     std::vector<SigUpdate> Updates;
     std::vector<ProcWake> Wakes;
   };
-  /// Snapshots both lanes, sorted ascending by time.
-  std::vector<PendingSlot> pendingSlots() const;
+  /// Snapshots both lanes, sorted ascending by time. Word entries expand
+  /// into whole-signal SigUpdates (\p Signals supplies their widths), so
+  /// a snapshot reads as if every update had taken the general lane.
+  std::vector<PendingSlot> pendingSlots(const SignalTable &Signals) const;
 
 private:
   struct Ref {
     Time T;
     uint32_t Idx; ///< Arena slot.
-  };
-  struct Slot {
-    std::vector<SigUpdate> Updates;
-    std::vector<ProcWake> Wakes;
   };
   struct HeapOrder { // std::*_heap builds a max-heap; invert for a min-heap.
     bool operator()(const Ref &A, const Ref &B) const { return B.T < A.T; }
@@ -274,20 +348,19 @@ private:
   /// Events arrive in same-time bursts (one process/entity activation
   /// schedules several drives at one target), so a one-entry memo skips
   /// the lane lookup for everything but the first event of a burst.
-  Slot &slotForCached(Time T) {
+  SlotEvents &slotForCached(Time T) {
     if (MemoValid && MemoT == T)
       return Arena[MemoIdx];
-    Slot &S = slotFor(T);
+    SlotEvents &S = slotFor(T);
     MemoT = T;
     MemoIdx = static_cast<uint32_t>(&S - Arena.data());
     MemoValid = true;
     return S;
   }
 
-  Slot &slotFor(Time T);
+  SlotEvents &slotFor(Time T);
   uint32_t allocSlot();
-  void recycle(uint32_t Idx, std::vector<SigUpdate> &Updates,
-               std::vector<ProcWake> &Wakes);
+  void recycle(uint32_t Idx, SlotEvents &Out);
 
   /// Fast lane: slots with T.Fs <= HeadFs, sorted ascending by time.
   /// Holds the current instant's delta/epsilon slots — almost always one
@@ -302,14 +375,28 @@ private:
   /// The physical instant the fast lane is anchored to.
   uint64_t HeadFs = 0;
 
-  std::vector<Slot> Arena;
+  std::vector<SlotEvents> Arena;
   std::vector<uint32_t> FreeSlots;
   /// One-entry schedule memo; invalidated on every pop.
   Time MemoT;
   uint32_t MemoIdx = 0;
   bool MemoValid = false;
   uint64_t Scheduled = 0;
+  uint64_t WordScheduled = 0;
 };
+
+/// Commits one popped entry of \p Ev: a word entry through writeWord(),
+/// a general one through write(). Returns the canonical id of the
+/// signal when its value changed, InvalidSignal otherwise.
+inline SignalId commitUpdate(SignalTable &Signals, const SlotEvents &Ev,
+                             const UpdateEntry &E) {
+  if (E.Sig != InvalidSignal)
+    return Signals.writeWord(E.Sig, E.Word) ? E.Sig : InvalidSignal;
+  const SigUpdate &U = Ev.General[E.Aux];
+  if (!Signals.write(U.Ref, U.Val, U.Driver))
+    return InvalidSignal;
+  return Signals.canonical(U.Ref.Sig);
+}
 
 /// Delay semantics of `drv`: a zero-time drive lands on the next delta.
 inline Time driveTarget(Time Now, Time Span) {

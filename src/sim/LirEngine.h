@@ -206,12 +206,25 @@ private:
   /// bookkeeping exactly.
   void runProcessNative(uint32_t PI);
 
+  /// A drive of a whole word-lane signal with an integer value files a
+  /// 24-byte word entry; every other drive files a general SigUpdate.
   void execDrv(const LirOp &Op, const RtValue *F, const void *Tag) {
     if (Op.Dd >= 0 && !F[Op.Dd].isTruthy())
       return;
-    Sched.scheduleUpdate(driveTarget(Now, F[Op.Cc].timeValue()),
-                         {F[Op.A].sigRef(), F[Op.B],
-                          driverId(Tag, Op.Origin)});
+    Time T = driveTarget(Now, F[Op.Cc].timeValue());
+    const RtValue &Sig = F[Op.A], &Val = F[Op.B];
+    SignalId Canon = Val.isInt() && Sig.isWholeSignal()
+                         ? Signals.wordCanon(Sig.sigId())
+                         : InvalidSignal;
+    if (Canon != InvalidSignal) {
+      assert(Val.intValue().width() ==
+                 Signals.storedValue(Canon).intValue().width() &&
+             "drive value width differs from the signal's");
+      Sched.scheduleWord(T, Canon, Val.intValue().zextToU64(),
+                         driverId(Tag, Op.Origin));
+    } else {
+      Sched.scheduleUpdate(T, {Sig.sigRef(), Val, driverId(Tag, Op.Origin)});
+    }
     Sched.countScheduled(1);
   }
 

@@ -1,7 +1,7 @@
 //===- sim/RtOps.h - Shared operation semantics -----------------*- C++ -*-===//
 //
 // One implementation of LLHD's data-flow operation semantics on runtime
-// values, shared by the reference interpreter (LLHD-Sim), the bytecode
+// values, shared by the reference interpreter (LLHD-Sim), the native-code
 // engine (LLHD-Blaze) and the closure engine (CommSim), so that all three
 // produce identical traces by construction of the value semantics (the
 // scheduling semantics remain engine-specific).

@@ -234,6 +234,10 @@ public:
     assert(isSignal() && "not a signal reference");
     return SigBoxed ? SRB->Sig : SRI.Sig;
   }
+  /// True for a reference to a whole signal (no path, range or slice).
+  bool isWholeSignal() const {
+    return isSignal() && !SigBoxed && SRI.BitOff < 0;
+  }
   uint32_t pointer() const {
     assert(isPointer() && "not a pointer");
     return Ptr;

@@ -32,6 +32,9 @@ struct SimStats {
   /// Signal updates ever scheduled (Scheduler::totalScheduled()), set
   /// when the run returns; a resumed run counts from the checkpoint.
   uint64_t DrivesScheduled = 0;
+  /// How many of those took the scheduler's word lane
+  /// (Scheduler::wordScheduled()); a resumed run counts from the resume.
+  uint64_t WordDrives = 0;
   uint64_t AssertFailures = 0;
   bool Finished = false;      ///< A process called llhd.finish / all halted.
   bool DeltaOverflow = false; ///< Oscillation guard tripped.

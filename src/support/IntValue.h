@@ -110,6 +110,12 @@ public:
 
   /// Returns the low 64 bits.
   uint64_t zextToU64() const { return isInline() ? Word : Ptr[0]; }
+  /// The word of a value of at most 64 bits, for in-place updates; the
+  /// caller keeps the bits above the width zero.
+  uint64_t &inlineWord() {
+    assert(isInline() && "value does not fit one word");
+    return Word;
+  }
   /// Returns the value sign-extended into an int64_t (width clamped to 64).
   int64_t sextToI64() const;
 

@@ -136,6 +136,7 @@ const Counter Wide{"i64", 1000000000000000000ull};
 struct RunResult {
   size_t Allocs;      ///< operator new calls during run().
   uint64_t CountedTo; ///< Final counter value minus its initial value.
+  SimStats Stats;
 };
 
 template <typename MakeEngine>
@@ -146,14 +147,14 @@ RunResult countRun(const Counter &C, uint64_t Cycles, MakeEngine Make) {
   EXPECT_TRUE(R.Ok) << R.Error;
   auto Engine = Make(M, Cycles);
   size_t Before = GNewCount.load(std::memory_order_relaxed);
-  Engine->run();
+  SimStats St = Engine->run();
   size_t Allocs = GNewCount.load(std::memory_order_relaxed) - Before;
   uint64_t Counted = 0;
   const SignalTable &Sigs = Engine->signals();
   for (SignalId S = 0; S != Sigs.size(); ++S)
     if (Sigs.name(S).find("cnt") != std::string::npos)
       Counted = Sigs.value(S).intValue().zextToU64() - C.Init;
-  return {Allocs, Counted};
+  return {Allocs, Counted, St};
 }
 
 SimOptions optsFor(uint64_t Cycles, Trace::Mode TM) {
@@ -166,6 +167,9 @@ SimOptions optsFor(uint64_t Cycles, Trace::Mode TM) {
 /// Runs \p C for 200 and 400 cycles. Doubling the cycle count must not
 /// add a single allocation: the op path (prb/add/drv/wait plus scheduler,
 /// wake index and trace) is allocation-free once the pools are warm.
+/// Every drive targets a whole two-state signal of at most 64 bits, so
+/// every drive must take the scheduler's word lane: a silent fallback to
+/// the general path fails here.
 template <typename MakeEngine>
 void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make) {
   RunResult Short = countRun(C, 200, Make);
@@ -174,6 +178,10 @@ void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make) {
   EXPECT_GE(Short.CountedTo, 190u);
   EXPECT_GE(Long.CountedTo, 390u);
   EXPECT_EQ(Short.Allocs, Long.Allocs);
+  for (const RunResult *R : {&Short, &Long}) {
+    EXPECT_GT(R->Stats.DrivesScheduled, 0u);
+    EXPECT_EQ(R->Stats.WordDrives, R->Stats.DrivesScheduled);
+  }
 }
 
 auto makeInterp(Trace::Mode TM) {

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 using namespace llhd;
@@ -31,6 +32,9 @@ struct LirTest : public ::testing::Test {
   Context Ctx;
   /// JIT statistics of runAllEngines' native Blaze run.
   jit::JitStats LastJit;
+  /// Run statistics of runAllEngines' runs, by engine: "interp", "blaze",
+  /// "comm" and "jit".
+  std::map<std::string, SimStats> RunStats;
 
   Module *parseFresh(const char *Src, const char *Name) {
     auto *M = new Module(Ctx, Name); // Leaked into the test; fine.
@@ -55,28 +59,28 @@ struct LirTest : public ::testing::Test {
     Design D1 = elaborate(*M1, Top);
     EXPECT_TRUE(D1.ok()) << D1.Error;
     auto Ref = std::make_unique<InterpSim>(std::move(D1));
-    Ref->run();
+    RunStats["interp"] = Ref->run();
 
-    auto runBlaze = [&](jit::JitOptions::Mode Jit, const char *Suffix) {
-      Module *M = parseFresh(Src, std::string(Top) + Suffix);
+    auto runBlaze = [&](jit::JitOptions::Mode Jit, const char *Name) {
+      Module *M = parseFresh(Src, std::string(Top) + "." + Name);
       BlazeSim::BlazeOptions O;
       O.Jit.M = Jit;
       BlazeSim Blaze(*M, Top, O);
       EXPECT_TRUE(Blaze.valid()) << Blaze.error();
-      Blaze.run();
-      EXPECT_EQ(Ref->trace().digest(), Blaze.trace().digest()) << Suffix;
+      RunStats[Name] = Blaze.run();
+      EXPECT_EQ(Ref->trace().digest(), Blaze.trace().digest()) << Name;
       LastJit = Blaze.jitStats();
     };
-    runBlaze(jit::JitOptions::Mode::Off, ".blaze");
+    runBlaze(jit::JitOptions::Mode::Off, "blaze");
 
     Module *M3 = parseFresh(Src, std::string(Top) + ".comm");
     CommSim Comm(*M3, Top);
     EXPECT_TRUE(Comm.valid()) << Comm.error();
-    Comm.run();
+    RunStats["comm"] = Comm.run();
     EXPECT_EQ(Ref->trace().digest(), Comm.trace().digest());
     EXPECT_EQ(Ref->trace().numChanges(), Comm.trace().numChanges());
 
-    runBlaze(jit::JitOptions::Mode::On, ".jit");
+    runBlaze(jit::JitOptions::Mode::On, "jit");
     return Ref;
   }
 
@@ -411,6 +415,117 @@ entry:
   if (LastJit.NativeProcs != 0) {
     EXPECT_EQ(LastJit.DirectPrbs, 1u);
     EXPECT_EQ(LastJit.ResolvedPrbs, 1u);
+  }
+}
+
+TEST_F(LirTest, WordLaneBoundaryAcrossEngines) {
+  // Drives on both sides of the word-lane boundary. Word lane: whole
+  // i63 and i64 signals (driven with their top bits set) and a
+  // `con`-merged i8 net driven through its non-root member. General
+  // path: an i65 signal, a logic signal, a bit slice of the merged net,
+  // a whole signal aliased onto an array element, and a whole array.
+  // In the 1ns+1d slot the merged net takes a word, a word, a general
+  // (slice) and a word update, which must apply in that order.
+  const char *Src = R"(
+entity @top () -> () {
+  %z8 = const i8 0
+  %z63 = const i63 0
+  %z64 = const i64 0
+  %z65 = const i65 0
+  %zl = const l8 "00000000"
+  %s63 = sig i63 %z63
+  %s64 = sig i64 %z64
+  %s65 = sig i65 %z65
+  %sl = sig l8 %zl
+  %ma = sig i8 %z8
+  %mb = sig i8 %z8
+  con i8$ %ma, %mb
+  %lo = exts i4$ %ma, 0
+  %arr0 = [i8 %z8, %z8]
+  %mem = sig [2 x i8] %arr0
+  %el = extf i8$ %mem, 1
+  %tap = sig i8 %z8
+  con i8$ %tap, %el
+  inst @words () -> (i63$ %s63, i64$ %s64, i8$ %mb)
+  inst @mixed () -> (i8$ %ma, i4$ %lo, i8$ %tap, [2 x i8]$ %mem)
+  inst @wide () -> (i65$ %s65, l8$ %sl)
+}
+proc @words () -> (i63$ %a, i64$ %b, i8$ %m) {
+entry:
+  %a1 = const i63 0x4000000000000001
+  %b1 = const i64 0xffffffffffffffff
+  %m1 = const i8 0xa5
+  %t1 = const time 1ns
+  drv i63$ %a, %a1 after %t1
+  drv i64$ %b, %b1 after %t1
+  drv i8$ %m, %m1 after %t1
+  wait %next for %t1
+next:
+  %a2 = const i63 7
+  %b2 = const i64 0x8000000000000000
+  %m2 = const i8 0x3c
+  %t0 = const time 0s
+  drv i63$ %a, %a2 after %t0
+  drv i64$ %b, %b2 after %t0
+  drv i8$ %m, %m2 after %t0
+  halt
+}
+proc @mixed () -> (i8$ %w, i4$ %lo, i8$ %tap, [2 x i8]$ %mem) {
+entry:
+  %t1 = const time 1ns
+  wait %go for %t1
+go:
+  %t0 = const time 0s
+  %x = const i8 0x11
+  %y = const i4 0xf
+  %z = const i8 0x20
+  drv i8$ %w, %x after %t0
+  drv i4$ %lo, %y after %t0
+  drv i8$ %w, %z after %t0
+  %e0 = const i8 4
+  %e1 = const i8 9
+  %arr = [i8 %e0, %e1]
+  drv [2 x i8]$ %mem, %arr after %t1
+  %tv = const i8 5
+  drv i8$ %tap, %tv after %t1
+  halt
+}
+proc @wide () -> (i65$ %w, l8$ %l) {
+entry:
+  %w1 = const i65 0x10000000000000005
+  %l1 = const l8 "01XZ01XZ"
+  %t1 = const time 1ns
+  drv i65$ %w, %w1 after %t1
+  drv l8$ %l, %l1 after %t1
+  halt
+}
+)";
+  auto Ref = runAllEngines(Src, "top");
+  EXPECT_EQ(signalValue(*Ref, "/s63").intValue().zextToU64(), 7u);
+  EXPECT_EQ(signalValue(*Ref, "/s64").intValue().zextToU64(),
+            0x8000000000000000ull);
+  // Word 0x3c, word 0x11, slice 0xf, word 0x20: the last write wins.
+  EXPECT_EQ(signalValue(*Ref, "/ma").intValue().zextToU64(), 0x20u);
+  EXPECT_EQ(signalValue(*Ref, "/s65").intValue(),
+            IntValue::fromString(65, "0x10000000000000005"));
+  RtValue Mem = signalValue(*Ref, "/mem");
+  ASSERT_EQ(Mem.kind(), RtValue::Kind::Array);
+  EXPECT_EQ(Mem.elements()[0].intValue().zextToU64(), 4u);
+  EXPECT_EQ(Mem.elements()[1].intValue().zextToU64(), 5u);
+
+  // The lane each drive took: 6 word drives from @words, 2 from @mixed;
+  // the slice, tap, array, i65 and logic drives stay general. CommSim
+  // never takes the word lane, so it checks it as an independent oracle.
+  for (const char *Eng : {"interp", "blaze", "jit"}) {
+    EXPECT_EQ(RunStats[Eng].DrivesScheduled, 13u) << Eng;
+    EXPECT_EQ(RunStats[Eng].WordDrives, 8u) << Eng;
+  }
+  EXPECT_EQ(RunStats["comm"].DrivesScheduled, 13u);
+  EXPECT_EQ(RunStats["comm"].WordDrives, 0u);
+  // Natively, @words and @mixed drive through apiDrv/apiDrvArr; @wide
+  // (i65, logic) stays interpreted.
+  if (LastJit.NativeProcs != 0) {
+    EXPECT_EQ(LastJit.NativeProcs, 2u);
   }
 }
 

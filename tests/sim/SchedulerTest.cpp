@@ -29,13 +29,21 @@ SigUpdate update(uint64_t Driver) {
 /// Drains the wheel, returning the popped times in order.
 std::vector<Time> drain(Scheduler &S) {
   std::vector<Time> Order;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   while (!S.empty()) {
     Order.push_back(S.nextTime());
-    S.pop(U, W);
+    S.pop(Ev);
   }
   return Order;
+}
+
+/// The driver ids of a popped slot's general updates, in entry order.
+std::vector<uint64_t> drivers(const SlotEvents &Ev) {
+  std::vector<uint64_t> Out;
+  for (const UpdateEntry &E : Ev.Entries)
+    Out.push_back(E.Sig == InvalidSignal ? Ev.General[E.Aux].Driver
+                                         : E.Driver);
+  return Out;
 }
 
 /// The digest Trace::record defines: FNV-1a over the time, the signal
@@ -130,19 +138,14 @@ TEST(SchedulerTest, EqualTimeEventsMergeInScheduleOrder) {
     S.scheduleUpdate(Future, update(100 + I));
   }
 
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   ASSERT_EQ(S.nextTime(), Current);
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 4u);
-  for (uint64_t I = 0; I != 4; ++I)
-    EXPECT_EQ(U[I].Driver, I);
+  S.pop(Ev);
+  EXPECT_EQ(drivers(Ev), (std::vector<uint64_t>{0, 1, 2, 3}));
 
   ASSERT_EQ(S.nextTime(), Future);
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 4u);
-  for (uint64_t I = 0; I != 4; ++I)
-    EXPECT_EQ(U[I].Driver, 100 + I);
+  S.pop(Ev);
+  EXPECT_EQ(drivers(Ev), (std::vector<uint64_t>{100, 101, 102, 103}));
   EXPECT_TRUE(S.empty());
 }
 
@@ -150,17 +153,15 @@ TEST(SchedulerTest, HeapLaneOrdersInterleavedPastAndFutureSchedules) {
   // Schedules arrive out of order, interleaved with pops that advance
   // the head instant; pops must still come out in global time order.
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
 
   S.scheduleUpdate(Time::ns(5), update(5));
   S.scheduleUpdate(Time::ns(1), update(1));
   S.scheduleUpdate(Time::ns(9), update(9));
 
   EXPECT_EQ(S.nextTime(), Time::ns(1));
-  S.pop(U, W); // Head instant is now 1ns.
-  ASSERT_EQ(U.size(), 1u);
-  EXPECT_EQ(U[0].Driver, 1u);
+  S.pop(Ev); // Head instant is now 1ns.
+  EXPECT_EQ(drivers(Ev), (std::vector<uint64_t>{1}));
 
   // Current-instant deltas (fast lane), a nearer future time than the
   // pending 5ns, and one at a pending instant's delta.
@@ -182,40 +183,153 @@ TEST(SchedulerTest, SameInstantHeapSlotsMigrateToFastLane) {
   // the first anchors the instant; the second must still pop next, and
   // new same-instant schedules merge with it.
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   S.scheduleUpdate(Time::ns(2), update(1));
   S.scheduleUpdate(Time(Time::ns(2).Fs, 1, 0), update(2));
 
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 1u);
-  EXPECT_EQ(U[0].Driver, 1u);
+  S.pop(Ev);
+  EXPECT_EQ(drivers(Ev), (std::vector<uint64_t>{1}));
 
   // Merge into the migrated delta-1 slot.
   S.scheduleUpdate(Time(Time::ns(2).Fs, 1, 0), update(3));
   EXPECT_EQ(S.nextTime(), Time(Time::ns(2).Fs, 1, 0));
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 2u);
-  EXPECT_EQ(U[0].Driver, 2u);
-  EXPECT_EQ(U[1].Driver, 3u);
+  S.pop(Ev);
+  EXPECT_EQ(drivers(Ev), (std::vector<uint64_t>{2, 3}));
   EXPECT_TRUE(S.empty());
 }
 
 TEST(SchedulerTest, WakesAndUpdatesShareSlots) {
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   S.scheduleWake(Time::ns(1), {7, 42});
   S.scheduleUpdate(Time::ns(1), update(1));
   S.scheduleWake(Time::ns(1), {8, 43});
 
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 1u);
-  ASSERT_EQ(W.size(), 2u);
-  EXPECT_EQ(W[0].Proc, 7u);
-  EXPECT_EQ(W[0].Gen, 42u);
-  EXPECT_EQ(W[1].Proc, 8u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Entries.size(), 1u);
+  ASSERT_EQ(Ev.Wakes.size(), 2u);
+  EXPECT_EQ(Ev.Wakes[0].Proc, 7u);
+  EXPECT_EQ(Ev.Wakes[0].Gen, 42u);
+  EXPECT_EQ(Ev.Wakes[1].Proc, 8u);
   EXPECT_TRUE(S.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Word lane
+//===----------------------------------------------------------------------===//
+
+/// A frozen per-run table with one i8 signal "s" (id 0, initially 0) and
+/// one l1 signal "l" (id 1).
+SignalTable wordTable(Context &Ctx) {
+  SignalTable Build;
+  Build.create(Ctx.intType(8), RtValue(IntValue(8, 0)), "s");
+  Build.create(Ctx.logicType(1), RtValue(LogicVec(1, Logic::L0)),
+               "l");
+  Build.freeze();
+  return Build.makeRun();
+}
+
+/// Pops one slot and commits it the way the event loop does, recording
+/// every change into \p Tr.
+void commitSlot(Scheduler &S, SignalTable &Sig, Trace &Tr) {
+  SlotEvents Ev;
+  Time T = S.nextTime();
+  S.pop(Ev);
+  for (const UpdateEntry &E : Ev.Entries) {
+    SignalId Canon = commitUpdate(Sig, Ev, E);
+    if (Canon != InvalidSignal)
+      Tr.record(T, Canon, Sig.storedValue(Canon));
+  }
+}
+
+TEST(SchedulerTest, WordLaneMapCoversWholeTwoStateSignalsOnly) {
+  Context Ctx;
+  SignalTable Sig = wordTable(Ctx);
+  EXPECT_EQ(Sig.wordCanon(0), 0u);
+  EXPECT_EQ(Sig.wordCanon(1), InvalidSignal); // Logic-typed.
+  // An unfrozen table has no word lane.
+  SignalTable Build;
+  Build.create(Ctx.intType(8), RtValue(IntValue(8, 0)), "s");
+  EXPECT_FALSE(Build.frozen());
+  EXPECT_EQ(Build.wordCanon(0), InvalidSignal);
+  // A layout without signals is still frozen once freeze() ran.
+  SignalTable Empty;
+  Empty.freeze();
+  EXPECT_TRUE(Empty.frozen());
+  EXPECT_EQ(Empty.makeRun().size(), 0u);
+}
+
+TEST(SchedulerTest, WordAndGeneralUpdatesApplyInSchedulingOrder) {
+  // Word, general, word and general updates to one signal in one slot:
+  // they commit in the order they were filed, so the last write wins and
+  // the trace sees every intermediate change — exactly as if all four
+  // had taken the general lane.
+  Context Ctx;
+  Time T(0, 1, 0);
+  const uint64_t Vals[] = {5, 5, 9, 3};
+  auto general = [](uint64_t V) {
+    SigUpdate U;
+    U.Ref.Sig = 0;
+    U.Val = RtValue(IntValue(8, V));
+    U.Driver = V;
+    return U;
+  };
+
+  SignalTable Mixed = wordTable(Ctx);
+  Scheduler SM;
+  SM.scheduleWord(T, 0, Vals[0], 1);
+  SM.scheduleUpdate(T, general(Vals[1]));
+  SM.scheduleWord(T, 0, Vals[2], 3);
+  SM.scheduleUpdate(T, general(Vals[3]));
+  EXPECT_EQ(SM.wordScheduled(), 2u);
+  Trace TrMixed(Trace::Mode::Full);
+  commitSlot(SM, Mixed, TrMixed);
+
+  SignalTable Plain = wordTable(Ctx);
+  Scheduler SP;
+  for (uint64_t V : Vals)
+    SP.scheduleUpdate(T, general(V));
+  EXPECT_EQ(SP.wordScheduled(), 0u);
+  Trace TrPlain(Trace::Mode::Full);
+  commitSlot(SP, Plain, TrPlain);
+
+  // 0 -> 5, 5 (no change), 9, 3.
+  ASSERT_EQ(TrMixed.changes().size(), 3u);
+  EXPECT_EQ(TrMixed.changes()[0].Val, "5");
+  EXPECT_EQ(TrMixed.changes()[1].Val, "9");
+  EXPECT_EQ(TrMixed.changes()[2].Val, "3");
+  EXPECT_EQ(TrMixed.digest(), TrPlain.digest());
+  EXPECT_EQ(Mixed.value(0).intValue(), IntValue(8, 3));
+  EXPECT_EQ(Plain.value(0).intValue(), IntValue(8, 3));
+}
+
+TEST(SchedulerTest, PendingSlotsExpandWordEntries) {
+  // A checkpoint snapshot reads as if every update had taken the general
+  // lane: word entries become whole-signal SigUpdates of the signal's
+  // width, in their original position among the general ones.
+  Context Ctx;
+  SignalTable Sig = wordTable(Ctx);
+  Scheduler S;
+  S.scheduleWord(Time::ns(1), 0, 200, 7);
+  S.scheduleUpdate(Time::ns(1), update(8));
+  S.scheduleWake(Time::ns(1), {4, 2});
+  S.scheduleWord(Time::ns(2), 0, 1, 9);
+
+  std::vector<Scheduler::PendingSlot> Slots = S.pendingSlots(Sig);
+  ASSERT_EQ(Slots.size(), 2u);
+  ASSERT_EQ(Slots[0].Updates.size(), 2u);
+  const SigUpdate &W = Slots[0].Updates[0];
+  EXPECT_TRUE(W.Ref.wholeSignal());
+  EXPECT_EQ(W.Ref.Sig, 0u);
+  EXPECT_EQ(W.Val, RtValue(IntValue(8, 200)));
+  EXPECT_EQ(W.Driver, 7u);
+  EXPECT_EQ(Slots[0].Updates[1].Driver, 8u);
+  ASSERT_EQ(Slots[0].Wakes.size(), 1u);
+  EXPECT_EQ(Slots[0].Wakes[0].Proc, 4u);
+  EXPECT_EQ(Slots[1].T, Time::ns(2));
+  ASSERT_EQ(Slots[1].Updates.size(), 1u);
+  EXPECT_EQ(Slots[1].Updates[0].Val, RtValue(IntValue(8, 1)));
+  EXPECT_EQ(Slots[1].Updates[0].Driver, 9u);
 }
 
 //===----------------------------------------------------------------------===//

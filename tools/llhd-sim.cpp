@@ -350,14 +350,15 @@ int runEngine(const std::string &Engine, Module &M, const std::string &Top,
 void printStats(const RunOutcome &O) {
   fprintf(stderr,
           "%s: %u signals, %u instances, end time %s, %llu slots, "
-          "%llu process runs, %llu entity evals, %llu drives scheduled, "
-          "%llu changes, digest %016llx%s%s\n",
+          "%llu process runs, %llu entity evals, %llu drives scheduled "
+          "(%llu word lane), %llu changes, digest %016llx%s%s\n",
           O.Engine.c_str(), O.Signals, O.Instances,
           O.Stats.EndTime.toString().c_str(),
           (unsigned long long)O.Stats.Steps,
           (unsigned long long)O.Stats.ProcessRuns,
           (unsigned long long)O.Stats.EntityEvals,
           (unsigned long long)O.Stats.DrivesScheduled,
+          (unsigned long long)O.Stats.WordDrives,
           (unsigned long long)O.Changes, (unsigned long long)O.Digest,
           O.Stats.Finished ? ", finished" : "",
           O.Stats.DeltaOverflow ? ", DELTA OVERFLOW" : "");
