@@ -2,13 +2,13 @@
 
 #include "sim/Batch.h"
 #include "blaze/Blaze.h"
+#include "sim/Checkpoint.h"
 #include "sim/Program.h"
 #include "sim/Wave.h"
 #include "vsim/CommSim.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <thread>
 
@@ -25,69 +25,90 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// Atomic publish for checkpoint images: write <path>.tmp, then rename.
-/// A crashed or concurrent writer never leaves a torn image behind.
-bool writeFileAtomic(const std::string &Path,
-                     const std::vector<uint8_t> &Data) {
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(reinterpret_cast<const char *>(Data.data()),
-              static_cast<std::streamsize>(Data.size()));
-    if (!Out)
-      return false;
-  }
-  return std::rename(Tmp.c_str(), Path.c_str()) == 0;
-}
-
-/// Runs instance \p I of the fleet: per-instance options (seed, VCD
-/// sink, checkpoint hook) over the shared program. EngineT is one of
-/// InterpSim / BlazeSim / CommSim; ProgT the matching program handle.
-template <typename EngineT, typename ProgT>
-void runInstance(const ProgT &Prog, const BatchOptions &O, unsigned I,
-                 BatchInstance &Out) {
-  Out.Index = I;
-
-  SimOptions SO = O.Base;
-  SO.Seed = O.Base.Seed + I;
-
-  // Destruction order matters: the engine (whose event loop feeds the
-  // writer) dies first, then the writer flushes into the still-open
-  // stream.
-  std::ofstream VcdOut;
-  WaveWriter Wave;
-  if (!O.VcdPath.empty()) {
-    std::string Path = instancePath(O.VcdPath, I);
-    VcdOut.open(Path, std::ios::binary | std::ios::trunc);
-    if (!VcdOut) {
-      Out.Error = "cannot open '" + Path + "' for writing";
+/// Runs \p Sim (InterpSim, BlazeSim or CommSim over a shared program):
+/// restores \p O.Resume, hooks checkpoint writes to \p CheckpointPath,
+/// and records the outcome in \p Out.
+template <typename EngineT>
+void simulate(EngineT &Sim, const BatchOptions &O,
+              const std::string &CheckpointPath, BatchInstance &Out) {
+  if (!O.Resume.empty()) {
+    std::string Err;
+    if (!Sim.restore(O.Resume, Err)) {
+      Out.Error = "cannot resume: " + Err;
+      Out.Stats.Stop = StopReason::CheckpointError;
       return;
     }
-    Wave.streamTo(VcdOut);
-    SO.Wave = &Wave;
   }
-
-  EngineT Sim(Prog, std::move(SO));
-  if (!Sim.valid()) {
-    Out.Error = Sim.error();
-    return;
-  }
-  if (!O.CheckpointPath.empty()) {
-    std::string Path = instancePath(O.CheckpointPath, I);
-    Sim.options().RC.Checkpoint = [&Sim, Path](Time) {
+  if (!CheckpointPath.empty())
+    Sim.options().RC.Checkpoint = [&Sim, &CheckpointPath, &Out](Time) {
       std::vector<uint8_t> Image;
       Sim.checkpoint(Image);
-      return writeFileAtomic(Path, Image);
+      if (ckpt::writeFileAtomic(CheckpointPath, Image))
+        return true;
+      Out.Error = "cannot write checkpoint '" + CheckpointPath + "'";
+      return false;
     };
-  }
-
   Out.Stats = Sim.run();
   Out.Digest = Sim.trace().digest();
+  Out.Changes = Sim.trace().numChanges();
+  Out.Signals = Sim.design().Signals.size();
+  Out.Instances = Sim.design().Instances.size();
 }
 
 } // namespace
+
+BatchProgram llhd::buildProgram(Module &M, const std::string &Top,
+                                const BatchOptions &O, std::string &Err) {
+  BatchProgram P;
+  if (O.Engine == "interp") {
+    Design D = elaborate(M, Top);
+    if (!D.ok())
+      Err = D.Error;
+    else
+      P.Lir = LirProgram::build(std::move(D), jit::JitOptions());
+  } else if (O.Engine == "blaze") {
+    BlazeSim::BlazeOptions BO;
+    BO.Optimize = O.Optimize;
+    BO.Jit = O.Jit;
+    P.Lir = BlazeSim::buildProgram(M, Top, BO, Err);
+    P.Blaze = true;
+  } else if (O.Engine == "comm") {
+    P.Comm = CommSim::buildProgram(M, Top, Err);
+  } else {
+    Err = "unknown engine '" + O.Engine + "'";
+  }
+  return P;
+}
+
+BatchInstance llhd::runInstance(const BatchProgram &P, const BatchOptions &O,
+                                uint64_t Seed, std::ostream *Vcd,
+                                const std::string &CheckpointPath) {
+  BatchInstance Out;
+  SimOptions SO = O.Base;
+  SO.Seed = Seed;
+  // Declared before the engine, so the engine (whose event loop feeds the
+  // writer) dies first.
+  WaveWriter Wave;
+  if (Vcd) {
+    Wave.streamTo(*Vcd);
+    SO.Wave = &Wave;
+  }
+  if (P.Comm) {
+    CommSim Sim(P.Comm, std::move(SO));
+    simulate(Sim, O, CheckpointPath, Out);
+  } else if (P.Blaze) {
+    BlazeSim Sim(P.Lir, std::move(SO));
+    simulate(Sim, O, CheckpointPath, Out);
+    Out.Jit = Sim.jitStats(); // After a restore's per-instance deopts.
+  } else {
+    InterpSim Sim(P.Lir, std::move(SO));
+    simulate(Sim, O, CheckpointPath, Out);
+  }
+  // The event loop has finished the dump and flushed the stream.
+  if (Vcd && !*Vcd && Out.Error.empty())
+    Out.Error = "error writing the VCD";
+  return Out;
+}
 
 BatchResult llhd::runBatch(Module &M, const std::string &Top,
                            const BatchOptions &O) {
@@ -98,30 +119,9 @@ BatchResult llhd::runBatch(Module &M, const std::string &Top,
   // Phase 1 — build the shared program exactly once. Everything the
   // instances read concurrently is produced (and frozen) here.
   auto T0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const LirProgram> LirProg;
-  std::shared_ptr<const CommProgram> CommProg;
-  if (O.Engine == "interp") {
-    Design D = elaborate(M, Top);
-    if (!D.ok()) {
-      R.Error = D.Error;
-      return R;
-    }
-    LirProg = LirProgram::build(std::move(D), jit::JitOptions());
-  } else if (O.Engine == "blaze") {
-    BlazeSim::BlazeOptions BO;
-    BO.Optimize = O.Optimize;
-    BO.Jit = O.Jit;
-    LirProg = BlazeSim::buildProgram(M, Top, BO, R.Error);
-    if (!LirProg)
-      return R;
-  } else if (O.Engine == "comm") {
-    CommProg = CommSim::buildProgram(M, Top, R.Error);
-    if (!CommProg)
-      return R;
-  } else {
-    R.Error = "unknown engine '" + O.Engine + "'";
+  BatchProgram P = buildProgram(M, Top, O, R.Error);
+  if (!P)
     return R;
-  }
   R.BuildSeconds = secondsSince(T0);
 
   // Phase 2 — the worker pool claims instances off one atomic counter.
@@ -134,12 +134,17 @@ BatchResult llhd::runBatch(Module &M, const std::string &Top,
       if (I >= N)
         return;
       BatchInstance &Out = R.Instances[I];
-      if (O.Engine == "comm")
-        runInstance<CommSim>(CommProg, O, I, Out);
-      else if (O.Engine == "blaze")
-        runInstance<BlazeSim>(LirProg, O, I, Out);
+      std::string Vcd = O.VcdPath.empty() ? "" : instancePath(O.VcdPath, I);
+      std::ofstream VcdOut;
+      if (!Vcd.empty())
+        VcdOut.open(Vcd, std::ios::binary | std::ios::trunc);
+      if (!Vcd.empty() && !VcdOut)
+        Out.Error = "cannot open '" + Vcd + "' for writing";
       else
-        runInstance<InterpSim>(LirProg, O, I, Out);
+        Out = runInstance(
+            P, O, O.Base.Seed + I, Vcd.empty() ? nullptr : &VcdOut,
+            O.CheckpointPath.empty() ? "" : instancePath(O.CheckpointPath, I));
+      Out.Index = I;
     }
   };
 

@@ -16,6 +16,10 @@
 // (tests/sim/BatchTest.cpp asserts digest and VCD equality against
 // sequential runs).
 //
+// The same two steps — buildProgram() and runInstance() — are how
+// llhd-sim runs a single simulation and each engine of --diff-engines,
+// so every run of the driver goes through one engine dispatch.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef LLHD_SIM_BATCH_H
@@ -25,12 +29,18 @@
 #include "sim/Interp.h"
 
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace llhd {
 
 class Module;
+struct CommProgram;
+
+/// The engines by their llhd-sim names, in --diff-engines order.
+inline constexpr const char *EngineNames[] = {"interp", "blaze", "comm"};
 
 /// Configuration of one batch run.
 struct BatchOptions {
@@ -39,7 +49,7 @@ struct BatchOptions {
   /// Worker threads; 0 = one per hardware thread. Always capped at N;
   /// 1 runs every instance inline on the calling thread.
   unsigned Jobs = 0;
-  /// Engine: "interp", "blaze", or "comm" (the llhd-sim names).
+  /// Engine: one of EngineNames.
   std::string Engine = "blaze";
   /// Blaze: run the optimisation pipeline over the internal clone.
   bool Optimize = true;
@@ -57,11 +67,32 @@ struct BatchOptions {
   /// request checkpoints), instance i writes its images atomically to
   /// instancePath(CheckpointPath, i).
   std::string CheckpointPath;
+  /// When non-empty, a checkpoint image every instance restores before
+  /// it runs (llhd-sim --resume).
+  std::vector<uint8_t> Resume;
 };
 
 /// Collision-free per-instance output naming: "<path>.<index>". Applied
 /// to VCD and checkpoint paths so N instances never race on one file.
 std::string instancePath(const std::string &Path, unsigned Index);
+
+/// A design compiled once for one engine: the immutable program every
+/// instance runs over.
+struct BatchProgram {
+  std::shared_ptr<const LirProgram> Lir;   ///< interp and blaze.
+  std::shared_ptr<const CommProgram> Comm; ///< comm.
+  bool Blaze = false; ///< Lir runs on BlazeSim rather than InterpSim.
+
+  explicit operator bool() const { return Lir || Comm; }
+};
+
+/// Compiles \p Top of \p M for \p O.Engine: the one place an engine name
+/// becomes something that runs. interp lowers the module as-is, blaze
+/// lowers an (optionally optimised) clone and compiles native code per
+/// \p O.Jit, comm builds closures. Empty + \p Err on an unknown engine
+/// or a failed build.
+BatchProgram buildProgram(Module &M, const std::string &Top,
+                          const BatchOptions &O, std::string &Err);
 
 /// One instance's outcome.
 struct BatchInstance {
@@ -70,9 +101,26 @@ struct BatchInstance {
   /// The run's trace digest: equal across engines and equal to a
   /// sequential run with the same seed.
   uint64_t Digest = 0;
-  /// Non-empty when this instance failed (I/O, checkpoint hook).
+  uint64_t Changes = 0;   ///< Committed signal changes in the trace.
+  unsigned Signals = 0;   ///< Elaborated signal count.
+  /// Elaborated unit-instance count; 0 when the run never started.
+  unsigned Instances = 0;
+  /// What the JIT bound for this run (Enabled is false off Blaze).
+  jit::JitStats Jit;
+  /// Non-empty when this instance failed: its VCD could not be written,
+  /// or (with Stats.Stop == StopReason::CheckpointError) its resume image
+  /// did not restore or a checkpoint could not be written.
   std::string Error;
 };
+
+/// Runs one instance over \p P: \p O.Base with seed \p Seed, its VCD
+/// streamed to \p Vcd when non-null, checkpoint images written
+/// atomically to \p CheckpointPath when non-empty (at the cadence and on
+/// the stops \p O.Base.RC asks for), resuming from \p O.Resume when
+/// non-empty.
+BatchInstance runInstance(const BatchProgram &P, const BatchOptions &O,
+                          uint64_t Seed, std::ostream *Vcd,
+                          const std::string &CheckpointPath);
 
 /// Outcome of a whole batch.
 struct BatchResult {

@@ -5,6 +5,8 @@
 #include "sim/LirEngine.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 
 using namespace llhd;
 using namespace llhd::ckpt;
@@ -21,6 +23,25 @@ uint64_t ckpt::moduleHash(const Module &M) {
     H *= 1099511628211ull;
   }
   return H;
+}
+
+bool ckpt::writeFileAtomic(const std::string &Path,
+                           const std::vector<uint8_t> &Bytes) {
+  std::string Tmp = Path + ".tmp";
+  bool Ok;
+  {
+    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+    if (!Out)
+      return false;
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+    Out.close();
+    Ok = !Out.fail();
+  }
+  if (Ok && std::rename(Tmp.c_str(), Path.c_str()) == 0)
+    return true;
+  std::remove(Tmp.c_str());
+  return false;
 }
 
 //===----------------------------------------------------------------------===//

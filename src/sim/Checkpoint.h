@@ -52,6 +52,13 @@ constexpr uint32_t Version = 1;
 /// the module), hence equal slot/pc/driver layouts.
 uint64_t moduleHash(const Module &M);
 
+/// Publishes a checkpoint image: writes \p Bytes to "<Path>.tmp", flushes,
+/// and renames it over \p Path, so a crash, signal or full disk mid-write
+/// never clobbers the previous good image. Returns false on any failure,
+/// with the temporary removed.
+bool writeFileAtomic(const std::string &Path,
+                     const std::vector<uint8_t> &Bytes);
+
 //===----------------------------------------------------------------------===//
 // Leaf serializers
 //===----------------------------------------------------------------------===//

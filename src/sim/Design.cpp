@@ -3,6 +3,7 @@
 #include "sim/Design.h"
 #include "sim/RtOps.h"
 
+#include <algorithm>
 #include <set>
 
 using namespace llhd;
@@ -247,4 +248,31 @@ Design llhd::elaborate(Module &M, const std::string &Top) {
     D.Signals.freeze();
   }
   return D;
+}
+
+std::string llhd::findTopUnit(const Module &M, std::string &Error) {
+  std::vector<const Unit *> Candidates;
+  for (const auto &U : M.units()) {
+    if (U->isFunction() || U->isDeclaration())
+      continue;
+    Candidates.push_back(U.get());
+  }
+  for (const auto &U : M.units())
+    for (const BasicBlock *B : U->blocks())
+      for (const Instruction *I : B->insts())
+        if (I->opcode() == Opcode::InstOp && I->callee())
+          Candidates.erase(std::remove(Candidates.begin(), Candidates.end(),
+                                       I->callee()),
+                           Candidates.end());
+  if (Candidates.size() == 1)
+    return Candidates.front()->name();
+  if (Candidates.empty()) {
+    Error = "no top unit found (every process/entity is instantiated); "
+            "use --top=<name>";
+  } else {
+    Error = "multiple top candidates (use --top=<name>):";
+    for (const Unit *U : Candidates)
+      Error += " @" + U->name();
+  }
+  return "";
 }

@@ -62,6 +62,11 @@ using SimLayout = Design;
 /// Elaborates \p Top (an entity or process in \p M) into a Design.
 Design elaborate(Module &M, const std::string &Top);
 
+/// Finds the unique simulatable root of \p M: a non-declaration process
+/// or entity that no other unit instantiates. Returns empty and fills
+/// \p Error when there is no unique candidate.
+std::string findTopUnit(const Module &M, std::string &Error);
+
 } // namespace llhd
 
 #endif // LLHD_SIM_DESIGN_H

@@ -13,14 +13,17 @@
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
+#include "sim/Checkpoint.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
 #include "vsim/CommSim.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 using namespace llhd;
@@ -317,6 +320,32 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedImages) {
 
   // And the original image still restores fine after all that.
   EXPECT_TRUE(makeInterp(M, Top, O)->restore(Image, Err)) << Err;
+}
+
+// A failed publish returns false and leaves no "<path>.tmp" behind: not
+// when the directory is missing, and not when the final rename fails
+// (the destination is a directory), where the temporary was written.
+TEST(Checkpoint, WriteFileAtomicFailureLeavesNoTemp) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::path(::testing::TempDir()) /
+                 ("llhd_ckpt_" + std::to_string(::getpid()));
+  fs::create_directories(Dir / "taken");
+  const std::vector<uint8_t> Bytes = {1, 2, 3};
+
+  std::string Missing = (Dir / "no" / "img").string();
+  EXPECT_FALSE(ckpt::writeFileAtomic(Missing, Bytes));
+  EXPECT_FALSE(fs::exists(Missing + ".tmp"));
+
+  std::string Taken = (Dir / "taken").string();
+  EXPECT_FALSE(ckpt::writeFileAtomic(Taken, Bytes));
+  EXPECT_FALSE(fs::exists(Taken + ".tmp"));
+  EXPECT_TRUE(fs::is_directory(Taken));
+
+  std::string Good = (Dir / "img").string();
+  EXPECT_TRUE(ckpt::writeFileAtomic(Good, Bytes));
+  EXPECT_EQ(fs::file_size(Good), Bytes.size());
+  EXPECT_FALSE(fs::exists(Good + ".tmp"));
+  fs::remove_all(Dir);
 }
 
 } // namespace

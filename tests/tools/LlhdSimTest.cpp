@@ -236,4 +236,15 @@ TEST_F(LlhdSimTest, UnknownEngineIsUsageError) {
   EXPECT_EQ(sim(Examples + "counter.llhd --engine=bogus --batch=2").Exit, 64);
 }
 
+// Numeric options take whole numbers only: no sign (strtoull would wrap
+// "-1" to a huge budget), no exponent, nothing trailing, no overflow.
+TEST_F(LlhdSimTest, MalformedNumbersAreUsageErrors) {
+  const std::string Counter = Examples + "counter.llhd --until=10ns ";
+  for (const char *Bad : {"--max-deltas=-1", "--max-events=1e6",
+                          "--max-deltas=", "--seed=-3", "--jobs=2x",
+                          "--batch=99999999999"})
+    EXPECT_EQ(sim(Counter + Bad).Exit, 64) << Bad;
+  EXPECT_EQ(sim(Counter + "--seed=0x10").Exit, 0);
+}
+
 } // namespace

@@ -53,35 +53,6 @@ void printUsage() {
           waiverFileFormatHelp());
 }
 
-/// Mirrors llhd-sim's top detection: the unique non-declaration
-/// process/entity nothing instantiates.
-std::string detectTop(const Module &M, std::string &Error) {
-  std::vector<const Unit *> Candidates;
-  for (const auto &U : M.units()) {
-    if (U->isFunction() || U->isDeclaration())
-      continue;
-    Candidates.push_back(U.get());
-  }
-  for (const auto &U : M.units())
-    for (const BasicBlock *B : U->blocks())
-      for (const Instruction *I : B->insts())
-        if (I->opcode() == Opcode::InstOp && I->callee())
-          Candidates.erase(std::remove(Candidates.begin(), Candidates.end(),
-                                       I->callee()),
-                           Candidates.end());
-  if (Candidates.size() == 1)
-    return Candidates.front()->name();
-  if (Candidates.empty()) {
-    Error = "no top unit found (every process/entity is instantiated); "
-            "use --top=<name>";
-  } else {
-    Error = "multiple top candidates (use --top=<name>):";
-    for (const Unit *U : Candidates)
-      Error += " @" + U->name();
-  }
-  return "";
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -202,7 +173,7 @@ int main(int Argc, char **Argv) {
     }
     if (Top.empty()) {
       std::string Error;
-      Top = detectTop(M, Error);
+      Top = findTopUnit(M, Error);
       if (Top.empty()) {
         fprintf(stderr, "llhd-lint: %s\n", Error.c_str());
         return 65;

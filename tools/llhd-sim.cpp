@@ -10,29 +10,33 @@
 //   llhd-sim counter.sv --top=counter_tb --engine=blaze --stats
 //   llhd-sim design.llhd --diff-engines
 //
+// Every simulation goes through sim/Batch.h: buildProgram() turns the
+// engine name into a compiled program and runInstance() runs it. A plain
+// run is one instance, --diff-engines one instance per engine, --batch=N
+// runBatch()'s N; all of them are reported by report().
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Connectivity.h"
 #include "asm/Parser.h"
-#include "blaze/Blaze.h"
 #include "lint/Lint.h"
 #include "moore/Compiler.h"
 #include "sim/Batch.h"
-#include "sim/Interp.h"
 #include "sim/Lir.h"
-#include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include <algorithm>
+#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace llhd;
@@ -61,7 +65,8 @@ void printUsage() {
           "                   before simulating; abort with exit 86 on\n"
           "                   error findings (--lint=error also promotes\n"
           "                   warnings)\n"
-          "  --stats          print run statistics to stderr\n"
+          "  --stats          print run statistics to stderr: one line\n"
+          "                   per engine run or batch instance\n"
           "  --list-signals   print the elaborated signal hierarchy and\n"
           "                   exit without simulating\n"
           "  --dump-lir       print the lowered runtime IR (and process\n"
@@ -74,7 +79,8 @@ void printUsage() {
           "  --batch=<n>      compile once, simulate n instances over the\n"
           "                   shared program; instance i runs with seed\n"
           "                   --seed + i, and --vcd / --checkpoint write\n"
-          "                   per-instance files <path>.<i>\n"
+          "                   per-instance files <path>.<i>; instances\n"
+          "                   are reported like plain runs\n"
           "  --jobs=<m>       batch worker threads (default: one per\n"
           "                   hardware thread; 1 = run instances inline)\n"
           "  --seed=<s>       stimulus seed for $random/$urandom\n"
@@ -102,7 +108,9 @@ void printUsage() {
           "  0 ok, 1 assertion failed, 2 engine divergence, 64 usage,\n"
           "  65 frontend error, 66 i/o error, 80 wall timeout, 81 event\n"
           "  budget, 82 delta budget, 83 oscillation detected,\n"
-          "  84 checkpoint error, 85 interrupted, 86 lint findings\n");
+          "  84 checkpoint error, 85 interrupted, 86 lint findings;\n"
+          "  after simulating, 66 wins over 2, 2 over 1, and 1 over\n"
+          "  the first run's stop code\n");
 }
 
 /// Raised by the SIGINT/SIGTERM handler; the event loop polls it at
@@ -127,101 +135,85 @@ ExitCode exitCodeFor(StopReason R) {
   return ExitCode::Ok;
 }
 
-bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out) {
+/// Reads all of \p Path into \p Out (the source text or a checkpoint
+/// image); false when it cannot be opened.
+template <typename Bytes> bool readFile(const std::string &Path, Bytes &Out) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
     return false;
   Out.assign(std::istreambuf_iterator<char>(In),
              std::istreambuf_iterator<char>());
-  return static_cast<bool>(In);
-}
-
-/// Writes \p Bytes to \p Path through a temporary + rename, so a crash,
-/// signal or full disk mid-write never leaves a torn file at the
-/// destination — the previous checkpoint stays valid until the new one
-/// is completely on disk.
-bool writeFileAtomic(const std::string &Path,
-                     const std::vector<uint8_t> &Bytes) {
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
-    Out.flush();
-    if (!Out)
-      return false;
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
   return true;
 }
 
-/// Everything one engine run produces that the driver reports on.
-struct RunOutcome {
-  std::string Engine;
-  SimStats Stats;
-  uint64_t Digest = 0;
-  uint64_t Changes = 0;
-  unsigned Signals = 0;   ///< Elaborated signal count.
-  unsigned Instances = 0; ///< Elaborated unit-instance count.
-  std::string Vcd; ///< Empty unless a waveform was requested.
-};
-
+/// The command line. What reaches the library lives in BO; the rest
+/// selects what the driver does.
 struct DriverConfig {
-  std::string Engine = "interp";
-  std::string Top;
-  std::string VcdPath;
-  std::string Jit = "on"; ///< Blaze native codegen: on, off, or dump.
-  std::string JitDumpPath;
-  std::string JitDeopt;        ///< --jit-deopt pattern.
-  std::string CheckpointPath;  ///< --checkpoint destination.
-  std::string ResumePath;      ///< --resume source.
-  std::vector<uint8_t> ResumeBytes; ///< Loaded --resume image.
+  BatchOptions BO;
+  std::string ResumePath;  ///< --resume source (image loaded into BO).
+  bool Batch = false;      ///< --batch=<n> (fleet size in BO.N).
   bool DiffEngines = false;
-  bool NoOpt = false;
   bool Stats = false;
   bool ListSignals = false;
   bool DumpLir = false;
   bool Lint = false;       ///< --lint: static checks before simulating.
   bool LintWerror = false; ///< --lint=error: promote warnings too.
-  unsigned Batch = 0;      ///< --batch=<n>: fleet size (0 = single run).
-  unsigned Jobs = 0;       ///< --jobs=<m>: batch workers (0 = hw threads).
-  SimOptions Opts;
+
+  DriverConfig() { BO.Engine = "interp"; }
 };
 
-/// Finds the unique simulatable root of \p M: a non-declaration process
-/// or entity that no other unit instantiates. Returns empty and fills
-/// \p Error when there is no unique candidate.
-std::string detectTop(const Module &M, std::string &Error) {
-  std::vector<const Unit *> Candidates;
-  for (const auto &U : M.units()) {
-    if (U->isFunction() || U->isDeclaration())
-      continue;
-    Candidates.push_back(U.get());
+/// A freshly built and elaborated module, for the modes that inspect the
+/// design rather than simulate it.
+struct Elaborated {
+  std::unique_ptr<Module> M;
+  std::string Top;
+  Design D;
+};
+
+/// The design source and how to build fresh modules from it: every
+/// engine run and every inspection gets its own module, so the
+/// optimising engines can never contaminate a comparison run.
+struct Input {
+  std::string File, Src;
+  std::string Top; ///< --top, or the detected SystemVerilog module.
+  bool Sv = false;
+  Context Ctx;
+
+  /// Builds a module named \p Name; \p UnitTop receives the unit to
+  /// simulate. On a frontend error, prints it unless \p Quiet and
+  /// returns null.
+  std::unique_ptr<Module> build(const std::string &Name, std::string &UnitTop,
+                                bool Quiet = false) {
+    auto M = std::make_unique<Module>(Ctx, Name);
+    std::string Error;
+    if (Sv) {
+      moore::CompileResult R = moore::compileSystemVerilog(Src, Top, *M);
+      Error = R.Error;
+      UnitTop = R.Ok ? R.TopUnit : "";
+    } else {
+      ParseResult R = parseModule(Src, *M);
+      Error = R.Error;
+      UnitTop = !R.Ok ? "" : Top.empty() ? findTopUnit(*M, Error) : Top;
+    }
+    if (!UnitTop.empty())
+      return M;
+    if (!Quiet)
+      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    return nullptr;
   }
-  for (const auto &U : M.units())
-    for (const BasicBlock *B : U->blocks())
-      for (const Instruction *I : B->insts())
-        if (I->opcode() == Opcode::InstOp && I->callee())
-          Candidates.erase(std::remove(Candidates.begin(), Candidates.end(),
-                                       I->callee()),
-                          Candidates.end());
-  if (Candidates.size() == 1)
-    return Candidates.front()->name();
-  if (Candidates.empty()) {
-    Error = "no top unit found (every process/entity is instantiated); "
-            "use --top=<name>";
-  } else {
-    Error = "multiple top candidates (use --top=<name>):";
-    for (const Unit *U : Candidates)
-      Error += " @" + U->name();
+
+  /// build() plus elaboration into \p E; false (error printed unless
+  /// \p Quiet) on failure.
+  bool elaborate(const std::string &Name, Elaborated &E, bool Quiet = false) {
+    E.M = build(Name, E.Top, Quiet);
+    if (!E.M)
+      return false;
+    E.D = llhd::elaborate(*E.M, E.Top);
+    if (!E.D.ok() && !Quiet)
+      fprintf(stderr, "llhd-sim: %s\n", E.D.Error.c_str());
+    return E.D.ok();
   }
-  return "";
-}
+};
 
 /// Where Blaze's shared object came from, for the `blaze jit:` line.
 const char *objectSourceName(jit::ObjectSource S) {
@@ -238,244 +230,230 @@ const char *objectSourceName(jit::ObjectSource S) {
   return "none";
 }
 
-/// Runs one engine over \p M. \p WantVcd attaches a WaveWriter: with a
-/// \p VcdStream it streams there (bounded memory, arbitrary run
-/// length), otherwise the text lands in the outcome for comparison.
-/// Returns 0 or the exit code of a setup failure (run outcomes — stop
-/// reasons, assertion failures — are judged by the caller from Out).
-int runEngine(const std::string &Engine, Module &M, const std::string &Top,
-              const DriverConfig &Cfg, bool WantVcd,
-              std::ostream *VcdStream, RunOutcome &Out) {
-  Out.Engine = Engine;
-  WaveWriter Wave;
-  SimOptions Opts = Cfg.Opts;
-  if (WantVcd) {
-    Opts.Wave = &Wave;
-    if (VcdStream)
-      Wave.streamTo(*VcdStream);
-  }
-
-  auto inputError = [&](const std::string &Msg) {
-    fprintf(stderr, "llhd-sim: %s: %s\n", Engine.c_str(), Msg.c_str());
-    return exitFor(ExitCode::InputError);
-  };
-
-  // Restore + checkpoint hookup and the run itself, shared across the
-  // engines (all three expose options/checkpoint/restore/run).
-  auto simulate = [&](auto &Sim) -> int {
-    if (!Cfg.ResumePath.empty()) {
-      std::string RErr;
-      if (!Sim.restore(Cfg.ResumeBytes, RErr)) {
-        fprintf(stderr, "llhd-sim: %s: cannot resume from '%s': %s\n",
-                Engine.c_str(), Cfg.ResumePath.c_str(), RErr.c_str());
-        return exitFor(ExitCode::CheckpointError);
-      }
-    }
-    if (!Cfg.CheckpointPath.empty()) {
-      Sim.options().RC.CheckpointOnStop = true;
-      Sim.options().RC.Checkpoint = [&Sim, &Cfg](Time) {
-        std::vector<uint8_t> Image;
-        Sim.checkpoint(Image);
-        if (writeFileAtomic(Cfg.CheckpointPath, Image))
-          return true;
-        fprintf(stderr, "llhd-sim: cannot write checkpoint '%s'\n",
-                Cfg.CheckpointPath.c_str());
-        return false;
-      };
-    }
-    Out.Stats = Sim.run();
-    Out.Digest = Sim.trace().digest();
-    Out.Changes = Sim.trace().numChanges();
-    Out.Signals = Sim.design().Signals.size();
-    Out.Instances = Sim.design().Instances.size();
-    return 0;
-  };
-
-  int Rc = 0;
-  if (Engine == "interp") {
-    Design D = elaborate(M, Top);
-    if (!D.ok())
-      return inputError(D.Error);
-    InterpSim Sim(std::move(D), Opts);
-    Rc = simulate(Sim);
-  } else if (Engine == "blaze") {
-    BlazeSim::BlazeOptions BOpts;
-    static_cast<SimOptions &>(BOpts) = Opts;
-    BOpts.Optimize = !Cfg.NoOpt;
-    if (Cfg.Jit == "off")
-      BOpts.Jit.M = jit::JitOptions::Mode::Off;
-    else if (Cfg.Jit == "dump") {
-      BOpts.Jit.M = jit::JitOptions::Mode::Dump;
-      BOpts.Jit.DumpPath = Cfg.JitDumpPath;
-    } else
-      BOpts.Jit.M = jit::JitOptions::Mode::On;
-    BOpts.Jit.ForceDeopt = Cfg.JitDeopt;
-    BlazeSim Sim(M, Top, BOpts);
-    if (!Sim.valid())
-      return inputError(Sim.error());
-    if (Cfg.Stats) {
-      const jit::JitStats &J = Sim.jitStats();
-      if (J.Enabled) {
-        fprintf(stderr,
-                "blaze jit: %u native unit(s), %u deopt(s), %u native / "
-                "%u interpreted instance(s), codegen %.1f ms, host compile "
-                "%.1f ms (object: %s), probe sites %u direct / %u "
-                "resolved per access\n",
-                J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
-                J.CodegenSeconds * 1000, J.HostCompileSeconds * 1000,
-                objectSourceName(J.Object), J.DirectPrbs, J.ResolvedPrbs);
-        for (const auto &[U, R] : J.Deopts)
-          fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(),
-                  R.c_str());
-      }
-    }
-    Rc = simulate(Sim);
-  } else if (Engine == "comm") {
-    CommSim Sim(M, Top, Opts);
-    if (!Sim.valid())
-      return inputError(Sim.error());
-    Rc = simulate(Sim);
-  } else {
-    fprintf(stderr,
-            "llhd-sim: unknown engine '%s' (valid engines: interp, "
-            "blaze, comm)\n",
-            Engine.c_str());
-    return exitFor(ExitCode::Usage);
-  }
-  if (Rc == 0 && WantVcd && !VcdStream)
-    Out.Vcd = Wave.text();
-  return Rc;
+void printJitStats(const jit::JitStats &J) {
+  fprintf(stderr,
+          "blaze jit: %u native unit(s), %u deopt(s), %u native / "
+          "%u interpreted instance(s), codegen %.1f ms, host compile "
+          "%.1f ms (object: %s), probe sites %u direct / %u "
+          "resolved per access\n",
+          J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
+          J.CodegenSeconds * 1000, J.HostCompileSeconds * 1000,
+          objectSourceName(J.Object), J.DirectPrbs, J.ResolvedPrbs);
+  for (const auto &[U, R] : J.Deopts)
+    fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(), R.c_str());
 }
 
-void printStats(const RunOutcome &O) {
-  fprintf(stderr,
-          "%s: %u signals, %u instances, end time %s, %llu slots, "
-          "%llu process runs, %llu entity evals, %llu drives scheduled "
-          "(%llu word lane), %llu changes, digest %016llx%s%s\n",
-          O.Engine.c_str(), O.Signals, O.Instances,
-          O.Stats.EndTime.toString().c_str(),
-          (unsigned long long)O.Stats.Steps,
-          (unsigned long long)O.Stats.ProcessRuns,
-          (unsigned long long)O.Stats.EntityEvals,
-          (unsigned long long)O.Stats.DrivesScheduled,
-          (unsigned long long)O.Stats.WordDrives,
-          (unsigned long long)O.Changes, (unsigned long long)O.Digest,
-          O.Stats.Finished ? ", finished" : "",
-          O.Stats.DeltaOverflow ? ", DELTA OVERFLOW" : "");
+/// Cross-references an oscillation with the static analysis: the loop
+/// the runtime guard caught is usually visible to llhd-lint's comb-loop
+/// check without running the design at all, with the full cycle named.
+void printOscillationHint(Input &In) {
+  Elaborated E;
+  if (!In.elaborate(In.File + ".oschint", E, /*Quiet=*/true))
+    return;
+  DiagnosticEngine::Options LOpts;
+  for (const CheckInfo &C : allChecks())
+    if (std::string(C.Id) != "comb-loop")
+      LOpts.SeverityOverrides[C.Id] = Severity::Ignore;
+  DiagnosticEngine DE(LOpts);
+  DesignAnalysisManager AM;
+  lintDesign(E.D, AM, DE);
+  for (const Diagnostic &Dg : DE.diagnostics())
+    fprintf(stderr, "llhd-sim: hint: [%s] %s: %s\n", Dg.CheckId.c_str(),
+            Dg.Location.c_str(), Dg.Message.c_str());
+  if (!DE.diagnostics().empty())
+    fprintf(stderr, "llhd-sim: hint: llhd-lint reports this statically "
+                    "(check 'comb-loop'); run it for the full cycle\n");
+}
+
+/// One simulation to report on: a plain run, one engine of
+/// --diff-engines, or one batch instance.
+struct Run {
+  std::string Label; ///< Engine name, or "batch[<i>] (seed <s>)".
+  BatchInstance R;
+  std::string Vcd; ///< --diff-engines: the captured waveform.
+};
+
+/// The one reporter: prints the stats, error, assertion and stop lines
+/// of every run, the oscillation hint and the --diff-engines verdict,
+/// and returns the exit code. Precedence: an unwritable artifact (66),
+/// then divergence (2), then assertion failures (1), then the first
+/// stop reason in run order.
+int report(const std::vector<Run> &Runs, const DriverConfig &Cfg,
+           Input &In) {
+  bool IoFailed = false, Asserted = false, Oscillated = false;
+  bool JitShown = false; // One program per invocation reaches the JIT.
+  ExitCode Stopped = ExitCode::Ok;
+  for (const Run &Ru : Runs) {
+    const BatchInstance &R = Ru.R;
+    const SimStats &S = R.Stats;
+    const char *L = Ru.Label.c_str();
+    if (Cfg.Stats && R.Instances != 0) { // 0: the run never started.
+      if (R.Jit.Enabled && !JitShown) {
+        printJitStats(R.Jit);
+        JitShown = true;
+      }
+      fprintf(stderr,
+              "%s: %u signals, %u instances, end time %s, %llu slots, "
+              "%llu process runs, %llu entity evals, %llu drives "
+              "scheduled (%llu word lane), %llu changes, digest "
+              "%016llx%s%s\n",
+              L, R.Signals, R.Instances, S.EndTime.toString().c_str(),
+              (unsigned long long)S.Steps, (unsigned long long)S.ProcessRuns,
+              (unsigned long long)S.EntityEvals,
+              (unsigned long long)S.DrivesScheduled,
+              (unsigned long long)S.WordDrives, (unsigned long long)R.Changes,
+              (unsigned long long)R.Digest, S.Finished ? ", finished" : "",
+              S.DeltaOverflow ? ", DELTA OVERFLOW" : "");
+    }
+    if (!R.Error.empty()) {
+      fprintf(stderr, "llhd-sim: %s: %s\n", L, R.Error.c_str());
+      // Checkpoint failures exit through their stop reason (84).
+      IoFailed |= S.Stop != StopReason::CheckpointError;
+    }
+    if (S.AssertFailures != 0) {
+      fprintf(stderr, "llhd-sim: %s: %llu assertion failure(s)\n", L,
+              (unsigned long long)S.AssertFailures);
+      Asserted = true;
+    }
+    if (S.Stop == StopReason::None)
+      continue;
+    fprintf(stderr, "llhd-sim: %s: stopped at %s: %s\n", L,
+            S.EndTime.toString().c_str(), stopReasonName(S.Stop));
+    if (S.Stop == StopReason::Oscillation) {
+      auto join = [](const std::vector<std::string> &V) {
+        std::string J;
+        for (const std::string &N : V)
+          J += (J.empty() ? "" : ", ") + N;
+        return J;
+      };
+      fprintf(stderr, "llhd-sim: %s: cycling process(es): %s\n", L,
+              join(S.OscProcs).c_str());
+      fprintf(stderr, "llhd-sim: %s: cycling signal(s): %s\n", L,
+              join(S.OscSigs).c_str());
+      Oscillated = true;
+    }
+    if (Stopped == ExitCode::Ok)
+      Stopped = exitCodeFor(S.Stop);
+  }
+  if (Oscillated)
+    printOscillationHint(In);
+
+  bool Diverged = false;
+  if (Cfg.DiffEngines) {
+    const Run &Ref = Runs.front();
+    for (const Run &O : Runs) {
+      if (O.R.Digest == Ref.R.Digest && O.R.Changes == Ref.R.Changes &&
+          O.R.Stats.EndTime == Ref.R.Stats.EndTime && O.Vcd == Ref.Vcd)
+        continue;
+      Diverged = true;
+      fprintf(stderr,
+              "llhd-sim: DIVERGENCE %s vs %s: digest %016llx/%016llx, "
+              "changes %llu/%llu, vcd %s\n",
+              Ref.Label.c_str(), O.Label.c_str(),
+              (unsigned long long)Ref.R.Digest, (unsigned long long)O.R.Digest,
+              (unsigned long long)Ref.R.Changes,
+              (unsigned long long)O.R.Changes,
+              O.Vcd == Ref.Vcd ? "identical" : "DIFFERS");
+    }
+    if (!Diverged)
+      printf("llhd-sim: traces match across interp/blaze/comm "
+             "(%llu changes, digest %016llx)\n",
+             (unsigned long long)Ref.R.Changes,
+             (unsigned long long)Ref.R.Digest);
+  }
+  if (IoFailed)
+    return exitFor(ExitCode::IoError);
+  if (Diverged)
+    return exitFor(ExitCode::Divergence);
+  if (Asserted)
+    return exitFor(ExitCode::AssertFailed);
+  return exitFor(Stopped);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   DriverConfig Cfg;
-  std::string File;
+  BatchOptions &BO = Cfg.BO;
+  SimOptions &Opts = BO.Base;
+  Input In;
   int Language = 0; // 0 = by extension, 1 = llhd, 2 = sv.
 
   for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
+    std::string A = Argv[I], V;
+    // Matches "<Name><value>" (Name ends in '='), leaving the value in V.
+    auto opt = [&](const char *Name) {
+      if (A.rfind(Name, 0) != 0)
+        return false;
+      V = A.substr(strlen(Name));
+      return true;
+    };
+    // Reads V as a whole number into Out: digits first (strtoull would
+    // wrap "-1"), in range, nothing trailing, nonzero unless AllowZero.
+    auto number = [&](auto &Out, int Base = 10, bool AllowZero = false) {
+      char *End = nullptr;
+      unsigned long long N = strtoull(V.c_str(), &End, Base);
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(N);
+      return isdigit(static_cast<unsigned char>(V[0])) && *End == '\0' &&
+             Out == N && (N || AllowZero);
+    };
+    bool Ok = true;
+    Time Every;
     if (A == "-h" || A == "--help") {
       printUsage();
       return 0;
-    } else if (A.rfind("--engine=", 0) == 0) {
-      Cfg.Engine = A.substr(strlen("--engine="));
-    } else if (A.rfind("--top=", 0) == 0) {
-      Cfg.Top = A.substr(strlen("--top="));
-    } else if (A.rfind("--until=", 0) == 0) {
-      std::string T = A.substr(strlen("--until="));
-      if (!Time::parse(T, Cfg.Opts.MaxTime)) {
-        fprintf(stderr, "llhd-sim: invalid time '%s'\n", T.c_str());
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--vcd=", 0) == 0) {
-      Cfg.VcdPath = A.substr(strlen("--vcd="));
-    } else if (A.rfind("--jit=", 0) == 0) {
-      Cfg.Jit = A.substr(strlen("--jit="));
-      if (Cfg.Jit != "on" && Cfg.Jit != "off" && Cfg.Jit != "dump") {
-        fprintf(stderr,
-                "llhd-sim: invalid --jit mode '%s' (valid: on, off, "
-                "dump)\n",
-                Cfg.Jit.c_str());
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--jit-deopt=", 0) == 0) {
-      Cfg.JitDeopt = A.substr(strlen("--jit-deopt="));
-    } else if (A.rfind("--timeout=", 0) == 0) {
+    } else if (opt("--engine=")) {
+      BO.Engine = V;
+      Ok = std::find(std::begin(EngineNames), std::end(EngineNames), V) !=
+           std::end(EngineNames);
+    } else if (opt("--top=")) {
+      In.Top = V;
+    } else if (opt("--until=")) {
+      Ok = Time::parse(V, Opts.MaxTime);
+    } else if (opt("--vcd=")) {
+      BO.VcdPath = V;
+    } else if (opt("--jit=")) {
+      Ok = V == "on" || V == "off" || V == "dump";
+      BO.Jit.M = V == "off"    ? jit::JitOptions::Mode::Off
+                 : V == "dump" ? jit::JitOptions::Mode::Dump
+                               : jit::JitOptions::Mode::On;
+    } else if (opt("--jit-deopt=")) {
+      BO.Jit.ForceDeopt = V;
+    } else if (opt("--timeout=")) {
       char *End = nullptr;
-      std::string S = A.substr(strlen("--timeout="));
-      Cfg.Opts.RC.WallTimeoutSec = strtod(S.c_str(), &End);
-      if (!End || *End != '\0' || Cfg.Opts.RC.WallTimeoutSec <= 0) {
-        fprintf(stderr, "llhd-sim: invalid --timeout '%s' (seconds)\n",
-                S.c_str());
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--max-events=", 0) == 0) {
-      Cfg.Opts.RC.MaxEvents =
-          strtoull(A.c_str() + strlen("--max-events="), nullptr, 10);
-      if (Cfg.Opts.RC.MaxEvents == 0) {
-        fprintf(stderr, "llhd-sim: invalid --max-events '%s'\n",
-                A.c_str() + strlen("--max-events="));
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--max-deltas=", 0) == 0) {
-      Cfg.Opts.RC.MaxSteps =
-          strtoull(A.c_str() + strlen("--max-deltas="), nullptr, 10);
-      if (Cfg.Opts.RC.MaxSteps == 0) {
-        fprintf(stderr, "llhd-sim: invalid --max-deltas '%s'\n",
-                A.c_str() + strlen("--max-deltas="));
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--checkpoint=", 0) == 0) {
-      Cfg.CheckpointPath = A.substr(strlen("--checkpoint="));
-    } else if (A.rfind("--checkpoint-every=", 0) == 0) {
-      std::string T = A.substr(strlen("--checkpoint-every="));
-      Time Every;
-      if (!Time::parse(T, Every) || Every.Fs == 0) {
-        fprintf(stderr, "llhd-sim: invalid time '%s'\n", T.c_str());
-        return exitFor(ExitCode::Usage);
-      }
-      Cfg.Opts.RC.CheckpointEveryFs = Every.Fs;
-    } else if (A.rfind("--resume=", 0) == 0) {
-      Cfg.ResumePath = A.substr(strlen("--resume="));
-    } else if (A.rfind("--batch=", 0) == 0) {
-      char *End = nullptr;
-      Cfg.Batch = static_cast<unsigned>(
-          strtoul(A.c_str() + strlen("--batch="), &End, 10));
-      if (!End || *End != '\0' || Cfg.Batch == 0) {
-        fprintf(stderr, "llhd-sim: invalid --batch '%s'\n",
-                A.c_str() + strlen("--batch="));
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--jobs=", 0) == 0) {
-      char *End = nullptr;
-      Cfg.Jobs = static_cast<unsigned>(
-          strtoul(A.c_str() + strlen("--jobs="), &End, 10));
-      if (!End || *End != '\0' || Cfg.Jobs == 0) {
-        fprintf(stderr, "llhd-sim: invalid --jobs '%s'\n",
-                A.c_str() + strlen("--jobs="));
-        return exitFor(ExitCode::Usage);
-      }
-    } else if (A.rfind("--seed=", 0) == 0) {
-      char *End = nullptr;
-      Cfg.Opts.Seed = strtoull(A.c_str() + strlen("--seed="), &End, 0);
-      if (!End || *End != '\0') {
-        fprintf(stderr, "llhd-sim: invalid --seed '%s'\n",
-                A.c_str() + strlen("--seed="));
-        return exitFor(ExitCode::Usage);
-      }
+      Opts.RC.WallTimeoutSec = strtod(V.c_str(), &End);
+      Ok = *End == '\0' && Opts.RC.WallTimeoutSec > 0;
+    } else if (opt("--max-events=")) {
+      Ok = number(Opts.RC.MaxEvents);
+    } else if (opt("--max-deltas=")) {
+      Ok = number(Opts.RC.MaxSteps);
+    } else if (opt("--checkpoint=")) {
+      BO.CheckpointPath = V;
+    } else if (opt("--checkpoint-every=")) {
+      Ok = Time::parse(V, Every) && Every.Fs != 0;
+      Opts.RC.CheckpointEveryFs = Every.Fs;
+    } else if (opt("--resume=")) {
+      Cfg.ResumePath = V;
+    } else if (opt("--batch=")) {
+      Ok = number(BO.N);
+      Cfg.Batch = true;
+    } else if (opt("--jobs=")) {
+      Ok = number(BO.Jobs);
+    } else if (opt("--seed=")) {
+      Ok = number(Opts.Seed, 0, /*AllowZero=*/true);
     } else if (A.size() > 1 && A[0] == '+') {
       // Plusarg: +key or +key=value, recorded verbatim for
       // $test$plusargs / $plusarg$value.
       std::string Body = A.substr(1);
       size_t Eq = Body.find('=');
       if (Eq == std::string::npos)
-        Cfg.Opts.Plusargs.emplace_back(Body, "");
+        Opts.Plusargs.emplace_back(Body, "");
       else
-        Cfg.Opts.Plusargs.emplace_back(Body.substr(0, Eq),
-                                       Body.substr(Eq + 1));
+        Opts.Plusargs.emplace_back(Body.substr(0, Eq), Body.substr(Eq + 1));
     } else if (A == "--diff-engines") {
       Cfg.DiffEngines = true;
     } else if (A == "--no-opt") {
-      Cfg.NoOpt = true;
+      BO.Optimize = false;
     } else if (A == "--lint") {
       Cfg.Lint = true;
     } else if (A == "--lint=error") {
@@ -495,24 +473,30 @@ int main(int Argc, char **Argv) {
       fprintf(stderr, "llhd-sim: unknown option '%s'\n", A.c_str());
       printUsage();
       return exitFor(ExitCode::Usage);
-    } else if (File.empty()) {
-      File = A;
+    } else if (In.File.empty()) {
+      In.File = A;
     } else {
       fprintf(stderr, "llhd-sim: more than one input file\n");
       return exitFor(ExitCode::Usage);
     }
+    if (!Ok) {
+      fprintf(stderr, "llhd-sim: invalid value in '%s' (see --help)\n",
+              A.c_str());
+      return exitFor(ExitCode::Usage);
+    }
   }
+  const std::string &File = In.File;
   if (File.empty()) {
     printUsage();
     return exitFor(ExitCode::Usage);
   }
-  if (Cfg.Opts.RC.CheckpointEveryFs && Cfg.CheckpointPath.empty()) {
+  if (Opts.RC.CheckpointEveryFs && BO.CheckpointPath.empty()) {
     fprintf(stderr,
             "llhd-sim: --checkpoint-every requires --checkpoint=<file>\n");
     return exitFor(ExitCode::Usage);
   }
   if (Cfg.DiffEngines &&
-      (!Cfg.CheckpointPath.empty() || !Cfg.ResumePath.empty())) {
+      (!BO.CheckpointPath.empty() || !Cfg.ResumePath.empty())) {
     // Diff mode runs three engines over one artifact set; checkpointing
     // would interleave their images and resume cannot know which run.
     fprintf(stderr,
@@ -529,12 +513,15 @@ int main(int Argc, char **Argv) {
             "--resume\n");
     return exitFor(ExitCode::Usage);
   }
-  if (!Cfg.ResumePath.empty() &&
-      !readFileBytes(Cfg.ResumePath, Cfg.ResumeBytes)) {
+  if (!Cfg.ResumePath.empty() && !readFile(Cfg.ResumePath, BO.Resume)) {
     fprintf(stderr, "llhd-sim: cannot read checkpoint '%s'\n",
             Cfg.ResumePath.c_str());
     return exitFor(ExitCode::IoError);
   }
+  // A checkpoint file is also written on every early stop.
+  Opts.RC.CheckpointOnStop = !BO.CheckpointPath.empty();
+  // Dump mode writes the generated C++ next to the design.
+  BO.Jit.DumpPath = (File == "-" ? "stdin" : File) + ".jit.cpp";
 
   // Graceful shutdown: SIGINT/SIGTERM raise the stop flag; the event
   // loop finishes the current delta cycle, flushes the waveform, writes
@@ -547,25 +534,15 @@ int main(int Argc, char **Argv) {
     SA.sa_handler = onStopSignal;
     sigaction(SIGINT, &SA, nullptr);
     sigaction(SIGTERM, &SA, nullptr);
-    Cfg.Opts.RC.StopFlag = &GStopRequested;
+    Opts.RC.StopFlag = &GStopRequested;
   }
-  // Dump mode writes the generated C++ next to the design.
-  Cfg.JitDumpPath = (File == "-" ? "stdin" : File) + ".jit.cpp";
 
-  std::string Src;
   if (File == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Src = SS.str();
-  } else {
-    std::ifstream In(File);
-    if (!In) {
-      fprintf(stderr, "llhd-sim: cannot open '%s'\n", File.c_str());
-      return exitFor(ExitCode::IoError);
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Src = SS.str();
+    In.Src.assign(std::istreambuf_iterator<char>(std::cin),
+                  std::istreambuf_iterator<char>());
+  } else if (!readFile(File, In.Src)) {
+    fprintf(stderr, "llhd-sim: cannot open '%s'\n", File.c_str());
+    return exitFor(ExitCode::IoError);
   }
   if (Language == 0) {
     auto endsWith = [&](const char *Suffix) {
@@ -575,62 +552,28 @@ int main(int Argc, char **Argv) {
     };
     Language = (endsWith(".sv") || endsWith(".v")) ? 2 : 1;
   }
+  In.Sv = Language == 2;
   // Detect the SystemVerilog top once, before any engine runs: it
   // cannot change between engines, and this keeps --diff-engines from
   // re-parsing the source an extra time per engine.
-  if (Language == 2 && Cfg.Top.empty()) {
+  if (In.Sv && In.Top.empty()) {
     std::string Error;
-    Cfg.Top = moore::detectTopModule(Src, Error);
-    if (Cfg.Top.empty()) {
+    In.Top = moore::detectTopModule(In.Src, Error);
+    if (In.Top.empty()) {
       fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
       return exitFor(ExitCode::InputError);
     }
   }
 
-  // Front end: every engine run gets a freshly built module, so the
-  // optimising engines can never contaminate a comparison run.
-  Context Ctx;
-  auto buildModule = [&](const std::string &Name, std::string &Top,
-                         std::string &Error) -> std::unique_ptr<Module> {
-    auto M = std::make_unique<Module>(Ctx, Name);
-    if (Language == 2) {
-      moore::CompileResult R =
-          moore::compileSystemVerilog(Src, Cfg.Top, *M);
-      if (!R.Ok) {
-        Error = R.Error;
-        return nullptr;
-      }
-      Top = R.TopUnit;
-    } else {
-      ParseResult R = parseModule(Src, *M);
-      if (!R.Ok) {
-        Error = R.Error;
-        return nullptr;
-      }
-      Top = Cfg.Top.empty() ? detectTop(*M, Error) : Cfg.Top;
-      if (Top.empty())
-        return nullptr;
-    }
-    return M;
-  };
-
   if (Cfg.DumpLir) {
-    std::string Top, Error;
-    std::unique_ptr<Module> M = buildModule(File, Top, Error);
-    if (!M) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    Elaborated E;
+    if (!In.elaborate(File, E))
       return exitFor(ExitCode::InputError);
-    }
-    Design D = elaborate(*M, Top);
-    if (!D.ok()) {
-      fprintf(stderr, "llhd-sim: %s\n", D.Error.c_str());
-      return exitFor(ExitCode::InputError);
-    }
     // One lowering per distinct unit, in first-instantiation order --
     // exactly what the engines execute.
     LirCache Cache;
     std::vector<Unit *> Seen;
-    for (const UnitInstance &UI : D.Instances) {
+    for (const UnitInstance &UI : E.D.Instances) {
       if (std::find(Seen.begin(), Seen.end(), UI.U) != Seen.end())
         continue;
       Seen.push_back(UI.U);
@@ -640,25 +583,18 @@ int main(int Argc, char **Argv) {
   }
 
   if (Cfg.ListSignals) {
-    std::string Top, Error;
-    std::unique_ptr<Module> M = buildModule(File, Top, Error);
-    if (!M) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    Elaborated E;
+    if (!In.elaborate(File, E))
       return exitFor(ExitCode::InputError);
-    }
-    Design D = elaborate(*M, Top);
-    if (!D.ok()) {
-      fprintf(stderr, "llhd-sim: %s\n", D.Error.c_str());
-      return exitFor(ExitCode::InputError);
-    }
-    printf("%u signals, %zu instances under @%s\n",
-           D.Signals.size(), D.Instances.size(), Top.c_str());
-    for (SignalId S = 0; S != D.Signals.size(); ++S) {
-      SignalId Canon = D.Signals.canonical(S);
+    const SignalTable &Sigs = E.D.Signals;
+    printf("%u signals, %zu instances under @%s\n", Sigs.size(),
+           E.D.Instances.size(), E.Top.c_str());
+    for (SignalId S = 0; S != Sigs.size(); ++S) {
+      SignalId Canon = Sigs.canonical(S);
       std::string Alias =
-          Canon != S ? " (con -> " + D.Signals.name(Canon) + ")" : "";
-      printf("  %4u  %-40s %s%s\n", S, D.Signals.name(S).c_str(),
-             D.Signals.value(Canon).toString().c_str(), Alias.c_str());
+          Canon != S ? " (con -> " + Sigs.name(Canon) + ")" : "";
+      printf("  %4u  %-40s %s%s\n", S, Sigs.name(S).c_str(),
+             Sigs.value(Canon).toString().c_str(), Alias.c_str());
     }
     return 0;
   }
@@ -668,22 +604,14 @@ int main(int Argc, char **Argv) {
   // designs whose simulation results are misleading (oscillating loops,
   // conflicting drivers), so refusing to simulate is the safe default.
   if (Cfg.Lint) {
-    std::string Top, Error;
-    std::unique_ptr<Module> M = buildModule(File + ".lint", Top, Error);
-    if (!M) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    Elaborated E;
+    if (!In.elaborate(File + ".lint", E))
       return exitFor(ExitCode::InputError);
-    }
-    Design D = elaborate(*M, Top);
-    if (!D.ok()) {
-      fprintf(stderr, "llhd-sim: %s\n", D.Error.c_str());
-      return exitFor(ExitCode::InputError);
-    }
     DiagnosticEngine::Options LOpts;
     LOpts.WarningsAsErrors = Cfg.LintWerror;
     DiagnosticEngine DE(LOpts);
     DesignAnalysisManager AM;
-    lintDesign(D, AM, DE);
+    lintDesign(E.D, AM, DE);
     std::string Out = DE.render();
     if (!Out.empty())
       fputs(Out.c_str(), stderr);
@@ -694,226 +622,87 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  std::vector<Run> Runs;
   // Batched fleet simulation: one program build, N instances on a
   // worker pool (sim/Batch.h). Per-instance artifacts land next to the
   // requested paths as <path>.<instance>.
   if (Cfg.Batch) {
-    std::string Top, Error;
-    std::unique_ptr<Module> M = buildModule(File, Top, Error);
-    if (!M) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    std::string Top;
+    std::unique_ptr<Module> M = In.build(File, Top);
+    if (!M)
       return exitFor(ExitCode::InputError);
-    }
-    BatchOptions BO;
-    BO.N = Cfg.Batch;
-    BO.Jobs = Cfg.Jobs;
-    BO.Engine = Cfg.Engine;
-    BO.Optimize = !Cfg.NoOpt;
-    if (Cfg.Jit == "off")
-      BO.Jit.M = jit::JitOptions::Mode::Off;
-    else if (Cfg.Jit == "dump") {
-      BO.Jit.M = jit::JitOptions::Mode::Dump;
-      BO.Jit.DumpPath = Cfg.JitDumpPath;
-    } else
-      BO.Jit.M = jit::JitOptions::Mode::On;
-    BO.Jit.ForceDeopt = Cfg.JitDeopt;
-    BO.Base = Cfg.Opts;
-    if (!Cfg.CheckpointPath.empty())
-      BO.Base.RC.CheckpointOnStop = true;
-    BO.VcdPath = Cfg.VcdPath;
-    BO.CheckpointPath = Cfg.CheckpointPath;
-
-    if (Cfg.Engine != "interp" && Cfg.Engine != "blaze" &&
-        Cfg.Engine != "comm") {
-      fprintf(stderr,
-              "llhd-sim: unknown engine '%s' (valid engines: interp, "
-              "blaze, comm)\n",
-              Cfg.Engine.c_str());
-      return exitFor(ExitCode::Usage);
-    }
-
     BatchResult R = runBatch(*M, Top, BO);
-    if (!R.Ok && !R.Error.empty()) {
-      fprintf(stderr, "llhd-sim: %s\n", R.Error.c_str());
+    if (!R.Error.empty()) {
+      fprintf(stderr, "llhd-sim: %s: %s\n", BO.Engine.c_str(),
+              R.Error.c_str());
       return exitFor(ExitCode::InputError);
     }
-
-    int Exit = exitFor(ExitCode::Ok);
-    uint64_t Asserts = 0, Cycles = 0;
-    for (const BatchInstance &BI : R.Instances) {
-      if (!BI.Error.empty()) {
-        fprintf(stderr, "llhd-sim: instance %u: %s\n", BI.Index,
-                BI.Error.c_str());
-        if (Exit == 0)
-          Exit = exitFor(ExitCode::IoError);
-        continue;
-      }
-      Asserts += BI.Stats.AssertFailures;
-      Cycles += BI.Stats.Steps;
-      if (Cfg.Stats)
-        fprintf(stderr,
-                "batch[%u]: seed %llu, end time %s, %llu slots, "
-                "digest %016llx%s\n",
-                BI.Index,
-                (unsigned long long)(Cfg.Opts.Seed + BI.Index),
-                BI.Stats.EndTime.toString().c_str(),
-                (unsigned long long)BI.Stats.Steps,
-                (unsigned long long)BI.Digest,
-                BI.Stats.Finished ? ", finished" : "");
-      if (BI.Stats.Stop != StopReason::None) {
-        fprintf(stderr, "llhd-sim: instance %u: stopped at %s: %s\n",
-                BI.Index, BI.Stats.EndTime.toString().c_str(),
-                stopReasonName(BI.Stats.Stop));
-        if (Exit == 0)
-          Exit = exitFor(exitCodeFor(BI.Stats.Stop));
-      }
+    uint64_t Slots = 0;
+    for (BatchInstance &BI : R.Instances) {
+      Slots += BI.Stats.Steps;
+      std::string Label = "batch[" + std::to_string(BI.Index) + "] (seed " +
+                          std::to_string(Opts.Seed + BI.Index) + ")";
+      Runs.push_back({std::move(Label), std::move(BI), ""});
     }
-    if (Asserts != 0) {
-      fprintf(stderr, "llhd-sim: %llu assertion failure(s) across the "
-              "batch\n",
-              (unsigned long long)Asserts);
-      Exit = exitFor(ExitCode::AssertFailed);
-    }
+    int Exit = report(Runs, Cfg, In);
     if (Cfg.Stats)
       fprintf(stderr,
               "batch: %u instance(s), build %.3fs (once), run %.3fs, "
               "%llu slots total\n",
-              Cfg.Batch, R.BuildSeconds, R.RunSeconds,
-              (unsigned long long)Cycles);
+              BO.N, R.BuildSeconds, R.RunSeconds, (unsigned long long)Slots);
     return Exit;
   }
 
-  bool WantVcd = !Cfg.VcdPath.empty();
-  std::vector<RunOutcome> Outcomes;
-  std::vector<std::string> Engines =
-      Cfg.DiffEngines ? std::vector<std::string>{"interp", "blaze", "comm"}
-                      : std::vector<std::string>{Cfg.Engine};
-  // A single-engine --vcd run streams straight to the file (bounded
-  // memory); diff mode keeps each dump in memory to byte-compare them.
-  // The file is opened only once the input has built, so a parse error
-  // does not clobber a previous good dump.
-  std::ofstream VcdOut;
+  // One instance of the selected engine, or of every engine for
+  // --diff-engines, each over its own freshly built module.
+  std::vector<std::string> Engines(std::begin(EngineNames),
+                                   std::end(EngineNames));
+  if (!Cfg.DiffEngines)
+    Engines = {BO.Engine};
   for (const std::string &E : Engines) {
     std::string Top, Error;
-    std::unique_ptr<Module> M = buildModule(File + "." + E, Top, Error);
-    if (!M) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
+    std::unique_ptr<Module> M = In.build(File + "." + E, Top);
+    if (!M)
+      return exitFor(ExitCode::InputError);
+    BatchOptions EO = BO;
+    EO.Engine = E;
+    BatchProgram P = buildProgram(*M, Top, EO, Error);
+    if (!P) {
+      fprintf(stderr, "llhd-sim: %s: %s\n", E.c_str(), Error.c_str());
       return exitFor(ExitCode::InputError);
     }
-    if (WantVcd && !VcdOut.is_open()) {
-      // A resumed run appends: the interrupted run's dump already holds
-      // everything up to the checkpoint instant, and the writer picks up
-      // without re-emitting the header, so the file continues
-      // byte-identically to an uninterrupted run.
-      VcdOut.open(Cfg.VcdPath, Cfg.ResumePath.empty()
-                                   ? std::ios::binary
-                                   : std::ios::binary | std::ios::app);
+    // Diff mode captures each dump to byte-compare them; a plain run
+    // streams to the file (bounded memory), opened only now that the
+    // input has built so a frontend error keeps a previous good dump.
+    // A resumed run appends: the interrupted run's dump already holds
+    // everything up to the checkpoint instant, and the writer picks up
+    // without re-emitting the header.
+    std::ostringstream Captured;
+    std::ofstream VcdOut;
+    std::ostream *Vcd = nullptr;
+    if (Cfg.DiffEngines) {
+      Vcd = &Captured;
+    } else if (!BO.VcdPath.empty()) {
+      VcdOut.open(BO.VcdPath, BO.Resume.empty()
+                                  ? std::ios::binary
+                                  : std::ios::binary | std::ios::app);
       if (!VcdOut) {
         fprintf(stderr, "llhd-sim: cannot write '%s'\n",
-                Cfg.VcdPath.c_str());
+                BO.VcdPath.c_str());
         return exitFor(ExitCode::IoError);
       }
+      Vcd = &VcdOut;
     }
-    RunOutcome O;
-    // In diff mode the waveforms are compared even without --vcd.
-    if (int Rc = runEngine(E, *M, Top, Cfg, WantVcd || Cfg.DiffEngines,
-                           Cfg.DiffEngines ? nullptr : &VcdOut, O))
-      return Rc;
-    Outcomes.push_back(std::move(O));
-    if (Cfg.Stats)
-      printStats(Outcomes.back());
+    Runs.push_back({E, runInstance(P, EO, Opts.Seed, Vcd, BO.CheckpointPath),
+                    Captured.str()});
   }
-  if (WantVcd) {
-    if (Cfg.DiffEngines)
-      VcdOut << Outcomes.front().Vcd;
-    VcdOut.flush();
-    if (!VcdOut) { // Full disk / I/O error: fail loudly, not with exit 0.
-      fprintf(stderr, "llhd-sim: error writing '%s'\n",
-              Cfg.VcdPath.c_str());
-      return exitFor(ExitCode::IoError);
-    }
+  // --diff-engines --vcd keeps the reference engine's (interp's) dump.
+  if (Cfg.DiffEngines && !BO.VcdPath.empty()) {
+    std::ofstream VcdOut(BO.VcdPath, std::ios::binary);
+    VcdOut << Runs.front().Vcd;
+    VcdOut.close();
+    if (VcdOut.fail())
+      Runs.front().R.Error = "cannot write '" + BO.VcdPath + "'";
   }
-
-  int Exit = exitFor(ExitCode::Ok);
-  for (const RunOutcome &O : Outcomes) {
-    if (O.Stats.AssertFailures != 0) {
-      fprintf(stderr, "llhd-sim: %s: %llu assertion failure(s)\n",
-              O.Engine.c_str(), (unsigned long long)O.Stats.AssertFailures);
-      Exit = exitFor(ExitCode::AssertFailed);
-    }
-  }
-  // Early stops carry their own exit codes (80-85); an assertion failure
-  // observed before the stop still wins, since that is what the run
-  // actually diagnosed.
-  for (const RunOutcome &O : Outcomes) {
-    if (O.Stats.Stop == StopReason::None)
-      continue;
-    fprintf(stderr, "llhd-sim: %s: stopped at %s: %s\n", O.Engine.c_str(),
-            O.Stats.EndTime.toString().c_str(),
-            stopReasonName(O.Stats.Stop));
-    if (O.Stats.Stop == StopReason::Oscillation) {
-      auto join = [](const std::vector<std::string> &V) {
-        std::string S;
-        for (const std::string &N : V)
-          S += (S.empty() ? "" : ", ") + N;
-        return S;
-      };
-      fprintf(stderr, "llhd-sim: %s: cycling process(es): %s\n",
-              O.Engine.c_str(), join(O.Stats.OscProcs).c_str());
-      fprintf(stderr, "llhd-sim: %s: cycling signal(s): %s\n",
-              O.Engine.c_str(), join(O.Stats.OscSigs).c_str());
-      // Cross-reference the static analysis: the loop the runtime guard
-      // just caught is usually visible to llhd-lint's comb-loop check
-      // without running the design at all, with the full cycle named.
-      std::string LintTop, LintError;
-      if (std::unique_ptr<Module> LM =
-              buildModule(File + ".oschint", LintTop, LintError)) {
-        Design LD = elaborate(*LM, LintTop);
-        if (LD.ok()) {
-          DiagnosticEngine::Options LOpts;
-          for (const CheckInfo &C : allChecks())
-            if (std::string(C.Id) != "comb-loop")
-              LOpts.SeverityOverrides[C.Id] = Severity::Ignore;
-          DiagnosticEngine LDE(LOpts);
-          DesignAnalysisManager LAM;
-          lintDesign(LD, LAM, LDE);
-          for (const Diagnostic &Dg : LDE.diagnostics())
-            fprintf(stderr, "llhd-sim: hint: [%s] %s: %s\n",
-                    Dg.CheckId.c_str(), Dg.Location.c_str(),
-                    Dg.Message.c_str());
-          if (!LDE.diagnostics().empty())
-            fprintf(stderr,
-                    "llhd-sim: hint: llhd-lint reports this statically "
-                    "(check 'comb-loop'); run it for the full cycle\n");
-        }
-      }
-    }
-    if (Exit == 0)
-      Exit = exitFor(exitCodeFor(O.Stats.Stop));
-  }
-
-  if (Cfg.DiffEngines) {
-    const RunOutcome &Ref = Outcomes.front();
-    bool Diverged = false;
-    for (size_t I = 1; I != Outcomes.size(); ++I) {
-      const RunOutcome &O = Outcomes[I];
-      if (O.Digest != Ref.Digest || O.Changes != Ref.Changes ||
-          O.Stats.EndTime != Ref.Stats.EndTime || O.Vcd != Ref.Vcd) {
-        Diverged = true;
-        fprintf(stderr,
-                "llhd-sim: DIVERGENCE %s vs %s: digest %016llx/%016llx, "
-                "changes %llu/%llu, vcd %s\n",
-                Ref.Engine.c_str(), O.Engine.c_str(),
-                (unsigned long long)Ref.Digest, (unsigned long long)O.Digest,
-                (unsigned long long)Ref.Changes, (unsigned long long)O.Changes,
-                O.Vcd == Ref.Vcd ? "identical" : "DIFFERS");
-      }
-    }
-    if (Diverged)
-      return exitFor(ExitCode::Divergence);
-    printf("llhd-sim: traces match across interp/blaze/comm "
-           "(%llu changes, digest %016llx)\n",
-           (unsigned long long)Ref.Changes, (unsigned long long)Ref.Digest);
-  }
-  return Exit;
+  return report(Runs, Cfg, In);
 }
