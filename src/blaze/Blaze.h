@@ -9,6 +9,10 @@
 // per instance. Units the code generator does not admit, and every JIT
 // failure mode, run on the shared LIR interpreter instead.
 //
+// Running the resulting program is the reference interpreter's job:
+// BlazeSim is an InterpSim that adds only the program build and records
+// "blaze" as the engine name in its checkpoints.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef LLHD_BLAZE_BLAZE_H
@@ -23,8 +27,10 @@ namespace llhd {
 
 struct LirProgram;
 
-/// The LLHD-Blaze engine.
-class BlazeSim {
+/// The LLHD-Blaze engine. Its checkpoints are keyed on the optimised
+/// clone's hash: they interchange with the other engines only under
+/// Optimize = false.
+class BlazeSim : public InterpSim {
 public:
   struct BlazeOptions : SimOptions {
     /// Run CF/IS/CSE/DCE over a clone of the design before compiling
@@ -38,13 +44,13 @@ public:
   };
 
   /// Compiles \p Top of \p M. The module itself is left untouched: the
-  /// optimising configuration works on an internal clone.
+  /// optimising configuration works on an internal clone. A failed
+  /// build leaves the engine invalid, with the reason in error().
   BlazeSim(Module &M, const std::string &Top, BlazeOptions Opts);
   BlazeSim(Module &M, const std::string &Top);
   /// Batch form: runs over an immutable program from buildProgram(),
   /// shared with any number of concurrent sibling engines.
   BlazeSim(std::shared_ptr<const LirProgram> Prog, SimOptions Opts);
-  ~BlazeSim();
 
   /// Clones \p M, optimises, elaborates \p Top and compiles the result
   /// into an immutable program (including native code when \p Opts.Jit
@@ -54,39 +60,6 @@ public:
   static std::shared_ptr<const LirProgram>
   buildProgram(Module &M, const std::string &Top, const BlazeOptions &Opts,
                std::string &Err);
-
-  bool valid() const;
-  const std::string &error() const;
-
-  /// Runs to completion; after restore(), continues from the
-  /// checkpointed instant instead.
-  SimStats run();
-
-  /// Live options; mutate before run() to wire run-control hooks.
-  SimOptions &options();
-
-  /// Serializes the full runtime state (sim/Checkpoint.h). Blaze images
-  /// are keyed on the optimised clone's hash: they interchange with the
-  /// other engines only under Optimize = false.
-  void checkpoint(std::vector<uint8_t> &Out);
-
-  /// Restores a checkpoint() image; JIT-bound processes rebind their
-  /// native state, deopting per instance when the image's resumption
-  /// point has no native entry. False + Err on mismatch or corruption.
-  bool restore(const std::vector<uint8_t> &In, std::string &Err);
-
-  const Trace &trace() const;
-  const SignalTable &signals() const;
-  /// The elaborated design this engine simulates.
-  const Design &design() const;
-  /// What the JIT did at construction (Enabled false when off).
-  const jit::JitStats &jitStats() const;
-  /// The generated C++ translation unit ("" when nothing was emitted).
-  const std::string &jitSource() const;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
 };
 
 } // namespace llhd

@@ -576,8 +576,7 @@ struct Emitter {
       N, DstLane, SrcLane);
   }
 
-  /// Backward jumps carry the runaway-fuel check the interpreter's
-  /// per-op fuel counter provides.
+  /// Backward jumps carry the runaway guard (MaxBackwardJumps).
   void jumpTo(int32_t Target, uint32_t Pc) {
     if (Target <= (int32_t)Pc)
       f(S, "  if (!--fuel) return -2;\n");
@@ -837,7 +836,7 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   f(S, "extern \"C\" s64 %s(const LlhdJitApi *api, void *ctx, u64 *s, "
        "s64 entry) {\n",
     P.Symbol.c_str());
-  S += "  u64 fuel = 100000000ull;\n";
+  f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
 
   // Entry dispatch: 0 starts at pc 0, i resumes after wait i-1. For
   // the single-wait classes this folds to one compare; the general

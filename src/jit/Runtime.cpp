@@ -4,6 +4,7 @@
 #include "jit/HostCompiler.h"
 #include "sim/Design.h"
 #include "sim/LirEngine.h"
+#include "sim/RtOps.h"
 
 #include <algorithm>
 #include <chrono>
@@ -91,10 +92,10 @@ void apiCall(void *CtxP, unsigned Site, const uint64_t *Args, unsigned N) {
   const CallSite &S = C.Calls[Site];
   switch (S.K) {
   case CallPlan::Assert:
-    C.Eng->intrinsicAssert(N != 0 && Args[0] != 0);
+    intrinsicAssert(C.Eng->St, N != 0 && Args[0] != 0);
     break;
   case CallPlan::Finish:
-    C.Eng->intrinsicFinish();
+    intrinsicFinish(C.Eng->St);
     break;
   }
 }
@@ -239,7 +240,7 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
     DrvSite Site;
     Site.Ref = S.sigRef();
     Site.Delay = T.timeValue();
-    Site.Driver = LirEngine::driverId(&Inst, Dp.Origin);
+    Site.Driver = driverId(&Inst, Dp.Origin);
     Site.Width = Dp.Width;
     if (!Dp.NumElems && Site.Ref.wholeSignal()) {
       Site.WordCanon = Eng.Signals.wordCanon(Site.Ref.Sig);

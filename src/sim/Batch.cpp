@@ -25,7 +25,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// Runs \p Sim (InterpSim, BlazeSim or CommSim over a shared program):
+/// Runs \p Sim (an InterpSim or a CommSim over a shared program):
 /// restores \p O.Resume, hooks checkpoint writes to \p CheckpointPath,
 /// and records the outcome in \p Out.
 template <typename EngineT>
@@ -96,13 +96,12 @@ BatchInstance llhd::runInstance(const BatchProgram &P, const BatchOptions &O,
   if (P.Comm) {
     CommSim Sim(P.Comm, std::move(SO));
     simulate(Sim, O, CheckpointPath, Out);
-  } else if (P.Blaze) {
-    BlazeSim Sim(P.Lir, std::move(SO));
-    simulate(Sim, O, CheckpointPath, Out);
-    Out.Jit = Sim.jitStats(); // After a restore's per-instance deopts.
   } else {
-    InterpSim Sim(P.Lir, std::move(SO));
-    simulate(Sim, O, CheckpointPath, Out);
+    std::unique_ptr<InterpSim> Sim =
+        P.Blaze ? std::make_unique<BlazeSim>(P.Lir, std::move(SO))
+                : std::make_unique<InterpSim>(P.Lir, std::move(SO));
+    simulate(*Sim, O, CheckpointPath, Out);
+    Out.Jit = Sim->jitStats(); // After a restore's per-instance deopts.
   }
   // The event loop has finished the dump and flushed the stream.
   if (Vcd && !*Vcd && Out.Error.empty())

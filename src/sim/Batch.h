@@ -81,7 +81,8 @@ std::string instancePath(const std::string &Path, unsigned Index);
 struct BatchProgram {
   std::shared_ptr<const LirProgram> Lir;   ///< interp and blaze.
   std::shared_ptr<const CommProgram> Comm; ///< comm.
-  bool Blaze = false; ///< Lir runs on BlazeSim rather than InterpSim.
+  /// Lir runs on BlazeSim, which names itself "blaze" in checkpoints.
+  bool Blaze = false;
 
   explicit operator bool() const { return Lir || Comm; }
 };

@@ -2,11 +2,12 @@
 
 #include "sim/Checkpoint.h"
 #include "asm/Printer.h"
-#include "sim/LirEngine.h"
+#include "bitcode/Stream.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <unordered_map>
 
 using namespace llhd;
 using namespace llhd::ckpt;
@@ -44,17 +45,19 @@ bool ckpt::writeFileAtomic(const std::string &Path,
   return false;
 }
 
+namespace {
+
 //===----------------------------------------------------------------------===//
 // Leaf serializers
 //===----------------------------------------------------------------------===//
 
-void ckpt::putTime(std::vector<uint8_t> &Out, Time T) {
+void putTime(std::vector<uint8_t> &Out, Time T) {
   bc::putVar(Out, T.Fs);
   bc::putVar(Out, T.Delta);
   bc::putVar(Out, T.Eps);
 }
 
-Time ckpt::getTime(bc::Reader &R) {
+Time getTime(bc::Reader &R) {
   Time T;
   T.Fs = R.var();
   T.Delta = static_cast<uint32_t>(R.var());
@@ -62,7 +65,7 @@ Time ckpt::getTime(bc::Reader &R) {
   return T;
 }
 
-void ckpt::putSigRef(std::vector<uint8_t> &Out, const SigRef &S) {
+void putSigRef(std::vector<uint8_t> &Out, const SigRef &S) {
   bc::putVar(Out, S.Sig);
   bc::putVar(Out, S.Path.size());
   for (uint32_t E : S.Path)
@@ -74,7 +77,7 @@ void ckpt::putSigRef(std::vector<uint8_t> &Out, const SigRef &S) {
   bc::putVar(Out, S.BitLen);
 }
 
-SigRef ckpt::getSigRef(bc::Reader &R) {
+SigRef getSigRef(bc::Reader &R) {
   SigRef S;
   S.Sig = static_cast<SignalId>(R.var());
   uint64_t N = R.var();
@@ -92,7 +95,7 @@ SigRef ckpt::getSigRef(bc::Reader &R) {
   return S;
 }
 
-void ckpt::putValue(std::vector<uint8_t> &Out, const RtValue &V) {
+void putValue(std::vector<uint8_t> &Out, const RtValue &V) {
   Out.push_back(static_cast<uint8_t>(V.kind()));
   switch (V.kind()) {
   case RtValue::Kind::Invalid:
@@ -131,7 +134,7 @@ void ckpt::putValue(std::vector<uint8_t> &Out, const RtValue &V) {
   }
 }
 
-RtValue ckpt::getValue(bc::Reader &R) {
+RtValue getValue(bc::Reader &R) {
   if (R.Pos >= R.In.size()) {
     R.Failed = true;
     return RtValue();
@@ -189,14 +192,13 @@ RtValue ckpt::getValue(bc::Reader &R) {
   return RtValue();
 }
 
-void ckpt::putFrame(std::vector<uint8_t> &Out,
-                    const std::vector<RtValue> &F) {
+void putFrame(std::vector<uint8_t> &Out, const std::vector<RtValue> &F) {
   bc::putVar(Out, F.size());
   for (const RtValue &V : F)
     putValue(Out, V);
 }
 
-bool ckpt::getFrame(bc::Reader &R, std::vector<RtValue> &F) {
+bool getFrame(bc::Reader &R, std::vector<RtValue> &F) {
   uint64_t N = R.var();
   if (N > R.In.size()) {
     R.Failed = true;
@@ -212,7 +214,20 @@ bool ckpt::getFrame(bc::Reader &R, std::vector<RtValue> &F) {
 // Stable driver identities
 //===----------------------------------------------------------------------===//
 
-void DriverIdMap::build(const Design &D, const LirCache &Cache) {
+/// Bidirectional map between the runtime driver ids stored in the signal
+/// table / event wheel (pointer-derived, not restart-stable) and stable
+/// ids encoding (instance index << 32) | (LIR pc << 8) | trigger index.
+/// Built by walking every instance's lowered Drv/Del/Reg ops — the same
+/// walk on the restoring side reproduces the same table.
+struct DriverIdMap {
+  std::unordered_map<uint64_t, uint64_t> RtToStable, StableToRt;
+
+  /// \p Cache must be the engine's (fully built) lowering cache, so op
+  /// pcs match the LirUnits the engine actually executes.
+  DriverIdMap(const Design &D, const LirCache &Cache);
+};
+
+DriverIdMap::DriverIdMap(const Design &D, const LirCache &Cache) {
   auto add = [&](uint64_t Rt, uint64_t Stable) {
     // First wins on either side: colliding runtime ids were already one
     // driver slot to the resolver, so keeping them conflated is exact.
@@ -229,11 +244,11 @@ void DriverIdMap::build(const Design &D, const LirCache &Cache) {
       switch (Op.C) {
       case LirOpc::Drv:
       case LirOpc::Del:
-        add(LirEngine::driverId(&UI, Op.Origin), Stable);
+        add(driverId(&UI, Op.Origin), Stable);
         break;
       case LirOpc::Reg:
         for (uint32_t TI = 0; TI != Op.TrigCount; ++TI)
-          add(LirEngine::driverId(&UI, Op.Origin) + TI, Stable | TI);
+          add(driverId(&UI, Op.Origin) + TI, Stable | TI);
         break;
       default:
         break;
@@ -246,15 +261,13 @@ void DriverIdMap::build(const Design &D, const LirCache &Cache) {
 // Header + kernel sections
 //===----------------------------------------------------------------------===//
 
-namespace {
-
 /// Marker for a runtime driver id the map could not resolve (never
 /// produced by the enumeration above in practice); restore rejects it.
 constexpr uint64_t UnmappedDriver = ~0ull;
 
 uint64_t stableOf(const DriverIdMap &Map, uint64_t Rt) {
-  uint64_t S;
-  return Map.toStable(Rt, S) ? S : UnmappedDriver;
+  auto It = Map.RtToStable.find(Rt);
+  return It == Map.RtToStable.end() ? UnmappedDriver : It->second;
 }
 
 std::vector<SignalId> canonicalSignals(const SignalTable &Signals) {
@@ -265,28 +278,26 @@ std::vector<SignalId> canonicalSignals(const SignalTable &Signals) {
   return Out;
 }
 
-} // namespace
-
-void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
-                                uint64_t ModuleHash,
-                                const std::string &EngineName,
-                                const SignalTable &Signals,
-                                const Scheduler &Sched,
-                                const Trace &Tr, Time Now,
-                                const SimStats &Stats,
-                                const DriverIdMap &Map) {
+/// Writes magic/version/hash/engine-name, then the kernel state: Now,
+/// statistics counters, trace digest, signal values + remapped driver
+/// slots, and both event-wheel lanes.
+void writeHeaderAndKernel(std::vector<uint8_t> &Out, uint64_t ModuleHash,
+                          const std::string &EngineName, const SimState &St,
+                          const DriverIdMap &Map) {
+  const SignalTable &Signals = St.Signals;
+  const SimStats &Stats = St.Stats;
   bc::putVar(Out, Magic);
   bc::putVar(Out, Version);
   bc::putVar(Out, ModuleHash);
   bc::putStr(Out, EngineName);
 
-  putTime(Out, Now);
+  putTime(Out, St.Now);
   bc::putVar(Out, Stats.Steps);
   bc::putVar(Out, Stats.ProcessRuns);
   bc::putVar(Out, Stats.EntityEvals);
   bc::putVar(Out, Stats.AssertFailures);
-  bc::putVar(Out, Tr.digest());
-  bc::putVar(Out, Tr.numChanges());
+  bc::putVar(Out, St.Tr.digest());
+  bc::putVar(Out, St.Tr.numChanges());
 
   // Signal values + per-driver contributions, canonical ids only (alias
   // views share their root's storage and are reproduced by elaboration).
@@ -306,7 +317,7 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
   // Both event-wheel lanes, in ascending time order. Restore replays
   // them through the scheduling API, which reproduces intra-slot event
   // order exactly (slots keep scheduling order within one time).
-  std::vector<Scheduler::PendingSlot> Slots = Sched.pendingSlots(Signals);
+  std::vector<Scheduler::PendingSlot> Slots = St.Sched.pendingSlots(Signals);
   bc::putVar(Out, Slots.size());
   for (const Scheduler::PendingSlot &Slot : Slots) {
     putTime(Out, Slot.T);
@@ -322,13 +333,19 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
       bc::putVar(Out, W.Gen);
     }
   }
-  bc::putVar(Out, Sched.totalScheduled());
+  bc::putVar(Out, St.Sched.totalScheduled());
 }
 
-bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
-                               SignalTable &Signals, Scheduler &Sched,
-                               Trace &Tr, Time &Now, SimStats &Stats,
-                               const DriverIdMap &Map, std::string &Err) {
+/// Validates the header against \p ExpectModuleHash and restores the
+/// kernel state (the scheduler is rebuilt by replaying both lanes in
+/// time order). False and \p Err set on version/hash mismatch or a
+/// corrupt image.
+bool readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
+                         SimState &St, const DriverIdMap &Map,
+                         std::string &Err) {
+  SignalTable &Signals = St.Signals;
+  Scheduler &Sched = St.Sched;
+  SimStats &Stats = St.Stats;
   auto fail = [&](const std::string &Msg) {
     if (Err.empty())
       Err = Msg;
@@ -349,7 +366,7 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
                 "hash mismatch; written by engine '" +
                 FromEngine + "')");
 
-  Now = getTime(R);
+  St.Now = getTime(R);
   Stats.Steps = R.var();
   Stats.ProcessRuns = R.var();
   Stats.EntityEvals = R.var();
@@ -358,7 +375,7 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
   uint64_t NumChanges = R.var();
   if (R.Failed)
     return fail("truncated checkpoint statistics");
-  Tr.restoreState(Digest, NumChanges);
+  St.Tr.restoreState(Digest, NumChanges);
 
   std::vector<SignalId> Canon = canonicalSignals(Signals);
   if (R.var() != Canon.size())
@@ -373,13 +390,12 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
       return fail("corrupt checkpoint driver count");
     Drs.clear();
     for (uint64_t I = 0; I != NDr && !R.Failed; ++I) {
-      uint64_t Stable = R.var();
+      auto Rt = Map.StableToRt.find(R.var());
       RtValue Val = getValue(R);
-      uint64_t Rt;
-      if (!Map.toRuntime(Stable, Rt))
+      if (Rt == Map.StableToRt.end())
         return fail("checkpoint driver id does not map onto this "
                     "design's lowering");
-      Drs.emplace_back(Rt, std::move(Val));
+      Drs.emplace_back(Rt->second, std::move(Val));
     }
     // Runtime ids are pointer-derived, so their order differs between
     // runs; the table finds slots by binary search over the id.
@@ -401,12 +417,11 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
     for (uint64_t I = 0; I != NUpd && !R.Failed; ++I) {
       SigRef Ref = getSigRef(R);
       RtValue Val = getValue(R);
-      uint64_t Stable = R.var();
-      uint64_t Rt;
-      if (!Map.toRuntime(Stable, Rt))
+      auto Rt = Map.StableToRt.find(R.var());
+      if (Rt == Map.StableToRt.end())
         return fail("checkpoint event driver id does not map onto this "
                     "design's lowering");
-      Sched.scheduleUpdate(T, {std::move(Ref), std::move(Val), Rt});
+      Sched.scheduleUpdate(T, {std::move(Ref), std::move(Val), Rt->second});
     }
     uint64_t NWake = R.var();
     if (NWake > R.In.size())
@@ -427,7 +442,30 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
 // Unit-state records
 //===----------------------------------------------------------------------===//
 
-void ckpt::putProc(std::vector<uint8_t> &Out, const ProcRecord &P) {
+/// Writes the reg/del previous-sample state both record kinds end with.
+template <typename RecordT>
+void putPrevState(std::vector<uint8_t> &Out, const RecordT &Rec) {
+  putFrame(Out, Rec.RegPrev);
+  bc::putVar(Out, Rec.RegPrevValid.size());
+  Out.insert(Out.end(), Rec.RegPrevValid.begin(), Rec.RegPrevValid.end());
+  putFrame(Out, Rec.DelPrev);
+}
+
+template <typename RecordT> bool getPrevState(bc::Reader &R, RecordT &Rec) {
+  getFrame(R, Rec.RegPrev);
+  uint64_t NValid = R.var();
+  if (NValid > R.In.size() - R.Pos) {
+    R.Failed = true;
+    return false;
+  }
+  Rec.RegPrevValid.assign(R.In.begin() + R.Pos,
+                          R.In.begin() + R.Pos + NValid);
+  R.Pos += NValid;
+  getFrame(R, Rec.DelPrev);
+  return !R.Failed;
+}
+
+void putRecord(std::vector<uint8_t> &Out, const ProcRecord &P) {
   Out.push_back(P.State);
   Out.push_back(P.Started);
   bc::putVar(Out, static_cast<uint64_t>(P.Pc));
@@ -437,14 +475,10 @@ void ckpt::putProc(std::vector<uint8_t> &Out, const ProcRecord &P) {
     bc::putVar(Out, S);
   putFrame(Out, P.Frame);
   putFrame(Out, P.Memory);
-  putFrame(Out, P.RegPrev);
-  bc::putVar(Out, P.RegPrevValid.size());
-  for (uint8_t B : P.RegPrevValid)
-    Out.push_back(B);
-  putFrame(Out, P.DelPrev);
+  putPrevState(Out, P);
 }
 
-bool ckpt::getProc(bc::Reader &R, ProcRecord &P) {
+bool getRecord(bc::Reader &R, ProcRecord &P) {
   if (R.Pos + 2 > R.In.size()) {
     R.Failed = true;
     return false;
@@ -463,39 +497,91 @@ bool ckpt::getProc(bc::Reader &R, ProcRecord &P) {
     P.Sens[I] = static_cast<SignalId>(R.var());
   getFrame(R, P.Frame);
   getFrame(R, P.Memory);
-  getFrame(R, P.RegPrev);
-  uint64_t NValid = R.var();
-  if (R.Pos + NValid > R.In.size()) {
-    R.Failed = true;
-    return false;
-  }
-  P.RegPrevValid.resize(NValid);
-  for (uint64_t I = 0; I != NValid; ++I)
-    P.RegPrevValid[I] = R.In[R.Pos++];
-  getFrame(R, P.DelPrev);
-  return !R.Failed;
+  return getPrevState(R, P);
 }
 
-void ckpt::putEnt(std::vector<uint8_t> &Out, const EntRecord &E) {
+void putRecord(std::vector<uint8_t> &Out, const EntRecord &E) {
   putFrame(Out, E.Frame);
-  putFrame(Out, E.RegPrev);
-  bc::putVar(Out, E.RegPrevValid.size());
-  for (uint8_t B : E.RegPrevValid)
-    Out.push_back(B);
-  putFrame(Out, E.DelPrev);
+  putPrevState(Out, E);
 }
 
-bool ckpt::getEnt(bc::Reader &R, EntRecord &E) {
+bool getRecord(bc::Reader &R, EntRecord &E) {
   getFrame(R, E.Frame);
-  getFrame(R, E.RegPrev);
-  uint64_t NValid = R.var();
-  if (R.Pos + NValid > R.In.size()) {
-    R.Failed = true;
+  return getPrevState(R, E);
+}
+
+/// Writes a counted section of unit records.
+template <typename RecordT>
+void putSection(std::vector<uint8_t> &Out, const std::vector<RecordT> &Recs) {
+  bc::putVar(Out, Recs.size());
+  for (const RecordT &Rec : Recs)
+    putRecord(Out, Rec);
+}
+
+/// Reads a counted section of records of the units \p Units, checking
+/// the count and each record's shape against the lowering; \p Section
+/// and \p Shape name what failed in \p Err.
+template <typename RecordT>
+bool getSection(bc::Reader &R, const std::vector<const LirUnit *> &Units,
+                std::vector<RecordT> &Recs, const std::string &Section,
+                const std::string &Shape, std::string &Err) {
+  if (R.var() != Units.size() || R.Failed) {
+    Err = "checkpoint " + Section + " count does not match this design";
     return false;
   }
-  E.RegPrevValid.resize(NValid);
-  for (uint64_t I = 0; I != NValid; ++I)
-    E.RegPrevValid[I] = R.In[R.Pos++];
-  getFrame(R, E.DelPrev);
-  return !R.Failed;
+  Recs.assign(Units.size(), RecordT());
+  for (size_t I = 0; I != Units.size(); ++I) {
+    const LirUnit &L = *Units[I];
+    if (!getRecord(R, Recs[I])) {
+      Err = "truncated checkpoint " + Section + " section";
+      return false;
+    }
+    if (Recs[I].Frame.size() != L.NumSlots ||
+        Recs[I].RegPrev.size() != L.NumRegPrev ||
+        Recs[I].DelPrev.size() != L.NumDelPrev) {
+      Err = "checkpoint " + Shape + " shape does not match this lowering";
+      return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Whole images
+//===----------------------------------------------------------------------===//
+
+void ckpt::writeImage(std::vector<uint8_t> &Out, const std::string &EngineName,
+                      const Design &D, const LirCache &Cache,
+                      const SimState &St,
+                      const std::vector<ProcRecord> &Procs,
+                      const std::vector<EntRecord> &Ents) {
+  if (!D.ok())
+    return; // An engine that failed to build has no state to save.
+  DriverIdMap Map(D, Cache);
+  writeHeaderAndKernel(Out, moduleHash(*D.M), EngineName, St, Map);
+  putSection(Out, Procs);
+  putSection(Out, Ents);
+}
+
+bool ckpt::readImage(const std::vector<uint8_t> &In, const Design &D,
+                     const LirCache &Cache, SimState &St,
+                     std::vector<ProcRecord> &Procs,
+                     std::vector<EntRecord> &Ents, std::string &Err) {
+  Err = D.Error; // Empty unless the engine failed to build.
+  if (!D.ok())
+    return false;
+  bc::Reader R{In};
+  DriverIdMap Map(D, Cache);
+  if (!readHeaderAndKernel(R, moduleHash(*D.M), St, Map, Err))
+    return false;
+  // Every engine keeps one state per instance, processes and entities
+  // apart, each shaped by its unit's lowering.
+  std::vector<const LirUnit *> ProcUnits, EntUnits;
+  for (const UnitInstance &UI : D.Instances)
+    (UI.U->isProcess() ? ProcUnits : EntUnits)
+        .push_back(Cache.lookup(UI.U));
+  return getSection(R, ProcUnits, Procs, "process", "frame", Err) &&
+         getSection(R, EntUnits, Ents, "entity", "entity", Err);
 }

@@ -9,11 +9,15 @@
 // Engines re-elaborate and re-lower before restoring, so the static
 // world (types, names, LIR layout, instance order) is reproduced rather
 // than stored; the checkpoint carries only dynamic state plus an FNV-1a
-// hash of the printed module as the compatibility key. Interp and CommSim
-// run the same module and are therefore mutually restorable; Blaze runs
-// its optimised clone, whose hash only matches its own checkpoints
-// (with --no-opt the clone prints identically to the original, and
-// checkpoints interchange with the other engines).
+// hash of the printed module as the compatibility key. One codec,
+// writeImage()/readImage(), writes and reads the whole image for every
+// engine; an engine only converts its unit state to and from the
+// engine-neutral ProcRecord/EntRecord. Interp and CommSim run the same
+// module and are therefore mutually restorable. Blaze (an InterpSim that
+// records "blaze" as the engine name) runs its optimised clone, whose
+// hash only matches its own checkpoints (with --no-opt the clone prints
+// identically to the original, and checkpoints interchange with the
+// other engines).
 //
 // Driver identities are raw (instance-pointer, instruction-pointer)
 // hashes at runtime and would not survive a process restart. Checkpoints
@@ -31,14 +35,12 @@
 #ifndef LLHD_SIM_CHECKPOINT_H
 #define LLHD_SIM_CHECKPOINT_H
 
-#include "bitcode/Stream.h"
 #include "sim/Design.h"
-#include "sim/Interp.h" // SimStats.
 #include "sim/Lir.h"
+#include "sim/SimState.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace llhd {
@@ -60,62 +62,12 @@ bool writeFileAtomic(const std::string &Path,
                      const std::vector<uint8_t> &Bytes);
 
 //===----------------------------------------------------------------------===//
-// Leaf serializers
-//===----------------------------------------------------------------------===//
-
-void putTime(std::vector<uint8_t> &Out, Time T);
-Time getTime(bc::Reader &R);
-
-void putSigRef(std::vector<uint8_t> &Out, const SigRef &S);
-SigRef getSigRef(bc::Reader &R);
-
-void putValue(std::vector<uint8_t> &Out, const RtValue &V);
-RtValue getValue(bc::Reader &R);
-
-void putFrame(std::vector<uint8_t> &Out, const std::vector<RtValue> &F);
-bool getFrame(bc::Reader &R, std::vector<RtValue> &F);
-
-//===----------------------------------------------------------------------===//
-// Stable driver identities
-//===----------------------------------------------------------------------===//
-
-/// Bidirectional map between the runtime driver ids stored in the signal
-/// table / event wheel (pointer-derived, not restart-stable) and stable
-/// ids encoding (instance index << 32) | (LIR pc << 8) | trigger index.
-/// Built by walking every instance's lowered Drv/Del/Reg ops — the same
-/// walk on the restoring side reproduces the same table.
-class DriverIdMap {
-public:
-  /// \p Cache must be the engine's (fully built) lowering cache, so op
-  /// pcs match the LirUnits the engine actually executes.
-  void build(const Design &D, const LirCache &Cache);
-
-  bool toStable(uint64_t Rt, uint64_t &Out) const {
-    auto It = RtToStable.find(Rt);
-    if (It == RtToStable.end())
-      return false;
-    Out = It->second;
-    return true;
-  }
-  bool toRuntime(uint64_t Stable, uint64_t &Out) const {
-    auto It = StableToRt.find(Stable);
-    if (It == StableToRt.end())
-      return false;
-    Out = It->second;
-    return true;
-  }
-
-private:
-  std::unordered_map<uint64_t, uint64_t> RtToStable, StableToRt;
-};
-
-//===----------------------------------------------------------------------===//
 // Unit-state records
 //===----------------------------------------------------------------------===//
 
 /// Engine-neutral process state. Both LIR-executing engines and the
-/// closure engine fill the same record, which is what makes interp/comm
-/// checkpoints interchangeable.
+/// closure engine convert to and from the same record, which is what
+/// makes interp/comm checkpoints interchangeable.
 struct ProcRecord {
   uint8_t State = 0; ///< 0 ready, 1 waiting, 2 halted.
   uint8_t Started = 0;
@@ -136,34 +88,31 @@ struct EntRecord {
   std::vector<RtValue> DelPrev;
 };
 
-void putProc(std::vector<uint8_t> &Out, const ProcRecord &P);
-bool getProc(bc::Reader &R, ProcRecord &P);
-void putEnt(std::vector<uint8_t> &Out, const EntRecord &E);
-bool getEnt(bc::Reader &R, EntRecord &E);
-
 //===----------------------------------------------------------------------===//
-// Header + kernel sections
+// Whole images
 //===----------------------------------------------------------------------===//
 
-/// Writes magic/version/hash/engine-name, then the kernel state: Now,
-/// statistics counters, trace digest, signal values + remapped driver
-/// slots, and both event-wheel lanes. Engines append their proc/ent
-/// records after this. \p Signals is the run's signal table (per-run
-/// values over the shared layout).
-void writeHeaderAndKernel(std::vector<uint8_t> &Out, uint64_t ModuleHash,
-                          const std::string &EngineName,
-                          const SignalTable &Signals,
-                          const Scheduler &Sched, const Trace &Tr, Time Now,
-                          const SimStats &Stats, const DriverIdMap &Map);
+/// Serializes one run of \p D (executing the lowering in \p Cache) into
+/// \p Out: the header (magic, version, module hash, \p EngineName), the
+/// kernel state of \p St (clock, statistics, trace digest, signal values
+/// with remapped driver slots, both event-wheel lanes), then the counted
+/// process and entity sections, one record per instance in instance
+/// order. Writes nothing for an invalid design.
+void writeImage(std::vector<uint8_t> &Out, const std::string &EngineName,
+                const Design &D, const LirCache &Cache, const SimState &St,
+                const std::vector<ProcRecord> &Procs,
+                const std::vector<EntRecord> &Ents);
 
-/// Validates the header against \p ExpectModuleHash and restores the
-/// kernel state (the scheduler is rebuilt by replaying both lanes in
-/// time order). Returns false and sets \p Err on version/hash mismatch
-/// or a corrupt image; \p Sched must be empty (freshly built engine).
-bool readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
-                         SignalTable &Signals, Scheduler &Sched, Trace &Tr,
-                         Time &Now, SimStats &Stats, const DriverIdMap &Map,
-                         std::string &Err);
+/// Restores an image written by writeImage() into \p St, a freshly built
+/// run of the same design (its scheduler must be empty), and returns the
+/// unit records for the engine to adopt. Validates the header against the
+/// module hash and every count and record shape against \p Cache's
+/// lowering; false and \p Err set on a mismatch, a corrupt image or an
+/// invalid design.
+bool readImage(const std::vector<uint8_t> &In, const Design &D,
+               const LirCache &Cache, SimState &St,
+               std::vector<ProcRecord> &Procs, std::vector<EntRecord> &Ents,
+               std::string &Err);
 
 } // namespace ckpt
 } // namespace llhd

@@ -2,9 +2,13 @@
 //
 // The reference simulator of §6.1: "deliberately designed to be the
 // simplest possible simulator of the LLHD instruction set, rather than
-// the fastest". Tree-walks the IR with per-value map lookups; every
-// engine-visible semantic (value ops, scheduling, resolution) is shared
-// with the faster engines through sim/RtOps.h and sim/Kernel.h.
+// the fastest". Executes the lowered runtime IR (sim/Lir.h) of the
+// caller's module as given, through the shared execution core
+// (sim/LirEngine.h); every engine-visible semantic (value ops,
+// intrinsics, scheduling, resolution, checkpoints) is shared with the
+// other engines through sim/RtOps.h, sim/Kernel.h and sim/Checkpoint.h.
+// BlazeSim (blaze/Blaze.h) is this facade over an optimised, natively
+// compiled program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +27,12 @@
 
 namespace llhd {
 
+class LirEngine;
 class WaveWriter;
 struct LirProgram;
+namespace jit {
+struct JitStats;
+} // namespace jit
 
 /// Common per-run configuration for all engines.
 struct SimOptions {
@@ -44,33 +52,22 @@ struct SimOptions {
   /// Watchdogs, budgets, stop flags, and checkpoint triggers. All off by
   /// default; see sim/RunControl.h.
   RunControl RC;
-
-  /// True when `+key[=...]` was passed.
-  bool hasPlusarg(const std::string &Key) const {
-    for (const auto &[K, V] : Plusargs)
-      if (K == Key)
-        return true;
-    return false;
-  }
-  /// Value of `+key=value`, or null when absent / bare.
-  const std::string *plusargValue(const std::string &Key) const {
-    for (const auto &[K, V] : Plusargs)
-      if (K == Key)
-        return &V;
-    return nullptr;
-  }
 };
 
-/// The LLHD-Sim reference engine.
+/// The LLHD-Sim reference engine, and the facade of every engine that
+/// runs a LirProgram.
 class InterpSim {
 public:
   /// Takes ownership of the elaborated design.
   InterpSim(Design D, SimOptions Opts = SimOptions());
   /// Batch form: runs over a shared immutable program (design + lowered
-  /// units), so N instances elaborate and lower once. See sim/Batch.h.
+  /// units, native code if it was built with the JIT), so N instances
+  /// elaborate and lower once. See sim/Batch.h. \p Prog must not be null.
   InterpSim(std::shared_ptr<const LirProgram> Prog,
             SimOptions Opts = SimOptions());
-  ~InterpSim();
+  virtual ~InterpSim();
+  InterpSim(const InterpSim &) = delete;
+  InterpSim &operator=(const InterpSim &) = delete;
 
   bool valid() const;
   const std::string &error() const;
@@ -88,18 +85,29 @@ public:
   void checkpoint(std::vector<uint8_t> &Out);
 
   /// Restores state from a checkpoint() image; on success the next run()
-  /// resumes mid-simulation. Returns false and sets Err on version or
-  /// module mismatch, or on a corrupt image.
+  /// resumes mid-simulation. Natively bound processes rebind their lane
+  /// state, deopting per instance when the image's resumption point has
+  /// no native entry. Returns false and sets Err on version or module
+  /// mismatch, or on a corrupt image.
   bool restore(const std::vector<uint8_t> &In, std::string &Err);
 
   const Trace &trace() const;
   const SignalTable &signals() const;
   /// The elaborated design this engine simulates.
   const Design &design() const;
+  /// What the program's JIT bound for this run (Enabled false when the
+  /// program has no native code).
+  const jit::JitStats &jitStats() const;
+  /// The generated C++ translation unit ("" when nothing was emitted).
+  const std::string &jitSource() const;
+
+protected:
+  /// Runs \p Prog recording \p EngineName in checkpoint headers.
+  InterpSim(std::shared_ptr<const LirProgram> Prog, SimOptions Opts,
+            const char *EngineName);
 
 private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
+  std::unique_ptr<LirEngine> P;
 };
 
 } // namespace llhd

@@ -2,6 +2,7 @@
 
 #include "sim/Lir.h"
 #include "ir/Type.h"
+#include "sim/Design.h"
 #include "sim/RtOps.h"
 #include "support/Casting.h"
 
@@ -607,4 +608,16 @@ std::string LirUnit::dump() const {
   }
   OS << "}\n";
   return OS.str();
+}
+
+void LirUnit::preload(const UnitInstance &UI,
+                      std::vector<RtValue> &Frame) const {
+  Frame.assign(NumSlots, RtValue());
+  for (const auto &[Slot, V] : ConstSlots)
+    Frame[Slot] = V;
+  for (const auto &[Val, Ref] : UI.Bindings) {
+    uint32_t Slot = Val->valueNumber();
+    if (Slot < NumValues)
+      Frame[Slot] = RtValue(Ref);
+  }
 }

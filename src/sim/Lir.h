@@ -41,6 +41,16 @@
 
 namespace llhd {
 
+struct UnitInstance;
+
+/// The runaway guard of every engine, interpreted and native: one
+/// process activation or function call may take this many backward
+/// jumps (a jump to its own or an earlier pc); the last one halts the
+/// process, or returns the default value from the function. Counting
+/// jumps rather than ops gives every engine the same limit whatever its
+/// dispatch granularity.
+constexpr uint64_t MaxBackwardJumps = 100000000ull;
+
 /// The lowered opcode set. Pure data-flow computation is one opcode
 /// carrying the ir::Opcode for RtOps dispatch; everything else is an
 /// execution-shaped instruction.
@@ -127,7 +137,19 @@ struct LirUnit {
 
   /// Deterministic textual form for golden tests and --dump-lir.
   std::string dump() const;
+
+  /// Sets \p Frame up for a fresh activation of instance \p UI: every
+  /// slot empty but the constant preloads and the instance's signal
+  /// bindings.
+  void preload(const UnitInstance &UI, std::vector<RtValue> &Frame) const;
 };
+
+/// The runtime identity of the driver \p I of the instance tagged \p Tag,
+/// one formula for every engine (checkpoints remap it to a stable id).
+inline uint64_t driverId(const void *Tag, const Instruction *I) {
+  return (reinterpret_cast<uintptr_t>(Tag) << 20) ^
+         reinterpret_cast<uintptr_t>(I);
+}
 
 /// Lowers \p U into LIR. Runs the only IR-opcode walk shared by the
 /// engines; includes jump-chain threading and fall-through elision.

@@ -7,10 +7,6 @@
 #include "sim/EventLoop.h"
 #include "sim/RtOps.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 using namespace llhd;
 
 namespace {
@@ -19,6 +15,11 @@ namespace {
 SimState makeState(const Design &D, const SimOptions &O) {
   return D.ok() ? SimState(D, O.TraceMode, O.Seed) : SimState();
 }
+
+/// Where a Jmp or CondJmp op goes in frame \p F.
+int32_t jumpTarget(const LirOp &Op, const RtValue *F) {
+  return Op.C == LirOpc::CondJmp && F[Op.A].isTruthy() ? Op.Jmp1 : Op.Jmp0;
+}
 } // namespace
 
 LirEngine::LirEngine(std::shared_ptr<const LirProgram> P, SimOptions O)
@@ -26,23 +27,7 @@ LirEngine::LirEngine(std::shared_ptr<const LirProgram> P, SimOptions O)
       D(Prog->D), Cache(Prog->Cache), Signals(St.Signals), Sched(St.Sched),
       Tr(St.Tr), Stats(St.Stats), Now(St.Now) {}
 
-LirEngine::LirEngine(Design DIn, SimOptions O, jit::JitOptions J)
-    : LirEngine(LirProgram::build(std::move(DIn), std::move(J)),
-                std::move(O)) {}
-
 LirEngine::~LirEngine() = default;
-
-void LirEngine::preloadFrame(const LirUnit &L, const UnitInstance &UI,
-                             std::vector<RtValue> &Frame) {
-  Frame.assign(L.NumSlots, RtValue());
-  for (const auto &[Slot, V] : L.ConstSlots)
-    Frame[Slot] = V;
-  for (const auto &[Val, Ref] : UI.Bindings) {
-    uint32_t Slot = Val->valueNumber();
-    if (Slot < L.NumValues)
-      Frame[Slot] = RtValue(Ref);
-  }
-}
 
 void LirEngine::build() {
   for (const UnitInstance &UI : D.Instances) {
@@ -53,13 +38,13 @@ void LirEngine::build() {
       ProcState PS;
       PS.L = &L;
       PS.Inst = &UI;
-      preloadFrame(L, UI, PS.Frame);
+      L.preload(UI, PS.Frame);
       Procs.push_back(std::move(PS));
     } else {
       EntState ES;
       ES.L = &L;
       ES.Inst = &UI;
-      preloadFrame(L, UI, ES.Frame);
+      L.preload(UI, ES.Frame);
       ES.RegPrev.assign(L.NumRegPrev, RtValue());
       ES.RegPrevValid.assign(L.NumRegPrev, 0);
       ES.DelPrev.assign(L.NumDelPrev, RtValue());
@@ -103,11 +88,6 @@ void LirEngine::buildJit() {
   }
 }
 
-const jit::JitStats &LirEngine::jitStats() const {
-  static const jit::JitStats Empty;
-  return Prog->JitMod ? JitSt : Empty;
-}
-
 const std::string &LirEngine::jitSource() const {
   static const std::string Empty;
   return Prog->JitMod ? Prog->JitMod->Source : Empty;
@@ -144,7 +124,7 @@ void LirEngine::runProcessNative(uint32_t PI) {
 
 RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
   if (Fn->isIntrinsic() || Fn->isDeclaration())
-    return callIntrinsic(Fn, Args);
+    return callIntrinsic(*Fn, Args, Opts, St);
   // Eagerly lowered by the program (call-graph fixpoint); pure lookup.
   const LirUnit &L = *Cache.lookup(Fn);
   auto FR = FnPool.lease();
@@ -161,18 +141,20 @@ RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
   const int32_t *Pool = L.OperandPool.data();
   RtValue *F = Frame.data();
   int32_t Pc = 0;
-  uint64_t Fuel = 100000000ull; // Runaway guard.
-  while (Fuel--) {
+  uint64_t Fuel = MaxBackwardJumps;
+  for (;;) {
     const LirOp &Op = Ops[Pc];
     switch (Op.C) {
     case LirOpc::Ret:
       return Op.A >= 0 ? std::move(F[Op.A]) : RtValue();
     case LirOpc::Jmp:
-      Pc = Op.Jmp0;
+    case LirOpc::CondJmp: {
+      int32_t To = jumpTarget(Op, F);
+      if (To <= Pc && !--Fuel)
+        return RtValue(); // Runaway guard.
+      Pc = To;
       continue;
-    case LirOpc::CondJmp:
-      Pc = F[Op.A].isTruthy() ? Op.Jmp1 : Op.Jmp0;
-      continue;
+    }
     case LirOpc::Copy:
       F[Op.Dst] = F[Op.A];
       break;
@@ -202,7 +184,6 @@ RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
     }
     ++Pc;
   }
-  return RtValue();
 }
 
 /// Gathers a Call op's arguments (slots in the caller's operand pool)
@@ -215,63 +196,6 @@ RtValue LirEngine::callOp(const LirOp &Op, const RtValue *F,
   for (uint32_t J = 0; J != Op.OpsCount; ++J)
     Args.push_back(F[Pool[Op.OpsBase + J]]);
   return callFunction(Op.Callee, Args);
-}
-
-void LirEngine::intrinsicAssert(bool Ok) {
-  if (Ok)
-    return;
-  ++Stats.AssertFailures;
-  if (getenv("LLHD_ASSERT_DEBUG")) {
-    fprintf(stderr, "assert failed at %s (+%ud)\n", Now.toString().c_str(),
-            Now.Delta);
-    for (SignalId SI = 0; SI != Signals.size(); ++SI)
-      if (Signals.name(SI).find("result") != std::string::npos)
-        fprintf(stderr, "  %s = %s\n", Signals.name(SI).c_str(),
-                Signals.value(SI).toString().c_str());
-  }
-}
-
-RtValue LirEngine::callIntrinsic(Unit *Fn, const std::vector<RtValue> &Args) {
-  const std::string &N = Fn->name();
-  if (N == "llhd.assert") {
-    intrinsicAssert(Args.empty() || Args[0].isTruthy());
-    return RtValue();
-  }
-  if (N == "llhd.finish") {
-    intrinsicFinish();
-    return RtValue();
-  }
-  if (N == "llhd.random") {
-    // $random / $urandom: the run's seeded xorshift stream. Width comes
-    // from the intrinsic's declared return type (i32 in practice).
-    unsigned W = Fn->returnType() ? Fn->returnType()->bitWidth() : 32;
-    return RtValue(IntValue(W, St.nextRandom()));
-  }
-  // Plusarg queries: the key is encoded in the intrinsic name by the
-  // frontend (moore/Compiler.cpp), the values come from SimOptions.
-  constexpr const char *TestPfx = "llhd.plusarg.test.";
-  constexpr const char *ValuePfx = "llhd.plusarg.value.";
-  if (N.rfind(TestPfx, 0) == 0) {
-    unsigned W = Fn->returnType() ? Fn->returnType()->bitWidth() : 32;
-    return RtValue(
-        IntValue(W, Opts.hasPlusarg(N.substr(strlen(TestPfx))) ? 1 : 0));
-  }
-  if (N.rfind(ValuePfx, 0) == 0) {
-    // $plusarg$value("KEY", default): the plusarg's numeric value, or
-    // the default when absent or non-numeric.
-    unsigned W = Fn->returnType() ? Fn->returnType()->bitWidth() : 32;
-    uint64_t X = Args.empty() ? 0 : Args[0].intValue().zextToU64();
-    if (const std::string *V =
-            Opts.plusargValue(N.substr(strlen(ValuePfx)))) {
-      char *End = nullptr;
-      uint64_t Parsed = strtoull(V->c_str(), &End, 0);
-      if (End && End != V->c_str() && *End == '\0')
-        X = Parsed;
-    }
-    return RtValue(IntValue(W, X));
-  }
-  // Unknown intrinsics are no-ops returning the default value.
-  return defaultValue(Fn->returnType());
 }
 
 //===----------------------------------------------------------------------===//
@@ -336,8 +260,8 @@ void LirEngine::runProcess(uint32_t PI) {
   // ClockedReg processes resume from the classifier's constant pc; the
   // stored pc is only needed for the unclassified general shape.
   int32_t Pc = L.StableWait && PS.Started ? L.ResumePc : PS.Pc;
-  uint64_t Fuel = 100000000ull;
-  while (Fuel--) {
+  uint64_t Fuel = MaxBackwardJumps;
+  for (;;) {
     const LirOp &Op = Ops[Pc];
     switch (Op.C) {
     case LirOpc::Halt:
@@ -362,11 +286,15 @@ void LirEngine::runProcess(uint32_t PI) {
       return;
     }
     case LirOpc::Jmp:
-      Pc = Op.Jmp0;
+    case LirOpc::CondJmp: {
+      int32_t To = jumpTarget(Op, F);
+      if (To <= Pc && !--Fuel) {
+        PS.State = ProcState::St::Halted; // Runaway guard: treat as hung.
+        return;
+      }
+      Pc = To;
       continue;
-    case LirOpc::CondJmp:
-      Pc = F[Op.A].isTruthy() ? Op.Jmp1 : Op.Jmp0;
-      continue;
+    }
     case LirOpc::Copy:
       F[Op.Dst] = F[Op.A];
       break;
@@ -403,7 +331,6 @@ void LirEngine::runProcess(uint32_t PI) {
     }
     ++Pc;
   }
-  PS.State = ProcState::St::Halted; // Fuel exhausted: treat as hung.
 }
 
 //===----------------------------------------------------------------------===//
@@ -590,20 +517,14 @@ bool LirEngine::syncToNative(ProcState &PS) {
 }
 
 void LirEngine::checkpoint(std::vector<uint8_t> &Out) {
-  // Fold native lane state back into the engine-neutral frames so the
-  // image restores identically with or without the JIT.
-  for (ProcState &PS : Procs)
+  std::vector<ckpt::ProcRecord> PRecs(Procs.size());
+  for (size_t I = 0; I != Procs.size(); ++I) {
+    ProcState &PS = Procs[I];
+    // Fold native lane state back into the engine-neutral frame so the
+    // image restores identically with or without the JIT.
     if (PS.Jit)
       syncFromNative(PS);
-
-  ckpt::DriverIdMap Map;
-  Map.build(D, Cache);
-  ckpt::writeHeaderAndKernel(Out, ckpt::moduleHash(*D.M), EngineName,
-                             Signals, Sched, Tr, Now, Stats, Map);
-
-  bc::putVar(Out, Procs.size());
-  for (const ProcState &PS : Procs) {
-    ckpt::ProcRecord Rec;
+    ckpt::ProcRecord &Rec = PRecs[I];
     Rec.State = static_cast<uint8_t>(PS.State);
     Rec.Started = PS.Started;
     Rec.Pc = PS.Pc;
@@ -611,44 +532,23 @@ void LirEngine::checkpoint(std::vector<uint8_t> &Out) {
     Rec.Sens = PS.Sensitivity;
     Rec.Frame = PS.Frame;
     Rec.Memory = PS.Memory;
-    // LIR processes keep reg/del state in entities only; the record
-    // fields stay empty (CommSim fills them for its process units).
-    ckpt::putProc(Out, Rec);
   }
-  bc::putVar(Out, Ents.size());
-  for (const EntState &ES : Ents) {
-    ckpt::EntRecord Rec;
-    Rec.Frame = ES.Frame;
-    Rec.RegPrev = ES.RegPrev;
-    Rec.RegPrevValid = ES.RegPrevValid;
-    Rec.DelPrev = ES.DelPrev;
-    ckpt::putEnt(Out, Rec);
+  std::vector<ckpt::EntRecord> ERecs(Ents.size());
+  for (size_t I = 0; I != Ents.size(); ++I) {
+    const EntState &ES = Ents[I];
+    ERecs[I] = {ES.Frame, ES.RegPrev, ES.RegPrevValid, ES.DelPrev};
   }
+  ckpt::writeImage(Out, EngineName, D, Cache, St, PRecs, ERecs);
 }
 
 bool LirEngine::restore(const std::vector<uint8_t> &In, std::string &Err) {
-  Err.clear(); // Callers may reuse the string across attempts.
-  bc::Reader R{In};
-  ckpt::DriverIdMap Map;
-  Map.build(D, Cache);
-  if (!ckpt::readHeaderAndKernel(R, ckpt::moduleHash(*D.M), Signals, Sched,
-                                 Tr, Now, Stats, Map, Err))
+  std::vector<ckpt::ProcRecord> PRecs;
+  std::vector<ckpt::EntRecord> ERecs;
+  if (!ckpt::readImage(In, D, Cache, St, PRecs, ERecs, Err))
     return false;
-
-  if (R.var() != Procs.size() || R.Failed) {
-    Err = "checkpoint process count does not match this design";
-    return false;
-  }
-  for (ProcState &PS : Procs) {
-    ckpt::ProcRecord Rec;
-    if (!ckpt::getProc(R, Rec)) {
-      Err = "truncated checkpoint process section";
-      return false;
-    }
-    if (Rec.Frame.size() != PS.Frame.size()) {
-      Err = "checkpoint frame shape does not match this lowering";
-      return false;
-    }
+  for (size_t I = 0; I != Procs.size(); ++I) {
+    ProcState &PS = Procs[I];
+    ckpt::ProcRecord &Rec = PRecs[I];
     PS.State = static_cast<ProcState::St>(Rec.State);
     PS.Started = Rec.Started != 0;
     PS.Pc = static_cast<int32_t>(Rec.Pc);
@@ -665,29 +565,14 @@ bool LirEngine::restore(const std::vector<uint8_t> &In, std::string &Err) {
       ++JitSt.InterpProcs;
     }
   }
-
-  if (R.var() != Ents.size() || R.Failed) {
-    Err = "checkpoint entity count does not match this design";
-    return false;
-  }
-  for (EntState &ES : Ents) {
-    ckpt::EntRecord Rec;
-    if (!ckpt::getEnt(R, Rec)) {
-      Err = "truncated checkpoint entity section";
-      return false;
-    }
-    if (Rec.Frame.size() != ES.Frame.size() ||
-        Rec.RegPrev.size() != ES.RegPrev.size() ||
-        Rec.DelPrev.size() != ES.DelPrev.size()) {
-      Err = "checkpoint entity shape does not match this lowering";
-      return false;
-    }
+  for (size_t I = 0; I != Ents.size(); ++I) {
+    EntState &ES = Ents[I];
+    ckpt::EntRecord &Rec = ERecs[I];
     ES.Frame = std::move(Rec.Frame);
     ES.RegPrev = std::move(Rec.RegPrev);
     ES.RegPrevValid = std::move(Rec.RegPrevValid);
     ES.DelPrev = std::move(Rec.DelPrev);
   }
-
   Resumed = true;
   return true;
 }

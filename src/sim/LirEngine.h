@@ -10,9 +10,10 @@
 // compile-time-constant pc with no sensitivity re-registration or wake-
 // generation churn (see procSenseStable / EventLoop.h).
 //
-// The two engines instantiating this core differ only in what they feed
-// it: Interp lowers the caller's module as-is; Blaze clones and runs the
-// optimisation pipeline first (its "JIT" configuration).
+// The two engines instantiating this core (through the one InterpSim
+// facade) differ only in what they feed it: Interp lowers the caller's
+// module as-is; Blaze clones and runs the optimisation pipeline first and
+// compiles native code (its "JIT" configuration).
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,17 +44,12 @@ struct ProcContext;
 /// One engine is one run: it holds the per-run SimState plus the
 /// per-instance execution frames, and reads everything else from an
 /// immutable LirProgram. Batch mode constructs N engines over one
-/// shared program; the single-run constructor builds a private program
-/// on the spot.
+/// shared program.
 class LirEngine {
 public:
-  /// Takes ownership of an elaborated design and compiles a private
-  /// program from it (lowering + native code when \p J enables the JIT;
-  /// every JIT failure mode falls back to interpretation). Call build()
-  /// before run() when the design is valid.
-  LirEngine(Design DIn, SimOptions O, jit::JitOptions J = {});
-  /// Batch form: runs over \p P, an immutable program shared with any
-  /// number of concurrent sibling engines.
+  /// Runs over \p P, an immutable program shared with any number of
+  /// concurrent sibling engines. Call build() before run() when the
+  /// design is valid.
   LirEngine(std::shared_ptr<const LirProgram> P, SimOptions O);
   ~LirEngine();
 
@@ -105,7 +101,7 @@ public:
   bool procSenseStable(uint32_t PI) const {
     return Procs[PI].L->StableWait;
   }
-  bool finishRequested() const { return FinishRequested; }
+  bool finishRequested() const { return St.FinishRequested; }
   std::string procName(uint32_t PI) const {
     return Procs[PI].Inst->HierName;
   }
@@ -118,21 +114,9 @@ public:
   //===------------------------------------------------------------------===//
 
   /// What the JIT did during build(); Enabled is false when it was off.
-  const jit::JitStats &jitStats() const;
+  const jit::JitStats &jitStats() const { return JitSt; }
   /// The generated translation unit ("" when nothing was emitted).
   const std::string &jitSource() const;
-
-  /// The intrinsic bodies, shared by the interpreted call path and the
-  /// JIT's call-site callback (jit/Runtime.cpp).
-  void intrinsicAssert(bool Ok);
-  void intrinsicFinish() { FinishRequested = true; }
-
-  /// Unique driver identity per (instance, originating instruction);
-  /// also used by the JIT's bind step.
-  static uint64_t driverId(const void *Tag, const Instruction *I) {
-    return (reinterpret_cast<uintptr_t>(Tag) << 20) ^
-           reinterpret_cast<uintptr_t>(I);
-  }
 
   //===------------------------------------------------------------------===//
   // Program (shared, immutable) and run state (private, mutable)
@@ -155,7 +139,6 @@ public:
   Trace &Tr;
   SimStats &Stats;
   Time &Now;
-  bool FinishRequested = false;
   /// Name recorded in checkpoint headers ("blaze" when owned by Blaze).
   std::string EngineName = "interp";
   /// Set by restore(); run() then skips initialisation and continues.
@@ -188,9 +171,6 @@ private:
     std::vector<uint8_t> RegPrevValid;
     std::vector<RtValue> DelPrev;
   };
-
-  void preloadFrame(const LirUnit &L, const UnitInstance &UI,
-                    std::vector<RtValue> &Frame);
 
   /// Binds this run's process instances to the program's native code
   /// (no-op when the JIT is off); called at the end of build().
@@ -232,7 +212,6 @@ private:
 
   RtValue callFunction(Unit *F, std::vector<RtValue> &Args);
   RtValue callOp(const LirOp &Op, const RtValue *F, const int32_t *Pool);
-  RtValue callIntrinsic(Unit *F, const std::vector<RtValue> &Args);
 
   std::vector<ProcState> Procs;
   std::vector<EntState> Ents;
@@ -249,7 +228,7 @@ private:
 
   /// This run's native bindings over the program's compiled code, plus
   /// its private copy of the JIT statistics (compile-time numbers from
-  /// the program, bind counts from this run).
+  /// the program, bind counts from this run; empty without native code).
   std::vector<std::unique_ptr<jit::ProcContext>> JitCtxs;
   jit::JitStats JitSt;
 };

@@ -2,6 +2,11 @@
 
 #include "sim/RtOps.h"
 #include "ir/Type.h"
+#include "ir/Unit.h"
+#include "sim/Interp.h"
+
+#include <cstdlib>
+#include <cstring>
 
 using namespace llhd;
 
@@ -449,4 +454,62 @@ void llhd::writeSubValue(RtValue &V, const SigRef &Ref, const RtValue &Sub) {
   else
     *Cur = RtValue(
         Cur->logicValue().insertBits(Ref.BitOff, Sub.logicValue()));
+}
+
+//===----------------------------------------------------------------------===//
+// Intrinsics
+//===----------------------------------------------------------------------===//
+
+void llhd::intrinsicAssert(SimState &St, bool Ok) {
+  if (!Ok)
+    ++St.Stats.AssertFailures;
+}
+
+void llhd::intrinsicFinish(SimState &St) { St.FinishRequested = true; }
+
+RtValue llhd::callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
+                            const SimOptions &O, SimState &St) {
+  const std::string &N = Fn.name();
+  // Integer results take their width from the declared return type (i32
+  // in practice).
+  auto intResult = [&](uint64_t X) {
+    return RtValue(
+        IntValue(Fn.returnType() ? Fn.returnType()->bitWidth() : 32, X));
+  };
+  if (N == "llhd.assert") {
+    intrinsicAssert(St, Args.empty() || Args[0].isTruthy());
+    return RtValue();
+  }
+  if (N == "llhd.finish") {
+    intrinsicFinish(St);
+    return RtValue();
+  }
+  if (N == "llhd.random") // $random / $urandom: the seeded stream.
+    return intResult(St.nextRandom());
+  // Plusarg queries: the key is encoded in the intrinsic name by the
+  // frontend (moore/Compiler.cpp), the values come from SimOptions.
+  // Yields the value of the first `+key[=value]` ("" when bare), or null.
+  auto plusarg = [&](const char *Pfx) -> const std::string * {
+    for (const auto &[K, V] : O.Plusargs)
+      if (N.compare(strlen(Pfx), std::string::npos, K) == 0)
+        return &V;
+    return nullptr;
+  };
+  constexpr const char *TestPfx = "llhd.plusarg.test.";
+  constexpr const char *ValuePfx = "llhd.plusarg.value.";
+  if (N.rfind(TestPfx, 0) == 0)
+    return intResult(plusarg(TestPfx) ? 1 : 0);
+  if (N.rfind(ValuePfx, 0) == 0) {
+    // $plusarg$value("KEY", default): the plusarg's numeric value, or
+    // the default when absent or non-numeric.
+    uint64_t X = Args.empty() ? 0 : Args[0].intValue().zextToU64();
+    if (const std::string *V = plusarg(ValuePfx)) {
+      char *End = nullptr;
+      uint64_t Parsed = strtoull(V->c_str(), &End, 0);
+      if (End && End != V->c_str() && *End == '\0')
+        X = Parsed;
+    }
+    return intResult(X);
+  }
+  return defaultValue(Fn.returnType());
 }

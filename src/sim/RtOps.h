@@ -16,6 +16,9 @@
 
 namespace llhd {
 
+struct SimOptions;
+struct SimState;
+
 /// Evaluates a pure data-flow opcode over already-evaluated operands.
 /// Handles arithmetic, bitwise, shifts, comparisons, mux, casts,
 /// aggregate construction and insertion/extraction (on values, signal
@@ -47,6 +50,18 @@ RtValue readSubValue(const RtValue &V, const SigRef &Ref);
 
 /// Writes \p Sub into the part of \p V designated by \p Ref.
 void writeSubValue(RtValue &V, const SigRef &Ref, const RtValue &Sub);
+
+/// Calls the intrinsic or declared function \p Fn on behalf of the run
+/// \p St configured by \p O: llhd.assert, llhd.finish, llhd.random and
+/// the llhd.plusarg.* queries. Any other declaration is a no-op
+/// returning its type's default value.
+RtValue callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
+                      const SimOptions &O, SimState &St);
+
+/// The llhd.assert and llhd.finish bodies, also called by native code
+/// (jit/Runtime.cpp).
+void intrinsicAssert(SimState &St, bool Ok);
+void intrinsicFinish(SimState &St);
 
 } // namespace llhd
 

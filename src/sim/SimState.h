@@ -63,6 +63,9 @@ struct SimState {
   /// xorshift64* state behind the llhd.random intrinsic ($random /
   /// $urandom). Seeded per run (SimOptions::Seed), never zero.
   uint64_t Rng = 0x9e3779b97f4a7c15ull;
+  /// Set by the llhd.finish intrinsic; the event loop stops after the
+  /// current delta cycle.
+  bool FinishRequested = false;
 
   SimState() = default;
   SimState(const Design &D, Trace::Mode TM, uint64_t Seed)

@@ -19,7 +19,6 @@
 #include "sim/RtOps.h"
 #include "support/DepthPool.h"
 
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -56,7 +55,7 @@ struct CsExec {
   CommSimImplRef *Eng = nullptr;
   const void *InstanceTag = nullptr; ///< Driver identity.
   std::vector<RtValue> *RegPrev = nullptr;
-  std::vector<bool> *RegPrevValid = nullptr;
+  std::vector<uint8_t> *RegPrevValid = nullptr;
   std::vector<RtValue> *DelPrev = nullptr;
   bool Initial = false;
   // Wait results.
@@ -72,17 +71,10 @@ struct CommSimImplRef {
   SignalTable *Signals = nullptr;
   Scheduler *Sched = nullptr;
   Time *Now = nullptr;
-  uint64_t *AssertFailures = nullptr;
-  bool *FinishRequested = nullptr;
   std::function<RtValue(Unit *, std::vector<RtValue>)> CallFn;
 };
 
 namespace {
-
-uint64_t csDriverId(const void *Tag, const Instruction *I) {
-  return (reinterpret_cast<uintptr_t>(Tag) << 20) ^
-         reinterpret_cast<uintptr_t>(I);
-}
 
 /// Compiles one lowered unit to closures: a per-LirOpc dispatch, not a
 /// per-ir::Opcode one.
@@ -116,7 +108,7 @@ CsUnit compileUnit(const LirUnit &L) {
         X.Eng->Sched->scheduleUpdate(
             driveTarget(*X.Eng->Now, X.R[Op.Cc].timeValue()),
             {X.R[Op.A].sigRef(), X.R[Op.B],
-             csDriverId(X.InstanceTag, Op.Origin)});
+             driverId(X.InstanceTag, Op.Origin)});
         X.Eng->Sched->countScheduled(1);
         return Next;
       });
@@ -210,7 +202,7 @@ CsUnit compileUnit(const LirUnit &L) {
             [&](Time Delay, const RtValue &Val, uint32_t TI) {
               X.Eng->Sched->scheduleUpdate(
                   driveTarget(*X.Eng->Now, Delay),
-                  {Target, Val, csDriverId(X.InstanceTag, Op.Origin) + TI});
+                  {Target, Val, driverId(X.InstanceTag, Op.Origin) + TI});
               X.Eng->Sched->countScheduled(1);
             });
         return Next;
@@ -226,7 +218,7 @@ CsUnit compileUnit(const LirUnit &L) {
           X.Eng->Sched->scheduleUpdate(
               X.Eng->Now->advance(X.R[Op.Cc].timeValue()),
               {X.R[Op.A].sigRef(), Cur,
-               csDriverId(X.InstanceTag, Op.Origin)});
+               driverId(X.InstanceTag, Op.Origin)});
           X.Eng->Sched->countScheduled(1);
         }
         return Next;
@@ -250,7 +242,7 @@ struct CsProcState {
   enum class St { Ready, Waiting, Halted } State = St::Ready;
   std::vector<SignalId> Sensitivity;
   std::vector<RtValue> RegPrev, DelPrev;
-  std::vector<bool> RegPrevValid;
+  std::vector<uint8_t> RegPrevValid;
   uint64_t WakeGen = 0;
 };
 
@@ -259,7 +251,7 @@ struct CsEntState {
   const UnitInstance *Inst = nullptr;
   CsExec X;
   std::vector<RtValue> RegPrev, DelPrev;
-  std::vector<bool> RegPrevValid;
+  std::vector<uint8_t> RegPrevValid;
 };
 
 } // namespace
@@ -284,33 +276,26 @@ struct CommSim::Impl {
   SimOptions Opts;
   /// Everything this run mutates.
   SimState St;
-  bool FinishRequested = false;
-  std::string Err;
   CommSimImplRef Services;
 
   std::vector<CsProcState> Procs;
   std::vector<CsEntState> Ents;
-  Design EmptyD; ///< design() fallback when construction failed.
 
   /// Depth-indexed pool of function execution contexts, reused across
   /// calls.
   DepthPool<CsExec> FnPool;
 
-  const Design &design() const { return Prog ? Prog->Base->D : EmptyD; }
+  const Design &design() const { return Prog->Base->D; }
 
   Impl(std::shared_ptr<const CommProgram> P, SimOptions O)
       : Prog(std::move(P)), Opts(std::move(O)),
-        St(Prog ? SimState(Prog->Base->D, Opts.TraceMode, Opts.Seed)
-                : SimState()) {
-    if (!Prog) {
-      Err = "null program";
+        St(design().ok() ? SimState(design(), Opts.TraceMode, Opts.Seed)
+                         : SimState()) {
+    if (!design().ok())
       return;
-    }
     Services.Signals = &St.Signals;
     Services.Sched = &St.Sched;
     Services.Now = &St.Now;
-    Services.AssertFailures = &St.Stats.AssertFailures;
-    Services.FinishRequested = &FinishRequested;
     Services.CallFn = [this](Unit *F, std::vector<RtValue> Args) {
       return callFunction(F, std::move(Args));
     };
@@ -324,14 +309,7 @@ struct CommSim::Impl {
   }
 
   void preload(const CsUnit &CU, const UnitInstance &UI, CsExec &X) {
-    X.R.assign(CU.L->NumSlots, RtValue());
-    for (const auto &[Slot, V] : CU.L->ConstSlots)
-      X.R[Slot] = V;
-    for (const auto &[Val, Ref] : UI.Bindings) {
-      uint32_t Reg = Val->valueNumber();
-      if (Reg < CU.L->NumValues)
-        X.R[Reg] = RtValue(Ref);
-    }
+    CU.L->preload(UI, X.R);
     X.Eng = &Services;
   }
 
@@ -345,7 +323,7 @@ struct CommSim::Impl {
         preload(CU, UI, PS.X);
         PS.X.InstanceTag = &UI;
         PS.RegPrev.assign(CU.L->NumRegPrev, RtValue());
-        PS.RegPrevValid.assign(CU.L->NumRegPrev, false);
+        PS.RegPrevValid.assign(CU.L->NumRegPrev, 0);
         PS.DelPrev.assign(CU.L->NumDelPrev, RtValue());
         Procs.push_back(std::move(PS));
       } else {
@@ -355,7 +333,7 @@ struct CommSim::Impl {
         preload(CU, UI, ES.X);
         ES.X.InstanceTag = &UI;
         ES.RegPrev.assign(CU.L->NumRegPrev, RtValue());
-        ES.RegPrevValid.assign(CU.L->NumRegPrev, false);
+        ES.RegPrevValid.assign(CU.L->NumRegPrev, 0);
         ES.DelPrev.assign(CU.L->NumDelPrev, RtValue());
         Ents.push_back(std::move(ES));
       }
@@ -378,42 +356,8 @@ struct CommSim::Impl {
   }
 
   RtValue callFunction(Unit *F, std::vector<RtValue> Args) {
-    if (F->isIntrinsic() || F->isDeclaration()) {
-      const std::string &N = F->name();
-      if (N == "llhd.assert") {
-        if (!Args.empty() && !Args[0].isTruthy())
-          ++St.Stats.AssertFailures;
-        return RtValue();
-      }
-      if (N == "llhd.finish") {
-        FinishRequested = true;
-        return RtValue();
-      }
-      if (N == "llhd.random") {
-        unsigned W = F->returnType() ? F->returnType()->bitWidth() : 32;
-        return RtValue(IntValue(W, St.nextRandom()));
-      }
-      constexpr const char *TestPfx = "llhd.plusarg.test.";
-      constexpr const char *ValuePfx = "llhd.plusarg.value.";
-      if (N.rfind(TestPfx, 0) == 0) {
-        unsigned W = F->returnType() ? F->returnType()->bitWidth() : 32;
-        return RtValue(
-            IntValue(W, Opts.hasPlusarg(N.substr(strlen(TestPfx))) ? 1 : 0));
-      }
-      if (N.rfind(ValuePfx, 0) == 0) {
-        unsigned W = F->returnType() ? F->returnType()->bitWidth() : 32;
-        uint64_t X = Args.empty() ? 0 : Args[0].intValue().zextToU64();
-        if (const std::string *V =
-                Opts.plusargValue(N.substr(strlen(ValuePfx)))) {
-          char *End = nullptr;
-          uint64_t Parsed = strtoull(V->c_str(), &End, 0);
-          if (End && End != V->c_str() && *End == '\0')
-            X = Parsed;
-        }
-        return RtValue(IntValue(W, X));
-      }
-      return defaultValue(F->returnType());
-    }
+    if (F->isIntrinsic() || F->isDeclaration())
+      return callIntrinsic(*F, Args, Opts, St);
     const CsUnit &CU = unitFor(F);
     auto Lease = FnPool.lease();
     CsExec &X = *Lease;
@@ -425,14 +369,15 @@ struct CommSim::Impl {
     for (unsigned I = 0; I != F->inputs().size(); ++I)
       X.R[F->input(I)->valueNumber()] = std::move(Args[I]);
     int Pc = 0;
-    uint64_t Fuel = 10000000ull;
-    while (Fuel--) {
+    uint64_t Fuel = MaxBackwardJumps;
+    for (;;) {
       int Next = CU.Ops[Pc](X);
       if (Next < 0)
         return std::move(X.RetVal);
+      if (Next <= Pc && !--Fuel)
+        return RtValue(); // Runaway guard.
       Pc = Next;
     }
-    return RtValue();
   }
 
   void runProcess(uint32_t PI) {
@@ -446,10 +391,12 @@ struct CommSim::Impl {
     // keep their one-time sensitivity registration.
     int Pc = CU.L->StableWait && PS.Started ? CU.L->ResumePc : PS.Pc;
     PS.X.SkipSense = CU.L->StableWait && PS.Started;
-    uint64_t Fuel = 10000000ull;
-    while (Fuel--) {
+    uint64_t Fuel = MaxBackwardJumps;
+    for (;;) {
       int Next = CU.Ops[Pc](PS.X);
       if (Next >= 0) {
+        if (Next <= Pc && !--Fuel)
+          break; // Runaway guard: treat as hung.
         Pc = Next;
         continue;
       }
@@ -500,13 +447,13 @@ struct CommSim::Impl {
   bool procSenseStable(uint32_t PI) const {
     return Procs[PI].CU->L->StableWait;
   }
-  bool finishRequested() const { return FinishRequested; }
+  bool finishRequested() const { return St.FinishRequested; }
   std::string procName(uint32_t PI) const {
     return Procs[PI].Inst->HierName;
   }
 
   SimStats run() {
-    if (!Prog)
+    if (!design().ok())
       return SimStats();
     return runEventLoop(*this, design(), Opts, St, Resumed);
   }
@@ -518,18 +465,10 @@ struct CommSim::Impl {
   bool Resumed = false;
 
   void checkpoint(std::vector<uint8_t> &Out) {
-    // CommSim's driver ids use the same (instance-tag, instruction)
-    // formula over the same &UI tags as the LIR engines, so the shared
-    // DriverIdMap enumeration applies unchanged.
-    ckpt::DriverIdMap Map;
-    Map.build(design(), Prog->Base->Cache);
-    ckpt::writeHeaderAndKernel(Out, ckpt::moduleHash(*design().M), "comm",
-                               St.Signals, St.Sched, St.Tr, St.Now,
-                               St.Stats, Map);
-
-    bc::putVar(Out, Procs.size());
-    for (const CsProcState &PS : Procs) {
-      ckpt::ProcRecord Rec;
+    std::vector<ckpt::ProcRecord> PRecs(Procs.size());
+    for (size_t I = 0; I != Procs.size(); ++I) {
+      const CsProcState &PS = Procs[I];
+      ckpt::ProcRecord &Rec = PRecs[I];
       Rec.State = static_cast<uint8_t>(PS.State);
       Rec.Started = PS.Started;
       Rec.Pc = PS.Pc;
@@ -538,49 +477,30 @@ struct CommSim::Impl {
       Rec.Frame = PS.X.R;
       Rec.Memory = PS.X.Memory;
       Rec.RegPrev = PS.RegPrev;
-      Rec.RegPrevValid.assign(PS.RegPrevValid.begin(),
-                              PS.RegPrevValid.end());
+      Rec.RegPrevValid = PS.RegPrevValid;
       Rec.DelPrev = PS.DelPrev;
-      ckpt::putProc(Out, Rec);
     }
-    bc::putVar(Out, Ents.size());
-    for (const CsEntState &ES : Ents) {
-      ckpt::EntRecord Rec;
-      Rec.Frame = ES.X.R;
-      Rec.RegPrev = ES.RegPrev;
-      Rec.RegPrevValid.assign(ES.RegPrevValid.begin(),
-                              ES.RegPrevValid.end());
-      Rec.DelPrev = ES.DelPrev;
-      ckpt::putEnt(Out, Rec);
+    std::vector<ckpt::EntRecord> ERecs(Ents.size());
+    for (size_t I = 0; I != Ents.size(); ++I) {
+      const CsEntState &ES = Ents[I];
+      ERecs[I] = {ES.X.R, ES.RegPrev, ES.RegPrevValid, ES.DelPrev};
     }
+    // CommSim's driver ids use the same (instance-tag, instruction)
+    // formula over the same &UI tags as the LIR engines, so the shared
+    // codec's driver-id enumeration applies unchanged.
+    ckpt::writeImage(Out, "comm", design(), Prog->Base->Cache, St, PRecs,
+                     ERecs);
   }
 
-  bool restore(const std::vector<uint8_t> &In, std::string &RErr) {
-    RErr.clear(); // Callers may reuse the string across attempts.
-    bc::Reader R{In};
-    ckpt::DriverIdMap Map;
-    Map.build(design(), Prog->Base->Cache);
-    if (!ckpt::readHeaderAndKernel(R, ckpt::moduleHash(*design().M),
-                                   St.Signals, St.Sched, St.Tr, St.Now,
-                                   St.Stats, Map, RErr))
+  bool restore(const std::vector<uint8_t> &In, std::string &Err) {
+    std::vector<ckpt::ProcRecord> PRecs;
+    std::vector<ckpt::EntRecord> ERecs;
+    if (!ckpt::readImage(In, design(), Prog->Base->Cache, St, PRecs, ERecs,
+                         Err))
       return false;
-
-    if (R.var() != Procs.size() || R.Failed) {
-      RErr = "checkpoint process count does not match this design";
-      return false;
-    }
-    for (CsProcState &PS : Procs) {
-      ckpt::ProcRecord Rec;
-      if (!ckpt::getProc(R, Rec)) {
-        RErr = "truncated checkpoint process section";
-        return false;
-      }
-      if (Rec.Frame.size() != PS.X.R.size() ||
-          Rec.RegPrev.size() != PS.RegPrev.size() ||
-          Rec.DelPrev.size() != PS.DelPrev.size()) {
-        RErr = "checkpoint frame shape does not match this lowering";
-        return false;
-      }
+    for (size_t I = 0; I != Procs.size(); ++I) {
+      CsProcState &PS = Procs[I];
+      ckpt::ProcRecord &Rec = PRecs[I];
       PS.State = static_cast<CsProcState::St>(Rec.State);
       PS.Started = Rec.Started != 0;
       PS.Pc = static_cast<int>(Rec.Pc);
@@ -589,34 +509,17 @@ struct CommSim::Impl {
       PS.X.R = std::move(Rec.Frame);
       PS.X.Memory = std::move(Rec.Memory);
       PS.RegPrev = std::move(Rec.RegPrev);
-      PS.RegPrevValid.assign(Rec.RegPrevValid.begin(),
-                             Rec.RegPrevValid.end());
+      PS.RegPrevValid = std::move(Rec.RegPrevValid);
       PS.DelPrev = std::move(Rec.DelPrev);
     }
-
-    if (R.var() != Ents.size() || R.Failed) {
-      RErr = "checkpoint entity count does not match this design";
-      return false;
-    }
-    for (CsEntState &ES : Ents) {
-      ckpt::EntRecord Rec;
-      if (!ckpt::getEnt(R, Rec)) {
-        RErr = "truncated checkpoint entity section";
-        return false;
-      }
-      if (Rec.Frame.size() != ES.X.R.size() ||
-          Rec.RegPrev.size() != ES.RegPrev.size() ||
-          Rec.DelPrev.size() != ES.DelPrev.size()) {
-        RErr = "checkpoint entity shape does not match this lowering";
-        return false;
-      }
+    for (size_t I = 0; I != Ents.size(); ++I) {
+      CsEntState &ES = Ents[I];
+      ckpt::EntRecord &Rec = ERecs[I];
       ES.X.R = std::move(Rec.Frame);
       ES.RegPrev = std::move(Rec.RegPrev);
-      ES.RegPrevValid.assign(Rec.RegPrevValid.begin(),
-                             Rec.RegPrevValid.end());
+      ES.RegPrevValid = std::move(Rec.RegPrevValid);
       ES.DelPrev = std::move(Rec.DelPrev);
     }
-
     Resumed = true;
     return true;
   }
@@ -637,13 +540,22 @@ CommSim::buildProgram(Module &M, const std::string &Top, std::string &Err) {
   return P;
 }
 
-CommSim::CommSim(Module &M, const std::string &Top, SimOptions Opts) {
-  std::string Err;
-  std::shared_ptr<const CommProgram> Prog = buildProgram(M, Top, Err);
-  P = std::make_unique<Impl>(std::move(Prog), std::move(Opts));
-  if (!Err.empty())
-    P->Err = Err;
+namespace {
+/// buildProgram()'s program, or one over an invalid design carrying the
+/// build error.
+std::shared_ptr<const CommProgram> buildOrInvalid(Module &M,
+                                                  const std::string &Top) {
+  Design Failed;
+  if (auto P = CommSim::buildProgram(M, Top, Failed.Error))
+    return P;
+  auto P = std::make_shared<CommProgram>();
+  P->Base = LirProgram::build(std::move(Failed));
+  return P;
 }
+} // namespace
+
+CommSim::CommSim(Module &M, const std::string &Top, SimOptions Opts)
+    : CommSim(buildOrInvalid(M, Top), std::move(Opts)) {}
 
 CommSim::CommSim(Module &M, const std::string &Top)
     : CommSim(M, Top, SimOptions()) {}
@@ -653,8 +565,8 @@ CommSim::CommSim(std::shared_ptr<const CommProgram> Prog, SimOptions Opts)
 
 CommSim::~CommSim() = default;
 
-bool CommSim::valid() const { return P->Err.empty(); }
-const std::string &CommSim::error() const { return P->Err; }
+bool CommSim::valid() const { return P->design().ok(); }
+const std::string &CommSim::error() const { return P->design().Error; }
 SimStats CommSim::run() { return P->run(); }
 SimOptions &CommSim::options() { return P->Opts; }
 void CommSim::checkpoint(std::vector<uint8_t> &Out) { P->checkpoint(Out); }

@@ -29,10 +29,13 @@ struct CommProgram;
 /// The closure-compiled comparison engine.
 class CommSim {
 public:
+  /// Compiles \p Top of \p M; a failed build leaves the engine invalid,
+  /// with the reason in error().
   CommSim(Module &M, const std::string &Top, SimOptions Opts);
   CommSim(Module &M, const std::string &Top);
   /// Batch form: runs over an immutable program from buildProgram(),
-  /// shared with any number of concurrent sibling engines.
+  /// shared with any number of concurrent sibling engines. \p Prog must
+  /// not be null.
   CommSim(std::shared_ptr<const CommProgram> Prog, SimOptions Opts);
   ~CommSim();
 

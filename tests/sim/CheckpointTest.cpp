@@ -322,6 +322,35 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedImages) {
   EXPECT_TRUE(makeInterp(M, Top, O)->restore(Image, Err)) << Err;
 }
 
+// An engine whose build failed is invalid on every engine: it reports
+// the build error, runs nothing, writes an empty image and refuses to
+// restore with the build error.
+TEST(Checkpoint, InvalidEnginesNeitherSaveNorRestore) {
+  designs::DesignInfo D = designs::designByKey("gray", 0.0);
+  Context Ctx;
+  Module M(Ctx, "m");
+  std::string Top = compileDesign(D, M);
+  std::vector<uint8_t> Image;
+  makeInterp(M, Top, SimOptions())->checkpoint(Image);
+  ASSERT_FALSE(Image.empty());
+
+  auto check = [&](auto &Sim) {
+    EXPECT_FALSE(Sim.valid());
+    EXPECT_NE(Sim.error().find("nosuch"), std::string::npos) << Sim.error();
+    EXPECT_EQ(Sim.run().Steps, 0u);
+    std::vector<uint8_t> Out;
+    Sim.checkpoint(Out);
+    EXPECT_TRUE(Out.empty());
+    std::string Err;
+    EXPECT_FALSE(Sim.restore(Image, Err));
+    EXPECT_EQ(Err, Sim.error());
+  };
+  BlazeSim Blaze(M, "nosuch");
+  check(Blaze);
+  CommSim Comm(M, "nosuch");
+  check(Comm);
+}
+
 // A failed publish returns false and leaves no "<path>.tmp" behind: not
 // when the directory is missing, and not when the final rename fails
 // (the destination is a directory), where the temporary was written.

@@ -529,6 +529,40 @@ entry:
   }
 }
 
+TEST_F(LirTest, RunawayGuardCountsBackwardJumps) {
+  // One activation spins 2.5M times through a five-op loop (12.5M ops,
+  // 2.5M backward jumps) before driving its result. Every engine counts
+  // the runaway guard in backward jumps, so none mistakes the loop for
+  // a hang, whatever its dispatch granularity.
+  const char *Src = R"(
+entity @top () -> () {
+  %z = const i32 0
+  %s = sig i32 %z
+  inst @spin () -> (i32$ %s)
+}
+proc @spin () -> (i32$ %o) {
+entry:
+  %zero = const i32 0
+  %one = const i32 1
+  %n = const i32 2500000
+  %t = const time 1ns
+  %i = var i32 %zero
+  br %loop
+loop:
+  %ip = ld i32* %i
+  %in = add i32 %ip, %one
+  st i32* %i, %in
+  %cont = ult i32 %in, %n
+  br %cont, %done, %loop
+done:
+  drv i32$ %o, %in after %t
+  halt
+}
+)";
+  auto Ref = runAllEngines(Src, "top");
+  EXPECT_EQ(signalValue(*Ref, "/s").intValue().zextToU64(), 2500000u);
+}
+
 // The paper's central cross-simulator claim holds through the shared
 // layer: one digest per design on all three engines (the full-suite
 // sweep lives in EngineEquivalenceTest; WaveTest asserts VCD byte-

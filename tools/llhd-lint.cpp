@@ -16,16 +16,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Connectivity.h"
-#include "asm/Parser.h"
 #include "lint/Lint.h"
-#include "moore/Compiler.h"
-#include "sim/Design.h"
+#include "sim/Frontend.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,8 +53,8 @@ void printUsage() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string File, Top, WaiverPath;
-  int Language = 0; // 0 = by extension, 1 = llhd, 2 = sv.
+  DesignSource In("llhd-lint");
+  std::string WaiverPath;
   bool DumpConnectivity = false;
   DiagnosticEngine::Options Opts;
 
@@ -67,7 +64,7 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 0;
     } else if (A.rfind("--top=", 0) == 0) {
-      Top = A.substr(strlen("--top="));
+      In.Top = A.substr(strlen("--top="));
     } else if (A.rfind("--waivers=", 0) == 0) {
       WaiverPath = A.substr(strlen("--waivers="));
     } else if (A == "-Werror" || A == "--werror") {
@@ -88,58 +85,38 @@ int main(int Argc, char **Argv) {
     } else if (A == "--dump-connectivity") {
       DumpConnectivity = true;
     } else if (A == "--sv") {
-      Language = 2;
+      In.Lang = DesignSource::Language::Sv;
     } else if (A == "--llhd") {
-      Language = 1;
+      In.Lang = DesignSource::Language::Llhd;
     } else if (!A.empty() && A[0] == '-' && A != "-") {
       fprintf(stderr, "llhd-lint: unknown option '%s'\n", A.c_str());
       printUsage();
       return 64;
-    } else if (File.empty()) {
-      File = A;
+    } else if (In.File.empty()) {
+      In.File = A;
     } else {
       fprintf(stderr, "llhd-lint: more than one input file\n");
       return 64;
     }
   }
-  if (File.empty()) {
+  if (In.File.empty()) {
     printUsage();
     return 64;
   }
 
-  std::string Src;
-  if (File == "-") {
-    std::ostringstream SS;
-    SS << std::cin.rdbuf();
-    Src = SS.str();
-  } else {
-    std::ifstream In(File);
-    if (!In) {
-      fprintf(stderr, "llhd-lint: cannot open '%s'\n", File.c_str());
-      return 66;
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Src = SS.str();
-  }
-  if (Language == 0) {
-    auto endsWith = [&](const char *Suffix) {
-      size_t L = strlen(Suffix);
-      return File.size() >= L && File.compare(File.size() - L, L, Suffix) == 0;
-    };
-    Language = (endsWith(".sv") || endsWith(".v")) ? 2 : 1;
-  }
+  if (!In.read())
+    return 66;
 
   DiagnosticEngine DE(Opts);
   if (!WaiverPath.empty()) {
-    std::ifstream In(WaiverPath);
-    if (!In) {
+    std::ifstream Waivers(WaiverPath);
+    if (!Waivers) {
       fprintf(stderr, "llhd-lint: cannot open waiver file '%s'\n",
               WaiverPath.c_str());
       return 66;
     }
     std::ostringstream SS;
-    SS << In.rdbuf();
+    SS << Waivers.rdbuf();
     std::string Error;
     if (!DE.addWaivers(SS.str(), Error)) {
       fprintf(stderr, "llhd-lint: %s: %s\n", WaiverPath.c_str(),
@@ -148,44 +125,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  Context Ctx;
-  Module M(Ctx, File);
-  if (Language == 2) {
-    std::string Error;
-    if (Top.empty()) {
-      Top = moore::detectTopModule(Src, Error);
-      if (Top.empty()) {
-        fprintf(stderr, "llhd-lint: %s\n", Error.c_str());
-        return 65;
-      }
-    }
-    moore::CompileResult R = moore::compileSystemVerilog(Src, Top, M);
-    if (!R.Ok) {
-      fprintf(stderr, "llhd-lint: %s\n", R.Error.c_str());
-      return 65;
-    }
-    Top = R.TopUnit;
-  } else {
-    ParseResult R = parseModule(Src, M);
-    if (!R.Ok) {
-      fprintf(stderr, "llhd-lint: %s\n", R.Error.c_str());
-      return 65;
-    }
-    if (Top.empty()) {
-      std::string Error;
-      Top = findTopUnit(M, Error);
-      if (Top.empty()) {
-        fprintf(stderr, "llhd-lint: %s\n", Error.c_str());
-        return 65;
-      }
-    }
-  }
-
-  Design D = elaborate(M, Top);
-  if (!D.ok()) {
-    fprintf(stderr, "llhd-lint: %s\n", D.Error.c_str());
+  Elaborated E;
+  if (!In.elaborate(In.File, E))
     return 65;
-  }
+  const Design &D = E.D;
 
   DesignAnalysisManager AM;
   if (DumpConnectivity) {

@@ -18,10 +18,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Connectivity.h"
-#include "asm/Parser.h"
 #include "lint/Lint.h"
-#include "moore/Compiler.h"
 #include "sim/Batch.h"
+#include "sim/Frontend.h"
 #include "sim/Lir.h"
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -135,9 +133,9 @@ ExitCode exitCodeFor(StopReason R) {
   return ExitCode::Ok;
 }
 
-/// Reads all of \p Path into \p Out (the source text or a checkpoint
-/// image); false when it cannot be opened.
-template <typename Bytes> bool readFile(const std::string &Path, Bytes &Out) {
+/// Reads all of \p Path (a checkpoint image) into \p Out; false when it
+/// cannot be opened.
+bool readFile(const std::string &Path, std::vector<uint8_t> &Out) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
     return false;
@@ -160,59 +158,6 @@ struct DriverConfig {
   bool LintWerror = false; ///< --lint=error: promote warnings too.
 
   DriverConfig() { BO.Engine = "interp"; }
-};
-
-/// A freshly built and elaborated module, for the modes that inspect the
-/// design rather than simulate it.
-struct Elaborated {
-  std::unique_ptr<Module> M;
-  std::string Top;
-  Design D;
-};
-
-/// The design source and how to build fresh modules from it: every
-/// engine run and every inspection gets its own module, so the
-/// optimising engines can never contaminate a comparison run.
-struct Input {
-  std::string File, Src;
-  std::string Top; ///< --top, or the detected SystemVerilog module.
-  bool Sv = false;
-  Context Ctx;
-
-  /// Builds a module named \p Name; \p UnitTop receives the unit to
-  /// simulate. On a frontend error, prints it unless \p Quiet and
-  /// returns null.
-  std::unique_ptr<Module> build(const std::string &Name, std::string &UnitTop,
-                                bool Quiet = false) {
-    auto M = std::make_unique<Module>(Ctx, Name);
-    std::string Error;
-    if (Sv) {
-      moore::CompileResult R = moore::compileSystemVerilog(Src, Top, *M);
-      Error = R.Error;
-      UnitTop = R.Ok ? R.TopUnit : "";
-    } else {
-      ParseResult R = parseModule(Src, *M);
-      Error = R.Error;
-      UnitTop = !R.Ok ? "" : Top.empty() ? findTopUnit(*M, Error) : Top;
-    }
-    if (!UnitTop.empty())
-      return M;
-    if (!Quiet)
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
-    return nullptr;
-  }
-
-  /// build() plus elaboration into \p E; false (error printed unless
-  /// \p Quiet) on failure.
-  bool elaborate(const std::string &Name, Elaborated &E, bool Quiet = false) {
-    E.M = build(Name, E.Top, Quiet);
-    if (!E.M)
-      return false;
-    E.D = llhd::elaborate(*E.M, E.Top);
-    if (!E.D.ok() && !Quiet)
-      fprintf(stderr, "llhd-sim: %s\n", E.D.Error.c_str());
-    return E.D.ok();
-  }
 };
 
 /// Where Blaze's shared object came from, for the `blaze jit:` line.
@@ -246,7 +191,7 @@ void printJitStats(const jit::JitStats &J) {
 /// Cross-references an oscillation with the static analysis: the loop
 /// the runtime guard caught is usually visible to llhd-lint's comb-loop
 /// check without running the design at all, with the full cycle named.
-void printOscillationHint(Input &In) {
+void printOscillationHint(DesignSource &In) {
   Elaborated E;
   if (!In.elaborate(In.File + ".oschint", E, /*Quiet=*/true))
     return;
@@ -279,7 +224,7 @@ struct Run {
 /// then divergence (2), then assertion failures (1), then the first
 /// stop reason in run order.
 int report(const std::vector<Run> &Runs, const DriverConfig &Cfg,
-           Input &In) {
+           DesignSource &In) {
   bool IoFailed = false, Asserted = false, Oscillated = false;
   bool JitShown = false; // One program per invocation reaches the JIT.
   ExitCode Stopped = ExitCode::Ok;
@@ -376,8 +321,7 @@ int main(int Argc, char **Argv) {
   DriverConfig Cfg;
   BatchOptions &BO = Cfg.BO;
   SimOptions &Opts = BO.Base;
-  Input In;
-  int Language = 0; // 0 = by extension, 1 = llhd, 2 = sv.
+  DesignSource In("llhd-sim");
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I], V;
@@ -466,9 +410,9 @@ int main(int Argc, char **Argv) {
     } else if (A == "--dump-lir") {
       Cfg.DumpLir = true;
     } else if (A == "--sv") {
-      Language = 2;
+      In.Lang = DesignSource::Language::Sv;
     } else if (A == "--llhd") {
-      Language = 1;
+      In.Lang = DesignSource::Language::Llhd;
     } else if (!A.empty() && A[0] == '-' && A != "-") {
       fprintf(stderr, "llhd-sim: unknown option '%s'\n", A.c_str());
       printUsage();
@@ -537,33 +481,8 @@ int main(int Argc, char **Argv) {
     Opts.RC.StopFlag = &GStopRequested;
   }
 
-  if (File == "-") {
-    In.Src.assign(std::istreambuf_iterator<char>(std::cin),
-                  std::istreambuf_iterator<char>());
-  } else if (!readFile(File, In.Src)) {
-    fprintf(stderr, "llhd-sim: cannot open '%s'\n", File.c_str());
+  if (!In.read())
     return exitFor(ExitCode::IoError);
-  }
-  if (Language == 0) {
-    auto endsWith = [&](const char *Suffix) {
-      size_t L = strlen(Suffix);
-      return File.size() >= L &&
-             File.compare(File.size() - L, L, Suffix) == 0;
-    };
-    Language = (endsWith(".sv") || endsWith(".v")) ? 2 : 1;
-  }
-  In.Sv = Language == 2;
-  // Detect the SystemVerilog top once, before any engine runs: it
-  // cannot change between engines, and this keeps --diff-engines from
-  // re-parsing the source an extra time per engine.
-  if (In.Sv && In.Top.empty()) {
-    std::string Error;
-    In.Top = moore::detectTopModule(In.Src, Error);
-    if (In.Top.empty()) {
-      fprintf(stderr, "llhd-sim: %s\n", Error.c_str());
-      return exitFor(ExitCode::InputError);
-    }
-  }
 
   if (Cfg.DumpLir) {
     Elaborated E;
