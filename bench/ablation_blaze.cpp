@@ -41,7 +41,7 @@ int main(int argc, char **argv) {
   Design Dn = elaborate(M1, R.TopUnit);
   InterpSim Int(std::move(Dn), Opts);
   double TInt = timeIt([&] { Int.run(); });
-  printf("%-34s %10.3f %9.1fx\n", "Interp (tree-walking reference)",
+  printf("%-34s %10.3f %9.1fx\n", "Interp (reference LIR interpreter)",
          TInt, 1.0);
 
   // The four corners of the Blaze configuration grid:

@@ -2,8 +2,8 @@
 //
 // Microbenchmarks of the hot primitives underneath the Table 2 numbers:
 // IntValue arithmetic, the event wheel (general and word-lane updates),
-// the wake index, assembly parsing, bitcode round trips, and full
-// simulations of one design on each engine.
+// the wake index, assembly parsing, in-memory module cloning, bitcode
+// round trips, and full simulations of one design on each engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,7 @@
 #include "bitcode/Bitcode.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
+#include "ir/Clone.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
 
@@ -165,6 +166,22 @@ static void BM_AsmRoundTripGray(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_AsmRoundTripGray);
+
+/// Blaze's private copy of a design: the in-memory clone that replaced
+/// a print + parse round trip (compare BM_AsmRoundTripGray, which times
+/// the parse half alone).
+static void BM_CloneGray(benchmark::State &State) {
+  designs::DesignInfo D = designs::designByKey("gray", 0.0);
+  Context Ctx;
+  Module M(Ctx, "t");
+  (void)moore::compileSystemVerilog(D.Source, D.TopModule, M);
+  for (auto _ : State) {
+    Module C(Ctx, "c");
+    cloneModule(M, C);
+    benchmark::DoNotOptimize(C.units().size());
+  }
+}
+BENCHMARK(BM_CloneGray);
 
 static void BM_BitcodeWriteGray(benchmark::State &State) {
   designs::DesignInfo D = designs::designByKey("gray", 0.0);

@@ -375,6 +375,7 @@ private:
     } else {
       // Blocks are introduced by "label:" lines.
       BasicBlock *Cur = nullptr;
+      std::set<BasicBlock *> Defined;
       while (Tok.Kind != TokKind::RBrace) {
         if (Tok.Kind == TokKind::Eof)
           return error("unexpected end of input in unit body");
@@ -387,7 +388,15 @@ private:
           advance();
           if (Tok.Kind == TokKind::Colon) {
             advance();
-            Cur = getBlock(U, LabelOrOp);
+            BasicBlock *BB = getBlock(U, LabelOrOp);
+            if (!Defined.insert(BB).second)
+              return error("duplicate label '" + LabelOrOp + "'");
+            // A forward `br`/`wait` created the block at its first
+            // mention; keep the block order equal to textual label order
+            // so that print(parse(T)) is a fixpoint.
+            if (Cur)
+              U->moveBlockAfter(BB, Cur);
+            Cur = BB;
             Builder.setInsertPoint(Cur);
             continue;
           }

@@ -2,19 +2,20 @@
 //
 // Blaze's compilation is now a thin pass over the shared lowered runtime
 // IR (sim/Lir.h) instead of a second opcode walk over ir::Instruction:
-// the engine clones the caller's module, runs the LLHD optimisation
-// pipeline over the clone (the paper's "JIT with optimisations"
-// configuration, one notch below LLVM), elaborates, lowers and compiles
-// native code, and then runs the program through the reference
-// interpreter's own facade (BlazeSim is an InterpSim). Engine semantics
-// are therefore shared by construction; what distinguishes Blaze is the
-// pre-compilation optimisation and native code of the simulated module.
+// the engine copies the caller's module in memory (ir/Clone.h; the text
+// form is for moving designs between tools, not for copying one inside
+// a process), runs the LLHD optimisation pipeline over the clone (the
+// paper's "JIT with optimisations" configuration, one notch below LLVM),
+// elaborates, lowers and compiles native code, and then runs the program
+// through the reference interpreter's own facade (BlazeSim is an
+// InterpSim). Engine semantics are therefore shared by construction; what
+// distinguishes Blaze is the pre-compilation optimisation and native code
+// of the simulated module.
 //
 //===----------------------------------------------------------------------===//
 
 #include "blaze/Blaze.h"
-#include "asm/Parser.h"
-#include "asm/Printer.h"
+#include "ir/Clone.h"
 #include "passes/Passes.h"
 #include "sim/Program.h"
 
@@ -26,7 +27,7 @@ namespace {
 /// The program BlazeSim runs: buildProgram()'s, or an invalid one
 /// carrying the build error.
 std::shared_ptr<const LirProgram>
-buildOrInvalid(Module &M, const std::string &Top,
+buildOrInvalid(const Module &M, const std::string &Top,
                const BlazeSim::BlazeOptions &O) {
   Design Failed;
   std::shared_ptr<const LirProgram> Prog =
@@ -36,17 +37,13 @@ buildOrInvalid(Module &M, const std::string &Top,
 } // namespace
 
 std::shared_ptr<const LirProgram>
-BlazeSim::buildProgram(Module &M, const std::string &Top,
+BlazeSim::buildProgram(const Module &M, const std::string &Top,
                        const BlazeOptions &O, std::string &Err) {
   // Clone the module so optimisation does not disturb the caller. The
   // program keeps the clone alive (its units point into it); the clone
   // lives in the caller's Context, which must outlive the program.
   auto Clone = std::make_shared<Module>(M.context(), M.name() + ".blaze");
-  ParseResult R = parseModule(printModule(M), *Clone);
-  if (!R.Ok) {
-    Err = "internal clone failed: " + R.Error;
-    return nullptr;
-  }
+  cloneModule(M, *Clone);
   if (O.Optimize)
     runStandardOptimizations(*Clone);
   Design D = elaborate(*Clone, Top);
@@ -57,10 +54,11 @@ BlazeSim::buildProgram(Module &M, const std::string &Top,
   return LirProgram::build(std::move(D), O.Jit, std::move(Clone));
 }
 
-BlazeSim::BlazeSim(Module &M, const std::string &Top, BlazeOptions Opts)
+BlazeSim::BlazeSim(const Module &M, const std::string &Top,
+                   BlazeOptions Opts)
     : InterpSim(buildOrInvalid(M, Top, Opts), Opts, "blaze") {}
 
-BlazeSim::BlazeSim(Module &M, const std::string &Top)
+BlazeSim::BlazeSim(const Module &M, const std::string &Top)
     : BlazeSim(M, Top, BlazeOptions()) {}
 
 BlazeSim::BlazeSim(std::shared_ptr<const LirProgram> Prog, SimOptions Opts)

@@ -18,8 +18,9 @@
 
 #include "analysis/Dnf.h"
 #include "analysis/TemporalRegions.h"
+#include "ir/Clone.h"
+#include "ir/IRBuilder.h"
 #include "passes/Passes.h"
-#include "passes/Utils.h"
 
 #include <map>
 #include <set>

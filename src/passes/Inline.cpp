@@ -6,8 +6,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Clone.h"
+#include "ir/IRBuilder.h"
 #include "passes/Passes.h"
-#include "passes/Utils.h"
 
 using namespace llhd;
 

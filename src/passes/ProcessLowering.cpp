@@ -7,8 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Clone.h"
 #include "passes/Passes.h"
-#include "passes/Utils.h"
 
 #include <set>
 

@@ -15,8 +15,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Cfg.h"
+#include "ir/Clone.h"
+#include "ir/IRBuilder.h"
 #include "passes/Passes.h"
-#include "passes/Utils.h"
 
 using namespace llhd;
 

@@ -2,27 +2,9 @@
 
 #include "passes/Utils.h"
 
-using namespace llhd;
+#include <map>
 
-Instruction *llhd::cloneInst(const Instruction *I, const ValueMap &VMap) {
-  auto *C = new Instruction(I->opcode(), I->type(), I->name());
-  C->setImmediate(I->immediate());
-  C->setCallee(I->callee());
-  C->setNumInputs(I->numInputs());
-  if (I->opcode() == Opcode::Const) {
-    C->setIntValue(I->intValue());
-    C->setTimeValue(I->timeValue());
-    C->setLogicValue(I->logicValue());
-    C->setEnumValue(I->enumValue());
-  }
-  C->regTriggers() = I->regTriggers();
-  for (unsigned J = 0, E = I->numOperands(); J != E; ++J) {
-    Value *Op = I->operand(J);
-    auto It = VMap.find(Op);
-    C->appendOperand(It == VMap.end() ? Op : It->second);
-  }
-  return C;
-}
+using namespace llhd;
 
 Value *llhd::edgeCondition(BasicBlock *Pred, BasicBlock *Succ, IRBuilder &B) {
   Instruction *T = Pred->terminator();

@@ -1,8 +1,6 @@
 //===- passes/Utils.h - Shared pass utilities -------------------*- C++ -*-===//
 //
-// Instruction cloning with value remapping (used by inlining, unrolling
-// and desequentialisation) and path-condition synthesis (used by TCM and
-// TCFE, §4.3.3/§4.4).
+// Path-condition synthesis (used by TCM and TCFE, §4.3.3/§4.4).
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,17 +10,7 @@
 #include "analysis/Dominators.h"
 #include "ir/IRBuilder.h"
 
-#include <map>
-
 namespace llhd {
-
-/// Value remapping table for cloning.
-using ValueMap = std::map<Value *, Value *>;
-
-/// Clones \p I (opcode, type, payload, operands) with operands remapped
-/// through \p VMap; unmapped operands are used as-is. The clone is not
-/// inserted into any block.
-Instruction *cloneInst(const Instruction *I, const ValueMap &VMap);
 
 /// Condition under which control flows from \p From (which must dominate
 /// \p To) to \p To, synthesised as the conjunction of the branch

@@ -55,7 +55,7 @@ struct BatchOptions {
   bool Optimize = true;
   /// Blaze: native code generation. On by default, like BlazeSim; the
   /// one host compilation is part of the shared program build.
-  jit::JitOptions Jit{jit::JitOptions::Mode::On, ""};
+  jit::JitOptions Jit{jit::JitOptions::Mode::On, "", ""};
   /// Per-instance base configuration; instance i gets Seed = Base.Seed
   /// + i. Base.Wave and Base.RC.Checkpoint must be null — per-instance
   /// observers are wired from VcdPath / CheckpointPath below.

@@ -15,9 +15,9 @@
 // engine-neutral ProcRecord/EntRecord. Interp and CommSim run the same
 // module and are therefore mutually restorable. Blaze (an InterpSim that
 // records "blaze" as the engine name) runs its optimised clone, whose
-// hash only matches its own checkpoints (with --no-opt the clone prints
-// identically to the original, and checkpoints interchange with the
-// other engines).
+// hash only matches its own checkpoints. With --no-opt the in-memory
+// clone (ir/Clone.h) prints exactly like the original, so Blaze
+// checkpoints interchange with the other engines for every design.
 //
 // Driver identities are raw (instance-pointer, instruction-pointer)
 // hashes at runtime and would not survive a process restart. Checkpoints

@@ -3,8 +3,10 @@
 #include "asm/Parser.h"
 #include "asm/Printer.h"
 #include "bitcode/Bitcode.h"
+#include "designs/Designs.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "moore/Compiler.h"
 
 #include <gtest/gtest.h>
 
@@ -309,6 +311,60 @@ exit:
   ASSERT_TRUE(R.Ok) << R.Error;
   std::vector<std::string> Errors;
   EXPECT_TRUE(verifyModule(M, Errors)) << (Errors.empty() ? "" : Errors[0]);
+}
+
+TEST(RoundTrip, ForwardBlockReferencesKeepLabelOrder) {
+  // The first br mentions %else before %then, so %else is created
+  // first; the blocks must still come out in label order.
+  Context Ctx;
+  Module M(Ctx, "t");
+  const char *Src = R"(
+func @sel (i1 %c, i32 %a, i32 %b) i32 {
+entry:
+  br %c, %else, %then
+then:
+  br %join
+else:
+  br %join
+join:
+  %r = phi i32 [%a, %then], [%b, %else]
+  ret i32 %r
+}
+)";
+  ParseResult R = parseModule(Src, M);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::vector<std::string> Names;
+  for (BasicBlock *BB : M.unitByName("sel")->blocks())
+    Names.push_back(BB->name());
+  EXPECT_EQ(Names,
+            (std::vector<std::string>{"entry", "then", "else", "join"}));
+  std::string P1 = printModule(M);
+  Module M2(Ctx, "u");
+  ASSERT_TRUE(parseModule(P1, M2).Ok);
+  EXPECT_EQ(printModule(M2), P1);
+
+  Module M3(Ctx, "v");
+  R = parseModule("func @f () void {\na:\n  br %a\na:\n  ret\n}", M3);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("duplicate label 'a'"), std::string::npos)
+      << R.Error;
+}
+
+// print(parse(T)) is a fixpoint for every Moore-compiled Table 2 design,
+// whose if/loop lowering branches forward to blocks defined later.
+TEST(RoundTrip, DesignsPrintStable) {
+  for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
+    Context Ctx;
+    Module M(Ctx, D.Key);
+    moore::CompileResult CR =
+        moore::compileSystemVerilog(D.Source, D.TopModule, M);
+    ASSERT_TRUE(CR.Ok) << D.Key << ": " << CR.Error;
+    std::string P1 = printModule(M);
+    Module M2(Ctx, D.Key + ".reparsed");
+    ParseResult R = parseModule(P1, M2);
+    ASSERT_TRUE(R.Ok) << D.Key << ": " << R.Error;
+    EXPECT_EQ(printModule(M2), P1) << D.Key;
+  }
 }
 
 TEST(RoundTrip, DeclarationsPrintAndParse) {

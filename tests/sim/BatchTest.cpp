@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "asm/Parser.h"
+#include "asm/Printer.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
@@ -28,6 +29,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 static std::atomic<size_t> GNewCount{0};
@@ -405,4 +407,65 @@ TEST(Batch, DesignsSuiteSmoke) {
       }
     }
   }
+}
+
+// Blaze's build only reads the caller's module: its in-memory clone
+// never registers a use on a source value, not even for a forward
+// operand such as the phi's %in below. So threads may build from one
+// module at once. A race shows up as a TSan report in CI, or here as a
+// changed source or diverging digests.
+TEST(Batch, ConcurrentBlazeBuildsShareOneModule) {
+  Context Ctx;
+  Module M(Ctx, "count");
+  ParseResult PR = parseModule(R"(
+entity @top () -> () {
+  %zero = const i32 0
+  %s = sig i32 %zero
+  inst @count () -> (i32$ %s)
+}
+proc @count () -> (i32$ %s) {
+entry:
+  %zero = const i32 0
+  %one = const i32 1
+  %ten = const i32 10
+  %d = const time 1ns
+  br %loop
+loop:
+  %i = phi i32 [%zero, %entry], [%in, %step]
+  drv i32$ %s, %i after %d
+  wait %step for %d
+step:
+  %in = add i32 %i, %one
+  %done = uge i32 %in, %ten
+  br %done, %loop, %exit
+exit:
+  halt
+}
+)",
+                               M);
+  ASSERT_TRUE(PR.Ok) << PR.Error;
+  std::string Before = printModule(M);
+  BlazeSim::BlazeOptions BO;
+  BO.Jit.M = jit::JitOptions::Mode::Off;
+  constexpr unsigned N = 4;
+  std::vector<std::shared_ptr<const LirProgram>> Progs(N);
+  std::vector<std::string> Errs(N);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != N; ++I)
+    Threads.emplace_back([&, I] {
+      for (unsigned Rep = 0; Rep != 50; ++Rep)
+        Progs[I] = BlazeSim::buildProgram(M, "top", BO, Errs[I]);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(printModule(M), Before);
+  std::vector<uint64_t> Digests;
+  for (unsigned I = 0; I != N; ++I) {
+    ASSERT_TRUE(Progs[I]) << Errs[I];
+    BlazeSim Sim(Progs[I], SimOptions());
+    Sim.run();
+    EXPECT_EQ(Sim.trace().numChanges(), 9u);
+    Digests.push_back(Sim.trace().digest());
+  }
+  EXPECT_EQ(std::set<uint64_t>(Digests.begin(), Digests.end()).size(), 1u);
 }

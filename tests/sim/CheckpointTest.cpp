@@ -5,8 +5,9 @@
 // must be indistinguishable from an uninterrupted run — the trace digest
 // matches and the two VCD fragments concatenate byte-identically to the
 // reference dump. Swept over the Table 2 designs suite for all three
-// engines, plus the cross-engine (interp <-> comm) and JIT-Blaze
-// forced-deopt resume paths and the image-corruption error cases.
+// engines, plus the cross-engine (interp <-> comm, unoptimised blaze ->
+// interp/comm) and JIT-Blaze forced-deopt resume paths and the
+// image-corruption error cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,10 +55,11 @@ auto makeComm(Module &M, const std::string &Top, const SimOptions &O) {
 }
 
 auto makeBlaze(Module &M, const std::string &Top, const SimOptions &O,
-               const std::string &ForceDeopt = "") {
+               const std::string &ForceDeopt = "", bool Optimize = true) {
   BlazeSim::BlazeOptions BO;
   static_cast<SimOptions &>(BO) = O;
   BO.Jit.ForceDeopt = ForceDeopt;
+  BO.Optimize = Optimize;
   auto Sim = std::make_unique<BlazeSim>(M, Top, BO);
   EXPECT_TRUE(Sim->valid()) << Sim->error();
   return Sim;
@@ -214,6 +216,68 @@ TEST(Checkpoint, CrossEngineInterpCommResume) {
     EXPECT_EQ(Digest, Ref->trace().digest())
         << (InterpFirst ? "interp->comm" : "comm->interp")
         << ": digest diverges across the engine swap";
+  }
+}
+
+// Without optimisation Blaze's in-memory clone prints exactly like the
+// caller's module, so a Blaze image carries the same compatibility hash
+// and resumes on Interp and on CommSim. gray and riscv branch forward to
+// blocks defined later, which a print/parse clone used to reorder.
+TEST(Checkpoint, UnoptimisedBlazeResumesOnInterpAndComm) {
+  for (const char *Key : {"gray", "riscv"}) {
+    designs::DesignInfo D = designs::designByKey(Key, 0.0);
+    ASSERT_FALSE(D.Key.empty());
+    Context Ctx;
+
+    Module MRef(Ctx, "ref");
+    std::string Top = compileDesign(D, MRef);
+    WaveWriter WRef;
+    SimOptions ORef;
+    ORef.Wave = &WRef;
+    auto Ref = makeInterp(MRef, Top, ORef);
+    SimStats SRef = Ref->run();
+    ASSERT_GE(SRef.Steps, 4u) << Key;
+
+    Module MCut(Ctx, "cut");
+    compileDesign(D, MCut);
+    WaveWriter WCut;
+    SimOptions OCut;
+    OCut.Wave = &WCut;
+    auto Cut = makeBlaze(MCut, Top, OCut, "", /*Optimize=*/false);
+    std::vector<uint8_t> Image;
+    Cut->options().RC.MaxSteps = SRef.Steps / 2;
+    Cut->options().RC.CheckpointOnStop = true;
+    Cut->options().RC.Checkpoint = [&](Time) {
+      Cut->checkpoint(Image);
+      return true;
+    };
+    ASSERT_EQ(Cut->run().Stop, StopReason::DeltaBudget) << Key;
+    ASSERT_FALSE(Image.empty()) << Key;
+
+    for (bool OnInterp : {true, false}) {
+      const char *To = OnInterp ? "interp" : "comm";
+      Module MRes(Ctx, std::string("res.") + To);
+      compileDesign(D, MRes);
+      WaveWriter WRes;
+      SimOptions ORes;
+      ORes.Wave = &WRes;
+      auto resume = [&](auto Sim) {
+        std::string Err;
+        ASSERT_TRUE(Sim->restore(Image, Err)) << Key << "->" << To << ": "
+                                              << Err;
+        SimStats SRes = Sim->run();
+        EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Key << "->" << To;
+        EXPECT_EQ(SRes.Steps, SRef.Steps) << Key << "->" << To;
+        EXPECT_EQ(Sim->trace().digest(), Ref->trace().digest())
+            << Key << "->" << To << ": stitched digest diverges";
+        EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
+            << Key << "->" << To << ": VCD not byte-identical";
+      };
+      if (OnInterp)
+        resume(makeInterp(MRes, Top, ORes));
+      else
+        resume(makeComm(MRes, Top, ORes));
+    }
   }
 }
 
