@@ -2,8 +2,9 @@
 //
 // Microbenchmarks of the hot primitives underneath the Table 2 numbers:
 // IntValue arithmetic, the event wheel (general and word-lane updates),
-// the wake index, assembly parsing, in-memory module cloning, bitcode
-// round trips, and full simulations of one design on each engine.
+// the wake index, the VCD writer's change path (word and text lanes),
+// assembly parsing, in-memory module cloning, bitcode round trips, and
+// full simulations of one design on each engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,12 @@
 #include "ir/Clone.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
+#include "sim/Wave.h"
 
 #include <benchmark/benchmark.h>
+
+#include <ostream>
+#include <random>
 
 using namespace llhd;
 
@@ -68,6 +73,53 @@ std::vector<std::vector<SignalId>> wakeSensitivities() {
     for (unsigned K = 0; K != WakeSensPerProc; ++K)
       Sens[P].push_back((P * 37 + K * 131) % WakeSignals);
   return Sens;
+}
+
+//===----------------------------------------------------------------------===//
+// Wave workload
+//===----------------------------------------------------------------------===//
+
+/// A stream buffer that drops every byte, so the wave benchmarks time
+/// the writer rather than I/O.
+class NullBuf : public std::streambuf {
+protected:
+  int overflow(int C) override { return C; }
+  std::streamsize xsputn(const char *, std::streamsize N) override {
+    return N;
+  }
+};
+
+constexpr unsigned WaveSignals = 64;
+constexpr unsigned WaveChangesPerInstant = 8;
+
+/// The VCD change path in steady state: WaveSignals signals of type \p Ty
+/// streaming to a discarding sink; per instant, WaveChangesPerInstant of
+/// them change to values drawn from \p Vals (a delta glitch and its
+/// settled value each), and the next instant flushes the settled lines.
+void runWaveWorkload(benchmark::State &State, Type *Ty,
+                     const std::vector<RtValue> &Vals) {
+  SignalTable Sigs;
+  for (unsigned I = 0; I != WaveSignals; ++I)
+    Sigs.create(Ty, Vals[0], "top/s" + std::to_string(I));
+  Sigs.freeze();
+  NullBuf Buf;
+  std::ostream OS(&Buf);
+  WaveWriter W;
+  W.streamTo(OS);
+  W.begin(Sigs);
+  uint64_t Fs = 0;
+  size_t K = 0;
+  for (auto _ : State) {
+    Fs += 1000;
+    for (unsigned I = 0; I != WaveChangesPerInstant; ++I) {
+      SignalId S = (Fs / 1000 * 3 + I * 7) % WaveSignals;
+      W.onChange(Time(Fs, 1), S, Vals[K++ % Vals.size()]);
+      W.onChange(Time(Fs, 2), S, Vals[K++ % Vals.size()]);
+    }
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(W.numBytes());
+  State.SetItemsProcessed(State.iterations() * 2 * WaveChangesPerInstant);
 }
 
 } // namespace
@@ -141,6 +193,34 @@ static void BM_WakeSetDenseIndex(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_WakeSetDenseIndex);
+
+/// Word lane: i48 values, whose lines outgrow std::string's inline
+/// buffer.
+static void BM_WaveChangeWord(benchmark::State &State) {
+  Context Ctx;
+  std::mt19937_64 Rng(1);
+  std::vector<RtValue> Vals;
+  for (unsigned I = 0; I != 61; ++I)
+    Vals.emplace_back(IntValue(48, Rng()));
+  runWaveWorkload(State, Ctx.intType(48), Vals);
+}
+BENCHMARK(BM_WaveChangeWord);
+
+/// Text lane: l16 values over the 0/1/X/Z alphabet.
+static void BM_WaveChangeLogic(benchmark::State &State) {
+  Context Ctx;
+  std::mt19937_64 Rng(1);
+  const Logic Alphabet[] = {Logic::L0, Logic::L1, Logic::X, Logic::Z};
+  std::vector<RtValue> Vals;
+  for (unsigned I = 0; I != 61; ++I) {
+    LogicVec V(16);
+    for (unsigned B = 0; B != 16; ++B)
+      V.setBit(B, Alphabet[Rng() % 4]);
+    Vals.emplace_back(std::move(V));
+  }
+  runWaveWorkload(State, Ctx.logicType(16), Vals);
+}
+BENCHMARK(BM_WaveChangeLogic);
 
 static void BM_MooreCompileGray(benchmark::State &State) {
   designs::DesignInfo D = designs::designByKey("gray", 0.0);

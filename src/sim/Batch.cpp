@@ -106,6 +106,12 @@ BatchInstance llhd::runInstance(const BatchProgram &P, const BatchOptions &O,
   // The event loop has finished the dump and flushed the stream.
   if (Vcd && !*Vcd && Out.Error.empty())
     Out.Error = "error writing the VCD";
+  if (Vcd) {
+    Out.Vcd = true;
+    Out.VcdVars = Wave.numVars();
+    Out.VcdChanges = Wave.numDumpedChanges();
+    Out.VcdBytes = Wave.numBytes();
+  }
   return Out;
 }
 

@@ -108,6 +108,11 @@ struct BatchInstance {
   unsigned Instances = 0;
   /// What the JIT bound for this run (Enabled is false off Blaze).
   jit::JitStats Jit;
+  /// The VCD writer's counts; Vcd is false when no dump was streamed.
+  bool Vcd = false;
+  unsigned VcdVars = 0;
+  uint64_t VcdChanges = 0; ///< Value-change lines after $dumpvars.
+  uint64_t VcdBytes = 0;   ///< Bytes this run wrote to the dump.
   /// Non-empty when this instance failed: its VCD could not be written,
   /// or (with Stats.Stop == StopReason::CheckpointError) its resume image
   /// did not restore or a checkpoint could not be written.

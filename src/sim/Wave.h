@@ -14,9 +14,18 @@
 // values in the same order, the emitted VCD text is byte-identical across
 // engines — the CI smoke job and tests/sim/WaveTest.cpp assert this.
 //
+// Two lanes carry the changes. A variable whose stored value is a
+// two-state integer of at most 64 bits (the word lane, which carries
+// nearly every change in practice) keeps its pending and last-dumped
+// values as words: a change is a word store, and a line is rendered only
+// when the settled word differs from the last dumped one. Logic-typed and
+// wider variables keep their pending and last lines as rendered text.
+//
 // The observer is opt-in through SimOptions::Wave; when it is null the
 // simulation path pays exactly one pointer test per committed change and
-// performs no allocation (AllocGuardTest covers the disabled path).
+// performs no allocation. When a writer streams to a sink, changes of
+// word-lane variables allocate nothing either. AllocGuardTest covers
+// both paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +37,19 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace llhd {
 
+/// Appends the value-change line of the two-state value \p Word of
+/// \p Width bits (1..64) for identifier \p Code, newline included: the
+/// scalar form "1!" for one bit, otherwise "b" + the binary spelling
+/// with leading zeros trimmed (at least one digit) + " " + Code. \p Code
+/// is at most WaveWriter::MaxCodeLen characters. The word lane's
+/// renderer.
+void appendVcdWord(std::string &Out, uint64_t Word, unsigned Width,
+                   std::string_view Code);
 
 /// Streams a simulation run into VCD text.
 ///
@@ -68,7 +86,8 @@ public:
   /// Records a committed change of canonical signal \p S to \p V at time
   /// \p T. Changes are buffered until the physical instant advances, so
   /// delta-cycle glitches that settle back to the previous value produce
-  /// no output (change-only semantics).
+  /// no output (change-only semantics). On the word lane this is a word
+  /// store; lines are rendered when the instant is flushed.
   void onChange(Time T, SignalId S, const RtValue &V);
 
   /// Flushes the last pending instant. Call after the run completes.
@@ -100,28 +119,47 @@ public:
   unsigned numVars() const { return NumVars; }
   /// Number of value-change lines emitted after $dumpvars.
   uint64_t numDumpedChanges() const { return DumpedChanges; }
+  /// Number of VCD bytes produced so far, streamed or held.
+  uint64_t numBytes() const { return Drained + Out.size(); }
+
+  /// Identifier codes are at most this long (base-94 of a 32-bit index).
+  static constexpr unsigned MaxCodeLen = 5;
 
 private:
+  void declareVars(const SignalTable &Signals);
+  void appendLast(SignalId S);
   void flushPending();
   void drain();
 
-  /// Per-signal dump state; Code is empty for signals without a $var
-  /// (aliases and non-scalar payloads).
+  enum class Lane : uint8_t {
+    None, ///< No $var: an alias, or a payload VCD cannot represent.
+    Word, ///< Two-state integer of at most 64 bits, kept as words.
+    Text, ///< Logic-typed or wider: kept as rendered lines.
+  };
+
+  /// Per-signal dump state, indexed by signal id.
   struct Var {
-    std::string Code; ///< VCD identifier code.
-    std::string Last; ///< Last dumped value line payload.
+    uint64_t Pending = 0; ///< Word lane: latest value this instant.
+    uint64_t Last = 0;    ///< Word lane: last dumped value.
+    uint32_t Width = 0;   ///< Dumped width in bits.
+    Lane L = Lane::None;
+    bool Dirty = false; ///< Listed in Touched.
+    uint8_t CodeLen = 0;
+    char Code[MaxCodeLen] = {}; ///< VCD identifier code.
+    std::string_view code() const { return {Code, CodeLen}; }
   };
 
   std::string Out;
   std::ostream *Sink = nullptr;
   std::vector<Var> Vars;
-  /// Signals touched at the pending instant, with their latest value.
+  /// Signals touched at the pending instant, each once.
   std::vector<SignalId> Touched;
-  std::vector<std::string> PendingVal; ///< Indexed by signal; "" = clean.
+  /// Text lane, indexed by signal: the pending and last dumped lines.
+  std::vector<std::string> PendingText, LastText;
   uint64_t PendingFs = 0;
-  bool Began = false;
   unsigned NumVars = 0;
   uint64_t DumpedChanges = 0;
+  uint64_t Drained = 0; ///< Bytes handed to the sink.
 };
 
 } // namespace llhd

@@ -4,7 +4,8 @@
 // steady state performs zero heap allocations per delta cycle on the op
 // path, for the reference interpreter, Blaze's interpreted LIR and
 // Blaze's native code — also while the default hash trace digests
-// values whose decimal text outgrows std::string's inline buffer.
+// values whose decimal text outgrows std::string's inline buffer, and
+// while a VCD writer streams every change of such values to a sink.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
@@ -19,12 +20,14 @@
 #include "blaze/Blaze.h"
 #include "jit/HostCompiler.h"
 #include "sim/Interp.h"
+#include "sim/Wave.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 
 static std::atomic<size_t> GNewCount{0};
 
@@ -137,15 +140,31 @@ struct RunResult {
   size_t Allocs;      ///< operator new calls during run().
   uint64_t CountedTo; ///< Final counter value minus its initial value.
   SimStats Stats;
+  uint64_t WaveChanges; ///< VCD change lines written (0 without waves).
+};
+
+/// A stream buffer that drops every byte: the VCD sink of the wave-on
+/// runs, so what is counted is the writer, not the stream.
+class NullBuf : public std::streambuf {
+protected:
+  int overflow(int C) override { return C; }
+  std::streamsize xsputn(const char *, std::streamsize N) override {
+    return N;
+  }
 };
 
 template <typename MakeEngine>
-RunResult countRun(const Counter &C, uint64_t Cycles, MakeEngine Make) {
+RunResult countRun(const Counter &C, uint64_t Cycles, MakeEngine Make,
+                   bool Waves) {
   Context Ctx;
   Module M(Ctx, "alloc_guard");
   ParseResult R = parseModule(C.source(), M);
   EXPECT_TRUE(R.Ok) << R.Error;
-  auto Engine = Make(M, Cycles);
+  NullBuf Buf;
+  std::ostream Sink(&Buf);
+  WaveWriter W; // Outlives the engine, whose event loop feeds it.
+  W.streamTo(Sink);
+  auto Engine = Make(M, Cycles, Waves ? &W : nullptr);
   size_t Before = GNewCount.load(std::memory_order_relaxed);
   SimStats St = Engine->run();
   size_t Allocs = GNewCount.load(std::memory_order_relaxed) - Before;
@@ -154,13 +173,14 @@ RunResult countRun(const Counter &C, uint64_t Cycles, MakeEngine Make) {
   for (SignalId S = 0; S != Sigs.size(); ++S)
     if (Sigs.name(S).find("cnt") != std::string::npos)
       Counted = Sigs.value(S).intValue().zextToU64() - C.Init;
-  return {Allocs, Counted, St};
+  return {Allocs, Counted, St, W.numDumpedChanges()};
 }
 
-SimOptions optsFor(uint64_t Cycles, Trace::Mode TM) {
+SimOptions optsFor(uint64_t Cycles, Trace::Mode TM, WaveWriter *Wave) {
   SimOptions Opts;
   Opts.TraceMode = TM;
   Opts.MaxTime = Time::ns(2 * Cycles);
+  Opts.Wave = Wave;
   return Opts;
 }
 
@@ -169,11 +189,14 @@ SimOptions optsFor(uint64_t Cycles, Trace::Mode TM) {
 /// wake index and trace) is allocation-free once the pools are warm.
 /// Every drive targets a whole two-state signal of at most 64 bits, so
 /// every drive must take the scheduler's word lane: a silent fallback to
-/// the general path fails here.
+/// the general path fails here. With \p Waves, a VCD writer streams
+/// every change to a discarding sink, and it must add no allocation
+/// either.
 template <typename MakeEngine>
-void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make) {
-  RunResult Short = countRun(C, 200, Make);
-  RunResult Long = countRun(C, 400, Make);
+void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make,
+                                     bool Waves = false) {
+  RunResult Short = countRun(C, 200, Make, Waves);
+  RunResult Long = countRun(C, 400, Make, Waves);
   // The design actually ran and counted.
   EXPECT_GE(Short.CountedTo, 190u);
   EXPECT_GE(Long.CountedTo, 390u);
@@ -181,20 +204,25 @@ void expectSteadyStateAllocationFree(const Counter &C, MakeEngine Make) {
   for (const RunResult *R : {&Short, &Long}) {
     EXPECT_GT(R->Stats.DrivesScheduled, 0u);
     EXPECT_EQ(R->Stats.WordDrives, R->Stats.DrivesScheduled);
+    // Waves on: every clock edge and every count was dumped.
+    EXPECT_EQ(R->WaveChanges != 0, Waves);
+    if (Waves) {
+      EXPECT_GE(R->WaveChanges, 3 * (R->CountedTo - 1));
+    }
   }
 }
 
 auto makeInterp(Trace::Mode TM) {
-  return [TM](Module &M, uint64_t Cycles) {
+  return [TM](Module &M, uint64_t Cycles, WaveWriter *Wave) {
     return std::make_unique<InterpSim>(elaborate(M, "top"),
-                                       optsFor(Cycles, TM));
+                                       optsFor(Cycles, TM, Wave));
   };
 }
 
 auto makeBlaze(Trace::Mode TM, jit::JitOptions::Mode Jit) {
-  return [TM, Jit](Module &M, uint64_t Cycles) {
+  return [TM, Jit](Module &M, uint64_t Cycles, WaveWriter *Wave) {
     BlazeSim::BlazeOptions Opts;
-    static_cast<SimOptions &>(Opts) = optsFor(Cycles, TM);
+    static_cast<SimOptions &>(Opts) = optsFor(Cycles, TM, Wave);
     Opts.Jit.M = Jit;
     auto B = std::make_unique<BlazeSim>(M, "top", Opts);
     if (Jit != jit::JitOptions::Mode::Off) {
@@ -224,6 +252,17 @@ TEST(AllocGuard, HashTraceIsAllocationFree) {
   expectSteadyStateAllocationFree(Wide, makeInterp(Trace::Mode::Hash));
   expectSteadyStateAllocationFree(
       Wide, makeBlaze(Trace::Mode::Hash, jit::JitOptions::Mode::Off));
+}
+
+// A VCD writer streaming to a sink: each change of the i64 counter is a
+// word store, and its line (longer than std::string's inline buffer) is
+// rendered straight into the writer's one output buffer.
+TEST(AllocGuard, WaveWriterIsAllocationFree) {
+  expectSteadyStateAllocationFree(Wide, makeInterp(Trace::Mode::Hash),
+                                  /*Waves=*/true);
+  expectSteadyStateAllocationFree(
+      Wide, makeBlaze(Trace::Mode::Hash, jit::JitOptions::Mode::Off),
+      /*Waves=*/true);
 }
 
 // Native processes: probe, drive and wait callbacks allocate nothing.

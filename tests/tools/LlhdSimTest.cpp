@@ -137,6 +137,27 @@ TEST_F(LlhdSimTest, BlazeStatsLines) {
       << R.Err;
 }
 
+// With a VCD, --stats adds one "vcd:" line: the writer's variables,
+// dumped changes and bytes, the last equal to the file's size.
+TEST_F(LlhdSimTest, StatsReportVcdCounts) {
+  std::string Vcd = path("acc.vcd");
+  SimResult R = sim(Examples + "acc_tb.llhd --stats --vcd=" + Vcd);
+  ASSERT_EQ(R.Exit, 0) << R.Err;
+  std::smatch M;
+  ASSERT_TRUE(std::regex_search(
+      R.Err, M,
+      std::regex("\nvcd: ([0-9]+) vars, ([1-9][0-9]*) changes dumped, "
+                 "([0-9]+) bytes\n")))
+      << R.Err;
+  EXPECT_EQ(M[1], "5");
+  EXPECT_EQ(std::stoull(M[3]), slurp(Vcd).size());
+  EXPECT_EQ(count(R.Err, "vcd: "), 1u) << R.Err;
+  // No dump, no line.
+  SimResult NoVcd = sim(Examples + "acc_tb.llhd --stats");
+  ASSERT_EQ(NoVcd.Exit, 0) << NoVcd.Err;
+  EXPECT_EQ(count(NoVcd.Err, "vcd: "), 0u) << NoVcd.Err;
+}
+
 TEST_F(LlhdSimTest, VcdByteIdenticalAcrossEngines) {
   std::vector<std::string> Dumps;
   for (const char *E : {"interp", "blaze", "comm"}) {

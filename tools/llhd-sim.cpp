@@ -64,7 +64,9 @@ void printUsage() {
           "                   error findings (--lint=error also promotes\n"
           "                   warnings)\n"
           "  --stats          print run statistics to stderr: one line\n"
-          "                   per engine run or batch instance\n"
+          "                   per engine run or batch instance, and with\n"
+          "                   a VCD a 'vcd:' line of vars, dumped\n"
+          "                   changes and bytes\n"
           "  --list-signals   print the elaborated signal hierarchy and\n"
           "                   exit without simulating\n"
           "  --dump-lir       print the lowered runtime IR (and process\n"
@@ -249,6 +251,10 @@ int report(const std::vector<Run> &Runs, const DriverConfig &Cfg,
               (unsigned long long)S.WordDrives, (unsigned long long)R.Changes,
               (unsigned long long)R.Digest, S.Finished ? ", finished" : "",
               S.DeltaOverflow ? ", DELTA OVERFLOW" : "");
+      if (R.Vcd)
+        fprintf(stderr, "vcd: %u vars, %llu changes dumped, %llu bytes\n",
+                R.VcdVars, (unsigned long long)R.VcdChanges,
+                (unsigned long long)R.VcdBytes);
     }
     if (!R.Error.empty()) {
       fprintf(stderr, "llhd-sim: %s: %s\n", L, R.Error.c_str());
