@@ -1,10 +1,11 @@
 //===- jit/Codegen.cpp - LIR to C++ translation ---------------------------===//
 //
 // Planning decides, per process, whether every op fits the two-state
-// width <= 64 lane model; emission then prints one C++ function per
-// surviving process. The numeric semantics of the emitted expressions
-// mirror RtOps.cpp's evalIntFast / IntValue.cpp bit for bit (masking
-// discipline, shift clamping, division-by-zero values, signed
+// width <= 64 lane model, the ops of every function it calls included;
+// emission then prints one C++ function per surviving process, preceded
+// by a static function per callee. The numeric semantics of the emitted
+// expressions mirror RtOps.cpp's evalIntFast / IntValue.cpp bit for bit
+// (masking discipline, shift clamping, division-by-zero values, signed
 // magnitude division); any divergence shows up as a trace-digest
 // mismatch in the cross-engine tests.
 //
@@ -15,6 +16,7 @@
 #include "ir/Type.h"
 #include "ir/Unit.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdarg>
 #include <cstdio>
@@ -99,12 +101,42 @@ std::vector<Type *> slotTypes(const LirUnit &L) {
   return T;
 }
 
+/// A plan for \p L with every slot typed and unassigned.
+UnitPlan freshPlan(const LirUnit &L) {
+  UnitPlan P;
+  P.L = &L;
+  P.SlotType = slotTypes(L);
+  P.LaneOf.assign(L.NumSlots, -1);
+  P.LanesOf.assign(L.NumSlots, 0);
+  return P;
+}
+
+/// True when a value of type \p T fits one lane.
+bool laneScalar(Type *T) {
+  unsigned W;
+  uint32_t N;
+  return classify(T, W, N) == SlotCls::Int;
+}
+
 struct Planner {
   const LirUnit &L;
   UnitPlan &P;
+  /// The process plan under construction: it collects every function
+  /// plan and numbers every intrinsic site, the callees' included.
+  UnitPlan &Root;
+  /// Functions being planned, outermost first (recursion detection).
+  std::vector<const LirUnit *> &Active;
+  bool Fn; ///< Function mode: P plans a callee.
   std::vector<uint8_t> Written;      ///< Slot is some op's Dst.
   std::vector<int32_t> VarIdxOfSlot; ///< Pointer slot -> var index.
   std::vector<uint32_t> VarLanes;    ///< Var index -> lane count.
+  /// Defined functions this unit calls, in first-call order; planned
+  /// after the unit's own ops, so its intrinsic sites stay contiguous.
+  std::vector<const LirUnit *> Callees;
+
+  Planner(const LirUnit &L, UnitPlan &P, UnitPlan &Root,
+          std::vector<const LirUnit *> &Active, bool Fn)
+      : L(L), P(P), Root(Root), Active(Active), Fn(Fn) {}
 
   bool deopt(const std::string &R) {
     if (P.DeoptReason.empty())
@@ -176,7 +208,9 @@ struct Planner {
   }
 
   bool planPure(const LirOp &Op);
+  bool planCall(uint32_t Pc, const LirOp &Op);
   bool planOp(uint32_t Pc, const LirOp &Op);
+  bool planFn(const LirUnit &CL);
   bool run();
 };
 
@@ -276,10 +310,84 @@ bool Planner::planPure(const LirOp &Op) {
   }
 }
 
+bool Planner::planCall(uint32_t Pc, const LirOp &Op) {
+  const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+  unsigned W;
+  Unit *Callee = Op.Callee;
+  if (!Callee)
+    return deopt("call to an unknown function");
+  std::string Name = "'@" + Callee->name() + "'";
+  if (Callee->isIntrinsic()) {
+    if (Callee->name() == "llhd.assert" && Op.OpsCount == 1) {
+      if (!scalar(Ops[0], W))
+        return false;
+      P.Calls.push_back({Pc, CallPlan::Assert});
+      return true;
+    }
+    if (Callee->name() == "llhd.finish" && Op.OpsCount == 0) {
+      P.Calls.push_back({Pc, CallPlan::Finish});
+      return true;
+    }
+    return deopt("unsupported intrinsic " + Name);
+  }
+  const LirUnit *CL = L.callee(Callee);
+  if (!CL)
+    return deopt("call to function " + Name + " with no lowered body");
+  if (std::find(Active.begin(), Active.end(), CL) != Active.end())
+    return deopt("recursive call to function " + Name);
+  for (Argument *A : Callee->inputs())
+    if (!laneScalar(A->type()))
+      return deopt("call to function " + Name +
+                   " with an argument outside the two-state <=64-bit "
+                   "integer model");
+  if (!Callee->returnType()->isVoid() && !laneScalar(Callee->returnType()))
+    return deopt("call to function " + Name +
+                 " with a result outside the two-state <=64-bit "
+                 "integer model");
+  for (uint32_t J = 0; J != Op.OpsCount; ++J)
+    if (!scalar(Ops[J], W))
+      return false;
+  if (Op.Dst >= 0 && !scalar(Op.Dst, W))
+    return false;
+  if (std::find(Callees.begin(), Callees.end(), CL) == Callees.end())
+    Callees.push_back(CL);
+  return true;
+}
+
+/// Plans the callee \p CL in function mode and appends it (after its
+/// own callees) to the process plan; a failure deopts the caller.
+bool Planner::planFn(const LirUnit &CL) {
+  for (const UnitPlan &FP : Root.Fns)
+    if (FP.L == &CL)
+      return true;
+  UnitPlan FP = freshPlan(CL);
+  Active.push_back(&CL);
+  Planner Pl(CL, FP, Root, Active, /*Fn=*/true);
+  bool Ok = Pl.run();
+  Active.pop_back();
+  if (!Ok)
+    return deopt("in function '@" + CL.U->name() + "': " + FP.DeoptReason);
+  FP.Native = true;
+  FP.NeedsApi = !FP.Calls.empty();
+  for (const LirUnit *G : Pl.Callees)
+    for (const UnitPlan &GP : Root.Fns)
+      FP.NeedsApi |= GP.L == G && GP.NeedsApi;
+  FP.CallBase = Root.Calls.size();
+  Root.Calls.insert(Root.Calls.end(), FP.Calls.begin(), FP.Calls.end());
+  Root.Fns.push_back(std::move(FP));
+  return true;
+}
+
 bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
   unsigned W;
   uint32_t N;
+  // A function has no signals and never suspends: its only side
+  // effects are intrinsic calls.
+  if (Fn && (Op.C == LirOpc::Prb || Op.C == LirOpc::Drv ||
+             Op.C == LirOpc::Wait || Op.C == LirOpc::Halt))
+    return deopt(std::string("op '") + lirOpcName(Op.C) +
+                 "' in a function");
   switch (Op.C) {
   case LirOpc::Pure:
     return planPure(Op);
@@ -378,27 +486,17 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
       return deopt("store width differs from its var cell");
     return true;
   }
-  case LirOpc::Call: {
-    Unit *Callee = Op.Callee;
-    if (!Callee || !Callee->isIntrinsic())
-      return deopt("call to function '@" +
-                   std::string(Callee ? Callee->name() : "?") + "'");
-    if (Callee->name() == "llhd.assert" && Op.OpsCount == 1) {
-      if (!scalar(Ops[0], W))
-        return false;
-      P.Calls.push_back({Pc, CallPlan::Assert});
-      return true;
-    }
-    if (Callee->name() == "llhd.finish" && Op.OpsCount == 0) {
-      P.Calls.push_back({Pc, CallPlan::Finish});
-      return true;
-    }
-    return deopt("unsupported intrinsic '@" + Callee->name() + "'");
-  }
+  case LirOpc::Call:
+    return planCall(Pc, Op);
+  case LirOpc::Ret:
+    if (Fn)
+      return Op.A < 0 || scalar(Op.A, W);
+    break;
   default:
-    return deopt(std::string("op '") + lirOpcName(Op.C) +
-                 "' in a process");
+    break;
   }
+  return deopt(std::string("op '") + lirOpcName(Op.C) + "' in a " +
+               (Fn ? "function" : "process"));
 }
 
 bool Planner::run() {
@@ -414,8 +512,18 @@ bool Planner::run() {
   P.CellLane.assign(NumVars, -1);
   VarLanes.assign(NumVars, 0);
 
+  // A function's arguments arrive in lanes.
+  unsigned W;
+  if (Fn)
+    for (Argument *A : L.U->inputs())
+      if (!scalar(A->valueNumber(), W))
+        return false;
+
   for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc)
     if (!planOp(Pc, L.Ops[Pc]))
+      return false;
+  for (const LirUnit *CL : Callees)
+    if (!planFn(*CL))
       return false;
 
   for (const auto &[Slot, V] : L.ConstSlots)
@@ -428,16 +536,15 @@ bool Planner::run() {
 } // namespace
 
 UnitPlan jit::planUnit(const LirUnit &L) {
-  UnitPlan P;
-  P.L = &L;
   if (!L.U->isProcess()) {
+    UnitPlan P;
+    P.L = &L;
     P.DeoptReason = "not a process";
     return P;
   }
-  P.SlotType = slotTypes(L);
-  P.LaneOf.assign(L.NumSlots, -1);
-  P.LanesOf.assign(L.NumSlots, 0);
-  Planner Pl{L, P, {}, {}, {}};
+  UnitPlan P = freshPlan(L);
+  std::vector<const LirUnit *> Active;
+  Planner Pl(L, P, P, Active, /*Fn=*/false);
   P.Native = Pl.run();
   if (!P.Native && P.DeoptReason.empty())
     P.DeoptReason = "unsupported shape";
@@ -535,6 +642,11 @@ namespace {
 struct Emitter {
   UnitPlan &P;
   const LirUnit &L;
+  /// The process plan's functions, symbols set (callees of this unit).
+  const std::vector<UnitPlan> &Fns;
+  /// What the emitted function returns when its fuel runs out: -2 from
+  /// a process, the zero result from a function.
+  const char *Starved;
   std::string S;
   std::vector<int32_t> VarIdx; ///< Pointer slot -> var index.
   size_t PrbI = 0, DrvI = 0, CallI = 0, WaitI = 0;
@@ -579,12 +691,14 @@ struct Emitter {
   /// Backward jumps carry the runaway guard (MaxBackwardJumps).
   void jumpTo(int32_t Target, uint32_t Pc) {
     if (Target <= (int32_t)Pc)
-      f(S, "  if (!--fuel) return -2;\n");
+      f(S, "  if (!--fuel) return %s;\n", Starved);
     f(S, "  goto L%d;\n", Target);
   }
 
   void emitPure(const LirOp &Op);
+  void emitCall(uint32_t Pc, const LirOp &Op);
   void emitOp(uint32_t Pc, const LirOp &Op);
+  void emitBody();
 };
 
 void Emitter::emitPure(const LirOp &Op) {
@@ -787,11 +901,9 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
   case LirOpc::CondJmp:
     f(S, "  if (%s) {\n", sl(Op.A).c_str());
     if (Op.Jmp1 <= (int32_t)Pc)
-      S += "    if (!--fuel) return -2;\n";
+      f(S, "    if (!--fuel) return %s;\n", Starved);
     f(S, "    goto L%d;\n  }\n", Op.Jmp1);
-    if (Op.Jmp0 <= (int32_t)Pc)
-      S += "  if (!--fuel) return -2;\n";
-    f(S, "  goto L%d;\n", Op.Jmp0);
+    jumpTo(Op.Jmp0, Pc);
     break;
   case LirOpc::Copy:
     copyLanes(la(Op.Dst), la(Op.A), P.LanesOf[Op.Dst]);
@@ -807,20 +919,92 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
   case LirOpc::St:
     copyLanes(P.CellLane[VarIdx[Op.A]], la(Op.B), P.LanesOf[Op.B]);
     break;
-  case LirOpc::Call: {
-    const CallPlan &C = P.Calls[CallI];
-    assert(C.Pc == Pc);
-    if (C.K == CallPlan::Assert)
-      f(S, "  api->call(ctx, %zuu, s + %d, 1);\n", CallI,
-        la(L.OperandPool[Op.OpsBase]));
-    else
-      f(S, "  api->call(ctx, %zuu, 0, 0);\n", CallI);
-    ++CallI;
+  case LirOpc::Call:
+    emitCall(Pc, Op);
     break;
-  }
+  case LirOpc::Ret:
+    if (Op.A >= 0)
+      f(S, "  return %s;\n", sl(Op.A).c_str());
+    else
+      S += "  return 0;\n";
+    break;
   default:
     break; // Unreachable: planning rejected everything else.
   }
+}
+
+void Emitter::emitCall(uint32_t Pc, const LirOp &Op) {
+  const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+  if (Op.Callee->isIntrinsic()) {
+    const CallPlan &C = P.Calls[CallI];
+    assert(C.Pc == Pc);
+    size_t Site = P.CallBase + CallI;
+    if (C.K == CallPlan::Assert)
+      f(S, "  api->call(ctx, %zuu, s + %d, 1);\n", Site, la(Ops[0]));
+    else
+      f(S, "  api->call(ctx, %zuu, 0, 0);\n", Site);
+    ++CallI;
+    return;
+  }
+  const LirUnit *CL = L.callee(Op.Callee);
+  auto FP = std::find_if(Fns.begin(), Fns.end(),
+                         [CL](const UnitPlan &F) { return F.L == CL; });
+  assert(FP != Fns.end() && "callee was not planned");
+  std::string Args = FP->NeedsApi ? "api, ctx" : "";
+  for (uint32_t J = 0; J != Op.OpsCount; ++J)
+    Args += (Args.empty() ? "" : ", ") + sl(Ops[J]);
+  if (Op.Dst >= 0)
+    f(S, "  %s = %s(%s);\n", sl(Op.Dst).c_str(), FP->Symbol.c_str(),
+      Args.c_str());
+  else
+    f(S, "  %s(%s);\n", FP->Symbol.c_str(), Args.c_str());
+}
+
+/// The unit's ops in pc order, every jump target and resume point
+/// labelled.
+void Emitter::emitBody() {
+  buildVarMap();
+  std::set<int32_t> Labels;
+  for (const LirOp &Op : L.Ops) {
+    if (Op.C == LirOpc::Jmp || Op.C == LirOpc::Wait)
+      Labels.insert(Op.Jmp0);
+    if (Op.C == LirOpc::CondJmp) {
+      Labels.insert(Op.Jmp0);
+      Labels.insert(Op.Jmp1);
+    }
+  }
+  for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
+    if (Labels.count((int32_t)Pc))
+      f(S, "L%d:;\n", Pc);
+    emitOp(Pc, L.Ops[Pc]);
+  }
+}
+
+/// One callee as a static function over a local lane array: constants
+/// are set and arguments stored in its prologue, and it keeps its own
+/// runaway-guard fuel per call. It returns its result in a u64 (0 for
+/// void, and when the guard trips). The array is not zeroed: the LIR is
+/// in SSA form, so every lane is written before any op reads it.
+std::string emitFn(UnitPlan &FP, const std::vector<UnitPlan> &Fns) {
+  const LirUnit &L = *FP.L;
+  std::string S;
+  f(S, "\n// @%s (function): %u lir ops, %u lanes\n", L.U->name().c_str(),
+    (unsigned)L.Ops.size(), FP.NumLanes);
+  std::string Params = FP.NeedsApi ? "const LlhdJitApi *api, void *ctx" : "";
+  for (unsigned I = 0; I != L.U->inputs().size(); ++I)
+    Params += (Params.empty() ? "u64 a" : ", u64 a") + std::to_string(I);
+  f(S, "static u64 %s(%s) {\n", FP.Symbol.c_str(), Params.c_str());
+  if (FP.NumLanes)
+    f(S, "  u64 s[%u];\n", FP.NumLanes);
+  f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
+  for (const auto &[Lane, V] : FP.ConstLanes)
+    f(S, "  s[%u] = 0x%llxull;\n", Lane, (unsigned long long)V);
+  for (unsigned I = 0; I != L.U->inputs().size(); ++I)
+    f(S, "  s[%d] = a%u;\n", FP.LaneOf[L.U->input(I)->valueNumber()], I);
+  Emitter E{FP, L, Fns, "0", std::move(S), {}};
+  E.emitBody();
+  E.S += "  return 0;\n}\n";
+  return std::move(E.S);
 }
 
 } // namespace
@@ -829,7 +1013,13 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   const LirUnit &L = *P.L;
   P.Symbol = "llhd_jit_u" + std::to_string(Index);
 
+  // Callees first (P.Fns is in callee-before-caller order), each once.
   std::string S;
+  for (size_t J = 0; J != P.Fns.size(); ++J) {
+    P.Fns[J].Symbol = P.Symbol + "_f" + std::to_string(J);
+    S += emitFn(P.Fns[J], P.Fns);
+  }
+
   f(S, "\n// @%s (%s): %u lir ops, %u lanes, %zu waits\n",
     L.U->name().c_str(), procClassName(L.Class), (unsigned)L.Ops.size(),
     P.NumLanes, P.Waits.size());
@@ -849,24 +1039,8 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
     S += "  default: break;\n  }\n";
   }
 
-  // Label every jump target and resume point.
-  std::set<int32_t> Labels;
-  for (const LirOp &Op : L.Ops) {
-    if (Op.C == LirOpc::Jmp || Op.C == LirOpc::Wait)
-      Labels.insert(Op.Jmp0);
-    if (Op.C == LirOpc::CondJmp) {
-      Labels.insert(Op.Jmp0);
-      Labels.insert(Op.Jmp1);
-    }
-  }
-
-  Emitter E{P, L, std::move(S), {}};
-  E.buildVarMap();
-  for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
-    if (Labels.count((int32_t)Pc))
-      f(E.S, "L%d:;\n", Pc);
-    E.emitOp(Pc, L.Ops[Pc]);
-  }
+  Emitter E{P, L, P.Fns, "-2", std::move(S), {}};
+  E.emitBody();
   E.S += "  return -1;\n}\n";
   return std::move(E.S);
 }

@@ -10,14 +10,25 @@
 // table in jit/Runtime.h, so the generated translation unit needs no
 // headers and no symbols from the engine.
 //
+// A call to a defined function is planned in function mode: the callee
+// (reached through LirUnit::Callees) may take and return two-state
+// integers of width <= 64 and run pure ops, var/ld/st, branches, `ret`,
+// llhd.assert/llhd.finish and calls to other such functions. Each one
+// the process reaches becomes a `static` C++ function emitted just
+// before the process's own, over a local lane array with its own
+// runaway-guard fuel. Its intrinsic sites are numbered after the
+// process's own in the process's Calls table, so the callbacks serve
+// them unchanged. No callee frame lives across a `wait`: a native
+// frame is still exactly (lanes, entry).
+//
 // Planning is conservative: any op the emitter cannot prove two-state
 // width <= 64 (wide ints, logic, structs, nested arrays, dynamic drive
-// delays, real function calls, signal-producing computation, pointer
-// escapes) rejects that process with a recorded reason, and the engine
-// keeps interpreting it. Correctness never depends on planning
-// succeeding; the emitted semantics are bit-identical to
-// RtOps.cpp/IntValue.cpp by construction and are cross-checked by the
-// designs-suite digest sweep in tests/jit.
+// delays, recursive calls, non-scalar call arguments or results,
+// signal-producing computation, pointer escapes) rejects that process
+// with a recorded reason, and the engine keeps interpreting it.
+// Correctness never depends on planning succeeding; the emitted
+// semantics are bit-identical to RtOps.cpp/IntValue.cpp by construction
+// and are cross-checked by the designs-suite digest sweep in tests/jit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +69,7 @@ struct DrvPlan {
   const Instruction *Origin;
 };
 
-/// One intrinsic call site.
+/// One intrinsic call site, in a process or in a function it calls.
 struct CallPlan {
   enum Kind : uint8_t { Assert, Finish };
   uint32_t Pc;
@@ -101,6 +112,18 @@ struct UnitPlan {
 
   /// Function symbol in the generated TU; set by emitUnit.
   std::string Symbol;
+
+  /// A process plan: every defined function it calls, directly or
+  /// transitively, planned in function mode, callees before callers
+  /// (the emission order). Empty in function plans.
+  std::vector<UnitPlan> Fns;
+  /// A function plan: where its intrinsic sites (its own Calls, in pc
+  /// order) start in the calling process's Calls table, so the
+  /// process's context serves them like its own.
+  uint32_t CallBase = 0;
+  /// A function plan: it calls an intrinsic, itself or through a
+  /// callee, so it takes the process's `api` and `ctx`.
+  bool NeedsApi = false;
 };
 
 /// Decides whether \p L can run natively and computes the lane layout
@@ -114,8 +137,10 @@ UnitPlan planUnit(const LirUnit &L);
 /// version symbol.
 std::string emitPrelude();
 
-/// Emits the function for one planned unit (Native must be true) and
-/// records its symbol (derived from \p Index) in the plan.
+/// Emits the function for one planned unit (Native must be true),
+/// preceded by one static function per entry of P.Fns, and records the
+/// symbols (derived from \p Index) in the plans. A unit that calls no
+/// function emits exactly its own function.
 std::string emitUnit(UnitPlan &P, unsigned Index);
 
 } // namespace jit

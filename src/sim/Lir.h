@@ -46,9 +46,11 @@ struct UnitInstance;
 /// The runaway guard of every engine, interpreted and native: one
 /// process activation or function call may take this many backward
 /// jumps (a jump to its own or an earlier pc); the last one halts the
-/// process, or returns the default value from the function. Counting
-/// jumps rather than ops gives every engine the same limit whatever its
-/// dispatch granularity.
+/// process, or returns from the function with the default value of its
+/// result type (zero for integers; defaultValue in sim/RtOps.h), so the
+/// caller always consumes a well-typed value. Each call counts its own
+/// jumps, apart from its caller's. Counting jumps rather than ops gives
+/// every engine the same limit whatever its dispatch granularity.
 constexpr uint64_t MaxBackwardJumps = 100000000ull;
 
 /// The lowered opcode set. Pure data-flow computation is one opcode
@@ -135,6 +137,20 @@ struct LirUnit {
   /// generation churn after the first suspension.
   bool StableWait = false;
 
+  /// The lowerings of the defined functions this unit's Call ops name,
+  /// (callee, lowering) in first-call order. Filled by
+  /// LirCache::linkCallees, which LirProgram::build runs after its
+  /// call-graph fixpoint; empty for a unit lowered on its own.
+  std::vector<std::pair<const Unit *, const LirUnit *>> Callees;
+
+  /// The linked lowering of the function \p Fn, or null.
+  const LirUnit *callee(const Unit *Fn) const {
+    for (const auto &[U, L] : Callees)
+      if (U == Fn)
+        return L;
+    return nullptr;
+  }
+
   /// Deterministic textual form for golden tests and --dump-lir.
   std::string dump() const;
 
@@ -220,6 +236,20 @@ public:
   const LirUnit *lookup(const Unit *U) const {
     auto It = Units.find(const_cast<Unit *>(U));
     return It == Units.end() ? nullptr : &It->second;
+  }
+
+  /// Links every cached unit's Call ops to their callees' cached
+  /// lowerings (LirUnit::Callees). Build-time only, like get(); callees
+  /// missing from the cache stay unlinked.
+  void linkCallees() {
+    for (auto &[U, L] : Units) {
+      for (const LirOp &Op : L.Ops) {
+        if (Op.C != LirOpc::Call || L.callee(Op.Callee))
+          continue;
+        if (const LirUnit *CL = lookup(Op.Callee))
+          L.Callees.push_back({Op.Callee, CL});
+      }
+    }
   }
 
   /// Visits every cached lowering (deterministic unit-pointer order).

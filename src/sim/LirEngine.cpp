@@ -151,7 +151,7 @@ RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
     case LirOpc::CondJmp: {
       int32_t To = jumpTarget(Op, F);
       if (To <= Pc && !--Fuel)
-        return RtValue(); // Runaway guard.
+        return defaultValue(Fn->returnType()); // Runaway guard.
       Pc = To;
       continue;
     }

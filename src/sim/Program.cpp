@@ -44,6 +44,9 @@ LirProgram::build(Design D, jit::JitOptions J,
       if (Op.C == LirOpc::Call)
         enqueue(Op.Callee);
   }
+  // Every unit can now reach its callees' lowerings directly (the JIT
+  // plans callees through this link, with or without native code).
+  P->Cache.linkCallees();
 
   if (P->JitOpts.M != jit::JitOptions::Mode::Off) {
     P->JitMod = std::make_unique<jit::JitModule>(P->JitOpts);

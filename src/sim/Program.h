@@ -55,7 +55,8 @@ struct LirProgram {
   bool ok() const { return D.ok(); }
 
   /// Lowers every reachable unit of \p D (instances, then the function
-  /// call graph to a fixpoint) and JIT-compiles when \p J asks for it.
+  /// call graph to a fixpoint), links each lowering to its callees'
+  /// (LirUnit::Callees) and JIT-compiles when \p J asks for it.
   /// Always returns a program; check ok() before running it.
   static std::shared_ptr<const LirProgram>
   build(Design D, jit::JitOptions J = {},

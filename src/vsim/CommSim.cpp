@@ -375,7 +375,7 @@ struct CommSim::Impl {
       if (Next < 0)
         return std::move(X.RetVal);
       if (Next <= Pc && !--Fuel)
-        return RtValue(); // Runaway guard.
+        return defaultValue(F->returnType()); // Runaway guard.
       Pc = Next;
     }
   }

@@ -44,28 +44,48 @@ struct JitTest : public ::testing::Test {
     return M;
   }
 
-  /// Interpreter trace digest for \p Src.
-  uint64_t interpDigest(const std::string &Src, const char *Top) {
+  /// Interpreter trace digest for \p Src; its run statistics land in
+  /// \p Stats when given.
+  uint64_t interpDigest(const std::string &Src, const char *Top,
+                        SimStats *Stats = nullptr) {
     Module *M = parseFresh(Src, std::string(Top) + ".ref");
     Design D = elaborate(*M, Top);
     EXPECT_TRUE(D.ok()) << D.Error;
     InterpSim Ref(std::move(D));
-    Ref.run();
+    SimStats S = Ref.run();
+    if (Stats)
+      *Stats = S;
     return Ref.trace().digest();
   }
 
-  /// Runs \p Src on Blaze with \p Mode and returns the simulator for
-  /// digest/stats inspection.
+  /// Runs \p Src on Blaze with \p Mode (refusing native code to the
+  /// units \p ForceDeopt names) and returns the simulator for
+  /// digest/stats inspection; its run statistics land in \p Stats when
+  /// given.
   std::unique_ptr<BlazeSim> runBlaze(const std::string &Src,
                                      const char *Top,
-                                     jit::JitOptions::Mode Mode) {
+                                     jit::JitOptions::Mode Mode,
+                                     const std::string &ForceDeopt = "",
+                                     SimStats *Stats = nullptr) {
     Module *M = parseFresh(Src, std::string(Top) + ".blz");
     BlazeSim::BlazeOptions O;
     O.Jit.M = Mode;
+    O.Jit.ForceDeopt = ForceDeopt;
     auto B = std::make_unique<BlazeSim>(*M, Top, O);
     EXPECT_TRUE(B->valid()) << B->error();
-    B->run();
+    SimStats S = B->run();
+    if (Stats)
+      *Stats = S;
     return B;
+  }
+
+  /// The deopt reason Blaze recorded for the unit named \p Unit, or "".
+  static std::string deoptReason(const jit::JitStats &St,
+                                 const std::string &Unit) {
+    for (const auto &[Name, Reason] : St.Deopts)
+      if (Name == Unit)
+        return Reason;
+    return "";
   }
 };
 
@@ -155,6 +175,10 @@ TEST_F(JitTest, SuiteDigestsMatchNative) {
     EXPECT_EQ(Ref.trace().digest(), Blaze.trace().digest()) << D.Key;
     EXPECT_TRUE(Blaze.jitStats().Warning.empty())
         << D.Key << ": " << Blaze.jitStats().Warning;
+    // Every process of the suite runs as native code, LZC's
+    // function-calling testbench included.
+    EXPECT_EQ(Blaze.jitStats().DeoptUnits, 0u) << D.Key;
+    EXPECT_EQ(Blaze.jitStats().InterpProcs, 0u) << D.Key;
     TotalNative += Blaze.jitStats().NativeUnits;
   }
   // The sweep is pointless if nothing actually ran as native code.
@@ -185,19 +209,235 @@ TEST_F(JitTest, WidthBoundaries) {
   }
 }
 
-// The accumulator testbench mixes a native-eligible datapath with a
-// process that calls a real function (forced deopt): native and
-// interpreted instances must coexist and still match the oracle.
+// The accumulator testbench with its stimulus process refused native
+// code: native and interpreted instances must coexist and still match
+// the oracle.
 TEST_F(JitTest, MixedNativeAndInterpretedMatchesOracle) {
   std::string Src = llhd_test::accTestbench("50");
   uint64_t Ref = interpDigest(Src, "acc_tb");
-  auto B = runBlaze(Src, "acc_tb", jit::JitOptions::Mode::On);
+  auto B = runBlaze(Src, "acc_tb", jit::JitOptions::Mode::On,
+                    /*ForceDeopt=*/"acc_tb_initial");
   EXPECT_EQ(Ref, B->trace().digest());
   const jit::JitStats &St = B->jitStats();
   EXPECT_GE(St.NativeUnits, 1u);
   EXPECT_GE(St.DeoptUnits, 1u);
   EXPECT_GE(St.NativeProcs, 1u);
   EXPECT_GE(St.InterpProcs, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Function calls
+//===----------------------------------------------------------------------===//
+
+/// A process driving @fsum(i) for i in [0, 12): @fsum loops over a var
+/// counter and calls @fsq per step.
+const char *FnLoopSrc = R"(
+entity @ftop () -> () {
+  %z = const i32 0
+  %o = sig i32 %z
+  inst @fdrive () -> (i32$ %o)
+}
+proc @fdrive () -> (i32$ %o) {
+entry:
+  %c0 = const i32 0
+  %c1 = const i32 1
+  %lim = const i32 12
+  %t1 = const time 1ns
+  %i = var i32 %c0
+  br %loop
+loop:
+  %ip = ld i32* %i
+  %r = call i32 @fsum (i32 %ip)
+  drv i32$ %o, %r after %t1
+  wait %next for %t1
+next:
+  %in = add i32 %ip, %c1
+  st i32* %i, %in
+  %cont = ult i32 %in, %lim
+  br %cont, %end, %loop
+end:
+  halt
+}
+func @fsum (i32 %n) i32 {
+entry:
+  %z = const i32 0
+  %one = const i32 1
+  %acc = var i32 %z
+  %k = var i32 %z
+  br %check
+check:
+  %kv = ld i32* %k
+  %more = ult i32 %kv, %n
+  br %more, %done, %body
+body:
+  %sq = call i32 @fsq (i32 %kv)
+  %av = ld i32* %acc
+  %an = add i32 %av, %sq
+  st i32* %acc, %an
+  %kn = add i32 %kv, %one
+  st i32* %k, %kn
+  br %check
+done:
+  %res = ld i32* %acc
+  ret i32 %res
+}
+func @fsq (i32 %x) i32 {
+entry:
+  %y = mul i32 %x, %x
+  ret i32 %y
+}
+)";
+
+// A callee with a loop, a var and a nested call runs as native code,
+// and every value it returns matches the oracle.
+TEST_F(JitTest, FunctionWithLoopVarAndNestedCallRunsNatively) {
+  uint64_t Ref = interpDigest(FnLoopSrc, "ftop");
+  auto B = runBlaze(FnLoopSrc, "ftop", jit::JitOptions::Mode::On);
+  EXPECT_EQ(Ref, B->trace().digest());
+  const jit::JitStats &St = B->jitStats();
+  EXPECT_TRUE(St.Compiled) << St.Warning;
+  EXPECT_EQ(St.NativeUnits, 1u);
+  EXPECT_EQ(St.DeoptUnits, 0u) << deoptReason(St, "fdrive");
+  EXPECT_EQ(St.InterpProcs, 0u);
+  // Both callees became static functions in front of the process's.
+  const std::string &Src = B->jitSource();
+  EXPECT_NE(Src.find("// @fsq (function)"), std::string::npos) << Src;
+  EXPECT_NE(Src.find("// @fsum (function)"), std::string::npos) << Src;
+  EXPECT_LT(Src.find("// @fsq (function)"), Src.find("// @fsum (function)"));
+}
+
+// An llhd.assert inside a callee counts its failures exactly like the
+// interpreter's. The process's own intrinsic site (llhd.finish) comes
+// first in its Calls table, so a callee site numbered from 0 would
+// finish the run at the first call.
+TEST_F(JitTest, AssertInCalleeCountsLikeInterp) {
+  const char *Src = R"(
+entity @atop () -> () {
+  %z = const i32 0
+  %o = sig i32 %z
+  inst @adrive () -> (i32$ %o)
+}
+proc @adrive () -> (i32$ %o) {
+entry:
+  %c0 = const i32 0
+  %c1 = const i32 1
+  %lim = const i32 8
+  %t1 = const time 1ns
+  %i = var i32 %c0
+  br %loop
+loop:
+  %ip = ld i32* %i
+  call void @acheck (i32 %ip)
+  drv i32$ %o, %ip after %t1
+  wait %next for %t1
+next:
+  %in = add i32 %ip, %c1
+  st i32* %i, %in
+  %cont = ult i32 %in, %lim
+  br %cont, %end, %loop
+end:
+  call void @llhd.finish ()
+  halt
+}
+func @acheck (i32 %v) void {
+entry:
+  %five = const i32 5
+  %ok = ult i32 %v, %five
+  call void @llhd.assert (i1 %ok)
+  ret
+}
+)";
+  SimStats RefSt, NatSt;
+  uint64_t Ref = interpDigest(Src, "atop", &RefSt);
+  auto B = runBlaze(Src, "atop", jit::JitOptions::Mode::On, "", &NatSt);
+  EXPECT_EQ(Ref, B->trace().digest());
+  EXPECT_EQ(RefSt.AssertFailures, 3u); // v = 5, 6, 7.
+  EXPECT_EQ(NatSt.AssertFailures, RefSt.AssertFailures);
+  EXPECT_TRUE(RefSt.Finished);
+  EXPECT_EQ(NatSt.EndTime, RefSt.EndTime);
+  const jit::JitStats &St = B->jitStats();
+  EXPECT_EQ(St.DeoptUnits, 0u) << deoptReason(St, "adrive");
+  EXPECT_EQ(St.NativeProcs, 1u);
+}
+
+// A recursive callee stays on the interpreter, with the reason named.
+TEST_F(JitTest, RecursiveCalleeDeopts) {
+  const char *Src = R"(
+entity @rtop () -> () {
+  %z = const i32 0
+  %o = sig i32 %z
+  inst @rdrive () -> (i32$ %o)
+}
+proc @rdrive () -> (i32$ %o) {
+entry:
+  %n = const i32 6
+  %t1 = const time 1ns
+  %r = call i32 @fact (i32 %n)
+  drv i32$ %o, %r after %t1
+  halt
+}
+func @fact (i32 %n) i32 {
+entry:
+  %one = const i32 1
+  %le = ule i32 %n, %one
+  br %le, %rec, %base
+base:
+  ret i32 %one
+rec:
+  %m = sub i32 %n, %one
+  %f = call i32 @fact (i32 %m)
+  %r = mul i32 %n, %f
+  ret i32 %r
+}
+)";
+  uint64_t Ref = interpDigest(Src, "rtop");
+  auto B = runBlaze(Src, "rtop", jit::JitOptions::Mode::On);
+  EXPECT_EQ(Ref, B->trace().digest());
+  const jit::JitStats &St = B->jitStats();
+  EXPECT_EQ(St.DeoptUnits, 1u);
+  EXPECT_EQ(St.InterpProcs, 1u);
+  EXPECT_NE(deoptReason(St, "rdrive").find("recursive call to function "
+                                           "'@fact'"),
+            std::string::npos)
+      << deoptReason(St, "rdrive");
+}
+
+// A callee taking an array stays on the interpreter, with the reason
+// named.
+TEST_F(JitTest, ArrayArgumentCalleeDeopts) {
+  const char *Src = R"(
+entity @xtop () -> () {
+  %z = const i8 0
+  %o = sig i8 %z
+  inst @xdrive () -> (i8$ %o)
+}
+proc @xdrive () -> (i8$ %o) {
+entry:
+  %a = const i8 3
+  %b = const i8 5
+  %v = [i8 %a, %b]
+  %t1 = const time 1ns
+  %r = call i8 @xsum ([2 x i8] %v)
+  drv i8$ %o, %r after %t1
+  halt
+}
+func @xsum ([2 x i8] %v) i8 {
+entry:
+  %e0 = extf i8 %v, 0
+  %e1 = extf i8 %v, 1
+  %s = add i8 %e0, %e1
+  ret i8 %s
+}
+)";
+  uint64_t Ref = interpDigest(Src, "xtop");
+  auto B = runBlaze(Src, "xtop", jit::JitOptions::Mode::On);
+  EXPECT_EQ(Ref, B->trace().digest());
+  const jit::JitStats &St = B->jitStats();
+  EXPECT_EQ(St.DeoptUnits, 1u);
+  EXPECT_NE(deoptReason(St, "xdrive").find("call to function '@xsum' with "
+                                           "an argument outside"),
+            std::string::npos)
+      << deoptReason(St, "xdrive");
 }
 
 //===----------------------------------------------------------------------===//

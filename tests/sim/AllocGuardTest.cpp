@@ -4,8 +4,9 @@
 // steady state performs zero heap allocations per delta cycle on the op
 // path, for the reference interpreter, Blaze's interpreted LIR and
 // Blaze's native code — also while the default hash trace digests
-// values whose decimal text outgrows std::string's inline buffer, and
-// while a VCD writer streams every change of such values to a sink.
+// values whose decimal text outgrows std::string's inline buffer, while
+// a VCD writer streams every change of such values to a sink, and while
+// a process calls a function every cycle.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
@@ -112,10 +113,24 @@ up:
 }
 )";
 
-/// A counter design starting at \p Init.
+/// The counter's increment as a function call (Counter::Calls): the
+/// interpreted function frame path and the native callee must not
+/// allocate either.
+const char *IncrFunction = R"(
+func @incr ($T %x) $T {
+entry:
+  %one = const $T 1
+  %y = add $T %x, %one
+  ret $T %y
+}
+)";
+
+/// A counter design starting at \p Init; with \p Calls, it computes
+/// each increment through a function call.
 struct Counter {
   const char *Ty;
   uint64_t Init;
+  bool Calls = false;
 
   std::string source() const {
     std::string Src = CounterTemplate;
@@ -123,6 +138,10 @@ struct Counter {
       for (size_t P; (P = Src.find(Key)) != std::string::npos;)
         Src.replace(P, Key.size(), Val);
     };
+    if (Calls) {
+      Subst("add $T %v, %one", "call $T @incr ($T %v)");
+      Src += IncrFunction;
+    }
     Subst("$INIT", std::to_string(Init));
     Subst("$T", Ty);
     return Src;
@@ -135,6 +154,8 @@ const Counter Small{"i32", 0};
 /// std::string's inline buffer, so digesting through a string would
 /// allocate once per change.
 const Counter Wide{"i64", 1000000000000000000ull};
+/// The i32 counter incrementing through a function call.
+const Counter Calling{"i32", 0, /*Calls=*/true};
 
 struct RunResult {
   size_t Allocs;      ///< operator new calls during run().
@@ -271,6 +292,18 @@ TEST(AllocGuard, BlazeNativeSteadyStateIsAllocationFree) {
     GTEST_SKIP() << "no host C++ compiler: Blaze runs interpreted";
   expectSteadyStateAllocationFree(
       Wide, makeBlaze(Trace::Mode::Hash, jit::JitOptions::Mode::On));
+}
+
+// A process calling a function every cycle: the interpreter's pooled
+// function frames and argument buffers, and the native callee's local
+// lanes, allocate nothing in steady state.
+TEST(AllocGuard, FunctionCallSteadyStateIsAllocationFree) {
+  expectSteadyStateAllocationFree(
+      Calling, makeBlaze(Trace::Mode::Off, jit::JitOptions::Mode::Off));
+  if (jit::HostCompiler::findCompiler().empty())
+    GTEST_SKIP() << "no host C++ compiler: Blaze runs interpreted";
+  expectSteadyStateAllocationFree(
+      Calling, makeBlaze(Trace::Mode::Off, jit::JitOptions::Mode::On));
 }
 
 TEST(AllocGuard, RtValueLayout) {

@@ -563,6 +563,40 @@ done:
   EXPECT_EQ(signalValue(*Ref, "/s").intValue().zextToU64(), 2500000u);
 }
 
+TEST_F(LirTest, FunctionRunawayGuardReturnsDefaultValue) {
+  // @spin never returns: after MaxBackwardJumps backward jumps the
+  // guard returns the default value of its result type (i32 0), which
+  // the caller adds to and drives. Every engine, native code included,
+  // follows the same rule and finishes with the same digest.
+  const char *Src = R"(
+entity @top () -> () {
+  %z = const i32 0
+  %s = sig i32 %z
+  inst @caller () -> (i32$ %s)
+}
+proc @caller () -> (i32$ %o) {
+entry:
+  %one = const i32 1
+  %t = const time 1ns
+  %r = call i32 @spin (i32 %one)
+  %n = add i32 %r, %one
+  drv i32$ %o, %n after %t
+  halt
+}
+func @spin (i32 %x) i32 {
+entry:
+  br %loop
+loop:
+  br %loop
+}
+)";
+  auto Ref = runAllEngines(Src, "top");
+  EXPECT_EQ(signalValue(*Ref, "/s").intValue().zextToU64(), 1u);
+  if (LastJit.Compiled) {
+    EXPECT_EQ(LastJit.NativeProcs, 1u);
+  }
+}
+
 // The paper's central cross-simulator claim holds through the shared
 // layer: one digest per design on all three engines (the full-suite
 // sweep lives in EngineEquivalenceTest; WaveTest asserts VCD byte-
