@@ -3,11 +3,7 @@
 // Planning decides, per process, whether every op fits the two-state
 // width <= 64 lane model, the ops of every function it calls included;
 // emission then prints one C++ function per surviving process, preceded
-// by a static function per callee. The numeric semantics of the emitted
-// expressions mirror RtOps.cpp's evalIntFast / IntValue.cpp bit for bit
-// (masking discipline, shift clamping, division-by-zero values, signed
-// magnitude division); any divergence shows up as a trace-digest
-// mismatch in the cross-engine tests.
+// by a static function per callee. Numeric semantics: jit/Prelude.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -556,83 +552,9 @@ UnitPlan jit::planUnit(const LirUnit &L) {
 //===----------------------------------------------------------------------===//
 
 std::string jit::emitPrelude() {
-  // Must stay in sync with jit/Runtime.h (LlhdJitApi, the entry/return
-  // protocol) and RtOps.cpp (numeric semantics). The generated TU is
-  // deliberately freestanding: no includes, no engine symbols.
-  return R"(// Generated by llhd Blaze JIT codegen. Do not edit.
-typedef unsigned long long u64;
-typedef long long s64;
-typedef struct LlhdJitApi {
-  u64 (*prb)(void *ctx, unsigned site);
-  void (*prb_arr)(void *ctx, unsigned site, u64 *dst, unsigned n);
-  void (*drv)(void *ctx, unsigned site, u64 val);
-  void (*drv_arr)(void *ctx, unsigned site, const u64 *val, unsigned n);
-  void (*call)(void *ctx, unsigned site, const u64 *args, unsigned n);
-} LlhdJitApi;
-extern "C" { int llhd_jit_abi_version = 1; }
-
-// Semantics below mirror sim/RtOps.cpp's evalIntFast bit for bit.
-static inline u64 jm(u64 v, unsigned w) {
-  return w >= 64 ? v : (w == 0 ? 0 : (v & ((((u64)1) << w) - 1)));
-}
-static inline s64 jsx(u64 v, unsigned w) {
-  if (w == 0 || w >= 64)
-    return (s64)v;
-  u64 m = ((u64)1) << (w - 1);
-  return (s64)((v ^ m) - m);
-}
-static inline u64 jshl(u64 a, u64 amt, unsigned w) {
-  unsigned s = amt > (u64)w ? w : (unsigned)amt;
-  return s >= w ? 0 : jm(a << s, w);
-}
-static inline u64 jshr(u64 a, u64 amt, unsigned w) {
-  unsigned s = amt > (u64)w ? w : (unsigned)amt;
-  return s >= w ? 0 : a >> s;
-}
-static inline u64 jashr(u64 a, u64 amt, unsigned w) {
-  unsigned s = amt > (u64)w ? w : (unsigned)amt;
-  int neg = w != 0 && ((a >> (w - 1)) & 1);
-  if (s >= w)
-    return neg ? jm(~(u64)0, w) : 0;
-  u64 v = a >> s;
-  if (neg && s != 0)
-    v |= jm(~(u64)0, w) << (w - s);
-  return jm(v, w);
-}
-static inline u64 judiv(u64 a, u64 b, unsigned w) {
-  return b == 0 ? jm(~(u64)0, w) : a / b;
-}
-static inline u64 jurem(u64 a, u64 b) { return b == 0 ? a : a % b; }
-static inline u64 jsdiv(u64 a, u64 b, unsigned w) {
-  if (b == 0)
-    return jm(~(u64)0, w);
-  int an = w != 0 && ((a >> (w - 1)) & 1), bn = w != 0 && ((b >> (w - 1)) & 1);
-  u64 ma = an ? jm(0 - a, w) : a, mb = bn ? jm(0 - b, w) : b;
-  u64 q = ma / mb;
-  return jm(an != bn ? 0 - q : q, w);
-}
-static inline u64 jsrem(u64 a, u64 b, unsigned w) {
-  if (b == 0)
-    return a;
-  int an = w != 0 && ((a >> (w - 1)) & 1), bn = w != 0 && ((b >> (w - 1)) & 1);
-  u64 ma = an ? jm(0 - a, w) : a, mb = bn ? jm(0 - b, w) : b;
-  u64 r = ma % mb;
-  (void)bn;
-  return an ? jm(0 - r, w) : r;
-}
-static inline u64 jsmod(u64 a, u64 b, unsigned w) {
-  if (b == 0)
-    return a;
-  int an = w != 0 && ((a >> (w - 1)) & 1), bn = w != 0 && ((b >> (w - 1)) & 1);
-  u64 ma = an ? jm(0 - a, w) : a, mb = bn ? jm(0 - b, w) : b;
-  u64 r = ma % mb;
-  if (an)
-    r = jm(0 - r, w);
-  if (r != 0 && an != bn)
-    r = jm(r + b, w);
-  return r;
-}
-)";
+  return
+#include "jit/Prelude.inc"
+      ;
 }
 
 namespace {

@@ -27,8 +27,9 @@
 // signal-producing computation, pointer escapes) rejects that process
 // with a recorded reason, and the engine keeps interpreting it.
 // Correctness never depends on planning succeeding; the emitted
-// semantics are bit-identical to RtOps.cpp/IntValue.cpp by construction
-// and are cross-checked by the designs-suite digest sweep in tests/jit.
+// expressions use jit/Prelude.h's helpers, the same code RtOps.cpp's
+// fast path runs, and the designs-suite digest sweep in tests/jit
+// cross-checks them against IntValue.cpp's wide path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +47,10 @@ class Type;
 
 namespace jit {
 
-/// The ABI version the engine expects; embedded in every generated
-/// translation unit and checked after dlopen.
-constexpr int AbiVersion = 1;
+// u64/s64, the LlhdJitApi callback table, AbiVersion (checked after
+// dlopen) and the <=64-bit integer helpers every generated unit runs.
+#define LLHD_JIT_ENGINE
+#include "jit/Prelude.h"
 
 /// One probe site: the generated code calls back with this index, the
 /// engine reads the signal referenced by frame slot \p SigSlot.
@@ -131,10 +133,7 @@ struct UnitPlan {
 /// plan with Native == false and a DeoptReason.
 UnitPlan planUnit(const LirUnit &L);
 
-/// The translation unit's shared prologue: the uint64_t helpers
-/// (masking, shifts, division — bit-identical to RtOps.cpp's fast
-/// path), the LlhdJitApi function-pointer table type, and the ABI
-/// version symbol.
+/// The translation unit's shared prologue: the bytes of jit/Prelude.h.
 std::string emitPrelude();
 
 /// Emits the function for one planned unit (Native must be true),

@@ -21,11 +21,11 @@ using namespace llhd::jit;
 //
 // These mirror the interpreter's Prb/Drv/Call cases in LirEngine.cpp
 // exactly; the only difference is that values cross the boundary as
-// already-masked uint64_t lanes instead of RtValues.
+// already-masked u64 lanes instead of RtValues.
 
 namespace {
 
-uint64_t apiPrb(void *CtxP, unsigned Site) {
+u64 apiPrb(void *CtxP, unsigned Site) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const PrbSite &S = C.Prbs[Site];
   // Whole signals read their pre-resolved storage in place; the rest go
@@ -36,7 +36,7 @@ uint64_t apiPrb(void *CtxP, unsigned Site) {
   return C.Eng->Signals.read(S.Ref).intValue().zextToU64();
 }
 
-void apiPrbArr(void *CtxP, unsigned Site, uint64_t *Dst, unsigned N) {
+void apiPrbArr(void *CtxP, unsigned Site, u64 *Dst, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const PrbSite &S = C.Prbs[Site];
   auto copyOut = [&](const RtValue &V) {
@@ -62,7 +62,7 @@ bool directReadable(const RtValue &V) {
   return std::all_of(Es.begin(), Es.end(), Lane);
 }
 
-void apiDrv(void *CtxP, unsigned Site, uint64_t Val) {
+void apiDrv(void *CtxP, unsigned Site, u64 Val) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const DrvSite &S = C.Drvs[Site];
   LirEngine &E = *C.Eng;
@@ -75,7 +75,7 @@ void apiDrv(void *CtxP, unsigned Site, uint64_t Val) {
   E.Sched.countScheduled(1);
 }
 
-void apiDrvArr(void *CtxP, unsigned Site, const uint64_t *Val, unsigned N) {
+void apiDrvArr(void *CtxP, unsigned Site, const u64 *Val, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   DrvSite &S = C.Drvs[Site];
   LirEngine &E = *C.Eng;
@@ -87,7 +87,7 @@ void apiDrvArr(void *CtxP, unsigned Site, const uint64_t *Val, unsigned N) {
   E.Sched.countScheduled(1);
 }
 
-void apiCall(void *CtxP, unsigned Site, const uint64_t *Args, unsigned N) {
+void apiCall(void *CtxP, unsigned Site, const u64 *Args, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const CallSite &S = C.Calls[Site];
   switch (S.K) {

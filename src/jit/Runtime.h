@@ -39,23 +39,13 @@ struct UnitInstance;
 
 namespace jit {
 
-/// The callback table handed to generated code. Layout must match the
-/// struct printed by emitPrelude() exactly.
-struct LlhdJitApi {
-  uint64_t (*prb)(void *Ctx, unsigned Site);
-  void (*prb_arr)(void *Ctx, unsigned Site, uint64_t *Dst, unsigned N);
-  void (*drv)(void *Ctx, unsigned Site, uint64_t Val);
-  void (*drv_arr)(void *Ctx, unsigned Site, const uint64_t *Val, unsigned N);
-  void (*call)(void *Ctx, unsigned Site, const uint64_t *Args, unsigned N);
-};
-
 /// Signature of a generated process function. The generated side
 /// spells the lane array `unsigned long long*`; uint64_t is
 /// layout-identical on every supported host.
 using JitFn = long long (*)(const LlhdJitApi *, void *, uint64_t *,
                             long long);
 
-/// The engine's shared callback table.
+/// The engine's shared callback table (LlhdJitApi: jit/Prelude.h).
 const LlhdJitApi *apiTable();
 
 /// One probe site, resolved per instance.

@@ -66,19 +66,15 @@ static const IntValue intOf(const RtValue &V) {
 // Width <= 64 two-state fast path
 //===----------------------------------------------------------------------===//
 
-/// Sign-extends the low \p W bits of \p V into an int64_t.
-static inline int64_t sextU64(uint64_t V, unsigned W) {
-  if (W == 0 || W >= 64)
-    return static_cast<int64_t>(V);
-  uint64_t SignMask = uint64_t(1) << (W - 1);
-  return static_cast<int64_t>((V ^ SignMask) - SignMask);
-}
+namespace {
+#define LLHD_JIT_ENGINE
+#include "jit/Prelude.h" // The helpers native units run.
+} // namespace
 
 /// Evaluates the common two-state opcodes directly on uint64_t when every
 /// operand fits one word, writing the result into \p Out. Returns false
 /// when \p Op (or the operand shapes) need the generic wide path. The
-/// semantics must be bit-identical to the IntValue word-loop path; the
-/// RtOps unit test cross-checks both against a reference implementation.
+/// RtOps unit test cross-checks both paths against a reference model.
 static bool evalIntFast(Opcode Op, const RtValue &L, const RtValue &R,
                         RtValue &Out) {
   if (!L.isInt() || !R.isInt())
@@ -87,96 +83,57 @@ static bool evalIntFast(Opcode Op, const RtValue &L, const RtValue &R,
   unsigned W = A.width();
   if (W > 64)
     return false;
-  uint64_t a = A.zextToU64();
+  u64 a = A.zextToU64();
 
   // Shifts take their amount from an operand of independent width.
   if (Op == Opcode::Shl || Op == Opcode::Shr || Op == Opcode::Ashr) {
-    uint64_t Amt = B.fitsU64() ? B.zextToU64() : ~uint64_t(0);
-    unsigned S = Amt > W ? W : static_cast<unsigned>(Amt);
-    uint64_t V;
-    if (Op == Opcode::Shl)
-      V = S >= W ? 0 : a << S;
-    else if (Op == Opcode::Shr)
-      V = S >= W ? 0 : a >> S;
-    else { // Ashr
-      bool Neg = W != 0 && ((a >> (W - 1)) & 1);
-      if (S >= W)
-        V = Neg ? ~uint64_t(0) : 0;
-      else {
-        V = a >> S;
-        if (Neg && S != 0)
-          V |= IntValue::maskOf(W) << (W - S);
-      }
-    }
+    u64 Amt = B.fitsU64() ? B.zextToU64() : ~u64(0);
+    u64 V = Op == Opcode::Shl   ? jshl(a, Amt, W)
+            : Op == Opcode::Shr ? jshr(a, Amt, W)
+                                : jashr(a, Amt, W);
     Out = RtValue(IntValue(W, V));
     return true;
   }
 
   if (B.width() != W)
     return false;
-  uint64_t b = B.zextToU64();
+  u64 b = B.zextToU64();
+  u64 V;
   switch (Op) {
   case Opcode::Add:
-    Out = RtValue(IntValue(W, a + b));
-    return true;
+    V = a + b;
+    break;
   case Opcode::Sub:
-    Out = RtValue(IntValue(W, a - b));
-    return true;
+    V = a - b;
+    break;
   case Opcode::Mul:
-    Out = RtValue(IntValue(W, a * b));
-    return true;
+    V = a * b;
+    break;
   case Opcode::And:
-    Out = RtValue(IntValue(W, a & b));
-    return true;
+    V = a & b;
+    break;
   case Opcode::Or:
-    Out = RtValue(IntValue(W, a | b));
-    return true;
+    V = a | b;
+    break;
   case Opcode::Xor:
-    Out = RtValue(IntValue(W, a ^ b));
-    return true;
+    V = a ^ b;
+    break;
   case Opcode::Udiv:
-    Out = RtValue(IntValue(W, b == 0 ? ~uint64_t(0) : a / b));
-    return true;
+    V = judiv(a, b, W);
+    break;
   case Opcode::Umod:
   case Opcode::Urem:
-    Out = RtValue(IntValue(W, b == 0 ? a : a % b));
-    return true;
-  case Opcode::Sdiv: {
-    // Same X-prop rule as the IntValue path: signed division by zero is
-    // all-ones, never the sign-negated 1. Computed on magnitudes so the
-    // minimum-value/-1 case wraps instead of trapping.
-    if (b == 0) {
-      Out = RtValue(IntValue(W, ~uint64_t(0)));
-      return true;
-    }
-    bool ANeg = W != 0 && ((a >> (W - 1)) & 1);
-    bool BNeg = W != 0 && ((b >> (W - 1)) & 1);
-    uint64_t Mask = IntValue::maskOf(W);
-    uint64_t Ma = ANeg ? (0 - a) & Mask : a;
-    uint64_t Mb = BNeg ? (0 - b) & Mask : b;
-    uint64_t Q = Ma / Mb;
-    Out = RtValue(IntValue(W, ANeg != BNeg ? 0 - Q : Q));
-    return true;
-  }
+    V = jurem(a, b);
+    break;
+  case Opcode::Sdiv:
+    V = jsdiv(a, b, W);
+    break;
   case Opcode::Srem:
-  case Opcode::Smod: {
-    if (b == 0) {
-      Out = RtValue(IntValue(W, a)); // Remainder by zero: the dividend.
-      return true;
-    }
-    bool ANeg = W != 0 && ((a >> (W - 1)) & 1);
-    bool BNeg = W != 0 && ((b >> (W - 1)) & 1);
-    uint64_t Mask = IntValue::maskOf(W);
-    uint64_t Ma = ANeg ? (0 - a) & Mask : a;
-    uint64_t Mb = BNeg ? (0 - b) & Mask : b;
-    uint64_t R = Ma % Mb;
-    if (ANeg)
-      R = (0 - R) & Mask; // rem takes the dividend's sign.
-    if (Op == Opcode::Smod && R != 0 && ANeg != BNeg)
-      R = (R + b) & Mask; // mod takes the divisor's sign.
-    Out = RtValue(IntValue(W, R));
-    return true;
-  }
+    V = jsrem(a, b, W);
+    break;
+  case Opcode::Smod:
+    V = jsmod(a, b, W);
+    break;
   case Opcode::Eq:
     Out = RtValue(IntValue(1, a == b));
     return true;
@@ -196,20 +153,22 @@ static bool evalIntFast(Opcode Op, const RtValue &L, const RtValue &R,
     Out = RtValue(IntValue(1, a >= b));
     return true;
   case Opcode::Slt:
-    Out = RtValue(IntValue(1, sextU64(a, W) < sextU64(b, W)));
+    Out = RtValue(IntValue(1, jsx(a, W) < jsx(b, W)));
     return true;
   case Opcode::Sgt:
-    Out = RtValue(IntValue(1, sextU64(a, W) > sextU64(b, W)));
+    Out = RtValue(IntValue(1, jsx(a, W) > jsx(b, W)));
     return true;
   case Opcode::Sle:
-    Out = RtValue(IntValue(1, sextU64(a, W) <= sextU64(b, W)));
+    Out = RtValue(IntValue(1, jsx(a, W) <= jsx(b, W)));
     return true;
   case Opcode::Sge:
-    Out = RtValue(IntValue(1, sextU64(a, W) >= sextU64(b, W)));
+    Out = RtValue(IntValue(1, jsx(a, W) >= jsx(b, W)));
     return true;
   default:
     return false;
   }
+  Out = RtValue(IntValue(W, V));
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

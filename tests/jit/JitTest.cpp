@@ -7,7 +7,8 @@
 // compile without a single warning under the shipped flags, also from
 // a temp dir whose path needs shell quoting. The fallback paths — no
 // host compiler, failing compiler, unwritable temp dir — must degrade
-// to the interpreter without breaking a single simulation.
+// to the interpreter without breaking a single simulation, and an
+// object without the engine's ABI stamp must never be loaded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +26,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace llhd;
@@ -452,6 +457,16 @@ struct EnvGuard {
   ~EnvGuard() { unsetenv(Name.c_str()); }
 };
 
+/// A fresh directory under $TMPDIR (or /tmp); \p Name ends in XXXXXX.
+std::string freshTempDir(const std::string &Name) {
+  const char *Tmp = getenv("TMPDIR");
+  std::string Templ = std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/" + Name;
+  std::vector<char> Dir(Templ.begin(), Templ.end());
+  Dir.push_back('\0');
+  EXPECT_NE(mkdtemp(Dir.data()), nullptr) << Templ;
+  return Dir.data();
+}
+
 // LLHD_JIT_CXX="" simulates a machine without any host compiler: the
 // engine must interpret everything, correctly, with the stats saying
 // why. Salted sources keep the compiler's object cache out of play.
@@ -544,14 +559,9 @@ TEST_F(JitTest, GeneratedCodeCompilesWithoutWarnings) {
 // stats record where the object came from: compiled the first time,
 // this process's object cache the second.
 TEST_F(JitTest, QuotedTempDirCompiles) {
-  const char *Tmp = getenv("TMPDIR");
-  std::string Templ =
-      std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/llhd jit's dir-XXXXXX";
-  std::vector<char> Dir(Templ.begin(), Templ.end());
-  Dir.push_back('\0');
-  ASSERT_NE(mkdtemp(Dir.data()), nullptr) << Templ;
+  std::string Dir = freshTempDir("llhd jit's dir-XXXXXX");
   {
-    EnvGuard G("LLHD_JIT_TMPDIR", Dir.data());
+    EnvGuard G("LLHD_JIT_TMPDIR", Dir.c_str());
     std::string Src = widthDesign(32, /*Salt=*/303);
     uint64_t Ref = interpDigest(Src, "wtop");
     for (jit::ObjectSource Want :
@@ -565,7 +575,91 @@ TEST_F(JitTest, QuotedTempDirCompiles) {
     }
   }
   // The compile removed its own subdirectory; the root must be empty.
-  EXPECT_EQ(rmdir(Dir.data()), 0) << Dir.data();
+  EXPECT_EQ(rmdir(Dir.c_str()), 0) << Dir;
+}
+
+//===----------------------------------------------------------------------===//
+// The ABI stamp
+//===----------------------------------------------------------------------===//
+
+namespace fs = std::filesystem;
+
+/// The prelude's types and helpers followed by \p Stamp, which replaces
+/// the prelude's own llhd_jit_abi_version definition.
+std::string stampedSource(const std::string &Stamp) {
+  return "#define LLHD_JIT_ENGINE\n" + jit::emitPrelude() + Stamp;
+}
+
+const char *const WrongStamp =
+    "extern \"C\" { int llhd_jit_abi_version = 2; }\n";
+
+std::string readBytes(const fs::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+TEST_F(JitTest, WrongAbiVersionIsRejected) {
+  EnvGuard G("LLHD_JIT_CACHE", "");
+  jit::CompileResult R = jit::HostCompiler::compile(stampedSource(WrongStamp));
+  ASSERT_TRUE(R.CompilerFound);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("ABI version 2"), std::string::npos) << R.Error;
+  EXPECT_NE(R.Error.find("expects " + std::to_string(jit::AbiVersion)),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST_F(JitTest, MissingAbiStampIsRejected) {
+  EnvGuard G("LLHD_JIT_CACHE", "");
+  jit::CompileResult R = jit::HostCompiler::compile(stampedSource(""));
+  ASSERT_TRUE(R.CompilerFound);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("<missing>"), std::string::npos) << R.Error;
+}
+
+// An object of another ABI planted under the published cache name of a
+// source is not loaded: the compile falls through to a fresh compile and
+// republishes a matching object in its place.
+TEST_F(JitTest, MismatchedCachedObjectIsNotLoaded) {
+  fs::path Root = freshTempDir("llhd-jit-abi-XXXXXX");
+  fs::path Kept = Root / "kept", Cache = Root / "cache";
+  fs::create_directory(Kept);
+
+  // A mismatched object: the failed load leaves it behind with KEEP set.
+  {
+    EnvGuard K("LLHD_JIT_KEEP", "1"), T("LLHD_JIT_TMPDIR", Kept.c_str()),
+        C("LLHD_JIT_CACHE", "");
+    ASSERT_FALSE(jit::HostCompiler::compile(stampedSource(WrongStamp)).ok());
+  }
+  fs::path Planted = fs::directory_iterator(Kept)->path() / "jit.so";
+  ASSERT_TRUE(fs::exists(Planted));
+
+  // The published name of Src. A child process compiles it, so this
+  // process's in-memory object cache does not know Src yet.
+  std::string Src = jit::emitPrelude() + "// planted cache entry\n";
+  EnvGuard C("LLHD_JIT_CACHE", Cache.c_str());
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0)
+    _exit(jit::HostCompiler::compile(Src).From == jit::ObjectSource::Compiled
+              ? 0
+              : 1);
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  fs::path Published = fs::directory_iterator(Cache)->path();
+  EXPECT_NE(Published.filename().string().find(
+                "-abi" + std::to_string(jit::AbiVersion) + ".so"),
+            std::string::npos)
+      << Published;
+  fs::copy_file(Planted, Published, fs::copy_options::overwrite_existing);
+
+  jit::CompileResult R = jit::HostCompiler::compile(Src);
+  EXPECT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.From, jit::ObjectSource::Compiled);
+  EXPECT_TRUE(readBytes(Published) != readBytes(Planted))
+      << "the planted object was not replaced";
+  fs::remove_all(Root);
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 // both against an independent bit-level reference model on randomized
 // widths 1..128, so the two paths are bit-identical by construction: the
 // same opcode and operand bits must produce the same result bits no
-// matter which side of the 64-bit boundary the width falls on.
+// matter which side of the 64-bit boundary the width falls on. The same
+// model checks jit/Prelude.h's helpers directly, which the fast path and
+// every native unit call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +18,12 @@
 
 #include <random>
 #include <vector>
+
+// The helpers native units run, by themselves.
+namespace native {
+#define LLHD_JIT_ENGINE
+#include "jit/Prelude.h"
+} // namespace native
 
 using namespace llhd;
 
@@ -69,6 +77,20 @@ Bits refShl(const Bits &A, unsigned S) {
   Bits R(A.size(), 0);
   for (size_t I = S; I < A.size(); ++I)
     R[I] = A[I - S];
+  return R;
+}
+
+Bits refShr(const Bits &A, unsigned S) {
+  Bits R(A.size(), 0);
+  for (size_t I = 0; I + S < A.size(); ++I)
+    R[I] = A[I + S];
+  return R;
+}
+
+Bits refAshr(const Bits &A, unsigned S) {
+  Bits R(A.size(), A.empty() ? 0 : A.back());
+  for (size_t I = 0; I + S < A.size(); ++I)
+    R[I] = A[I + S];
   return R;
 }
 
@@ -246,19 +268,14 @@ TEST(RtOpsFastWide, RandomizedWidths1To128) {
     IntValue AmtV(8, Amt);
     {
       unsigned S = Amt > W ? W : Amt;
-      Bits ShlR = refShl(BA, S);
-      Bits ShrR(W, 0);
-      for (unsigned I = 0; I + S < W; ++I)
-        ShrR[I] = BA[I + S];
-      Bits AshrR(W, BA.back());
-      for (unsigned I = 0; I + S < W; ++I)
-        AshrR[I] = BA[I + S];
-      EXPECT_EQ(evalBin(Opcode::Shl, A, AmtV).intValue(), fromBits(ShlR))
+      EXPECT_EQ(evalBin(Opcode::Shl, A, AmtV).intValue(),
+                fromBits(refShl(BA, S)))
           << "shl " << S << " at width " << W;
-      EXPECT_EQ(evalBin(Opcode::Shr, A, AmtV).intValue(), fromBits(ShrR))
+      EXPECT_EQ(evalBin(Opcode::Shr, A, AmtV).intValue(),
+                fromBits(refShr(BA, S)))
           << "shr " << S << " at width " << W;
       EXPECT_EQ(evalBin(Opcode::Ashr, A, AmtV).intValue(),
-                fromBits(AshrR))
+                fromBits(refAshr(BA, S)))
           << "ashr " << S << " at width " << W;
     }
   }
@@ -353,5 +370,73 @@ TEST(RtOpsFastWide, SignedDivisionBoundaries) {
                 1)
           << "width " << W;
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The JIT prelude's helpers: the code native units and the fast path run
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Bits bitsOf(uint64_t V, unsigned W) { return toBits(IntValue(W, V)); }
+
+uint64_t wordOf(const Bits &B) { return fromBits(B).zextToU64(); }
+
+} // namespace
+
+// Every helper of jit/Prelude.h against the bit-level reference, on each
+// width 1..64: random operands plus zero, one, MIN, MAX and all-ones, and
+// the shift amounts that clamp (w, w+1, 2^32+1, ~0) beside 0 and w-1.
+TEST(JitPrelude, HelpersMatchReference) {
+  using namespace native;
+  std::mt19937_64 Rng(0x9e1dull);
+  for (unsigned W = 1; W <= 64; ++W) {
+    uint64_t Mask = IntValue::maskOf(W);
+    uint64_t Min = uint64_t(1) << (W - 1);
+    std::vector<uint64_t> Vals{0, 1, Min, Min - 1, Mask};
+    for (unsigned I = 0; I != 6; ++I)
+      Vals.push_back(Rng() & Mask);
+    for (uint64_t X : {uint64_t(Rng()), ~uint64_t(0), Min})
+      EXPECT_EQ(jm(X, W), X & Mask) << "jm at width " << W;
+
+    for (uint64_t A : Vals) {
+      Bits BA = bitsOf(A, W);
+      EXPECT_EQ(jsx(A, W), fromBits(BA).sextToI64())
+          << "jsx " << A << " at " << W;
+      for (uint64_t Amt : {uint64_t(0), uint64_t(W - 1), uint64_t(W),
+                           uint64_t(W + 1), (uint64_t(1) << 32) + 1,
+                           ~uint64_t(0)}) {
+        unsigned S = Amt > W ? W : static_cast<unsigned>(Amt);
+        EXPECT_EQ(jshl(A, Amt, W), wordOf(refShl(BA, S)))
+            << "jshl " << A << " by " << Amt << " at " << W;
+        EXPECT_EQ(jshr(A, Amt, W), wordOf(refShr(BA, S)))
+            << "jshr " << A << " by " << Amt << " at " << W;
+        EXPECT_EQ(jashr(A, Amt, W), wordOf(refAshr(BA, S)))
+            << "jashr " << A << " by " << Amt << " at " << W;
+      }
+      for (uint64_t B : Vals) {
+        Bits BB = bitsOf(B, W), Q, R;
+        refUdivRem(BA, BB, Q, R);
+        EXPECT_EQ(judiv(A, B, W), wordOf(Q)) << A << "/" << B << " at " << W;
+        EXPECT_EQ(jurem(A, B), wordOf(R)) << A << "%" << B << " at " << W;
+        EXPECT_EQ(jsdiv(A, B, W), wordOf(refSdiv(BA, BB)))
+            << "jsdiv " << A << ", " << B << " at " << W;
+        EXPECT_EQ(jsrem(A, B, W), wordOf(refSrem(BA, BB)))
+            << "jsrem " << A << ", " << B << " at " << W;
+        EXPECT_EQ(jsmod(A, B, W), wordOf(refSmod(BA, BB)))
+            << "jsmod " << A << ", " << B << " at " << W;
+      }
+    }
+
+    // The named corners: division by zero and MIN / -1.
+    EXPECT_EQ(judiv(Min, 0, W), Mask) << W;
+    EXPECT_EQ(jsdiv(Min, 0, W), Mask) << W;
+    EXPECT_EQ(jurem(Min, 0), Min) << W;
+    EXPECT_EQ(jsrem(Min, 0, W), Min) << W;
+    EXPECT_EQ(jsmod(Min, 0, W), Min) << W;
+    EXPECT_EQ(jsdiv(Min, Mask, W), Min) << "MIN/-1 at " << W;
+    EXPECT_EQ(jsrem(Min, Mask, W), 0u) << "MIN rem -1 at " << W;
+    EXPECT_EQ(jsmod(Min, Mask, W), 0u) << "MIN mod -1 at " << W;
   }
 }
