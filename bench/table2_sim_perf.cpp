@@ -10,6 +10,12 @@
 // Cycle counts default to 1/1000 of the paper's (pass --scale=1 for the
 // full counts; the interpreter column then takes hours, as in the paper).
 //
+// --gate=<BENCH_sim.json> compares the fresh Int. and JIT geomeans with a
+// committed baseline. Every timed Int. and JIT run is normalised by a run
+// of a calibration kernel just before it, and the kernel shares no code
+// with the library (see calibrationRun): a change to the engines moves
+// the numbers the gate reads, a change of host speed mostly does not.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -25,8 +31,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -40,6 +48,10 @@ struct Row {
   std::string Name;
   uint64_t Cycles;
   double IntS, JitS, CommS;
+  /// The fastest Int. and JIT runs in calibration units: engine ns per
+  /// cycle over the calibration kernel's ns per iteration, taken run by
+  /// run against the kernel run just before, minimum over repetitions.
+  double IntCal, JitCal;
   double CkptS;     ///< Interp runtime with periodic checkpointing on.
   double CompileMs; ///< Blaze elaborate+codegen+host-compile wall time.
   bool TracesMatch;
@@ -49,11 +61,74 @@ struct Row {
   double BatchSeqS = 0, BatchPoolS = 0;
 };
 
-/// Per-engine geometric means in ns/cycle.
+/// Per-engine geometric means: ns/cycle and calibration units.
 struct Geomeans {
-  double Int = 0, Jit = 0, Comm = 0;
+  double Int = 0, Jit = 0, Comm = 0, IntCal = 0, JitCal = 0;
   bool Ok = false;
 };
+
+/// Iterations of the calibration kernel's loop body per run (~3 ms).
+constexpr uint32_t CalibIters = 40000;
+/// Keeps the calibration kernel's result observable.
+volatile uint64_t CalibSink;
+
+/// One run of the perf gate's machine-speed reference, in ns per loop
+/// iteration. The kernel shares no code with the library: a small
+/// register machine (switch dispatch over a 32-instruction body, a
+/// 16-entry register file, loads and stores into a 1024-word table,
+/// data-dependent skips) runs a fixed program CalibIters times. That is
+/// the same kind of work as the engines' run phase (indirect dispatch,
+/// short dependent integer chains, L1 traffic), so the kernel's speed
+/// tracks the host's while no engine change can move it. The program is
+/// drawn from a fixed seed at run time so the compiler cannot specialise
+/// it.
+double calibrationRun() {
+  enum : uint8_t { KAdd, KXor, KMul, KShr, KLoad, KStore, KSkip, KNumOps };
+  struct KIns {
+    uint8_t Op, D, A, B;
+  };
+  std::mt19937 G(0x5eed);
+  std::vector<KIns> Prog(32);
+  for (KIns &I : Prog)
+    I = {uint8_t(G() % KNumOps), uint8_t(G() % 16), uint8_t(G() % 16),
+         uint8_t(G() % 16)};
+  uint64_t R[16];
+  for (unsigned I = 0; I != 16; ++I)
+    R[I] = I * 0x9e3779b97f4a7c15ull + 1;
+  std::vector<uint64_t> Mem(1024, 0);
+  double Sec = timeIt([&] {
+    for (uint32_t It = 0; It != CalibIters; ++It) {
+      for (size_t Pc = 0; Pc < Prog.size(); ++Pc) {
+        const KIns &I = Prog[Pc];
+        switch (I.Op) {
+        case KAdd:
+          R[I.D] = R[I.A] + R[I.B];
+          break;
+        case KXor:
+          R[I.D] = R[I.A] ^ (R[I.B] >> 7);
+          break;
+        case KMul:
+          R[I.D] = R[I.A] * (R[I.B] | 1);
+          break;
+        case KShr:
+          R[I.D] = R[I.A] >> (R[I.B] & 31);
+          break;
+        case KLoad:
+          R[I.D] = Mem[R[I.A] & 1023];
+          break;
+        case KStore:
+          Mem[R[I.A] & 1023] = R[I.B] + It;
+          break;
+        default:
+          Pc += R[I.A] & 1;
+          break;
+        }
+      }
+    }
+  });
+  CalibSink = R[0] ^ R[15] ^ Mem[R[1] & 1023];
+  return Sec * 1e9 / CalibIters;
+}
 
 double nsPerCycleOf(double Sec, uint64_t Cycles) {
   return Cycles ? Sec * 1e9 / (double)Cycles : 0.0;
@@ -61,16 +136,20 @@ double nsPerCycleOf(double Sec, uint64_t Cycles) {
 
 Geomeans geomeansOf(const std::vector<Row> &Rows) {
   Geomeans G;
-  double LInt = 0, LJit = 0, LComm = 0;
+  double LInt = 0, LJit = 0, LComm = 0, LIntCal = 0, LJitCal = 0;
   for (const Row &R : Rows) {
     LInt += std::log(nsPerCycleOf(R.IntS, R.Cycles));
     LJit += std::log(nsPerCycleOf(R.JitS, R.Cycles));
     LComm += std::log(nsPerCycleOf(R.CommS, R.Cycles));
+    LIntCal += std::log(R.IntCal);
+    LJitCal += std::log(R.JitCal);
   }
   size_t N = Rows.empty() ? 1 : Rows.size();
   G.Int = std::exp(LInt / N);
   G.Jit = std::exp(LJit / N);
   G.Comm = std::exp(LComm / N);
+  G.IntCal = std::exp(LIntCal / N);
+  G.JitCal = std::exp(LJitCal / N);
   G.Ok = !Rows.empty();
   return G;
 }
@@ -95,32 +174,36 @@ Geomeans parseGeomeans(const std::string &Path) {
     return G;
   G.Ok = sscanf(Text.c_str() + Pos,
                 "\"geomean_ns_per_cycle\": {\"interp\": %lf, \"blaze\": "
-                "%lf, \"comm\": %lf",
-                &G.Int, &G.Jit, &G.Comm) == 3 &&
-         G.Int > 0 && G.Jit > 0 && G.Comm > 0;
+                "%lf, \"comm\": %lf, \"interp_calib\": %lf, "
+                "\"blaze_calib\": %lf",
+                &G.Int, &G.Jit, &G.Comm, &G.IntCal, &G.JitCal) == 5 &&
+         G.IntCal > 0 && G.JitCal > 0;
   return G;
 }
 
 /// The perf gate: compares fresh interp/blaze geomeans against the
-/// committed baseline, each normalised by its own comm geomean so the
-/// comparison is robust to absolute machine speed (comm is the on-host
-/// reference engine). Fails on a >Tol relative regression.
+/// committed baseline, both in calibration units (Row::IntCal/JitCal),
+/// so the comparison is robust to absolute machine speed and no engine
+/// change moves the reference. Fails on a >Tol relative regression of
+/// either engine.
 int runGate(const std::vector<Row> &Rows, const std::string &GatePath,
             double Tol) {
   Geomeans Fresh = geomeansOf(Rows);
   Geomeans Base = parseGeomeans(GatePath);
   if (!Fresh.Ok || !Base.Ok) {
-    fprintf(stderr, "perf gate: cannot read baseline geomeans from %s\n",
+    fprintf(stderr,
+            "perf gate: cannot read baseline geomeans (interp_calib, "
+            "blaze_calib) from %s\n",
             GatePath.c_str());
     return 1;
   }
-  double FInt = Fresh.Int / Fresh.Comm, BInt = Base.Int / Base.Comm;
-  double FJit = Fresh.Jit / Fresh.Comm, BJit = Base.Jit / Base.Comm;
-  printf("\nPerf gate vs %s (tolerance %.0f%%, comm-normalised):\n",
+  double FInt = Fresh.IntCal, BInt = Base.IntCal;
+  double FJit = Fresh.JitCal, BJit = Base.JitCal;
+  printf("\nPerf gate vs %s (tolerance %.0f%%, calibration-normalised):\n",
          GatePath.c_str(), Tol * 100);
-  printf("  interp: %.3f vs baseline %.3f (%+.1f%%)\n", FInt, BInt,
+  printf("  interp: %.2f vs baseline %.2f (%+.1f%%)\n", FInt, BInt,
          (FInt / BInt - 1) * 100);
-  printf("  blaze:  %.3f vs baseline %.3f (%+.1f%%)\n", FJit, BJit,
+  printf("  blaze:  %.2f vs baseline %.2f (%+.1f%%)\n", FJit, BJit,
          (FJit / BJit - 1) * 100);
   bool Fail = FInt > BInt * (1 + Tol) || FJit > BJit * (1 + Tol);
   for (const Row &R : Rows)
@@ -140,30 +223,26 @@ void writeJson(const std::string &Path, double Scale,
     fprintf(stderr, "cannot write %s\n", Path.c_str());
     return;
   }
-  auto nsPerCycle = [](double Sec, uint64_t Cycles) {
-    return Cycles ? Sec * 1e9 / (double)Cycles : 0.0;
-  };
-  double GInt = 0, GJit = 0, GComm = 0, GCkpt = 0, SumCompile = 0;
+  double GCkpt = 0, SumCompile = 0;
   fprintf(F, "{\n  \"bench\": \"table2_sim_perf\",\n");
   fprintf(F, "  \"scale\": %g,\n  \"designs\": [\n", Scale);
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
-    double NInt = nsPerCycle(R.IntS, R.Cycles),
-           NJit = nsPerCycle(R.JitS, R.Cycles),
-           NComm = nsPerCycle(R.CommS, R.Cycles);
+    double NInt = nsPerCycleOf(R.IntS, R.Cycles),
+           NJit = nsPerCycleOf(R.JitS, R.Cycles),
+           NComm = nsPerCycleOf(R.CommS, R.Cycles);
     double Ckpt = R.IntS > 0 ? R.CkptS / R.IntS : 1.0;
-    GInt += std::log(NInt);
-    GJit += std::log(NJit);
-    GComm += std::log(NComm);
     GCkpt += std::log(Ckpt);
     SumCompile += R.CompileMs;
     fprintf(F,
             "    {\"name\": \"%s\", \"cycles\": %llu, "
             "\"interp_ns_per_cycle\": %.1f, \"blaze_ns_per_cycle\": %.1f, "
-            "\"comm_ns_per_cycle\": %.1f, \"blaze_compile_ms\": %.1f, "
+            "\"comm_ns_per_cycle\": %.1f, \"interp_calib\": %.2f, "
+            "\"blaze_calib\": %.2f, \"blaze_compile_ms\": %.1f, "
             "\"checkpoint_overhead\": %.3f, \"traces_match\": %s}%s\n",
             R.Name.c_str(), (unsigned long long)R.Cycles, NInt, NJit,
-            NComm, R.CompileMs, Ckpt, R.TracesMatch ? "true" : "false",
+            NComm, R.IntCal, R.JitCal, R.CompileMs, Ckpt,
+            R.TracesMatch ? "true" : "false",
             I + 1 != Rows.size() ? "," : "");
   }
   size_t N = Rows.empty() ? 1 : Rows.size();
@@ -190,14 +269,16 @@ void writeJson(const std::string &Path, double Scale,
   } else {
     fprintf(F, "  ],\n  \"geomean_ns_per_cycle\": ");
   }
-  // New fields must stay behind "comm": parseGeomeans() scans this line
-  // with a fixed prefix.
+  // New fields must stay behind "blaze_calib": parseGeomeans() scans
+  // this line with a fixed prefix.
+  Geomeans G = geomeansOf(Rows);
   fprintf(F,
           "{\"interp\": %.1f, \"blaze\": %.1f, \"comm\": %.1f, "
+          "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
           "\"blaze_compile_ms_total\": %.1f, "
           "\"checkpoint_overhead_geomean\": %.3f}\n}\n",
-          std::exp(GInt / N), std::exp(GJit / N), std::exp(GComm / N),
-          SumCompile, std::exp(GCkpt / N));
+          G.Int, G.Jit, G.Comm, G.IntCal, G.JitCal, SumCompile,
+          std::exp(GCkpt / N));
   fclose(F);
   printf("wrote %s\n", Path.c_str());
 }
@@ -255,6 +336,15 @@ int main(int argc, char **argv) {
     // gate relies on. Trace/VCD comparisons use the last repetition
     // (the digests are identical across reps by determinism).
     double TInt = 1e300, TJit = 1e300, TComm = 1e300, TCkpt = 1e300;
+    double IntCal = 1e300, JitCal = 1e300;
+    // Times one engine run into Best and, for the gate, into BestCal in
+    // calibration units against a kernel run just before it.
+    auto timeRun = [&](auto &&Run, double &Best, double &BestCal) {
+      double CalNs = calibrationRun();
+      double T = timeIt(Run);
+      Best = std::min(Best, T);
+      BestCal = std::min(BestCal, nsPerCycleOf(T, D.Iterations) / CalNs);
+    };
     double CompileMs = 0;
     SimStats S1, S2, S3;
     std::unique_ptr<InterpSim> Int;
@@ -266,7 +356,7 @@ int main(int argc, char **argv) {
       Design Dn = elaborate(M1, R1.TopUnit);
       Opts.Wave = DumpVcd && LastRep ? &WInt : nullptr;
       Int = std::make_unique<InterpSim>(std::move(Dn), Opts);
-      TInt = std::min(TInt, timeIt([&] { S1 = Int->run(); }));
+      timeRun([&] { S1 = Int->run(); }, TInt, IntCal);
 
       BlazeSim::BlazeOptions BOpts;
       static_cast<SimOptions &>(BOpts) = Opts;
@@ -280,7 +370,7 @@ int main(int argc, char **argv) {
           [&] { Jit = std::make_unique<BlazeSim>(M2, R2.TopUnit, BOpts); });
       if (Rep == 0)
         CompileMs = TBuild * 1e3;
-      TJit = std::min(TJit, timeIt([&] { S2 = Jit->run(); }));
+      timeRun([&] { S2 = Jit->run(); }, TJit, JitCal);
 
       Opts.Wave = DumpVcd && LastRep ? &WComm : nullptr;
       Comm = std::make_unique<CommSim>(M3, R3.TopUnit, Opts);
@@ -351,8 +441,9 @@ int main(int argc, char **argv) {
         !WInt.writeToFile(VcdDir + "/" + D.Key + ".vcd"))
       printf("%-16s cannot write %s/%s.vcd\n", "", VcdDir.c_str(),
              D.Key.c_str());
-    Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, TComm, TCkpt,
-                    CompileMs, Match, TBatchSeq, TBatchPool});
+    Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, TComm, IntCal,
+                    JitCal, TCkpt, CompileMs, Match, TBatchSeq,
+                    TBatchPool});
 
     printf("%-16s %5u %10llu %12.3f %12.3f %12.3f %9.1f %8.1f %7.2f "
            "%7.1f%%%s\n",

@@ -169,7 +169,7 @@ bool SignalTable::write(const SigRef &RefIn, const RtValue &V,
   if (Ref.wholeSignal() && SV.isInt() && V.isInt()) {
     if (SV.intValue() == V.intValue())
       return false;
-    SV.intValue() = V.intValue();
+    SV = V;
     return true;
   }
   RtValue Old = readSubValue(SV, Ref);

@@ -134,7 +134,7 @@ public:
   /// already masked to the signal's width. Returns true if the value
   /// changed.
   bool writeWord(SignalId Canon, uint64_t W) {
-    uint64_t &Old = Values[Canon].intValue().inlineWord();
+    uint64_t &Old = Values[Canon].inlineWord();
     if (Old == W)
       return false;
     Old = W;

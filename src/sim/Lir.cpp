@@ -289,6 +289,7 @@ private:
     Op.IrOp = I->opcode();
     Op.Dst = slotOf(I);
     Op.Imm = I->immediate();
+    Op.Width = pureResultWidth(*I);
     Op.Origin = I;
     Op.OpsBase = L.OperandPool.size();
     Op.OpsCount = I->numOperands();

@@ -33,6 +33,7 @@
 
 #include "ir/Instruction.h"
 #include "ir/Unit.h"
+#include "sim/RtOps.h"
 #include "sim/RtValue.h"
 
 #include <map>
@@ -57,7 +58,7 @@ constexpr uint64_t MaxBackwardJumps = 100000000ull;
 /// carrying the ir::Opcode for RtOps dispatch; everything else is an
 /// execution-shaped instruction.
 enum class LirOpc : uint8_t {
-  Pure,    ///< frame[Dst] = evalPureIdx(IrOp, frame, operands).
+  Pure,    ///< frame[Dst] = IrOp(frame[operands...]); see execPure.
   Prb,     ///< frame[Dst] = signal read of frame[A].
   Drv,     ///< drive frame[A] with frame[B] after frame[C] if frame[Dd].
   Jmp,     ///< pc = Jmp0.
@@ -96,6 +97,9 @@ struct LirOp {
   /// Pure: the insf/extf/inss/exts immediate. Reg/Del: the base index
   /// into the instance's previous-sample state arrays.
   uint32_t Imm = 0;
+  /// Pure: the result width of zext/sext/trunc and integer or logic exts
+  /// (pureResultWidth in sim/RtOps.h), so evaluation never reads Origin.
+  uint32_t Width = 0;
   int32_t Jmp0 = -1, Jmp1 = -1;
   uint32_t OpsBase = 0, OpsCount = 0;   ///< Span of LirUnit::OperandPool.
   uint32_t TrigBase = 0, TrigCount = 0; ///< Reg: span of TriggerPool.
@@ -170,6 +174,21 @@ inline uint64_t driverId(const void *Tag, const Instruction *I) {
 /// Lowers \p U into LIR. Runs the only IR-opcode walk shared by the
 /// engines; includes jump-chain threading and fall-through elision.
 LirUnit lowerUnit(Unit &U);
+
+/// Shared `Pure` op execution, the pure op of every engine: evaluates
+/// \p Op over frame \p F (operand slots in \p Pool, the unit's
+/// OperandPool) into F[Op.Dst]. Two-state operands of at most 64 bits
+/// take the word path (evalIntFast), which writes the result word into
+/// the slot in place; everything else takes evalPureWide.
+inline void execPure(const LirOp &Op, const int32_t *Pool, RtValue *F) {
+  const int32_t *Idx = Pool + Op.OpsBase;
+  if (Op.OpsCount - 1u < 2u &&
+      evalIntFast(Op.IrOp, F[Idx[0]], Op.OpsCount == 2 ? &F[Idx[1]] : nullptr,
+                  Op.Imm, Op.Width, F[Op.Dst]))
+    return;
+  F[Op.Dst] = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
+                           Op.Origin);
+}
 
 /// Shared `reg` rule evaluation: walks the decoded triggers of one Reg
 /// op, updates the previous-sample state, and invokes

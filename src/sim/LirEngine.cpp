@@ -159,8 +159,7 @@ RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
       F[Op.Dst] = F[Op.A];
       break;
     case LirOpc::Pure:
-      F[Op.Dst] = evalPureIdx(Op.IrOp, F, Pool + Op.OpsBase, Op.OpsCount,
-                              Op.Imm, Op.Origin);
+      execPure(Op, Pool, F);
       break;
     case LirOpc::Var:
       Memory.push_back(F[Op.A]);
@@ -227,11 +226,10 @@ void LirEngine::runProcess(uint32_t PI) {
       const LirOp &Op = Ops[Pc];
       switch (Op.C) {
       case LirOpc::Pure:
-        F[Op.Dst] = evalPureIdx(Op.IrOp, F, Pool + Op.OpsBase,
-                                Op.OpsCount, Op.Imm, Op.Origin);
+        execPure(Op, Pool, F);
         break;
       case LirOpc::Prb:
-        F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+        execPrb(Op, F);
         break;
       case LirOpc::Drv:
         execDrv(Op, F, PS.Inst);
@@ -299,14 +297,13 @@ void LirEngine::runProcess(uint32_t PI) {
       F[Op.Dst] = F[Op.A];
       break;
     case LirOpc::Prb:
-      F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+      execPrb(Op, F);
       break;
     case LirOpc::Drv:
       execDrv(Op, F, PS.Inst);
       break;
     case LirOpc::Pure:
-      F[Op.Dst] = evalPureIdx(Op.IrOp, F, Pool + Op.OpsBase, Op.OpsCount,
-                              Op.Imm, Op.Origin);
+      execPure(Op, Pool, F);
       break;
     case LirOpc::Var:
       PS.Memory.push_back(F[Op.A]);
@@ -358,11 +355,10 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
   for (const LirOp &Op : L.Ops) {
     switch (Op.C) {
     case LirOpc::Pure:
-      F[Op.Dst] = evalPureIdx(Op.IrOp, F, Pool + Op.OpsBase, Op.OpsCount,
-                              Op.Imm, Op.Origin);
+      execPure(Op, Pool, F);
       break;
     case LirOpc::Prb:
-      F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+      execPrb(Op, F);
       break;
     case LirOpc::Drv:
       execDrv(Op, F, ES.Inst);

@@ -186,6 +186,19 @@ private:
   /// bookkeeping exactly.
   void runProcessNative(uint32_t PI);
 
+  /// A probe of a whole word-lane signal reads the stored value in place
+  /// (a word copy), the rule Blaze's direct native probes follow; every
+  /// other probe resolves through SignalTable::read().
+  void execPrb(const LirOp &Op, RtValue *F) {
+    const RtValue &Sig = F[Op.A];
+    SignalId Canon = Sig.isWholeSignal() ? Signals.wordCanon(Sig.sigId())
+                                         : InvalidSignal;
+    if (Canon != InvalidSignal)
+      F[Op.Dst] = Signals.storedValue(Canon);
+    else
+      F[Op.Dst] = Signals.read(Sig.sigRef());
+  }
+
   /// A drive of a whole word-lane signal with an integer value files a
   /// 24-byte word entry; every other drive files a general SigUpdate.
   void execDrv(const LirOp &Op, const RtValue *F, const void *Tag) {

@@ -4,7 +4,73 @@
 
 using namespace llhd;
 
-bool RtValue::isTruthy() const {
+void RtValue::destroyHeap() {
+  switch (K) {
+  case Kind::Int:
+    IV.~IntValue();
+    break;
+  case Kind::Logic:
+    LV.~LogicVec();
+    break;
+  case Kind::Array:
+  case Kind::Struct:
+    delete Agg;
+    break;
+  case Kind::Signal:
+    delete SRB;
+    break;
+  default:
+    break;
+  }
+}
+
+void RtValue::copyHeap(const RtValue &RHS) {
+  // The tag is written last, so a throwing allocation leaves this value
+  // trivial and safe to destroy.
+  switch (RHS.K) {
+  case Kind::Int:
+    new (&IV) IntValue(RHS.IV);
+    break;
+  case Kind::Logic:
+    new (&LV) LogicVec(RHS.LV);
+    break;
+  case Kind::Array:
+  case Kind::Struct:
+    Agg = new std::vector<RtValue>(*RHS.Agg);
+    break;
+  case Kind::Signal:
+    SRB = new SigRef(*RHS.SRB);
+    break;
+  default:
+    Raw = RHS.Raw;
+    break;
+  }
+  K = RHS.K;
+  Boxed = RHS.Boxed;
+}
+
+void RtValue::assignHeap(const RtValue &RHS) {
+  // Wide integers and logic vectors reuse their words in place.
+  if (K == RHS.K && Boxed && RHS.Boxed) {
+    if (K == Kind::Int) {
+      IV = RHS.IV;
+      return;
+    }
+    if (K == Kind::Logic) {
+      LV = RHS.LV;
+      return;
+    }
+  }
+  if (trivialPayload()) {
+    copyHeap(RHS);
+    return;
+  }
+  // Copy before releasing: RHS may live inside this value's payload.
+  RtValue Tmp(RHS);
+  *this = std::move(Tmp);
+}
+
+bool RtValue::isTruthySlow() const {
   if (isInt())
     return !IV.isZero();
   if (isLogic())
@@ -28,7 +94,7 @@ bool RtValue::operator==(const RtValue &RHS) const {
   case Kind::Pointer:
     return Ptr == RHS.Ptr;
   case Kind::Signal:
-    if (SigBoxed || RHS.SigBoxed)
+    if (Boxed || RHS.Boxed)
       return sigRef() == RHS.sigRef();
     return SRI.Sig == RHS.SRI.Sig && SRI.BitOff == RHS.SRI.BitOff &&
            SRI.BitLen == RHS.SRI.BitLen;

@@ -7,10 +7,14 @@
 //
 // RtValue is a tagged union of at most 32 bytes. Scalars — integers up to
 // 64 bits, logic vectors up to 16 elements, times, pointers and
-// whole-signal references — are stored inline, so the steady-state scalar
-// data path never allocates; copies and moves of scalars are plain word
-// copies. Aggregates and signal references with an element path live
-// behind an owned heap pointer.
+// whole-signal or bit-slice references — are stored inline, so the
+// steady-state scalar data path never allocates. Aggregates, wider
+// integers and logic vectors, and signal references with an element path
+// live behind an owned heap pointer.
+//
+// Copy, move, assignment and destruction test one inline predicate,
+// trivialPayload(): when the payload owns nothing they are plain word
+// copies (or nothing at all); only heap payloads call out-of-line code.
 //
 //===----------------------------------------------------------------------===//
 
@@ -128,10 +132,10 @@ public:
   };
 
   RtValue() : K(Kind::Invalid) {}
-  explicit RtValue(IntValue V) : K(Kind::Int) {
+  explicit RtValue(IntValue V) : K(Kind::Int), Boxed(!V.isInline()) {
     new (&IV) IntValue(std::move(V));
   }
-  explicit RtValue(LogicVec V) : K(Kind::Logic) {
+  explicit RtValue(LogicVec V) : K(Kind::Logic), Boxed(!V.isInline()) {
     new (&LV) LogicVec(std::move(V));
   }
   explicit RtValue(Time T) : K(Kind::TimeVal) { TV = T; }
@@ -139,49 +143,77 @@ public:
     // Inline storage covers a whole signal or a plain bit slice; refs
     // with a path or an element range are boxed.
     if (S.Path.empty() && S.ElemOff < 0) {
-      SigBoxed = false;
+      Boxed = false;
       SRI.Sig = S.Sig;
       SRI.BitOff = S.BitOff;
       SRI.BitLen = S.BitLen;
     } else {
-      SigBoxed = true;
+      Boxed = true;
       SRB = new SigRef(std::move(S));
     }
   }
 
-  RtValue(const RtValue &RHS) { copyFrom(RHS); }
+  RtValue(const RtValue &RHS) {
+    if (RHS.trivialPayload())
+      rawCopy(RHS);
+    else
+      copyHeap(RHS);
+  }
   /// Moves are plain word copies: heap payloads transfer ownership by
   /// pointer, inline payloads by value. The source is left Invalid.
   RtValue(RtValue &&RHS) noexcept {
     rawCopy(RHS);
-    RHS.K = Kind::Invalid;
+    RHS.reset();
   }
   RtValue &operator=(const RtValue &RHS) {
-    if (this == &RHS)
-      return *this;
-    destroy();
-    copyFrom(RHS);
+    if (trivialPayload() && RHS.trivialPayload())
+      rawCopy(RHS); // Also covers self-assignment.
+    else if (this != &RHS)
+      assignHeap(RHS);
     return *this;
   }
   RtValue &operator=(RtValue &&RHS) noexcept {
     if (this == &RHS)
       return *this;
-    destroy();
+    if (!trivialPayload())
+      destroyHeap();
     rawCopy(RHS);
-    RHS.K = Kind::Invalid;
+    RHS.reset();
     return *this;
   }
-  ~RtValue() { destroy(); }
+  ~RtValue() {
+    if (!trivialPayload())
+      destroyHeap();
+  }
+
+  /// Makes this value the integer of \p W <= 64 bits holding the low W
+  /// bits of \p Word, in place: the word path of the interpreter's
+  /// evaluator (RtOps.h). A heap payload is released first.
+  void setWord(unsigned W, uint64_t Word) {
+    if (!trivialPayload())
+      destroyHeap();
+    K = Kind::Int;
+    Boxed = false;
+    new (&IV) IntValue(IntValue::makeInline(W, Word));
+  }
+
+  /// True when the payload owns no heap memory: invalid, times,
+  /// pointers, integers of at most 64 bits, logic vectors of at most 16
+  /// elements and inline signal references. Such values copy as words
+  /// and need no destruction.
+  bool trivialPayload() const { return !Boxed; }
 
   static RtValue makeArray(std::vector<RtValue> Elems) {
     RtValue V;
     V.K = Kind::Array;
+    V.Boxed = true;
     V.Agg = new std::vector<RtValue>(std::move(Elems));
     return V;
   }
   static RtValue makeStruct(std::vector<RtValue> Fields) {
     RtValue V;
     V.K = Kind::Struct;
+    V.Boxed = true;
     V.Agg = new std::vector<RtValue>(std::move(Fields));
     return V;
   }
@@ -205,9 +237,12 @@ public:
     assert(isInt() && "not an integer value");
     return IV;
   }
-  IntValue &intValue() {
+  /// The word of an integer of at most 64 bits, for in-place updates
+  /// (SignalTable::writeWord); the caller keeps the bits above the width
+  /// zero.
+  uint64_t &inlineWord() {
     assert(isInt() && "not an integer value");
-    return IV;
+    return IV.inlineWord();
   }
   const LogicVec &logicValue() const {
     assert(isLogic() && "not a logic value");
@@ -221,7 +256,7 @@ public:
   /// common case) are stored inline and produce no allocation.
   SigRef sigRef() const {
     assert(isSignal() && "not a signal reference");
-    if (SigBoxed)
+    if (Boxed)
       return *SRB;
     SigRef R;
     R.Sig = SRI.Sig;
@@ -232,11 +267,11 @@ public:
   /// The referenced signal id without materialising a SigRef.
   SignalId sigId() const {
     assert(isSignal() && "not a signal reference");
-    return SigBoxed ? SRB->Sig : SRI.Sig;
+    return Boxed ? SRB->Sig : SRI.Sig;
   }
   /// True for a reference to a whole signal (no path, range or slice).
   bool isWholeSignal() const {
-    return isSignal() && !SigBoxed && SRI.BitOff < 0;
+    return isSignal() && !Boxed && SRI.BitOff < 0;
   }
   uint32_t pointer() const {
     assert(isPointer() && "not a pointer");
@@ -252,7 +287,11 @@ public:
   }
 
   /// The boolean interpretation of an i1 (or l1) value.
-  bool isTruthy() const;
+  bool isTruthy() const {
+    if (K == Kind::Int && !Boxed)
+      return IV.zextToU64() != 0;
+    return isTruthySlow();
+  }
 
   bool operator==(const RtValue &RHS) const;
   bool operator!=(const RtValue &RHS) const { return !(*this == RHS); }
@@ -261,60 +300,22 @@ public:
   std::string toString() const;
 
 private:
-  void destroy() {
-    switch (K) {
-    case Kind::Int:
-      IV.~IntValue();
-      break;
-    case Kind::Logic:
-      LV.~LogicVec();
-      break;
-    case Kind::Array:
-    case Kind::Struct:
-      delete Agg;
-      break;
-    case Kind::Signal:
-      if (SigBoxed)
-        delete SRB;
-      break;
-    default:
-      break;
-    }
+  bool isTruthySlow() const;
+  /// Out-of-line halves of the special members, for heap payloads only.
+  void destroyHeap();
+  void copyHeap(const RtValue &RHS);
+  void assignHeap(const RtValue &RHS);
+
+  /// Leaves a moved-from value Invalid, owning nothing.
+  void reset() {
+    K = Kind::Invalid;
+    Boxed = false;
   }
-  void copyFrom(const RtValue &RHS) {
-    K = RHS.K;
-    SigBoxed = RHS.SigBoxed;
-    switch (K) {
-    case Kind::Int:
-      new (&IV) IntValue(RHS.IV);
-      break;
-    case Kind::Logic:
-      new (&LV) LogicVec(RHS.LV);
-      break;
-    case Kind::Array:
-    case Kind::Struct:
-      Agg = new std::vector<RtValue>(*RHS.Agg);
-      break;
-    case Kind::Signal:
-      if (SigBoxed)
-        SRB = new SigRef(*RHS.SRB);
-      else
-        SRI = RHS.SRI;
-      break;
-    case Kind::TimeVal:
-      TV = RHS.TV;
-      break;
-    case Kind::Pointer:
-      Ptr = RHS.Ptr;
-      break;
-    case Kind::Invalid:
-      break;
-    }
-  }
-  /// Bitwise payload adoption for moves; the caller resets RHS's kind.
+  /// Bitwise payload adoption: the whole copy of a trivial payload, and
+  /// the ownership transfer of a move (the caller then reset()s RHS).
   void rawCopy(const RtValue &RHS) {
     K = RHS.K;
-    SigBoxed = RHS.SigBoxed;
+    Boxed = RHS.Boxed;
     Raw = RHS.Raw;
   }
 
@@ -328,7 +329,9 @@ private:
   };
 
   Kind K;
-  bool SigBoxed = false; ///< Signal kind: SRB (boxed) vs SRI (inline).
+  /// The payload owns heap memory: a wider integer or logic vector, an
+  /// aggregate, or a boxed signal reference (SRB rather than SRI).
+  bool Boxed = false;
   union {
     IntValue IV;
     LogicVec LV;

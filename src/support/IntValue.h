@@ -223,14 +223,17 @@ public:
     return ~uint64_t(0) >> (64 - Rem);
   }
 
+  /// The value of \p W <= 64 bits holding the low W bits of \p Value:
+  /// the constructor without the heap branch.
+  static IntValue makeInline(unsigned W, uint64_t Value) {
+    assert(W <= 64 && "inline value wider than one word");
+    return IntValue(InlineTag{}, W, Value);
+  }
+
 private:
-  /// Fast constructor for a width <= 64 result; \p Value is masked.
   struct InlineTag {};
   IntValue(InlineTag, unsigned W, uint64_t Value)
       : Width(W), Word(Value & maskOf(W)) {}
-  static IntValue makeInline(unsigned W, uint64_t Value) {
-    return IntValue(InlineTag{}, W, Value);
-  }
 
   const uint64_t *words() const { return isInline() ? &Word : Ptr; }
   uint64_t *words() { return isInline() ? &Word : Ptr; }

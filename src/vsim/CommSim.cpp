@@ -87,10 +87,9 @@ CsUnit compileUnit(const LirUnit &L) {
     const int Next = static_cast<int>(PcIdx) + 1;
     switch (Op.C) {
     case LirOpc::Pure: {
-      const int32_t *Idx = L.OperandPool.data() + Op.OpsBase;
-      CU.Ops.push_back([Op, Idx, Next](CsExec &X) {
-        X.R[Op.Dst] = evalPureIdx(Op.IrOp, X.R.data(), Idx, Op.OpsCount,
-                                  Op.Imm, Op.Origin);
+      const int32_t *Pool = L.OperandPool.data();
+      CU.Ops.push_back([Op, Pool, Next](CsExec &X) {
+        execPure(Op, Pool, X.R.data());
         return Next;
       });
       break;

@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,13 @@ namespace {
 struct JitTest : public ::testing::Test {
   Context Ctx;
 
+  /// The modules parseFresh() made, destroyed with the fixture (after the
+  /// simulators a test body holds, before Ctx).
+  std::vector<std::unique_ptr<Module>> Modules;
+
   Module *parseFresh(const std::string &Src, const std::string &Name) {
-    auto *M = new Module(Ctx, Name); // Leaked into the test; fine.
+    Modules.push_back(std::make_unique<Module>(Ctx, Name));
+    Module *M = Modules.back().get();
     ParseResult R = parseModule(Src, *M);
     EXPECT_TRUE(R.Ok) << R.Error;
     return M;

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 using namespace llhd;
 
@@ -26,8 +28,13 @@ namespace {
 struct EngineEquivalence : public ::testing::Test {
   Context Ctx;
 
+  /// The modules parseFresh() made, destroyed with the fixture (after the
+  /// simulators a test body holds, before Ctx).
+  std::vector<std::unique_ptr<Module>> Modules;
+
   Module *parseFresh(const char *Src, const char *Name) {
-    auto *M = new Module(Ctx, Name); // Leaked into the test; fine.
+    Modules.push_back(std::make_unique<Module>(Ctx, Name));
+    Module *M = Modules.back().get();
     ParseResult R = parseModule(Src, *M);
     EXPECT_TRUE(R.Ok) << R.Error;
     return M;

@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 using namespace llhd;
 
@@ -36,8 +38,13 @@ struct LirTest : public ::testing::Test {
   /// "comm" and "jit".
   std::map<std::string, SimStats> RunStats;
 
+  /// The modules parseFresh() made, destroyed with the fixture (after the
+  /// simulators a test body holds, before Ctx).
+  std::vector<std::unique_ptr<Module>> Modules;
+
   Module *parseFresh(const char *Src, const char *Name) {
-    auto *M = new Module(Ctx, Name); // Leaked into the test; fine.
+    Modules.push_back(std::make_unique<Module>(Ctx, Name));
+    Module *M = Modules.back().get();
     ParseResult R = parseModule(Src, *M);
     EXPECT_TRUE(R.Ok) << R.Error;
     return M;

@@ -1,13 +1,15 @@
 //===- tests/sim/RtOpsTest.cpp - Fast-path vs wide-path equivalence -------===//
 //
 // RtOps routes width <= 64 two-state operations through a uint64_t fast
-// path and wider ones through the IntValue word loops. This test checks
-// both against an independent bit-level reference model on randomized
-// widths 1..128, so the two paths are bit-identical by construction: the
-// same opcode and operand bits must produce the same result bits no
-// matter which side of the 64-bit boundary the width falls on. The same
-// model checks jit/Prelude.h's helpers directly, which the fast path and
-// every native unit call.
+// path (evalIntFast, in place) and wider ones through the IntValue word
+// loops (evalPureWide). This test checks both against an independent
+// bit-level reference model on randomized widths 1..128, so the two paths
+// are bit-identical by construction: the same opcode and operand bits
+// must produce the same result bits no matter which side of the 64-bit
+// boundary the width falls on. It also holds the in-place path to the
+// wide path directly, for every opcode it takes, on widths 1..64 and
+// over destinations of every kind. The same model checks jit/Prelude.h's
+// helpers directly, which the fast path and every native unit call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 // The helpers native units run, by themselves.
@@ -371,6 +374,131 @@ TEST(RtOpsFastWide, SignedDivisionBoundaries) {
           << "width " << W;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The in-place word path against the wide path
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Destination preloads of every kind the word path may overwrite.
+std::vector<RtValue> destinationPreloads() {
+  std::vector<RtValue> D;
+  D.push_back(RtValue());
+  D.push_back(RtValue(IntValue(13, 5)));
+  D.push_back(RtValue(IntValue(128, std::vector<uint64_t>{1, 2})));
+  D.push_back(RtValue(LogicVec::fromString("01XZ")));
+  D.push_back(RtValue(LogicVec::fromString(std::string(33, 'U'))));
+  D.push_back(RtValue(Time::ns(1)));
+  D.push_back(RtValue::makePointer(2));
+  SigRef Ref;
+  Ref.Sig = 1;
+  D.push_back(RtValue(Ref));
+  D.push_back(RtValue(Ref.element(0)));
+  D.push_back(RtValue::makeArray({RtValue(IntValue(4, 1))}));
+  return D;
+}
+
+IntValue randomInt(std::mt19937_64 &Rng, unsigned W) {
+  return IntValue(W, Rng());
+}
+
+} // namespace
+
+// Every opcode evalIntFast takes, on every width 1..64, must produce what
+// evalPureWide (the wide path, no word shortcut) produces, whatever the
+// destination slot held before: evalIntFast writes the result into the
+// slot in place.
+TEST(RtOpsInPlace, MatchesWidePathForEveryOpcode) {
+  const Opcode Binary[] = {
+      Opcode::Add, Opcode::Sub,  Opcode::Mul, Opcode::Udiv, Opcode::Sdiv,
+      Opcode::Umod, Opcode::Smod, Opcode::Urem, Opcode::Srem, Opcode::And,
+      Opcode::Or,  Opcode::Xor,  Opcode::Eq,  Opcode::Neq,  Opcode::Ult,
+      Opcode::Ugt, Opcode::Ule,  Opcode::Uge, Opcode::Slt,  Opcode::Sgt,
+      Opcode::Sle, Opcode::Sge};
+  const Opcode Shifts[] = {Opcode::Shl, Opcode::Shr, Opcode::Ashr};
+  const Opcode Unary[] = {Opcode::Not, Opcode::Neg};
+  const Opcode Casts[] = {Opcode::Zext, Opcode::Sext, Opcode::Trunc,
+                          Opcode::Exts};
+  const std::vector<RtValue> Preloads = destinationPreloads();
+  const int32_t Idx[] = {0, 1};
+  std::mt19937_64 Rng(0x1a9e5ull);
+  unsigned Checked = 0;
+
+  // Evaluates both paths and compares them for every preload.
+  auto check = [&](Opcode Op, const std::vector<RtValue> &Ops, unsigned Imm,
+                   unsigned Width) {
+    RtValue Wide = evalPureWide(Op, Ops.data(), Idx, Ops.size(), Imm, Width,
+                                nullptr);
+    for (const RtValue &P : Preloads) {
+      RtValue Dst = P;
+      ASSERT_TRUE(evalIntFast(Op, Ops[0], Ops.size() == 2 ? &Ops[1] : nullptr,
+                              Imm, Width, Dst))
+          << opcodeName(Op) << " at width " << Ops[0].intValue().width();
+      EXPECT_EQ(Dst, Wide) << opcodeName(Op) << " " << Ops[0].toString()
+                           << " imm " << Imm << " width " << Width
+                           << " over " << P.toString();
+      ++Checked;
+    }
+  };
+
+  for (unsigned W = 1; W <= 64; ++W) {
+    uint64_t Mask = IntValue::maskOf(W);
+    std::vector<IntValue> Vals{IntValue(W, 0), IntValue(W, 1),
+                               IntValue(W, uint64_t(1) << (W - 1)),
+                               IntValue(W, Mask)};
+    for (unsigned I = 0; I != 3; ++I)
+      Vals.push_back(randomInt(Rng, W));
+    for (const IntValue &A : Vals) {
+      for (const IntValue &B : Vals)
+        for (Opcode Op : Binary)
+          check(Op, {RtValue(A), RtValue(B)}, 0, 0);
+      for (Opcode Op : Shifts)
+        for (uint64_t Amt : {uint64_t(0), uint64_t(W - 1), uint64_t(W),
+                             uint64_t(W + 3)})
+          check(Op, {RtValue(A), RtValue(IntValue(8, Amt))}, 0, 0);
+      for (Opcode Op : Unary)
+        check(Op, {RtValue(A)}, 0, 0);
+
+      // inss: a slice of width WB at offset Imm, Imm + WB <= W.
+      unsigned WB = Rng() % (W + 1), Imm = Rng() % (W - WB + 1);
+      check(Opcode::Inss, {RtValue(A), RtValue(randomInt(Rng, WB))}, Imm, 0);
+
+      for (Opcode Op : Casts) {
+        unsigned To = Op == Opcode::Zext || Op == Opcode::Sext
+                          ? W + Rng() % (64 - W + 1)
+                          : Rng() % (W + 1);
+        unsigned Off = Op == Opcode::Exts ? Rng() % (W - To + 1) : 0;
+        check(Op, {RtValue(A)}, Off, To);
+      }
+    }
+  }
+  EXPECT_GT(Checked, 100000u);
+}
+
+// Operands the word path does not take leave the destination alone.
+TEST(RtOpsInPlace, DeclinesWideAndLogicOperands) {
+  RtValue Dst(IntValue(128, std::vector<uint64_t>{1, 2}));
+  const RtValue Keep = Dst;
+  RtValue Wide(IntValue(65, 3)), Narrow(IntValue(8, 3));
+  RtValue Logic(LogicVec::fromString("0101"));
+  EXPECT_FALSE(evalIntFast(Opcode::Add, Wide, &Wide, 0, 0, Dst));
+  EXPECT_FALSE(evalIntFast(Opcode::Not, Wide, nullptr, 0, 0, Dst));
+  EXPECT_FALSE(evalIntFast(Opcode::And, Logic, &Logic, 0, 0, Dst));
+  EXPECT_FALSE(evalIntFast(Opcode::Add, Narrow, &Wide, 0, 0, Dst));
+  EXPECT_FALSE(evalIntFast(Opcode::Zext, Narrow, nullptr, 0, 65, Dst));
+  EXPECT_FALSE(evalIntFast(Opcode::Mux, Narrow, &Narrow, 0, 0, Dst));
+  EXPECT_EQ(Dst, Keep);
+}
+
+// The destination may be one of the operands.
+TEST(RtOpsInPlace, DestinationAliasesOperand) {
+  RtValue A(IntValue(16, 40000)), B(IntValue(16, 30000));
+  ASSERT_TRUE(evalIntFast(Opcode::Add, A, &B, 0, 0, A));
+  EXPECT_EQ(A, RtValue(IntValue(16, 70000 & 0xffff)));
+  ASSERT_TRUE(evalIntFast(Opcode::Ult, A, &B, 0, 0, B));
+  EXPECT_EQ(B, RtValue(IntValue(1, 1)));
 }
 
 //===----------------------------------------------------------------------===//
