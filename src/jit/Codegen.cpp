@@ -902,11 +902,43 @@ void Emitter::emitBody() {
   }
 }
 
+/// Whether \p L jumps to itself or an earlier op: only then can it loop,
+/// so only then does it declare the runaway-guard fuel.
+bool hasBackwardJump(const LirUnit &L) {
+  for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
+    const LirOp &Op = L.Ops[Pc];
+    if ((Op.C == LirOpc::Jmp || Op.C == LirOpc::CondJmp) &&
+        Op.Jmp0 <= (int32_t)Pc)
+      return true;
+    if (Op.C == LirOpc::CondJmp && Op.Jmp1 <= (int32_t)Pc)
+      return true;
+  }
+  return false;
+}
+
+/// Whether the emitted body of \p L ends in a return or a goto, so
+/// control cannot fall off its end.
+bool endsInJump(const LirUnit &L) {
+  if (L.Ops.empty())
+    return false;
+  switch (L.Ops.back().C) {
+  case LirOpc::Halt:
+  case LirOpc::Wait:
+  case LirOpc::Jmp:
+  case LirOpc::CondJmp:
+  case LirOpc::Ret:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// One callee as a static function over a local lane array: constants
-/// are set and arguments stored in its prologue, and it keeps its own
-/// runaway-guard fuel per call. It returns its result in a u64 (0 for
-/// void, and when the guard trips). The array is not zeroed: the LIR is
-/// in SSA form, so every lane is written before any op reads it.
+/// are set and arguments stored in its prologue, and when it can loop it
+/// keeps its own runaway-guard fuel per call. It returns its result in a
+/// u64 (0 for void, and when the guard trips). The array is not zeroed:
+/// the LIR is in SSA form, so every lane is written before any op reads
+/// it.
 std::string emitFn(UnitPlan &FP, const std::vector<UnitPlan> &Fns) {
   const LirUnit &L = *FP.L;
   std::string S;
@@ -918,14 +950,15 @@ std::string emitFn(UnitPlan &FP, const std::vector<UnitPlan> &Fns) {
   f(S, "static u64 %s(%s) {\n", FP.Symbol.c_str(), Params.c_str());
   if (FP.NumLanes)
     f(S, "  u64 s[%u];\n", FP.NumLanes);
-  f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
+  if (hasBackwardJump(L))
+    f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
   for (const auto &[Lane, V] : FP.ConstLanes)
     f(S, "  s[%u] = 0x%llxull;\n", Lane, (unsigned long long)V);
   for (unsigned I = 0; I != L.U->inputs().size(); ++I)
     f(S, "  s[%d] = a%u;\n", FP.LaneOf[L.U->input(I)->valueNumber()], I);
   Emitter E{FP, L, Fns, "0", std::move(S), {}};
   E.emitBody();
-  E.S += "  return 0;\n}\n";
+  E.S += endsInJump(L) ? "}\n" : "  return 0;\n}\n";
   return std::move(E.S);
 }
 
@@ -936,7 +969,7 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   P.Symbol = "llhd_jit_u" + std::to_string(Index);
 
   // Callees first (P.Fns is in callee-before-caller order), each once.
-  std::string S;
+  std::string S = UnitSentinel;
   for (size_t J = 0; J != P.Fns.size(); ++J) {
     P.Fns[J].Symbol = P.Symbol + "_f" + std::to_string(J);
     S += emitFn(P.Fns[J], P.Fns);
@@ -948,7 +981,8 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   f(S, "extern \"C\" s64 %s(const LlhdJitApi *api, void *ctx, u64 *s, "
        "s64 entry) {\n",
     P.Symbol.c_str());
-  f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
+  if (hasBackwardJump(L))
+    f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
 
   // Entry dispatch: 0 starts at pc 0, i resumes after wait i-1. For
   // the single-wait classes this folds to one compare; the general
@@ -963,6 +997,6 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
 
   Emitter E{P, L, P.Fns, "-2", std::move(S), {}};
   E.emitBody();
-  E.S += "  return -1;\n}\n";
+  E.S += endsInJump(L) ? "}\n" : "  return -1;\n}\n";
   return std::move(E.S);
 }

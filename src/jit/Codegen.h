@@ -15,8 +15,8 @@
 // integers of width <= 64 and run pure ops, var/ld/st, branches, `ret`,
 // llhd.assert/llhd.finish and calls to other such functions. Each one
 // the process reaches becomes a `static` C++ function emitted just
-// before the process's own, over a local lane array with its own
-// runaway-guard fuel. Its intrinsic sites are numbered after the
+// before the process's own, over a local lane array (with its own
+// runaway-guard fuel when it can loop). Its intrinsic sites are numbered after the
 // process's own in the process's Calls table, so the callbacks serve
 // them unchanged. No callee frame lives across a `wait`: a native
 // frame is still exactly (lanes, entry).
@@ -136,10 +136,16 @@ UnitPlan planUnit(const LirUnit &L);
 /// The translation unit's shared prologue: the bytes of jit/Prelude.h.
 std::string emitPrelude();
 
-/// Emits the function for one planned unit (Native must be true),
-/// preceded by one static function per entry of P.Fns, and records the
-/// symbols (derived from \p Index) in the plans. A unit that calls no
-/// function emits exactly its own function.
+/// The line every emitUnit() chunk opens with. The host compiler splits
+/// a translation unit there into shards that compile at once
+/// (jit/HostCompiler.h); everything before the first one is the prelude.
+inline constexpr char UnitSentinel[] = "// llhd-jit-unit\n";
+
+/// Emits UnitSentinel and the function for one planned unit (Native
+/// must be true), preceded by one static function per entry of P.Fns,
+/// and records the symbols (derived from \p Index) in the plans. A
+/// function declares the runaway-guard fuel only when it has a backward
+/// jump, and ends in no return that cannot be reached.
 std::string emitUnit(UnitPlan &P, unsigned Index);
 
 } // namespace jit

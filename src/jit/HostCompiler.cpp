@@ -3,6 +3,7 @@
 #include "jit/HostCompiler.h"
 #include "jit/Codegen.h" // AbiVersion.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -10,10 +11,12 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <vector>
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <sched.h>
 #include <spawn.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -24,11 +27,12 @@ using namespace llhd::jit;
 
 namespace {
 
-/// Everything between the compiler and `-o`: the one compile command
-/// (see HostCompiler.h). Part of every object-cache key, so an object
-/// built under other flags is never served.
-const char *const CompileFlags[] = {"-std=c++17", "-O1",    "-pipe",
-                                    "-fPIC",      "-shared", "-nostdlib"};
+/// Everything between the compiler and `-o` (see HostCompiler.h): the
+/// single command passes both lists, a shard compile only the first and
+/// the link only the second. Part of every object-cache key, so an
+/// object built under other flags is never served.
+const char *const CompileFlags[] = {"-std=c++17", "-O1", "-pipe", "-fPIC"};
+const char *const LinkFlags[] = {"-shared", "-nostdlib"};
 
 /// FNV-1a: the key of the process-wide cache of loaded objects (same
 /// compiler, flags and source => same object, e.g. bench reps).
@@ -98,27 +102,43 @@ std::string shellQuote(const std::string &Arg) {
   return Out + "'";
 }
 
-/// Runs \p Args (argv[0] is looked up on PATH when it has no slash)
-/// without a shell, stdout and stderr written to \p Log, and waits for
-/// it. Empty on a zero exit, else why it failed.
-std::string spawnAndWait(const std::vector<std::string> &Args,
-                         const std::string &Log) {
+/// One compiler invocation: its argv (argv[0] is looked up on PATH when
+/// it has no slash) and the file its stdout and stderr go to.
+struct Job {
+  std::vector<std::string> Args;
+  std::string Log;
+
+  /// Shell-quoted rendering, for logs and errors.
+  std::string command() const {
+    std::string C;
+    for (const std::string &A : Args)
+      C += (C.empty() ? "" : " ") + shellQuote(A);
+    return C + " > " + shellQuote(Log) + " 2>&1";
+  }
+};
+
+/// Starts \p J without a shell; empty on success, else why not.
+std::string spawnJob(const Job &J, pid_t &Pid) {
   std::vector<char *> Argv;
-  for (const std::string &A : Args)
+  for (const std::string &A : J.Args)
     Argv.push_back(const_cast<char *>(A.c_str()));
   Argv.push_back(nullptr);
 
   posix_spawn_file_actions_t Fa;
   posix_spawn_file_actions_init(&Fa);
-  posix_spawn_file_actions_addopen(&Fa, STDOUT_FILENO, Log.c_str(),
+  posix_spawn_file_actions_addopen(&Fa, STDOUT_FILENO, J.Log.c_str(),
                                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
   posix_spawn_file_actions_adddup2(&Fa, STDOUT_FILENO, STDERR_FILENO);
-  pid_t Pid = 0;
   int Rc = posix_spawnp(&Pid, Argv[0], &Fa, nullptr, Argv.data(), environ);
   posix_spawn_file_actions_destroy(&Fa);
-  if (Rc != 0)
-    return std::string("cannot run host compiler: ") + strerror(Rc);
+  if (Rc == 0)
+    return "";
+  Pid = -1;
+  return std::string("cannot run host compiler: ") + strerror(Rc);
+}
 
+/// Reaps \p Pid; empty on a zero exit, else why it failed.
+std::string waitJob(pid_t Pid) {
   int Status = 0;
   while (waitpid(Pid, &Status, 0) < 0)
     if (errno != EINTR)
@@ -133,9 +153,85 @@ std::string spawnAndWait(const std::vector<std::string> &Args,
          std::to_string(WEXITSTATUS(Status)) + ")";
 }
 
-void removeTree(const std::string &Dir) {
+/// Runs every job at once and reaps every child it started, also after
+/// one fails, so none outlives the call. Empty when all exited zero,
+/// else the first failure and the command that failed.
+std::string runJobs(const std::vector<Job> &Jobs) {
+  std::string Err;
+  std::vector<pid_t> Pids(Jobs.size(), -1);
+  for (size_t I = 0; I != Jobs.size() && Err.empty(); ++I)
+    if (std::string E = spawnJob(Jobs[I], Pids[I]); !E.empty())
+      Err = E + ": " + Jobs[I].command();
+  for (size_t I = 0; I != Jobs.size(); ++I)
+    if (Pids[I] > 0)
+      if (std::string E = waitJob(Pids[I]); !E.empty() && Err.empty())
+        Err = E + ": " + Jobs[I].command();
+  return Err;
+}
+
+/// CPUs this process may run on; at least 1.
+unsigned usableCpus() {
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) != 0)
+    return 1;
+  return std::max(CPU_COUNT(&Set), 1);
+}
+
+/// Splits \p Source at its UnitSentinel lines into at most \p MaxShards
+/// translation units. Each repeats the prelude (everything before the
+/// first sentinel); the unit chunks go longest first into the bin with
+/// the fewest bytes and keep their source order within a bin. Only
+/// shard 0 may define the ABI stamp, so the later ones open with
+/// LLHD_JIT_ENGINE (jit/Prelude.h). With fewer than two shards the
+/// source is returned whole, to compile as one unit.
+std::vector<std::string> splitShards(const std::string &Source,
+                                     unsigned MaxShards) {
+  std::vector<size_t> Starts;
+  for (size_t Pos = Source.find(UnitSentinel); Pos != std::string::npos;
+       Pos = Source.find(UnitSentinel, Pos + 1))
+    if (Pos == 0 || Source[Pos - 1] == '\n')
+      Starts.push_back(Pos);
+  size_t Chunks = Starts.size();
+  size_t K = std::min<size_t>(Chunks, MaxShards);
+  if (K < 2)
+    return {Source};
+  Starts.push_back(Source.size());
+  auto Size = [&](size_t C) { return Starts[C + 1] - Starts[C]; };
+
+  std::vector<size_t> Order(Chunks);
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](size_t A, size_t B) { return Size(A) > Size(B); });
+  std::vector<size_t> Load(K, 0);
+  std::vector<std::vector<size_t>> Bins(K);
+  for (size_t C : Order) {
+    size_t B = std::min_element(Load.begin(), Load.end()) - Load.begin();
+    Bins[B].push_back(C);
+    Load[B] += Size(C);
+  }
+
+  std::vector<std::string> Shards(K);
+  for (size_t B = 0; B != K; ++B) {
+    std::sort(Bins[B].begin(), Bins[B].end());
+    std::string &S = Shards[B];
+    S.reserve(Starts[0] + Load[B] + 32);
+    if (B)
+      S += "#define LLHD_JIT_ENGINE\n";
+    S.append(Source, 0, Starts[0]);
+    for (size_t C : Bins[B])
+      S.append(Source, Starts[C], Size(C));
+  }
+  return Shards;
+}
+
+/// Removes a compile's temp dir: the single command's files and those
+/// of \p Shards shards.
+void removeTree(const std::string &Dir, size_t Shards) {
   for (const char *Name : {"jit.cpp", "jit.so", "jit.log"})
     unlink((Dir + "/" + Name).c_str());
+  for (size_t I = 0; I != Shards; ++I)
+    for (const char *Ext : {".cpp", ".o", ".log"})
+      unlink((Dir + "/jit." + std::to_string(I) + Ext).c_str());
   rmdir(Dir.c_str());
 }
 
@@ -203,6 +299,8 @@ CompileResult HostCompiler::compile(const std::string &Source) {
   std::string KeyText = R.Compiler;
   for (const char *F : CompileFlags)
     (KeyText += '\0') += F;
+  for (const char *F : LinkFlags)
+    (KeyText += '\0') += F;
   uint64_t Key = fnv1a(KeyText + '\0' + Source);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
@@ -254,39 +352,58 @@ CompileResult HostCompiler::compile(const std::string &Source) {
     return R;
   }
   std::string D(Dir.data());
-  std::string Src = D + "/jit.cpp", So = D + "/jit.so", Log = D + "/jit.log";
+  std::string So = D + "/jit.so";
   bool Keep = getenv("LLHD_JIT_KEEP") != nullptr;
-
-  if (!writeFile(Src, Source)) {
-    R.Error = "cannot write '" + Src + "': " + strerror(errno);
+  std::vector<std::string> Shards = splitShards(Source, usableCpus());
+  bool Split = Shards.size() > 1;
+  auto Fail = [&](std::string Err) {
+    R.Error = std::move(Err);
     if (!Keep)
-      removeTree(D);
+      removeTree(D, Shards.size());
     return R;
-  }
+  };
 
-  std::vector<std::string> Args{R.Compiler};
-  Args.insert(Args.end(), std::begin(CompileFlags), std::end(CompileFlags));
-  Args.insert(Args.end(), {"-o", So, Src});
-  for (const std::string &A : Args)
-    R.Command += (R.Command.empty() ? "" : " ") + shellQuote(A);
-  R.Command += " > " + shellQuote(Log) + " 2>&1";
-  std::string SpawnErr = spawnAndWait(Args, Log);
-  R.Diagnostics = readFile(Log);
-  if (!SpawnErr.empty()) {
-    R.Error = SpawnErr + ": " + R.Command;
-    if (!Keep)
-      removeTree(D);
-    return R;
+  // The single command, or one `-c` per shard, all at once, then the
+  // link.
+  std::vector<Job> Jobs;
+  for (size_t I = 0; I != Shards.size(); ++I) {
+    std::string Stem = D + (Split ? "/jit." + std::to_string(I) : "/jit");
+    if (!writeFile(Stem + ".cpp", Shards[I]))
+      return Fail("cannot write '" + Stem + ".cpp': " + strerror(errno));
+    Job J{{R.Compiler}, Stem + ".log"};
+    J.Args.insert(J.Args.end(), std::begin(CompileFlags),
+                  std::end(CompileFlags));
+    if (Split)
+      J.Args.push_back("-c");
+    else
+      J.Args.insert(J.Args.end(), std::begin(LinkFlags), std::end(LinkFlags));
+    J.Args.insert(J.Args.end(),
+                  {"-o", Split ? Stem + ".o" : So, Stem + ".cpp"});
+    Jobs.push_back(std::move(J));
   }
+  R.Shards = Shards.size();
+  std::string Err = runJobs(Jobs);
+  if (Err.empty() && Split) {
+    Job Link{{R.Compiler}, D + "/jit.log"};
+    Link.Args.insert(Link.Args.end(), std::begin(LinkFlags),
+                     std::end(LinkFlags));
+    Link.Args.insert(Link.Args.end(), {"-o", So});
+    for (size_t I = 0; I != Shards.size(); ++I)
+      Link.Args.push_back(D + "/jit." + std::to_string(I) + ".o");
+    Jobs.push_back(std::move(Link));
+    Err = runJobs({Jobs.back()});
+  }
+  for (const Job &J : Jobs) {
+    R.Command += (R.Command.empty() ? "" : "\n") + J.command();
+    R.Diagnostics += readFile(J.Log);
+  }
+  if (!Err.empty())
+    return Fail(Err);
 
   std::string LoadErr;
   void *H = loadAndCheck(So, LoadErr);
-  if (!H) {
-    R.Error = LoadErr;
-    if (!Keep)
-      removeTree(D);
-    return R;
-  }
+  if (!H)
+    return Fail(LoadErr);
   // Publish into the cross-process cache: rename is atomic within a
   // filesystem, so readers never see a partial object. EXDEV (cache on
   // another filesystem) just skips persistence. The already-loaded
@@ -295,7 +412,7 @@ CompileResult HostCompiler::compile(const std::string &Source) {
     rename(So.c_str(), Published.c_str());
   // The mapping survives unlinking the file; only the handle matters.
   if (!Keep)
-    removeTree(D);
+    removeTree(D, Shards.size());
 
   Cache[Key] = H;
   R.Handle = H;

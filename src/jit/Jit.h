@@ -53,6 +53,8 @@ struct JitStats {
   /// Object lookup, host compiler spawn + wait, and dlopen.
   double HostCompileSeconds = 0;
   ObjectSource Object = ObjectSource::None; ///< Where the object came from.
+  /// Translation units the host compiler ran on (CompileResult::Shards).
+  unsigned Shards = 0;
   unsigned NativeUnits = 0;   ///< Process units running as native code.
   unsigned DeoptUnits = 0;    ///< Process units kept on the interpreter.
   unsigned NativeProcs = 0;   ///< Process instances bound to native code.

@@ -179,6 +179,7 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
   St.HostCompileSeconds = Elapsed();
   St.CompilerFound = R.CompilerFound;
   St.Object = R.From;
+  St.Shards = R.Shards;
   if (!R.ok()) {
     St.Warning = "blaze jit disabled, falling back to the interpreter: " +
                  R.Error;
@@ -189,20 +190,26 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
     return;
   }
 
-  for (const LirUnit *L : Native) {
-    NativeUnit &NU = Units[L];
-    void *Sym = dlsym(R.Handle, NU.Plan.Symbol.c_str());
+  bindObject(R.Handle);
+}
+
+bool JitModule::bindObject(void *Handle) {
+  for (auto &[L, NU] : Units) {
+    void *Sym = dlsym(Handle, NU.Plan.Symbol.c_str());
     if (!Sym) {
       St.Warning = "blaze jit disabled: symbol '" + NU.Plan.Symbol +
                    "' missing from the generated object";
       fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
       Units.clear();
-      return;
+      St.Compiled = false;
+      St.NativeUnits = 0;
+      return false;
     }
     NU.Fn = reinterpret_cast<JitFn>(Sym);
   }
   St.Compiled = true;
-  St.NativeUnits = Native.size();
+  St.NativeUnits = Units.size();
+  return true;
 }
 
 bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,

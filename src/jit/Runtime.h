@@ -113,6 +113,12 @@ public:
   /// warning in the stats); the engines keep interpreting.
   void compile(const Design &D, const LirCache &Cache);
 
+  /// Points every native unit at its symbol in \p Handle, an object
+  /// loaded from Source (or from a source defining the same symbols:
+  /// tests run one design on objects built in different ways). A missing
+  /// symbol leaves no native units and a warning. compile() ends here.
+  bool bindObject(void *Handle);
+
   struct NativeUnit {
     UnitPlan Plan;
     JitFn Fn = nullptr;

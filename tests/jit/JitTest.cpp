@@ -5,10 +5,13 @@
 // designs suite, at integer width boundaries through the generated
 // code, and in mixed native/deopt designs. The generated code must
 // compile without a single warning under the shipped flags, also from
-// a temp dir whose path needs shell quoting. The fallback paths — no
-// host compiler, failing compiler, unwritable temp dir — must degrade
-// to the interpreter without breaking a single simulation, and an
-// object without the engine's ABI stamp must never be loaded.
+// a temp dir whose path needs shell quoting, carry no dead code, and
+// run the same from an object compiled in shards as from one compiled
+// as a single unit. The fallback paths — no host compiler, failing
+// compiler or compiler shard, unwritable temp dir — must degrade to the
+// interpreter without breaking a single simulation or leaving a child
+// behind, and an object without the engine's ABI stamp must never be
+// loaded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,14 +28,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
+#include <sched.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -152,6 +160,14 @@ std::string widthDesign(unsigned W, unsigned Salt = 0) {
   Src += "  wait %entry for %a\n";
   Src += "}\n";
   return Src;
+}
+
+/// CPUs this process may run on: the most shards a compile splits into.
+unsigned usableCpus() {
+  cpu_set_t Set;
+  return sched_getaffinity(0, sizeof(Set), &Set) == 0
+             ? std::max(CPU_COUNT(&Set), 1)
+             : 1u;
 }
 
 //===----------------------------------------------------------------------===//
@@ -519,6 +535,49 @@ TEST_F(JitTest, FailingCompilerFallsBack) {
       << "warning should carry the failing command: " << St.Warning;
 }
 
+// A compiler that builds shard 0 but refuses every other shard (and the
+// single command, so a one-CPU run still fails): the engine warns and
+// interprets, the warning names the refused command and carries every
+// shard's output, no compiler child outlives the compile, and the temp
+// dir is left empty.
+TEST_F(JitTest, FailingShardFallsBack) {
+  std::string Real = jit::HostCompiler::findCompiler();
+  ASSERT_FALSE(Real.empty());
+  std::filesystem::path Root = freshTempDir("llhd-jit-shard-XXXXXX");
+  std::string Tmp = Root / "tmp", Cxx = Root / "cxx";
+  std::filesystem::create_directory(Tmp);
+  {
+    std::ofstream Out(Cxx);
+    Out << "#!/bin/sh\n"
+           "case \"$*\" in *jit.0.cpp*) exec '" << Real << "' \"$@\" ;; esac\n"
+           "echo \"refusing to compile: $*\" >&2\n"
+           "exit 3\n";
+  }
+  ASSERT_EQ(chmod(Cxx.c_str(), 0755), 0);
+
+  EnvGuard C("LLHD_JIT_CXX", Cxx.c_str()), T("LLHD_JIT_TMPDIR", Tmp.c_str());
+  std::string Src = widthDesign(40, /*Salt=*/404);
+  uint64_t Ref = interpDigest(Src, "wtop");
+  auto B = runBlaze(Src, "wtop", jit::JitOptions::Mode::On);
+  EXPECT_EQ(Ref, B->trace().digest());
+  const jit::JitStats &St = B->jitStats();
+  EXPECT_TRUE(St.CompilerFound);
+  EXPECT_FALSE(St.Compiled);
+  EXPECT_EQ(St.NativeProcs, 0u);
+  EXPECT_EQ(St.Shards, std::min(2u, usableCpus()));
+  EXPECT_NE(St.Warning.find("exit status 3): " + Cxx), std::string::npos)
+      << St.Warning;
+  EXPECT_NE(St.Warning.find("refusing to compile"), std::string::npos)
+      << St.Warning;
+
+  int Status = 0;
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, &Status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  EXPECT_EQ(rmdir(Tmp.c_str()), 0) << "temp dir not empty: " << Tmp;
+  std::filesystem::remove_all(Root);
+}
+
 // An unusable temp dir root: the compile step fails gracefully and the
 // engine interprets.
 TEST_F(JitTest, UnwritableTempDirFallsBack) {
@@ -558,6 +617,92 @@ TEST_F(JitTest, GeneratedCodeCompilesWithoutWarnings) {
     EXPECT_EQ(CR.From, jit::ObjectSource::Compiled) << D.Key;
     EXPECT_EQ(CR.Diagnostics, "") << D.Key << ": " << CR.Command;
   }
+}
+
+/// \p Src without its unit sentinels: it compiles as one unit.
+std::string stripSentinels(std::string Src) {
+  const std::string Line = jit::UnitSentinel;
+  for (size_t Pos; (Pos = Src.find(Line)) != std::string::npos;)
+    Src.erase(Pos, Line.size());
+  return Src;
+}
+
+// Every suite design runs to the same digest from its object compiled
+// in shards as from the same source compiled as one unit. A trailing
+// comment makes both sources new to the object cache.
+TEST_F(JitTest, ShardedObjectMatchesOneShard) {
+  EnvGuard G("LLHD_JIT_CACHE", "");
+  for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
+    Context C;
+    Module M(C, D.Key);
+    auto R = moore::compileSystemVerilog(D.Source, D.TopModule, M);
+    ASSERT_TRUE(R.Ok) << D.Key << ": " << R.Error;
+    std::string Err;
+    auto Prog = BlazeSim::buildProgram(M, R.TopUnit, {}, Err);
+    ASSERT_TRUE(Prog && Prog->JitMod) << D.Key << ": " << Err;
+    jit::JitModule &JM = *Prog->JitMod;
+    std::string Src = JM.Source + "// shard probe\n";
+    jit::CompileResult Sharded = jit::HostCompiler::compile(Src);
+    jit::CompileResult One = jit::HostCompiler::compile(stripSentinels(Src));
+    ASSERT_TRUE(Sharded.ok()) << D.Key << ": " << Sharded.Error;
+    ASSERT_TRUE(One.ok()) << D.Key << ": " << One.Error;
+    EXPECT_EQ(Sharded.Shards, std::min(JM.St.NativeUnits, usableCpus()))
+        << D.Key;
+    EXPECT_EQ(One.Shards, 1u) << D.Key;
+
+    uint64_t Digest[2];
+    for (int I : {0, 1}) {
+      ASSERT_TRUE(JM.bindObject(I ? One.Handle : Sharded.Handle)) << D.Key;
+      BlazeSim B(Prog, {});
+      B.run();
+      EXPECT_GT(B.jitStats().NativeProcs, 0u) << D.Key;
+      Digest[I] = B.trace().digest();
+    }
+    EXPECT_EQ(Digest[0], Digest[1]) << D.Key;
+  }
+}
+
+// The emitter's output holds no dead code: a function declares the
+// runaway-guard fuel only when it spends it on a backward jump, and no
+// return follows a body that already ends in a return or a goto. Every
+// process unit opens with one sentinel.
+TEST_F(JitTest, GeneratedCodeHasNoDeadFuelOrTails) {
+  const std::regex DeadTail("(return [^;]*|goto L[0-9]+);\n  return "
+                            "(-1|0);\n\\}\n");
+  const std::regex Header("\n(extern \"C\" s64|static u64) llhd_jit_u");
+  unsigned WithFuel = 0, WithoutFuel = 0;
+  for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
+    Context C;
+    Module M(C, D.Key);
+    auto R = moore::compileSystemVerilog(D.Source, D.TopModule, M);
+    ASSERT_TRUE(R.Ok) << D.Key << ": " << R.Error;
+    BlazeSim::BlazeOptions O;
+    O.Jit.M = jit::JitOptions::Mode::On;
+    BlazeSim B(M, R.TopUnit, O);
+    ASSERT_TRUE(B.valid()) << B.error();
+    const std::string &Src = B.jitSource();
+    ASSERT_FALSE(Src.empty()) << D.Key;
+    EXPECT_FALSE(std::regex_search(Src, DeadTail)) << D.Key;
+
+    size_t Sentinels = 0;
+    for (size_t Pos = Src.find(jit::UnitSentinel); Pos != std::string::npos;
+         Pos = Src.find(jit::UnitSentinel, Pos + 1))
+      ++Sentinels;
+    EXPECT_EQ(Sentinels, B.jitStats().NativeUnits) << D.Key;
+
+    for (std::sregex_iterator It(Src.begin(), Src.end(), Header), End;
+         It != End; ++It) {
+      size_t Open = It->position();
+      std::string Fn = Src.substr(Open, Src.find("\n}\n", Open) - Open);
+      bool Declares = Fn.find("u64 fuel = ") != std::string::npos;
+      EXPECT_EQ(Declares, Fn.find("--fuel") != std::string::npos)
+          << D.Key << ":" << Fn.substr(0, Fn.find('{'));
+      ++(Declares ? WithFuel : WithoutFuel);
+    }
+  }
+  // Both kinds occur: loops in testbenches, straight-line logic.
+  EXPECT_GT(WithFuel, 0u);
+  EXPECT_GT(WithoutFuel, 0u);
 }
 
 // The compiler is spawned without a shell, so a temp dir that needs
@@ -615,12 +760,21 @@ TEST_F(JitTest, WrongAbiVersionIsRejected) {
       << R.Error;
 }
 
+// A source without the stamp is rejected, whole or split: only shard 0
+// may carry the stamp, and here none does.
 TEST_F(JitTest, MissingAbiStampIsRejected) {
   EnvGuard G("LLHD_JIT_CACHE", "");
-  jit::CompileResult R = jit::HostCompiler::compile(stampedSource(""));
-  ASSERT_TRUE(R.CompilerFound);
-  EXPECT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("<missing>"), std::string::npos) << R.Error;
+  std::string Split = stampedSource("");
+  for (const char *Fn : {"a", "b"})
+    Split += std::string(jit::UnitSentinel) + "extern \"C\" int llhd_probe_" +
+             Fn + "() { return 1; }\n";
+  for (const std::string &Src : {stampedSource(""), Split}) {
+    jit::CompileResult R = jit::HostCompiler::compile(Src);
+    ASSERT_TRUE(R.CompilerFound);
+    EXPECT_EQ(R.Shards, Src == Split ? std::min(2u, usableCpus()) : 1u);
+    EXPECT_FALSE(R.ok());
+    EXPECT_NE(R.Error.find("<missing>"), std::string::npos) << R.Error;
+  }
 }
 
 // An object of another ABI planted under the published cache name of a

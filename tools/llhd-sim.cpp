@@ -181,11 +181,12 @@ void printJitStats(const jit::JitStats &J) {
   fprintf(stderr,
           "blaze jit: %u native unit(s), %u deopt(s), %u native / "
           "%u interpreted instance(s), codegen %.1f ms, host compile "
-          "%.1f ms (object: %s), probe sites %u direct / %u "
+          "%.1f ms (object: %s, %u shard(s)), probe sites %u direct / %u "
           "resolved per access\n",
           J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
           J.CodegenSeconds * 1000, J.HostCompileSeconds * 1000,
-          objectSourceName(J.Object), J.DirectPrbs, J.ResolvedPrbs);
+          objectSourceName(J.Object), J.Shards, J.DirectPrbs,
+          J.ResolvedPrbs);
   for (const auto &[U, R] : J.Deopts)
     fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(), R.c_str());
 }
