@@ -1,10 +1,10 @@
 //===- bench/ablation_blaze.cpp - Engine design ablation ----------------------===//
 //
 // Ablation for the simulator design choices (§6.1): compares, on one
-// mid-size design, the reference interpreter, the four corners of
-// Blaze's {optimisation pipeline} x {native codegen} grid, and the
-// CommSim closure engine. Shows where the speedup comes from: the
-// LIR optimisations, the JIT-compiled native code, or both.
+// mid-size design, the reference interpreter and the four corners of
+// Blaze's {optimisation pipeline} x {native codegen} grid. Shows where
+// the speedup comes from: the LIR optimisations, the JIT-compiled native
+// code, or both.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +13,6 @@
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
-#include "vsim/CommSim.h"
 
 #include <cstdio>
 #include <string>
@@ -72,14 +71,6 @@ int main(int argc, char **argv) {
     TracesMatch &= Int.trace().digest() == Blaze.trace().digest();
   }
 
-  Module Mc(Ctx, "mcomm");
-  (void)moore::compileSystemVerilog(D.Source, D.TopModule, Mc);
-  CommSim Comm(Mc, R.TopUnit, Opts);
-  double TComm = timeIt([&] { Comm.run(); });
-  printf("%-34s %10.3f %9.1fx\n", "CommSim (closure compiled)", TComm,
-         TInt / TComm);
-
-  TracesMatch &= Int.trace().digest() == Comm.trace().digest();
   printf("\nTraces: %s\n", TracesMatch ? "all equal" : "MISMATCH");
   return TracesMatch ? 0 : 1;
 }

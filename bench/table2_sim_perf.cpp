@@ -1,11 +1,12 @@
 //===- bench/table2_sim_perf.cpp - Table 2: simulation performance ---------===//
 //
 // Regenerates Table 2: for each of the ten designs, the SystemVerilog
-// LoC, the simulated cycle count, and the runtime of the three engines —
-// Int. (LLHD-Sim reference interpreter), JIT (LLHD-Blaze, native
-// code), Comm. (CommSim closure engine, the commercial-simulator
-// stand-in). Traces are verified equal across engines, reproducing the
-// paper's "traces match between the two simulators for all designs".
+// LoC, the simulated cycle count, and the runtime of the two engines —
+// Int. (LLHD-Sim reference interpreter) and JIT (LLHD-Blaze, native
+// code). The paper's commercial-simulator column is not reproduced (no
+// such simulator is available here; see DESIGN.md). Traces are verified
+// equal across engines, reproducing the paper's "traces match between
+// the two simulators for all designs".
 //
 // Cycle counts default to 1/1000 of the paper's (pass --scale=1 for the
 // full counts; the interpreter column then takes hours, as in the paper).
@@ -25,7 +26,6 @@
 #include "sim/Batch.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include <thread>
 
@@ -47,7 +47,7 @@ namespace {
 struct Row {
   std::string Name;
   uint64_t Cycles;
-  double IntS, JitS, CommS;
+  double IntS, JitS;
   /// The fastest Int. and JIT runs in calibration units: engine ns per
   /// cycle over the calibration kernel's ns per iteration, taken run by
   /// run against the kernel run just before, minimum over repetitions.
@@ -63,7 +63,7 @@ struct Row {
 
 /// Per-engine geometric means: ns/cycle and calibration units.
 struct Geomeans {
-  double Int = 0, Jit = 0, Comm = 0, IntCal = 0, JitCal = 0;
+  double Int = 0, Jit = 0, IntCal = 0, JitCal = 0;
   bool Ok = false;
 };
 
@@ -136,18 +136,16 @@ double nsPerCycleOf(double Sec, uint64_t Cycles) {
 
 Geomeans geomeansOf(const std::vector<Row> &Rows) {
   Geomeans G;
-  double LInt = 0, LJit = 0, LComm = 0, LIntCal = 0, LJitCal = 0;
+  double LInt = 0, LJit = 0, LIntCal = 0, LJitCal = 0;
   for (const Row &R : Rows) {
     LInt += std::log(nsPerCycleOf(R.IntS, R.Cycles));
     LJit += std::log(nsPerCycleOf(R.JitS, R.Cycles));
-    LComm += std::log(nsPerCycleOf(R.CommS, R.Cycles));
     LIntCal += std::log(R.IntCal);
     LJitCal += std::log(R.JitCal);
   }
   size_t N = Rows.empty() ? 1 : Rows.size();
   G.Int = std::exp(LInt / N);
   G.Jit = std::exp(LJit / N);
-  G.Comm = std::exp(LComm / N);
   G.IntCal = std::exp(LIntCal / N);
   G.JitCal = std::exp(LJitCal / N);
   G.Ok = !Rows.empty();
@@ -174,9 +172,8 @@ Geomeans parseGeomeans(const std::string &Path) {
     return G;
   G.Ok = sscanf(Text.c_str() + Pos,
                 "\"geomean_ns_per_cycle\": {\"interp\": %lf, \"blaze\": "
-                "%lf, \"comm\": %lf, \"interp_calib\": %lf, "
-                "\"blaze_calib\": %lf",
-                &G.Int, &G.Jit, &G.Comm, &G.IntCal, &G.JitCal) == 5 &&
+                "%lf, \"interp_calib\": %lf, \"blaze_calib\": %lf",
+                &G.Int, &G.Jit, &G.IntCal, &G.JitCal) == 4 &&
          G.IntCal > 0 && G.JitCal > 0;
   return G;
 }
@@ -229,19 +226,18 @@ void writeJson(const std::string &Path, double Scale,
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
     double NInt = nsPerCycleOf(R.IntS, R.Cycles),
-           NJit = nsPerCycleOf(R.JitS, R.Cycles),
-           NComm = nsPerCycleOf(R.CommS, R.Cycles);
+           NJit = nsPerCycleOf(R.JitS, R.Cycles);
     double Ckpt = R.IntS > 0 ? R.CkptS / R.IntS : 1.0;
     GCkpt += std::log(Ckpt);
     SumCompile += R.CompileMs;
     fprintf(F,
             "    {\"name\": \"%s\", \"cycles\": %llu, "
             "\"interp_ns_per_cycle\": %.1f, \"blaze_ns_per_cycle\": %.1f, "
-            "\"comm_ns_per_cycle\": %.1f, \"interp_calib\": %.2f, "
-            "\"blaze_calib\": %.2f, \"blaze_compile_ms\": %.1f, "
-            "\"checkpoint_overhead\": %.3f, \"traces_match\": %s}%s\n",
+            "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
+            "\"blaze_compile_ms\": %.1f, \"checkpoint_overhead\": %.3f, "
+            "\"traces_match\": %s}%s\n",
             R.Name.c_str(), (unsigned long long)R.Cycles, NInt, NJit,
-            NComm, R.IntCal, R.JitCal, R.CompileMs, Ckpt,
+            R.IntCal, R.JitCal, R.CompileMs, Ckpt,
             R.TracesMatch ? "true" : "false",
             I + 1 != Rows.size() ? "," : "");
   }
@@ -273,11 +269,11 @@ void writeJson(const std::string &Path, double Scale,
   // this line with a fixed prefix.
   Geomeans G = geomeansOf(Rows);
   fprintf(F,
-          "{\"interp\": %.1f, \"blaze\": %.1f, \"comm\": %.1f, "
+          "{\"interp\": %.1f, \"blaze\": %.1f, "
           "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
           "\"blaze_compile_ms_total\": %.1f, "
           "\"checkpoint_overhead_geomean\": %.3f}\n}\n",
-          G.Int, G.Jit, G.Comm, G.IntCal, G.JitCal, SumCompile,
+          G.Int, G.Jit, G.IntCal, G.JitCal, SumCompile,
           std::exp(GCkpt / N));
   fclose(F);
   printf("wrote %s\n", Path.c_str());
@@ -300,7 +296,7 @@ int main(int argc, char **argv) {
                                        argFlag(argc, argv, "batch") ? 8 : 0);
   // Optional waveform dump: attaches the VCD observer to every timed
   // run (so the numbers then include tracing overhead), cross-checks
-  // that all three engines emit byte-identical dumps, and writes the
+  // that both engines emit byte-identical dumps, and writes the
   // interpreter's to <dir>/<design>.vcd.
   std::string VcdDir = argStr(argc, argv, "vcd-dir", "");
   std::vector<Row> Rows;
@@ -309,19 +305,18 @@ int main(int argc, char **argv) {
          "cycle counts)\n",
          Scale);
   printf("Engines: Int. = LLHD-Sim reference interpreter, JIT = "
-         "LLHD-Blaze%s, Comm. = CommSim stand-in\n\n",
+         "LLHD-Blaze%s\n\n",
          NoJit ? " (native codegen OFF, --no-jit)" : "");
-  printf("%-16s %5s %10s %12s %12s %12s %9s %8s %7s %8s\n", "Design",
-         "LoC", "Cycles", "Int. [s]", "JIT [s]", "Comm. [s]", "Comp.[ms]",
-         "Int/JIT", "JIT/Comm", "Ckpt[%]");
+  printf("%-16s %5s %10s %12s %12s %9s %8s %8s\n", "Design", "LoC",
+         "Cycles", "Int. [s]", "JIT [s]", "Comp.[ms]", "Int/JIT",
+         "Ckpt[%]");
 
   for (const designs::DesignInfo &D : designs::allDesigns(Scale)) {
     Context Ctx;
-    Module M1(Ctx, "int"), M2(Ctx, "jit"), M3(Ctx, "comm");
+    Module M1(Ctx, "int"), M2(Ctx, "jit");
     auto R1 = moore::compileSystemVerilog(D.Source, D.TopModule, M1);
     auto R2 = moore::compileSystemVerilog(D.Source, D.TopModule, M2);
-    auto R3 = moore::compileSystemVerilog(D.Source, D.TopModule, M3);
-    if (!R1.Ok || !R2.Ok || !R3.Ok) {
+    if (!R1.Ok || !R2.Ok) {
       printf("%-16s COMPILE ERROR: %s\n", D.PaperName.c_str(),
              R1.Error.c_str());
       continue;
@@ -335,7 +330,7 @@ int main(int argc, char **argv) {
     // minimum runtime counts — the noise-robust estimator the perf
     // gate relies on. Trace/VCD comparisons use the last repetition
     // (the digests are identical across reps by determinism).
-    double TInt = 1e300, TJit = 1e300, TComm = 1e300, TCkpt = 1e300;
+    double TInt = 1e300, TJit = 1e300, TCkpt = 1e300;
     double IntCal = 1e300, JitCal = 1e300;
     // Times one engine run into Best and, for the gate, into BestCal in
     // calibration units against a kernel run just before it.
@@ -346,11 +341,10 @@ int main(int argc, char **argv) {
       BestCal = std::min(BestCal, nsPerCycleOf(T, D.Iterations) / CalNs);
     };
     double CompileMs = 0;
-    SimStats S1, S2, S3;
+    SimStats S1, S2;
     std::unique_ptr<InterpSim> Int;
     std::unique_ptr<BlazeSim> Jit;
-    std::unique_ptr<CommSim> Comm;
-    WaveWriter WInt, WJit, WComm;
+    WaveWriter WInt, WJit;
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
       bool LastRep = Rep + 1 == Reps;
       Design Dn = elaborate(M1, R1.TopUnit);
@@ -371,10 +365,6 @@ int main(int argc, char **argv) {
       if (Rep == 0)
         CompileMs = TBuild * 1e3;
       timeRun([&] { S2 = Jit->run(); }, TJit, JitCal);
-
-      Opts.Wave = DumpVcd && LastRep ? &WComm : nullptr;
-      Comm = std::make_unique<CommSim>(M3, R3.TopUnit, Opts);
-      TComm = std::min(TComm, timeIt([&] { S3 = Comm->run(); }));
 
       // Checkpoint overhead: the interpreter again, serializing the full
       // runtime state into an in-memory buffer eight times over the run.
@@ -422,16 +412,13 @@ int main(int argc, char **argv) {
 
     const char *Status = "";
     bool Match = true;
-    if (S1.AssertFailures || S2.AssertFailures || S3.AssertFailures) {
+    if (S1.AssertFailures || S2.AssertFailures) {
       Status = "  ASSERTS FAILED";
       Match = false;
-    } else if (Verify &&
-               (Int->trace().digest() != Jit->trace().digest() ||
-                Int->trace().digest() != Comm->trace().digest())) {
+    } else if (Verify && Int->trace().digest() != Jit->trace().digest()) {
       Status = "  TRACE MISMATCH";
       Match = false;
-    } else if (DumpVcd && (WInt.text() != WJit.text() ||
-                           WInt.text() != WComm.text())) {
+    } else if (DumpVcd && WInt.text() != WJit.text()) {
       Status = "  VCD MISMATCH";
       Match = false;
     } else if (Verify) {
@@ -441,23 +428,20 @@ int main(int argc, char **argv) {
         !WInt.writeToFile(VcdDir + "/" + D.Key + ".vcd"))
       printf("%-16s cannot write %s/%s.vcd\n", "", VcdDir.c_str(),
              D.Key.c_str());
-    Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, TComm, IntCal,
-                    JitCal, TCkpt, CompileMs, Match, TBatchSeq,
-                    TBatchPool});
+    Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, IntCal, JitCal,
+                    TCkpt, CompileMs, Match, TBatchSeq, TBatchPool});
 
-    printf("%-16s %5u %10llu %12.3f %12.3f %12.3f %9.1f %8.1f %7.2f "
-           "%7.1f%%%s\n",
+    printf("%-16s %5u %10llu %12.3f %12.3f %9.1f %8.1f %7.1f%%%s\n",
            D.PaperName.c_str(), locOf(D.Source),
            static_cast<unsigned long long>(D.Iterations), TInt, TJit,
-           TComm, CompileMs, TJit > 0 ? TInt / TJit : 0.0,
-           TComm > 0 ? TJit / TComm : 0.0,
+           CompileMs, TJit > 0 ? TInt / TJit : 0.0,
            TInt > 0 ? (TCkpt / TInt - 1) * 100 : 0.0, Status);
   }
-  printf("\nShape note: all three engines share one lowered IR (sim/Lir.h) "
+  printf("\nShape note: both engines share one lowered IR (sim/Lir.h) "
          "and one kernel\n(scheduler, signal table, trace). JIT runs "
          "processes as native code (unless\n--no-jit), so its edge over "
-         "Int. is process execution; Comm. interprets like\nInt. The run "
-         "columns exclude JIT's host compile (Comp.).\n");
+         "Int. is process execution. The run columns\nexclude JIT's host "
+         "compile (Comp.).\n");
   if (BatchN) {
     double SeqS = 0, PoolS = 0;
     uint64_t FleetCycles = 0;

@@ -5,7 +5,6 @@
 #include "sim/Checkpoint.h"
 #include "sim/Program.h"
 #include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include <atomic>
 #include <chrono>
@@ -25,11 +24,9 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// Runs \p Sim (an InterpSim or a CommSim over a shared program):
-/// restores \p O.Resume, hooks checkpoint writes to \p CheckpointPath,
-/// and records the outcome in \p Out.
-template <typename EngineT>
-void simulate(EngineT &Sim, const BatchOptions &O,
+/// Runs \p Sim: restores \p O.Resume, hooks checkpoint writes to
+/// \p CheckpointPath, and records the outcome in \p Out.
+void simulate(InterpSim &Sim, const BatchOptions &O,
               const std::string &CheckpointPath, BatchInstance &Out) {
   if (!O.Resume.empty()) {
     std::string Err;
@@ -72,8 +69,6 @@ BatchProgram llhd::buildProgram(Module &M, const std::string &Top,
     BO.Jit = O.Jit;
     P.Lir = BlazeSim::buildProgram(M, Top, BO, Err);
     P.Blaze = true;
-  } else if (O.Engine == "comm") {
-    P.Comm = CommSim::buildProgram(M, Top, Err);
   } else {
     Err = "unknown engine '" + O.Engine + "'";
   }
@@ -93,16 +88,11 @@ BatchInstance llhd::runInstance(const BatchProgram &P, const BatchOptions &O,
     Wave.streamTo(*Vcd);
     SO.Wave = &Wave;
   }
-  if (P.Comm) {
-    CommSim Sim(P.Comm, std::move(SO));
-    simulate(Sim, O, CheckpointPath, Out);
-  } else {
-    std::unique_ptr<InterpSim> Sim =
-        P.Blaze ? std::make_unique<BlazeSim>(P.Lir, std::move(SO))
-                : std::make_unique<InterpSim>(P.Lir, std::move(SO));
-    simulate(*Sim, O, CheckpointPath, Out);
-    Out.Jit = Sim->jitStats(); // After a restore's per-instance deopts.
-  }
+  std::unique_ptr<InterpSim> Sim =
+      P.Blaze ? std::make_unique<BlazeSim>(P.Lir, std::move(SO))
+              : std::make_unique<InterpSim>(P.Lir, std::move(SO));
+  simulate(*Sim, O, CheckpointPath, Out);
+  Out.Jit = Sim->jitStats(); // After a restore's per-instance deopts.
   // The event loop has finished the dump and flushed the stream.
   if (Vcd && !*Vcd && Out.Error.empty())
     Out.Error = "error writing the VCD";

@@ -3,12 +3,12 @@
 // Compile once, simulate N times: a batch run parses, elaborates, lowers
 // to LIR and (for Blaze) JIT-compiles exactly once, then executes N
 // parameterized simulation instances concurrently on a worker pool. The
-// instances share the immutable compile artifact (LirProgram /
-// CommProgram: design topology, lowered code, signal-table layout,
-// preload tables, native code handles) and own everything mutable
-// (SimState: signal values, driver slots, event wheel, process frames,
-// statistics, stimulus RNG) — the layout/state split in sim/Kernel.h and
-// sim/Program.h is what makes the sharing sound.
+// instances share the immutable compile artifact (LirProgram: design
+// topology, lowered code, signal-table layout, preload tables, native
+// code handles) and own everything mutable (SimState: signal values,
+// driver slots, event wheel, process frames, statistics, stimulus RNG) —
+// the layout/state split in sim/Kernel.h and sim/Program.h is what makes
+// the sharing sound.
 //
 // Instance i runs with Seed + i, so seeded stimulus ($random) diverges
 // across the fleet while everything else — and therefore any instance
@@ -37,10 +37,9 @@
 namespace llhd {
 
 class Module;
-struct CommProgram;
 
 /// The engines by their llhd-sim names, in --diff-engines order.
-inline constexpr const char *EngineNames[] = {"interp", "blaze", "comm"};
+inline constexpr const char *EngineNames[] = {"interp", "blaze"};
 
 /// Configuration of one batch run.
 struct BatchOptions {
@@ -79,19 +78,17 @@ std::string instancePath(const std::string &Path, unsigned Index);
 /// A design compiled once for one engine: the immutable program every
 /// instance runs over.
 struct BatchProgram {
-  std::shared_ptr<const LirProgram> Lir;   ///< interp and blaze.
-  std::shared_ptr<const CommProgram> Comm; ///< comm.
+  std::shared_ptr<const LirProgram> Lir;
   /// Lir runs on BlazeSim, which names itself "blaze" in checkpoints.
   bool Blaze = false;
 
-  explicit operator bool() const { return Lir || Comm; }
+  explicit operator bool() const { return bool(Lir); }
 };
 
 /// Compiles \p Top of \p M for \p O.Engine: the one place an engine name
 /// becomes something that runs. interp lowers the module as-is, blaze
 /// lowers an (optionally optimised) clone and compiles native code per
-/// \p O.Jit, comm builds closures. Empty + \p Err on an unknown engine
-/// or a failed build.
+/// \p O.Jit. Empty + \p Err on an unknown engine or a failed build.
 BatchProgram buildProgram(Module &M, const std::string &Top,
                           const BatchOptions &O, std::string &Err);
 

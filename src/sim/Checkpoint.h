@@ -1,6 +1,6 @@
 //===- sim/Checkpoint.h - Simulation checkpoint format ----------*- C++ -*-===//
 //
-// The versioned on-disk checkpoint format shared by all three engines:
+// The versioned on-disk checkpoint format shared by both engines:
 // full runtime state — signal values and per-driver contributions, both
 // event-wheel lanes, process resumption pcs/frames/memory, reg/del
 // previous-sample state, wake generations, trace digest and statistics
@@ -12,12 +12,13 @@
 // hash of the printed module as the compatibility key. One codec,
 // writeImage()/readImage(), writes and reads the whole image for every
 // engine; an engine only converts its unit state to and from the
-// engine-neutral ProcRecord/EntRecord. Interp and CommSim run the same
-// module and are therefore mutually restorable. Blaze (an InterpSim that
-// records "blaze" as the engine name) runs its optimised clone, whose
-// hash only matches its own checkpoints. With --no-opt the in-memory
-// clone (ir/Clone.h) prints exactly like the original, so Blaze
-// checkpoints interchange with the other engines for every design.
+// engine-neutral ProcRecord/EntRecord. Interp runs the caller's module
+// as given. Blaze (an InterpSim that records "blaze" as the engine name)
+// runs its optimised clone, whose hash only matches its own checkpoints.
+// With --no-opt the in-memory clone (ir/Clone.h) prints exactly like the
+// original, so Blaze checkpoints interchange with Interp's for every
+// design, natively compiled units included (Blaze moves their state to
+// and from the interpreter's frames around the codec).
 //
 // Driver identities are raw (instance-pointer, instruction-pointer)
 // hashes at runtime and would not survive a process restart. Checkpoints
@@ -65,9 +66,9 @@ bool writeFileAtomic(const std::string &Path,
 // Unit-state records
 //===----------------------------------------------------------------------===//
 
-/// Engine-neutral process state. Both LIR-executing engines and the
-/// closure engine convert to and from the same record, which is what
-/// makes interp/comm checkpoints interchangeable.
+/// Engine-neutral process state. Both engines convert to and from the
+/// same record, which is what makes interp/blaze checkpoints
+/// interchangeable.
 struct ProcRecord {
   uint8_t State = 0; ///< 0 ready, 1 waiting, 2 halted.
   uint8_t Started = 0;

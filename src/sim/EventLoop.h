@@ -2,11 +2,11 @@
 //
 // The engine-independent simulation main loop: pops time slots, applies
 // signal updates, computes the wake set and dispatches into the engine.
-// All engines (Interp, Blaze, CommSim) instantiate this template with
-// their own process/entity execution, so scheduling semantics are shared
-// by construction. The engine contract is the EngineTraits concept
-// below; violations fail at the instantiation site with the missing
-// requirement named.
+// The one LIR executor (sim/LirEngine.h, behind Interp and Blaze)
+// instantiates this template with its process/entity execution; the
+// scheduling semantics live here, once. The engine contract is the
+// EngineTraits concept below; violations fail at the instantiation site
+// with the missing requirement named.
 //
 // Wake sets are computed through dense reverse indices: entity watchers
 // come from Design::EntityWatchers (built at elaboration), and dynamic

@@ -5,10 +5,10 @@
 // the fastest". Executes the lowered runtime IR (sim/Lir.h) of the
 // caller's module as given, through the shared execution core
 // (sim/LirEngine.h); every engine-visible semantic (value ops,
-// intrinsics, scheduling, resolution, checkpoints) is shared with the
-// other engines through sim/RtOps.h, sim/Kernel.h and sim/Checkpoint.h.
-// BlazeSim (blaze/Blaze.h) is this facade over an optimised, natively
-// compiled program.
+// intrinsics, scheduling, resolution, checkpoints) is shared with Blaze
+// through sim/RtOps.h, sim/Kernel.h and sim/Checkpoint.h. BlazeSim
+// (blaze/Blaze.h) is this facade over an optimised, natively compiled
+// program; the two are the only engines.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,6 +1,6 @@
 //===- sim/Lir.h - Lowered runtime IR -----------------------------*- C++ -*-===//
 //
-// The lowered runtime IR shared by all three execution engines. A unit is
+// The lowered runtime IR shared by both execution engines. A unit is
 // lowered exactly once at elaboration into a flat instruction array in
 // block order: operands become dense frame-slot indices (the unit's value
 // numbering, Unit::numberValues), constants are hoisted into a preload
@@ -21,8 +21,8 @@
 //   General    — everything else (multiple waits, timeouts, or dynamic
 //                sensitivity); the engines' full paths apply.
 //
-// The interpreter and Blaze execute this form directly (sim/LirEngine.h);
-// CommSim compiles each LIR op into a closure (vsim/CommSim.cpp). The
+// The interpreter and Blaze execute this form directly (sim/LirEngine.h),
+// and Blaze's JIT plans its native code from it (jit/Codegen.h). The
 // only opcode-level walk over ir::Instruction lives in lowerUnit below —
 // engine semantics are shared by construction.
 //
@@ -188,52 +188,6 @@ inline void execPure(const LirOp &Op, const int32_t *Pool, RtValue *F) {
     return;
   F[Op.Dst] = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
                            Op.Origin);
-}
-
-/// Shared `reg` rule evaluation: walks the decoded triggers of one Reg
-/// op, updates the previous-sample state, and invokes
-/// `Schedule(Delay, Value, TriggerIndex)` for every firing trigger.
-/// Both direct execution (LirEngine) and the closure engine (CommSim)
-/// run their `reg` semantics through this one function.
-/// \p F indexes the frame by slot; \p Prev / \p Valid are the
-/// instance's previous-sample arrays (any vector-like type).
-template <typename Frame, typename PrevVec, typename ValidVec,
-          typename ScheduleFn>
-inline void execRegTriggers(const LirUnit &L, const LirOp &Op,
-                            const Frame &F, PrevVec &Prev,
-                            ValidVec &Valid, bool Initial,
-                            ScheduleFn &&Schedule) {
-  for (uint32_t TI = 0; TI != Op.TrigCount; ++TI) {
-    const LirTrigger &T = L.TriggerPool[Op.TrigBase + TI];
-    const RtValue &Cur = F[T.Trig];
-    uint32_t PrevIdx = Op.Imm + TI;
-    bool HavePrev = Valid[PrevIdx];
-    RtValue Pv = HavePrev ? RtValue(Prev[PrevIdx]) : Cur;
-    Prev[PrevIdx] = Cur;
-    Valid[PrevIdx] = true;
-
-    bool CurT = Cur.isTruthy();
-    bool PrevT = Pv.isTruthy();
-    bool Fire = false;
-    switch (T.Mode) {
-    case RegMode::Rise: Fire = HavePrev && !PrevT && CurT; break;
-    case RegMode::Fall: Fire = HavePrev && PrevT && !CurT; break;
-    case RegMode::Both: Fire = HavePrev && PrevT != CurT; break;
-    case RegMode::High: Fire = CurT; break;
-    case RegMode::Low:  Fire = !CurT; break;
-    }
-    if (Initial && (T.Mode == RegMode::Rise || T.Mode == RegMode::Fall ||
-                    T.Mode == RegMode::Both))
-      Fire = false;
-    if (!Fire)
-      continue;
-    if (T.Cond >= 0 && !F[T.Cond].isTruthy())
-      continue;
-    Time Delay;
-    if (T.Delay >= 0)
-      Delay = F[T.Delay].timeValue();
-    Schedule(Delay, F[T.Value], TI);
-  }
 }
 
 /// Per-module lowering cache: every unit is lowered once and shared by

@@ -337,13 +337,40 @@ void LirEngine::runProcess(uint32_t PI) {
 void LirEngine::execReg(EntState &ES, const LirOp &Op, bool Initial) {
   const RtValue *F = ES.Frame.data();
   SigRef Target = F[Op.A].sigRef();
-  execRegTriggers(*ES.L, Op, F, ES.RegPrev, ES.RegPrevValid, Initial,
-                  [&](Time Delay, const RtValue &Val, uint32_t TI) {
-                    Sched.scheduleUpdate(
-                        driveTarget(Now, Delay),
-                        {Target, Val, driverId(ES.Inst, Op.Origin) + TI});
-                    Sched.countScheduled(1);
-                  });
+  for (uint32_t TI = 0; TI != Op.TrigCount; ++TI) {
+    const LirTrigger &T = ES.L->TriggerPool[Op.TrigBase + TI];
+    const RtValue &Cur = F[T.Trig];
+    uint32_t PrevIdx = Op.Imm + TI;
+    bool HavePrev = ES.RegPrevValid[PrevIdx];
+    RtValue Pv = HavePrev ? RtValue(ES.RegPrev[PrevIdx]) : Cur;
+    ES.RegPrev[PrevIdx] = Cur;
+    ES.RegPrevValid[PrevIdx] = true;
+
+    bool CurT = Cur.isTruthy();
+    bool PrevT = Pv.isTruthy();
+    bool Fire = false;
+    switch (T.Mode) {
+    case RegMode::Rise: Fire = HavePrev && !PrevT && CurT; break;
+    case RegMode::Fall: Fire = HavePrev && PrevT && !CurT; break;
+    case RegMode::Both: Fire = HavePrev && PrevT != CurT; break;
+    case RegMode::High: Fire = CurT; break;
+    case RegMode::Low:  Fire = !CurT; break;
+    }
+    if (Initial && (T.Mode == RegMode::Rise || T.Mode == RegMode::Fall ||
+                    T.Mode == RegMode::Both))
+      Fire = false;
+    if (!Fire)
+      continue;
+    if (T.Cond >= 0 && !F[T.Cond].isTruthy())
+      continue;
+    Time Delay;
+    if (T.Delay >= 0)
+      Delay = F[T.Delay].timeValue();
+    Sched.scheduleUpdate(
+        driveTarget(Now, Delay),
+        {Target, F[T.Value], driverId(ES.Inst, Op.Origin) + TI});
+    Sched.countScheduled(1);
+  }
 }
 
 void LirEngine::evalEntity(uint32_t EI, bool Initial) {

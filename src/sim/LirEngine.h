@@ -221,6 +221,8 @@ private:
     Sched.countScheduled(1);
   }
 
+  /// Walks the decoded triggers of one `reg` op, updates the instance's
+  /// previous samples, and schedules the value of every firing trigger.
   void execReg(EntState &ES, const LirOp &Op, bool Initial);
 
   RtValue callFunction(Unit *F, std::vector<RtValue> &Args);

@@ -1,10 +1,11 @@
 //===- sim/RtOps.h - Shared operation semantics -----------------*- C++ -*-===//
 //
 // One implementation of LLHD's data-flow operation semantics on runtime
-// values, shared by the reference interpreter (LLHD-Sim), the native-code
-// engine (LLHD-Blaze) and the closure engine (CommSim), so that all three
-// produce identical traces by construction of the value semantics (the
-// scheduling semantics remain engine-specific).
+// values, shared by the reference interpreter (LLHD-Sim) and the
+// native-code engine (LLHD-Blaze, for the units it interprets), so that
+// both produce identical traces by construction of the value semantics.
+// Blaze's native code mirrors the two-state <=64-bit path through the
+// helpers of jit/Prelude.h, which this header includes below.
 //
 //===----------------------------------------------------------------------===//
 

@@ -2,8 +2,8 @@
 //
 // The dynamic values flowing through a simulation: two-state integers
 // (also used for enums), nine-valued logic, times, aggregates, stack/heap
-// pointers and sub-signal references. All three execution engines share
-// this representation and the operation semantics in RtOps.h.
+// pointers and sub-signal references. Both execution engines share this
+// representation and the operation semantics in RtOps.h.
 //
 // RtValue is a tagged union of at most 32 bytes. Scalars — integers up to
 // 64 bits, logic vectors up to 16 elements, times, pointers and

@@ -1,6 +1,6 @@
 //===- sim/RunControl.h - Watchdogs, budgets, and stop control --*- C++ -*-===//
 //
-// The run-control surface shared by all three engines: cooperative stop
+// The run-control surface shared by both engines: cooperative stop
 // flags (signal handlers set one, the event loop polls it), wall-clock
 // and event/delta budgets, periodic checkpoint triggers, and the process
 // exit-code taxonomy the llhd-sim driver and CI scripts key off.

@@ -2,8 +2,8 @@
 //
 // Waveform tracing for the simulation engines: a WaveWriter observes the
 // kernel's signal-commit path (the same per-change hook the equivalence
-// Trace uses, fed from the shared event loop so Interp, Blaze and CommSim
-// all produce it identically) and renders a standard IEEE 1364 VCD dump.
+// Trace uses, fed from the shared event loop so Interp and Blaze both
+// produce it identically) and renders a standard IEEE 1364 VCD dump.
 //
 // Hierarchical $scope sections are reconstructed from the elaborated
 // instance paths ("top/inst/sig"), identifier codes are allocated in

@@ -2,8 +2,9 @@
 //
 // Parameterised sweep over all ten Table 2 designs: each must compile
 // through Moore, verify, simulate with zero assertion failures on the
-// reference interpreter, and produce identical traces on all three
-// engines (§6.1's "traces match" claim, design by design).
+// reference interpreter, and produce identical traces on Interp and on
+// Blaze with the JIT on and off (§6.1's "traces match" claim, design by
+// design).
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +14,6 @@
 #include "moore/Compiler.h"
 #include "passes/PassManager.h"
 #include "sim/Interp.h"
-#include "vsim/CommSim.h"
 
 #include <gtest/gtest.h>
 
@@ -68,12 +68,14 @@ TEST_P(DesignSweep, TracesMatchAcrossEngines) {
   ASSERT_TRUE(Blaze.valid()) << Blaze.error();
   SimStats S2 = Blaze.run();
 
-  Module M3(Ctx, "comm");
+  Module M3(Ctx, "nojit");
   ASSERT_TRUE(
       moore::compileSystemVerilog(D.Source, D.TopModule, M3).Ok);
-  CommSim Comm(M3, R.TopUnit);
-  ASSERT_TRUE(Comm.valid()) << Comm.error();
-  SimStats S3 = Comm.run();
+  BlazeSim::BlazeOptions NoJit;
+  NoJit.Jit.M = jit::JitOptions::Mode::Off;
+  BlazeSim Lir(M3, R.TopUnit, NoJit);
+  ASSERT_TRUE(Lir.valid()) << Lir.error();
+  SimStats S3 = Lir.run();
 
   EXPECT_EQ(S1.AssertFailures, 0u);
   EXPECT_EQ(S2.AssertFailures, 0u);
@@ -81,9 +83,9 @@ TEST_P(DesignSweep, TracesMatchAcrossEngines) {
   EXPECT_EQ(Ref.trace().numChanges(), Blaze.trace().numChanges());
   EXPECT_EQ(Ref.trace().digest(), Blaze.trace().digest())
       << D.PaperName << ": Blaze trace diverges";
-  EXPECT_EQ(Ref.trace().numChanges(), Comm.trace().numChanges());
-  EXPECT_EQ(Ref.trace().digest(), Comm.trace().digest())
-      << D.PaperName << ": CommSim trace diverges";
+  EXPECT_EQ(Ref.trace().numChanges(), Lir.trace().numChanges());
+  EXPECT_EQ(Ref.trace().digest(), Lir.trace().digest())
+      << D.PaperName << ": Blaze --jit=off trace diverges";
 }
 
 TEST_P(DesignSweep, OptimizesWithVerifyEach) {

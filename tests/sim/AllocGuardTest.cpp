@@ -65,6 +65,42 @@ void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
   std::free(P);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer takes one):
+// left to the runtime, they would allocate outside the count and be
+// freed by the replacements here.
+void *operator new(std::size_t Sz, const std::nothrow_t &) noexcept {
+  ++GNewCount;
+  return std::malloc(Sz ? Sz : 1);
+}
+void *operator new[](std::size_t Sz, const std::nothrow_t &T) noexcept {
+  return ::operator new(Sz, T);
+}
+void *operator new(std::size_t Sz, std::align_val_t Al,
+                   const std::nothrow_t &) noexcept {
+  ++GNewCount;
+  return std::aligned_alloc(static_cast<size_t>(Al),
+                            (Sz + static_cast<size_t>(Al) - 1) &
+                                ~(static_cast<size_t>(Al) - 1));
+}
+void *operator new[](std::size_t Sz, std::align_val_t Al,
+                     const std::nothrow_t &T) noexcept {
+  return ::operator new(Sz, Al, T);
+}
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete(void *P, std::align_val_t,
+                     const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::align_val_t,
+                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+
 using namespace llhd;
 
 namespace {

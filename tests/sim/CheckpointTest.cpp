@@ -4,10 +4,10 @@
 // at an arbitrary instant, checkpointed and resumed in a fresh engine
 // must be indistinguishable from an uninterrupted run — the trace digest
 // matches and the two VCD fragments concatenate byte-identically to the
-// reference dump. Swept over the Table 2 designs suite for all three
-// engines, plus the cross-engine (interp <-> comm, unoptimised blaze ->
-// interp/comm) and JIT-Blaze forced-deopt resume paths and the
-// image-corruption error cases.
+// reference dump. Swept over the Table 2 designs suite for Interp and for
+// Blaze with the JIT on and off, plus the cross-engine (interp <->
+// unoptimised native blaze, unoptimised blaze -> interp) and JIT-Blaze
+// forced-deopt resume paths and the image-corruption error cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "sim/Checkpoint.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include <gtest/gtest.h>
 
@@ -48,16 +47,12 @@ auto makeInterp(Module &M, const std::string &Top, const SimOptions &O) {
   return std::make_unique<InterpSim>(std::move(Dn), O);
 }
 
-auto makeComm(Module &M, const std::string &Top, const SimOptions &O) {
-  auto Sim = std::make_unique<CommSim>(M, Top, O);
-  EXPECT_TRUE(Sim->valid()) << Sim->error();
-  return Sim;
-}
-
 auto makeBlaze(Module &M, const std::string &Top, const SimOptions &O,
-               const std::string &ForceDeopt = "", bool Optimize = true) {
+               const std::string &ForceDeopt = "", bool Optimize = true,
+               jit::JitOptions::Mode Jit = jit::JitOptions::Mode::On) {
   BlazeSim::BlazeOptions BO;
   static_cast<SimOptions &>(BO) = O;
+  BO.Jit.M = Jit;
   BO.Jit.ForceDeopt = ForceDeopt;
   BO.Optimize = Optimize;
   auto Sim = std::make_unique<BlazeSim>(M, Top, BO);
@@ -147,10 +142,10 @@ TEST_P(CheckpointSweep, BlazeKillAndResume) {
   });
 }
 
-TEST_P(CheckpointSweep, CommKillAndResume) {
+TEST_P(CheckpointSweep, BlazeJitOffKillAndResume) {
   ASSERT_FALSE(D.Key.empty());
   killAndResume(D, [](Module &M, const std::string &T, const SimOptions &O) {
-    return makeComm(M, T, O);
+    return makeBlaze(M, T, O, "", true, jit::JitOptions::Mode::Off);
   });
 }
 
@@ -162,10 +157,12 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
 // A checkpoint written by the reference interpreter restores into
-// CommSim mid-run (and vice versa): both simulate the caller's module
-// as-is, so the compatibility hash matches and the digest continues
-// identically across the engine swap.
-TEST(Checkpoint, CrossEngineInterpCommResume) {
+// unoptimised Blaze with the JIT on mid-run (and vice versa): its clone
+// prints like the caller's module, so the compatibility hash matches,
+// and the restore moves the interpreter's frames into native lanes (and
+// native lanes back out). The digest continues identically across the
+// engine swap.
+TEST(Checkpoint, CrossEngineInterpBlazeResume) {
   designs::DesignInfo D = designs::designByKey("fifo", 0.0);
   ASSERT_FALSE(D.Key.empty());
   Context Ctx;
@@ -178,7 +175,7 @@ TEST(Checkpoint, CrossEngineInterpCommResume) {
   ASSERT_GE(SRef.Steps, 4u);
 
   for (bool InterpFirst : {true, false}) {
-    Module MCut(Ctx, InterpFirst ? "cut.i" : "cut.c");
+    Module MCut(Ctx, InterpFirst ? "cut.i" : "cut.b");
     compileDesign(D, MCut);
     std::vector<uint8_t> Image;
     SimStats SCut;
@@ -194,36 +191,40 @@ TEST(Checkpoint, CrossEngineInterpCommResume) {
     if (InterpFirst)
       cutRun(makeInterp(MCut, Top, O));
     else
-      cutRun(makeComm(MCut, Top, O));
+      cutRun(makeBlaze(MCut, Top, O, "", /*Optimize=*/false));
     ASSERT_EQ(SCut.Stop, StopReason::DeltaBudget);
     ASSERT_FALSE(Image.empty());
 
-    Module MRes(Ctx, InterpFirst ? "res.c" : "res.i");
+    Module MRes(Ctx, InterpFirst ? "res.b" : "res.i");
     compileDesign(D, MRes);
     std::string Err;
     SimStats SRes;
     uint64_t Digest = 0;
     auto resRun = [&](auto Sim) {
       ASSERT_TRUE(Sim->restore(Image, Err)) << Err;
+      // With a host compiler, restored instances keep running natively.
+      if (Sim->jitStats().Compiled) {
+        EXPECT_GT(Sim->jitStats().NativeProcs, 0u);
+      }
       SRes = Sim->run();
       Digest = Sim->trace().digest();
     };
     if (InterpFirst)
-      resRun(makeComm(MRes, Top, O));
+      resRun(makeBlaze(MRes, Top, O, "", /*Optimize=*/false));
     else
       resRun(makeInterp(MRes, Top, O));
     EXPECT_EQ(SRes.EndTime, SRef.EndTime);
     EXPECT_EQ(Digest, Ref->trace().digest())
-        << (InterpFirst ? "interp->comm" : "comm->interp")
+        << (InterpFirst ? "interp->blaze" : "blaze->interp")
         << ": digest diverges across the engine swap";
   }
 }
 
 // Without optimisation Blaze's in-memory clone prints exactly like the
 // caller's module, so a Blaze image carries the same compatibility hash
-// and resumes on Interp and on CommSim. gray and riscv branch forward to
-// blocks defined later, which a print/parse clone used to reorder.
-TEST(Checkpoint, UnoptimisedBlazeResumesOnInterpAndComm) {
+// and resumes on Interp. gray and riscv branch forward to blocks defined
+// later, which a print/parse clone used to reorder.
+TEST(Checkpoint, UnoptimisedBlazeResumesOnInterp) {
   for (const char *Key : {"gray", "riscv"}) {
     designs::DesignInfo D = designs::designByKey(Key, 0.0);
     ASSERT_FALSE(D.Key.empty());
@@ -254,30 +255,21 @@ TEST(Checkpoint, UnoptimisedBlazeResumesOnInterpAndComm) {
     ASSERT_EQ(Cut->run().Stop, StopReason::DeltaBudget) << Key;
     ASSERT_FALSE(Image.empty()) << Key;
 
-    for (bool OnInterp : {true, false}) {
-      const char *To = OnInterp ? "interp" : "comm";
-      Module MRes(Ctx, std::string("res.") + To);
-      compileDesign(D, MRes);
-      WaveWriter WRes;
-      SimOptions ORes;
-      ORes.Wave = &WRes;
-      auto resume = [&](auto Sim) {
-        std::string Err;
-        ASSERT_TRUE(Sim->restore(Image, Err)) << Key << "->" << To << ": "
-                                              << Err;
-        SimStats SRes = Sim->run();
-        EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Key << "->" << To;
-        EXPECT_EQ(SRes.Steps, SRef.Steps) << Key << "->" << To;
-        EXPECT_EQ(Sim->trace().digest(), Ref->trace().digest())
-            << Key << "->" << To << ": stitched digest diverges";
-        EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
-            << Key << "->" << To << ": VCD not byte-identical";
-      };
-      if (OnInterp)
-        resume(makeInterp(MRes, Top, ORes));
-      else
-        resume(makeComm(MRes, Top, ORes));
-    }
+    Module MRes(Ctx, "res.interp");
+    compileDesign(D, MRes);
+    WaveWriter WRes;
+    SimOptions ORes;
+    ORes.Wave = &WRes;
+    auto Res = makeInterp(MRes, Top, ORes);
+    std::string Err;
+    ASSERT_TRUE(Res->restore(Image, Err)) << Key << ": " << Err;
+    SimStats SRes = Res->run();
+    EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Key;
+    EXPECT_EQ(SRes.Steps, SRef.Steps) << Key;
+    EXPECT_EQ(Res->trace().digest(), Ref->trace().digest())
+        << Key << ": stitched digest diverges";
+    EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
+        << Key << ": VCD not byte-identical";
   }
 }
 
@@ -411,8 +403,12 @@ TEST(Checkpoint, InvalidEnginesNeitherSaveNorRestore) {
   };
   BlazeSim Blaze(M, "nosuch");
   check(Blaze);
-  CommSim Comm(M, "nosuch");
-  check(Comm);
+  BlazeSim::BlazeOptions NoJit;
+  NoJit.Jit.M = jit::JitOptions::Mode::Off;
+  BlazeSim Lir(M, "nosuch", NoJit);
+  check(Lir);
+  InterpSim Interp(elaborate(M, "nosuch"));
+  check(Interp);
 }
 
 // A failed publish returns false and leaves no "<path>.tmp" behind: not

@@ -1,8 +1,9 @@
 //===- tests/sim/EngineEquivalenceTest.cpp - Cross-engine traces ----------===//
 //
 // §6.1's central claim: the LLHD simulation trace is equal across
-// simulators. All three engines (Interp / Blaze / CommSim) must produce
-// identical signal-change traces on the accumulator testbench.
+// simulators. Interp and Blaze, with its JIT on and off, must produce
+// identical signal-change traces on the accumulator testbench and on
+// every design of the Table 2 suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +12,6 @@
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
-#include "vsim/CommSim.h"
 
 #include "../common/TestDesigns.h"
 
@@ -27,6 +27,12 @@ namespace {
 
 struct EngineEquivalence : public ::testing::Test {
   Context Ctx;
+  /// Blaze running every unit on the LIR interpreter.
+  BlazeSim::BlazeOptions NoJit = [] {
+    BlazeSim::BlazeOptions O;
+    O.Jit.M = jit::JitOptions::Mode::Off;
+    return O;
+  }();
 
   /// The modules parseFresh() made, destroyed with the fixture (after the
   /// simulators a test body holds, before Ctx).
@@ -56,9 +62,9 @@ TEST_F(EngineEquivalence, AccumulatorTracesMatch) {
   SimStats S2 = Blaze.run();
 
   Module *M3 = parseFresh(Src, "m3");
-  CommSim Comm(*M3, "acc_tb");
-  ASSERT_TRUE(Comm.valid()) << Comm.error();
-  SimStats S3 = Comm.run();
+  BlazeSim Lir(*M3, "acc_tb", NoJit);
+  ASSERT_TRUE(Lir.valid()) << Lir.error();
+  SimStats S3 = Lir.run();
 
   // No assertion failures anywhere.
   EXPECT_EQ(S1.AssertFailures, 0u);
@@ -68,8 +74,8 @@ TEST_F(EngineEquivalence, AccumulatorTracesMatch) {
   // Traces match change-for-change.
   EXPECT_EQ(Ref.trace().numChanges(), Blaze.trace().numChanges());
   EXPECT_EQ(Ref.trace().digest(), Blaze.trace().digest());
-  EXPECT_EQ(Ref.trace().numChanges(), Comm.trace().numChanges());
-  EXPECT_EQ(Ref.trace().digest(), Comm.trace().digest());
+  EXPECT_EQ(Ref.trace().numChanges(), Lir.trace().numChanges());
+  EXPECT_EQ(Ref.trace().digest(), Lir.trace().digest());
 
   // Same end of time.
   EXPECT_EQ(S1.EndTime.Fs, S2.EndTime.Fs);
@@ -95,8 +101,8 @@ TEST_F(EngineEquivalence, BlazeUnoptimizedAlsoMatches) {
 }
 
 // Determinism must survive the event-wheel and wake-set data-structure
-// changes: every design of the Table 2 suite yields one digest on all
-// three engines.
+// changes: every design of the Table 2 suite yields one digest on Interp
+// and on Blaze with the JIT on and off.
 TEST_F(EngineEquivalence, DesignsSuiteDigestsAgreeAcrossEngines) {
   for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
     Context DCtx;
@@ -117,12 +123,12 @@ TEST_F(EngineEquivalence, DesignsSuiteDigestsAgreeAcrossEngines) {
     ASSERT_TRUE(Blaze.valid()) << D.Key << ": " << Blaze.error();
     SimStats S2 = Blaze.run();
 
-    Module M3(DCtx, D.Key + ".comm");
+    Module M3(DCtx, D.Key + ".nojit");
     ASSERT_TRUE(
         moore::compileSystemVerilog(D.Source, D.TopModule, M3).Ok);
-    CommSim Comm(M3, R.TopUnit);
-    ASSERT_TRUE(Comm.valid()) << D.Key << ": " << Comm.error();
-    SimStats S3 = Comm.run();
+    BlazeSim Lir(M3, R.TopUnit, NoJit);
+    ASSERT_TRUE(Lir.valid()) << D.Key << ": " << Lir.error();
+    SimStats S3 = Lir.run();
 
     EXPECT_EQ(S1.AssertFailures, 0u) << D.Key;
     EXPECT_EQ(S2.AssertFailures, 0u) << D.Key;
@@ -132,19 +138,20 @@ TEST_F(EngineEquivalence, DesignsSuiteDigestsAgreeAcrossEngines) {
         << D.Key;
     EXPECT_EQ(Ref.trace().digest(), Blaze.trace().digest())
         << D.Key << ": Blaze trace diverges";
-    EXPECT_EQ(Ref.trace().numChanges(), Comm.trace().numChanges())
+    EXPECT_EQ(Ref.trace().numChanges(), Lir.trace().numChanges())
         << D.Key;
-    EXPECT_EQ(Ref.trace().digest(), Comm.trace().digest())
-        << D.Key << ": CommSim trace diverges";
+    EXPECT_EQ(Ref.trace().digest(), Lir.trace().digest())
+        << D.Key << ": Blaze --jit=off trace diverges";
     EXPECT_EQ(S1.EndTime.Fs, S2.EndTime.Fs) << D.Key;
     EXPECT_EQ(S1.EndTime.Fs, S3.EndTime.Fs) << D.Key;
   }
 }
 
 TEST_F(EngineEquivalence, FullTraceDiffIsEmpty) {
-  // Full traces (not just digests) compared entry by entry.
+  // Full traces (not just digests) compared entry by entry, against
+  // Blaze's native code.
   const char *Src = llhd_test::accTestbench("20");
-  SimOptions O;
+  BlazeSim::BlazeOptions O;
   O.TraceMode = Trace::Mode::Full;
 
   Module *M1 = parseFresh(Src, "m1");
@@ -152,12 +159,16 @@ TEST_F(EngineEquivalence, FullTraceDiffIsEmpty) {
   InterpSim Ref(std::move(D1), O);
   Ref.run();
 
-  Module *M3 = parseFresh(Src, "m3");
-  CommSim Comm(*M3, "acc_tb", O);
-  Comm.run();
+  Module *M2 = parseFresh(Src, "m2");
+  BlazeSim Blaze(*M2, "acc_tb", O);
+  ASSERT_TRUE(Blaze.valid()) << Blaze.error();
+  Blaze.run();
+  if (Blaze.jitStats().Compiled) {
+    EXPECT_GT(Blaze.jitStats().NativeProcs, 0u);
+  }
 
   const auto &A = Ref.trace().changes();
-  const auto &B = Comm.trace().changes();
+  const auto &B = Blaze.trace().changes();
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
     EXPECT_EQ(A[I].T, B[I].T) << "at change " << I;

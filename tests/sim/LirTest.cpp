@@ -15,7 +15,6 @@
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
 #include "sim/Lir.h"
-#include "vsim/CommSim.h"
 
 #include "../common/TestDesigns.h"
 
@@ -34,8 +33,8 @@ struct LirTest : public ::testing::Test {
   Context Ctx;
   /// JIT statistics of runAllEngines' native Blaze run.
   jit::JitStats LastJit;
-  /// Run statistics of runAllEngines' runs, by engine: "interp", "blaze",
-  /// "comm" and "jit".
+  /// Run statistics of runAllEngines' runs, by engine: "interp", "blaze"
+  /// (the JIT off) and "jit".
   std::map<std::string, SimStats> RunStats;
 
   /// The modules parseFresh() made, destroyed with the fixture (after the
@@ -56,10 +55,10 @@ struct LirTest : public ::testing::Test {
     return lowerUnit(*U);
   }
 
-  /// Runs \p Src on all three engines — Blaze both interpreted and
-  /// native, where its probes of aliased and sliced signals cross the
-  /// JIT callbacks — and checks digest equality; returns the
-  /// interpreter for state inspection.
+  /// Runs \p Src on both engines — Blaze both interpreted and native,
+  /// where its probes of aliased and sliced signals cross the JIT
+  /// callbacks — and checks digest equality; returns the interpreter for
+  /// state inspection.
   std::unique_ptr<InterpSim> runAllEngines(const char *Src,
                                            const char *Top) {
     Module *M1 = parseFresh(Src, std::string(Top) + ".ref");
@@ -79,14 +78,6 @@ struct LirTest : public ::testing::Test {
       LastJit = Blaze.jitStats();
     };
     runBlaze(jit::JitOptions::Mode::Off, "blaze");
-
-    Module *M3 = parseFresh(Src, std::string(Top) + ".comm");
-    CommSim Comm(*M3, Top);
-    EXPECT_TRUE(Comm.valid()) << Comm.error();
-    RunStats["comm"] = Comm.run();
-    EXPECT_EQ(Ref->trace().digest(), Comm.trace().digest());
-    EXPECT_EQ(Ref->trace().numChanges(), Comm.trace().numChanges());
-
     runBlaze(jit::JitOptions::Mode::On, "jit");
     return Ref;
   }
@@ -275,7 +266,7 @@ TEST_F(LirTest, DesignsSuiteLowersAndClassifies) {
 TEST_F(LirTest, SubSignalConAliasesAcrossEngines) {
   // `con` of a whole signal with an element of an array signal: the
   // whole signal becomes an alias view, so driving it lands in the
-  // array element, identically on all three engines.
+  // array element, identically on both engines.
   const char *Src = R"(
 entity @top () -> () {
   %z8 = const i8 0
@@ -341,7 +332,7 @@ entry:
 
 TEST_F(LirTest, ArraySliceOfSignalAcrossEngines) {
   // `exts` on an array-typed signal yields an element-range sub-signal
-  // that drives and probes uniformly in all three engines.
+  // that drives and probes uniformly in both engines.
   const char *Src = R"(
 entity @top () -> () {
   %z8 = const i8 0
@@ -521,14 +512,13 @@ entry:
   EXPECT_EQ(Mem.elements()[1].intValue().zextToU64(), 5u);
 
   // The lane each drive took: 6 word drives from @words, 2 from @mixed;
-  // the slice, tap, array, i65 and logic drives stay general. CommSim
-  // never takes the word lane, so it checks it as an independent oracle.
+  // the slice, tap, array, i65 and logic drives stay general. The values
+  // above are the lane's oracle; SchedulerTest checks word-lane against
+  // all-general commits.
   for (const char *Eng : {"interp", "blaze", "jit"}) {
     EXPECT_EQ(RunStats[Eng].DrivesScheduled, 13u) << Eng;
     EXPECT_EQ(RunStats[Eng].WordDrives, 8u) << Eng;
   }
-  EXPECT_EQ(RunStats["comm"].DrivesScheduled, 13u);
-  EXPECT_EQ(RunStats["comm"].WordDrives, 0u);
   // Natively, @words and @mixed drive through apiDrv/apiDrvArr; @wide
   // (i65, logic) stays interpreted.
   if (LastJit.NativeProcs != 0) {
@@ -605,7 +595,7 @@ loop:
 }
 
 // The paper's central cross-simulator claim holds through the shared
-// layer: one digest per design on all three engines (the full-suite
+// layer: one digest per design on both engines (the full-suite
 // sweep lives in EngineEquivalenceTest; WaveTest asserts VCD byte-
 // identity — this re-checks the accumulator through the LIR paths).
 TEST_F(LirTest, AccumulatorDigestsStillAgree) {

@@ -1,6 +1,6 @@
 //===- tests/sim/RunControlTest.cpp - Watchdogs, budgets, stop control ----===//
 //
-// Exercises the run-control surface of sim/RunControl.h on all three
+// Exercises the run-control surface of sim/RunControl.h on both
 // engines: the zero-delay oscillation detector (with its named process/
 // signal diagnostics), event and delta budgets (including budgets that
 // span a kill/resume cycle), the wall-clock watchdog, the cooperative
@@ -13,7 +13,6 @@
 #include "blaze/Blaze.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include <gtest/gtest.h>
 
@@ -130,11 +129,12 @@ TEST(RunControl, OscillationDetectorNamesTheCycleOnAllEngines) {
   ASSERT_TRUE(B.valid()) << B.error();
   check("blaze", B.run());
 
-  Module M3(Ctx, "c");
+  Module M3(Ctx, "l");
   ASSERT_TRUE(parseModule(OscSrc, M3).Ok);
-  CommSim C(M3, "osc_top", Opts);
-  ASSERT_TRUE(C.valid()) << C.error();
-  check("comm", C.run());
+  BO.Jit.M = jit::JitOptions::Mode::Off;
+  BlazeSim L(M3, "osc_top", BO);
+  ASSERT_TRUE(L.valid()) << L.error();
+  check("blaze --jit=off", L.run());
 }
 
 TEST(RunControl, StopFlagInterruptsAtTheNextInstantBoundary) {

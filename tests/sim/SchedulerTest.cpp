@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 using namespace llhd;
 
 namespace {
@@ -301,6 +304,92 @@ TEST(SchedulerTest, WordAndGeneralUpdatesApplyInSchedulingOrder) {
   EXPECT_EQ(TrMixed.digest(), TrPlain.digest());
   EXPECT_EQ(Mixed.value(0).intValue(), IntValue(8, 3));
   EXPECT_EQ(Plain.value(0).intValue(), IntValue(8, 3));
+
+  // The word lane's oracle: widths 1, 63 and 64, edge words and a
+  // fixed-seed random sequence, each word driven into one slot and every
+  // drive filed on the word lane, on the general lane, or on either by
+  // pattern. Whatever the lanes, every entry commits the same value and
+  // change flag, and the trace digest is the all-general one.
+  struct LaneRun {
+    std::vector<uint64_t> After; ///< The signal's word after each entry.
+    std::vector<bool> Changed;   ///< Each entry's change flag.
+    uint64_t Digest = 0;
+    uint64_t WordScheduled = 0;
+  };
+  auto commitWords = [&](unsigned W, const std::vector<uint64_t> &Words,
+                         auto OnWordLane) {
+    SignalTable Build;
+    Build.create(Ctx.intType(W), RtValue(IntValue(W, 0)), "s");
+    Build.freeze();
+    SignalTable Sig = Build.makeRun();
+    Scheduler S;
+    for (size_t I = 0; I != Words.size(); ++I) {
+      if (OnWordLane(I)) {
+        S.scheduleWord(T, 0, Words[I], 1);
+        continue;
+      }
+      SigUpdate U;
+      U.Ref.Sig = 0;
+      U.Val = RtValue(IntValue(W, Words[I]));
+      U.Driver = 1;
+      S.scheduleUpdate(T, std::move(U));
+    }
+    LaneRun R;
+    R.WordScheduled = S.wordScheduled();
+    Trace Tr(Trace::Mode::Full);
+    SlotEvents Ev;
+    S.pop(Ev);
+    for (const UpdateEntry &E : Ev.Entries) {
+      SignalId Canon = commitUpdate(Sig, Ev, E);
+      R.Changed.push_back(Canon != InvalidSignal);
+      if (Canon != InvalidSignal)
+        Tr.record(T, Canon, Sig.storedValue(Canon));
+      R.After.push_back(Sig.value(0).intValue().zextToU64());
+    }
+    R.Digest = Tr.digest();
+    return R;
+  };
+  std::mt19937_64 Rng(0x1a7e);
+  for (unsigned W : {1u, 63u, 64u}) {
+    const uint64_t Mask = W == 64 ? ~0ull : (1ull << W) - 1;
+    const uint64_t Top = 1ull << (W - 1);
+    // Each edge word twice, so every one also commits as a no-change.
+    std::vector<uint64_t> Words;
+    for (uint64_t V : {uint64_t(0), uint64_t(1), Top, Mask, uint64_t(0)})
+      Words.insert(Words.end(), 2, V);
+    for (unsigned I = 0; I != 64; ++I) {
+      Words.push_back(Rng() & Mask);
+      if (I % 4 == 0)
+        Words.push_back(Words.back());
+    }
+    std::vector<bool> Pattern;
+    for (size_t I = 0; I != Words.size(); ++I)
+      Pattern.push_back(Rng() & 1);
+
+    LaneRun General = commitWords(W, Words, [](size_t) { return false; });
+    EXPECT_EQ(General.WordScheduled, 0u);
+    ASSERT_EQ(General.After.size(), Words.size());
+    EXPECT_EQ(General.After.back(), Words.back()) << "i" << W;
+    EXPECT_FALSE(General.Changed[0]) << "i" << W; // 0 over the initial 0.
+    EXPECT_TRUE(General.Changed[2]) << "i" << W;  // 0 -> 1.
+    EXPECT_FALSE(General.Changed[3]) << "i" << W; // 1 again.
+
+    std::vector<std::pair<const char *, LaneRun>> Runs;
+    Runs.emplace_back("word",
+                      commitWords(W, Words, [](size_t) { return true; }));
+    Runs.emplace_back("alternating", commitWords(W, Words, [](size_t I) {
+                        return I % 2 == 0;
+                      }));
+    Runs.emplace_back("random", commitWords(W, Words, [&](size_t I) {
+                        return bool(Pattern[I]);
+                      }));
+    for (const auto &[Name, R] : Runs) {
+      EXPECT_GT(R.WordScheduled, 0u) << "i" << W << " " << Name;
+      EXPECT_EQ(R.After, General.After) << "i" << W << " " << Name;
+      EXPECT_EQ(R.Changed, General.Changed) << "i" << W << " " << Name;
+      EXPECT_EQ(R.Digest, General.Digest) << "i" << W << " " << Name;
+    }
+  }
 }
 
 TEST(SchedulerTest, PendingSlotsExpandWordEntries) {

@@ -3,8 +3,9 @@
 // Validates the WaveWriter observer: VCD structure (header, hierarchical
 // scopes, identifier allocation, $dumpvars initial state), change-only
 // dumping semantics (delta glitches that settle back produce no output),
-// golden traces for a known design, byte-identical dumps across the
-// three engines over the whole Table 2 designs suite and over the word
+// golden traces for a known design, byte-identical dumps across Interp
+// and Blaze (JIT on and off) over the whole Table 2 designs suite and
+// over the word
 // lane's width boundaries, the word renderer against a per-bit reference
 // model, and a resumed dump appending byte-identically.
 //
@@ -17,7 +18,6 @@
 #include "sim/EventLoop.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
-#include "vsim/CommSim.h"
 
 #include "../common/TestDesigns.h"
 
@@ -351,7 +351,8 @@ TEST(Wave, DisabledObserverCostsNothing) {
 }
 
 // The tentpole acceptance criterion: VCD output is byte-identical across
-// Interp, Blaze and CommSim for every design of the Table 2 suite.
+// Interp and Blaze, with its JIT on and off, for every design of the
+// Table 2 suite.
 TEST(Wave, DesignsSuiteVcdByteIdenticalAcrossEngines) {
   for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
     Context Ctx;
@@ -378,22 +379,23 @@ TEST(Wave, DesignsSuiteVcdByteIdenticalAcrossEngines) {
     ASSERT_TRUE(Blaze.valid()) << D.Key << ": " << Blaze.error();
     Blaze.run();
 
-    Module M3(Ctx, D.Key + ".comm");
+    Module M3(Ctx, D.Key + ".nojit");
     ASSERT_TRUE(
         moore::compileSystemVerilog(D.Source, D.TopModule, M3).Ok);
     WaveWriter W3;
-    SimOptions O3;
+    BlazeSim::BlazeOptions O3;
     O3.Wave = &W3;
-    CommSim Comm(M3, R.TopUnit, O3);
-    ASSERT_TRUE(Comm.valid()) << D.Key << ": " << Comm.error();
-    Comm.run();
+    O3.Jit.M = jit::JitOptions::Mode::Off;
+    BlazeSim Lir(M3, R.TopUnit, O3);
+    ASSERT_TRUE(Lir.valid()) << D.Key << ": " << Lir.error();
+    Lir.run();
 
     EXPECT_GT(W1.numVars(), 0u) << D.Key;
     EXPECT_GT(W1.numDumpedChanges(), 0u) << D.Key;
     EXPECT_EQ(W1.text(), W2.text())
         << D.Key << ": Blaze VCD diverges from Interp";
     EXPECT_EQ(W1.text(), W3.text())
-        << D.Key << ": CommSim VCD diverges from Interp";
+        << D.Key << ": Blaze --jit=off VCD diverges from Interp";
   }
 }
 
@@ -513,7 +515,7 @@ std::string boundarySource(const std::vector<BoundarySig> &Sigs) {
 // Two-state signals on both sides of the word lane's 64-bit edge and
 // logic signals (always text lane) through 0, 1, top bit and all ones:
 // the dump holds the reference model's line for every settled value,
-// and Interp, Blaze and CommSim agree byte for byte.
+// and Interp and Blaze, with its JIT on and off, agree byte for byte.
 TEST(Wave, WidthBoundariesByteIdenticalAcrossEngines) {
   std::vector<BoundarySig> Sigs = boundarySignals();
   std::string Src = boundarySource(Sigs);
@@ -540,13 +542,14 @@ TEST(Wave, WidthBoundariesByteIdenticalAcrossEngines) {
   ASSERT_TRUE(Blaze.valid()) << Blaze.error();
   Blaze.run();
 
-  std::unique_ptr<Module> M3 = parse("comm");
+  std::unique_ptr<Module> M3 = parse("nojit");
   WaveWriter W3;
-  SimOptions O3;
+  BlazeSim::BlazeOptions O3;
   O3.Wave = &W3;
-  CommSim Comm(*M3, "top", O3);
-  ASSERT_TRUE(Comm.valid()) << Comm.error();
-  Comm.run();
+  O3.Jit.M = jit::JitOptions::Mode::Off;
+  BlazeSim Lir(*M3, "top", O3);
+  ASSERT_TRUE(Lir.valid()) << Lir.error();
+  Lir.run();
 
   const std::string &Vcd = W1.text();
   EXPECT_EQ(W1.numVars(), Sigs.size());
@@ -565,7 +568,7 @@ TEST(Wave, WidthBoundariesByteIdenticalAcrossEngines) {
     }
   }
   EXPECT_EQ(W2.text(), Vcd) << "Blaze VCD diverges from Interp";
-  EXPECT_EQ(W3.text(), Vcd) << "CommSim VCD diverges from Interp";
+  EXPECT_EQ(W3.text(), Vcd) << "Blaze --jit=off VCD diverges from Interp";
 }
 
 // A resumed writer allocates begin()'s codes and seeds its last-dumped

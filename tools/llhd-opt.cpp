@@ -16,7 +16,9 @@
 #include "ir/Verifier.h"
 #include "passes/Passes.h"
 
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -79,7 +81,17 @@ int main(int Argc, char **Argv) {
     } else if (A.rfind("--pipeline=", 0) == 0) {
       Pipeline = A.substr(strlen("--pipeline="));
     } else if (A.rfind("--threads=", 0) == 0) {
-      Threads = unsigned(std::stoul(A.substr(strlen("--threads="))));
+      // A whole number: digits first (strtoull would wrap "-1"), in
+      // range, nothing trailing.
+      const char *V = A.c_str() + strlen("--threads=");
+      char *End = nullptr;
+      unsigned long long N = strtoull(V, &End, 10);
+      Threads = unsigned(N);
+      if (!isdigit(static_cast<unsigned char>(*V)) || *End != '\0' ||
+          Threads != N) {
+        fprintf(stderr, "llhd-opt: invalid value in '%s'\n", A.c_str());
+        return 1;
+      }
     } else if (A == "--lower") {
       Lower = true;
     } else if (A == "--verify-each") {

@@ -2,9 +2,9 @@
 //
 // The llhd-sim tool: the paper's reference-simulator workflow as a
 // command-line driver. Reads LLHD assembly (or SystemVerilog through the
-// Moore frontend), elaborates the design, simulates it on any of the
-// three engines, and optionally dumps a VCD waveform or cross-checks the
-// engines against each other.
+// Moore frontend), elaborates the design, simulates it on either engine,
+// and optionally dumps a VCD waveform or cross-checks the engines against
+// each other.
 //
 //   llhd-sim design.llhd --vcd=design.vcd --until=500ns
 //   llhd-sim counter.sv --top=counter_tb --engine=blaze --stats
@@ -45,14 +45,14 @@ void printUsage() {
   fprintf(stderr,
           "usage: llhd-sim [options] <file.llhd | file.sv | ->\n"
           "\n"
-          "  --engine=<e>     interp (default), blaze, or comm\n"
+          "  --engine=<e>     interp (default) or blaze\n"
           "  --top=<name>     top entity/module; auto-detected when the\n"
           "                   design has a unique un-instantiated root\n"
           "  --until=<time>   stop at this simulation time, e.g. 500ns\n"
           "  --vcd=<file>     dump a VCD waveform of the run\n"
-          "  --diff-engines   run Interp, Blaze and CommSim and cross-\n"
-          "                   check their trace digests (and waveforms,\n"
-          "                   with --vcd); nonzero exit on divergence\n"
+          "  --diff-engines   run Interp and Blaze and cross-check their\n"
+          "                   trace digests (and waveforms, with --vcd);\n"
+          "                   nonzero exit on divergence\n"
           "  --no-opt         disable Blaze's pre-compilation pipeline\n"
           "  --jit=<m>        Blaze native code generation: on (default),\n"
           "                   off, or dump (also writes the generated C++\n"
@@ -307,11 +307,15 @@ int report(const std::vector<Run> &Runs, const DriverConfig &Cfg,
               (unsigned long long)O.R.Changes,
               O.Vcd == Ref.Vcd ? "identical" : "DIFFERS");
     }
-    if (!Diverged)
-      printf("llhd-sim: traces match across interp/blaze/comm "
+    if (!Diverged) {
+      std::string Names;
+      for (const char *E : EngineNames)
+        Names += (Names.empty() ? "" : "/") + std::string(E);
+      printf("llhd-sim: traces match across %s "
              "(%llu changes, digest %016llx)\n",
-             (unsigned long long)Ref.R.Changes,
+             Names.c_str(), (unsigned long long)Ref.R.Changes,
              (unsigned long long)Ref.R.Digest);
+    }
   }
   if (IoFailed)
     return exitFor(ExitCode::IoError);
@@ -448,7 +452,7 @@ int main(int Argc, char **Argv) {
   }
   if (Cfg.DiffEngines &&
       (!BO.CheckpointPath.empty() || !Cfg.ResumePath.empty())) {
-    // Diff mode runs three engines over one artifact set; checkpointing
+    // Diff mode runs every engine over one artifact set; checkpointing
     // would interleave their images and resume cannot know which run.
     fprintf(stderr,
             "llhd-sim: --diff-engines is incompatible with --checkpoint/"
