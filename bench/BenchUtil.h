@@ -4,7 +4,9 @@
 #define LLHD_BENCH_BENCHUTIL_H
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace llhd_bench {
@@ -17,14 +19,24 @@ template <typename Fn> double timeIt(Fn &&F) {
   return std::chrono::duration<double>(End - Start).count();
 }
 
-/// Parses "--scale=<float>" style flags.
+/// Parses "--scale=<float>" style flags. A value that is not a finite
+/// number is a usage error: the bench exits 64.
 inline double argFloat(int Argc, char **Argv, const std::string &Name,
                        double Default) {
   std::string Prefix = "--" + Name + "=";
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    if (A.rfind(Prefix, 0) == 0)
-      return std::stod(A.substr(Prefix.size()));
+    if (A.rfind(Prefix, 0) != 0)
+      continue;
+    const char *Text = Argv[I] + Prefix.size();
+    char *End = nullptr;
+    double V = std::strtod(Text, &End);
+    if (End == Text || *End != '\0' || !std::isfinite(V)) {
+      std::fprintf(stderr, "%s: --%s expects a number, got '%s'\n", Argv[0],
+                   Name.c_str(), Text);
+      std::exit(64);
+    }
+    return V;
   }
   return Default;
 }

@@ -188,6 +188,27 @@ private:
     return false;
   }
 
+  /// Converts the decimal digits \p S into \p Out; false and a
+  /// diagnostic naming \p What when S is not a plain number of at most
+  /// \p Max.
+  bool number(const std::string &S, uint64_t Max, const char *What,
+              uint64_t &Out) {
+    uint64_t V = 0;
+    bool Ok = !S.empty();
+    for (char C : S) {
+      unsigned D = static_cast<unsigned>(C - '0');
+      if (D > 9 || V > (Max - D) / 10) {
+        Ok = false;
+        break;
+      }
+      V = V * 10 + D;
+    }
+    if (!Ok)
+      return error(std::string(What) + " '" + S + "' is out of range");
+    Out = V;
+    return true;
+  }
+
   bool expect(TokKind K, const char *What) {
     if (Tok.Kind != K)
       return error(std::string("expected ") + What);
@@ -245,7 +266,9 @@ private:
           if (!std::isdigit(static_cast<unsigned char>(S[I])))
             AllDigits = false;
         if (AllDigits) {
-          unsigned N = std::stoul(S.substr(1));
+          uint64_t N;
+          if (!number(S.substr(1), UINT32_MAX, "type width", N))
+            return nullptr;
           char C = S[0];
           advance();
           if (C == 'i')
@@ -263,7 +286,9 @@ private:
         error("expected array length");
         return nullptr;
       }
-      unsigned Len = std::stoul(Tok.Text);
+      uint64_t Len;
+      if (!number(Tok.Text, UINT32_MAX, "array length", Len))
+        return nullptr;
       advance();
       if (!acceptIdent("x")) {
         error("expected 'x' in array type");
@@ -953,7 +978,10 @@ private:
   bool parseImm(unsigned &Out) {
     if (Tok.Kind != TokKind::Number)
       return error("expected immediate");
-    Out = std::stoul(Tok.Text);
+    uint64_t V;
+    if (!number(Tok.Text, UINT32_MAX, "immediate", V))
+      return false;
+    Out = static_cast<unsigned>(V);
     advance();
     return true;
   }
@@ -978,7 +1006,9 @@ private:
         error("expected enum literal");
         return nullptr;
       }
-      uint64_t V = std::stoull(Tok.Text);
+      uint64_t V;
+      if (!number(Tok.Text, UINT64_MAX, "enum literal", V))
+        return nullptr;
       advance();
       return Builder.constEnum(cast<EnumType>(Ty), V);
     }

@@ -67,41 +67,10 @@ SlotCls classify(Type *T, unsigned &W, uint32_t &N) {
   return SlotCls::Other;
 }
 
-/// Recovers the static IR type of every frame slot: arguments and
-/// instructions carry their value numbers; phi-staging scratch slots
-/// take their type from the Copy that writes them.
-std::vector<Type *> slotTypes(const LirUnit &L) {
-  std::vector<Type *> T(L.NumSlots, nullptr);
-  Unit *U = L.U;
-  auto note = [&](const Value *V) {
-    uint32_t S = V->valueNumber();
-    if (S < L.NumSlots)
-      T[S] = V->type();
-  };
-  for (Argument *A : U->inputs())
-    note(A);
-  for (Argument *A : U->outputs())
-    note(A);
-  for (BasicBlock *B : U->blocks())
-    for (Instruction *I : B->insts())
-      note(I);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const LirOp &Op : L.Ops)
-      if (Op.C == LirOpc::Copy && Op.Dst >= 0 && !T[Op.Dst] && T[Op.A]) {
-        T[Op.Dst] = T[Op.A];
-        Changed = true;
-      }
-  }
-  return T;
-}
-
-/// A plan for \p L with every slot typed and unassigned.
+/// A plan for \p L with every slot unassigned.
 UnitPlan freshPlan(const LirUnit &L) {
   UnitPlan P;
   P.L = &L;
-  P.SlotType = slotTypes(L);
   P.LaneOf.assign(L.NumSlots, -1);
   P.LanesOf.assign(L.NumSlots, 0);
   return P;
@@ -141,7 +110,7 @@ struct Planner {
   }
 
   SlotCls cls(int32_t Slot, unsigned &W, uint32_t &N) const {
-    return classify(P.SlotType[Slot], W, N);
+    return classify(L.Slots[Slot].Ty, W, N);
   }
 
   /// Assigns lanes to a slot that must hold lane-representable data.
@@ -314,14 +283,14 @@ bool Planner::planCall(uint32_t Pc, const LirOp &Op) {
     return deopt("call to an unknown function");
   std::string Name = "'@" + Callee->name() + "'";
   if (Callee->isIntrinsic()) {
-    if (Callee->name() == "llhd.assert" && Op.OpsCount == 1) {
+    if (Op.Intr == IntrinsicKind::Assert && Op.OpsCount == 1) {
       if (!scalar(Ops[0], W))
         return false;
-      P.Calls.push_back({Pc, CallPlan::Assert});
+      P.Calls.push_back({Pc, IntrinsicKind::Assert});
       return true;
     }
-    if (Callee->name() == "llhd.finish" && Op.OpsCount == 0) {
-      P.Calls.push_back({Pc, CallPlan::Finish});
+    if (Op.Intr == IntrinsicKind::Finish && Op.OpsCount == 0) {
+      P.Calls.push_back({Pc, IntrinsicKind::Finish});
       return true;
     }
     return deopt("unsupported intrinsic " + Name);
@@ -378,13 +347,15 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
   unsigned W;
   uint32_t N;
+  // The planner reads what each op does; which file holds its operands
+  // does not matter to the lane model.
+  LirOpc C = baseOpc(Op.C);
   // A function has no signals and never suspends: its only side
   // effects are intrinsic calls.
-  if (Fn && (Op.C == LirOpc::Prb || Op.C == LirOpc::Drv ||
-             Op.C == LirOpc::Wait || Op.C == LirOpc::Halt))
-    return deopt(std::string("op '") + lirOpcName(Op.C) +
-                 "' in a function");
-  switch (Op.C) {
+  if (Fn && (C == LirOpc::Prb || C == LirOpc::Drv || C == LirOpc::Wait ||
+             C == LirOpc::Halt))
+    return deopt(std::string("op '") + lirOpcName(C) + "' in a function");
+  switch (C) {
   case LirOpc::Pure:
     return planPure(Op);
   case LirOpc::Prb:
@@ -491,7 +462,7 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   default:
     break;
   }
-  return deopt(std::string("op '") + lirOpcName(Op.C) + "' in a " +
+  return deopt(std::string("op '") + lirOpcName(C) + "' in a " +
                (Fn ? "function" : "process"));
 }
 
@@ -502,7 +473,7 @@ bool Planner::run() {
   for (const LirOp &Op : L.Ops) {
     if (Op.Dst >= 0)
       Written[Op.Dst] = 1;
-    if (Op.C == LirOpc::Var)
+    if (baseOpc(Op.C) == LirOpc::Var)
       VarIdxOfSlot[Op.Dst] = NumVars++;
   }
   P.CellLane.assign(NumVars, -1);
@@ -522,10 +493,9 @@ bool Planner::run() {
     if (!planFn(*CL))
       return false;
 
-  for (const auto &[Slot, V] : L.ConstSlots)
-    if (Slot < L.NumSlots && P.LaneOf[Slot] >= 0 && V.isInt())
-      P.ConstLanes.push_back({(uint32_t)P.LaneOf[Slot],
-                              V.intValue().zextToU64()});
+  for (const auto &[Slot, V] : L.ConstWords)
+    if (P.LaneOf[Slot] >= 0)
+      P.ConstLanes.push_back({(uint32_t)P.LaneOf[Slot], V});
   return true;
 }
 
@@ -577,7 +547,7 @@ struct Emitter {
     VarIdx.assign(L.NumSlots, -1);
     int32_t N = 0;
     for (const LirOp &Op : L.Ops)
-      if (Op.C == LirOpc::Var)
+      if (baseOpc(Op.C) == LirOpc::Var)
         VarIdx[Op.Dst] = N++;
   }
 
@@ -588,17 +558,19 @@ struct Emitter {
   unsigned wOf(int32_t Slot) const {
     unsigned W;
     uint32_t N;
-    classify(P.SlotType[Slot], W, N);
+    classify(L.Slots[Slot].Ty, W, N);
     return W;
   }
   uint32_t nOf(int32_t Slot) const {
     unsigned W;
     uint32_t N;
-    classify(P.SlotType[Slot], W, N);
+    classify(L.Slots[Slot].Ty, W, N);
     return N;
   }
-  bool isArraySlot(int32_t Slot) const { return P.LanesOf[Slot] > 1 ||
-    (P.SlotType[Slot] && P.SlotType[Slot]->isArray()); }
+  bool isArraySlot(int32_t Slot) const {
+    return P.LanesOf[Slot] > 1 ||
+           (L.Slots[Slot].Ty && L.Slots[Slot].Ty->isArray());
+  }
 
   void copyLanes(int32_t DstLane, int32_t SrcLane, uint32_t N) {
     if (N == 1) {
@@ -776,7 +748,7 @@ void Emitter::emitPure(const LirOp &Op) {
 }
 
 void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
-  switch (Op.C) {
+  switch (baseOpc(Op.C)) {
   case LirOpc::Pure:
     emitPure(Op);
     break;
@@ -861,7 +833,7 @@ void Emitter::emitCall(uint32_t Pc, const LirOp &Op) {
     const CallPlan &C = P.Calls[CallI];
     assert(C.Pc == Pc);
     size_t Site = P.CallBase + CallI;
-    if (C.K == CallPlan::Assert)
+    if (C.K == IntrinsicKind::Assert)
       f(S, "  api->call(ctx, %zuu, s + %d, 1);\n", Site, la(Ops[0]));
     else
       f(S, "  api->call(ctx, %zuu, 0, 0);\n", Site);
@@ -888,9 +860,10 @@ void Emitter::emitBody() {
   buildVarMap();
   std::set<int32_t> Labels;
   for (const LirOp &Op : L.Ops) {
-    if (Op.C == LirOpc::Jmp || Op.C == LirOpc::Wait)
+    LirOpc C = baseOpc(Op.C);
+    if (C == LirOpc::Jmp || C == LirOpc::Wait)
       Labels.insert(Op.Jmp0);
-    if (Op.C == LirOpc::CondJmp) {
+    if (C == LirOpc::CondJmp) {
       Labels.insert(Op.Jmp0);
       Labels.insert(Op.Jmp1);
     }
@@ -907,10 +880,11 @@ void Emitter::emitBody() {
 bool hasBackwardJump(const LirUnit &L) {
   for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
     const LirOp &Op = L.Ops[Pc];
-    if ((Op.C == LirOpc::Jmp || Op.C == LirOpc::CondJmp) &&
+    LirOpc C = baseOpc(Op.C);
+    if ((C == LirOpc::Jmp || C == LirOpc::CondJmp) &&
         Op.Jmp0 <= (int32_t)Pc)
       return true;
-    if (Op.C == LirOpc::CondJmp && Op.Jmp1 <= (int32_t)Pc)
+    if (C == LirOpc::CondJmp && Op.Jmp1 <= (int32_t)Pc)
       return true;
   }
   return false;
@@ -921,7 +895,7 @@ bool hasBackwardJump(const LirUnit &L) {
 bool endsInJump(const LirUnit &L) {
   if (L.Ops.empty())
     return false;
-  switch (L.Ops.back().C) {
+  switch (baseOpc(L.Ops.back().C)) {
   case LirOpc::Halt:
   case LirOpc::Wait:
   case LirOpc::Jmp:

@@ -71,11 +71,11 @@ struct DrvPlan {
   const Instruction *Origin;
 };
 
-/// One intrinsic call site, in a process or in a function it calls.
+/// One intrinsic call site, in a process or in a function it calls:
+/// an llhd.assert or llhd.finish (the kinds native code admits).
 struct CallPlan {
-  enum Kind : uint8_t { Assert, Finish };
   uint32_t Pc;
-  Kind K;
+  IntrinsicKind K;
 };
 
 /// One wait site. The generated function returns the site's index when
@@ -108,9 +108,6 @@ struct UnitPlan {
   std::vector<DrvPlan> Drvs;
   std::vector<CallPlan> Calls;
   std::vector<WaitPlan> Waits;
-
-  /// Recovered static slot types (IR Type per slot, null when unknown).
-  std::vector<Type *> SlotType;
 
   /// Function symbol in the generated TU; set by emitUnit.
   std::string Symbol;

@@ -91,12 +91,14 @@ void apiCall(void *CtxP, unsigned Site, const u64 *Args, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const CallSite &S = C.Calls[Site];
   switch (S.K) {
-  case CallPlan::Assert:
+  case IntrinsicKind::Assert:
     intrinsicAssert(C.Eng->St, N != 0 && Args[0] != 0);
     break;
-  case CallPlan::Finish:
+  case IntrinsicKind::Finish:
     intrinsicFinish(C.Eng->St);
     break;
+  default:
+    break; // Planning admits no other kind.
   }
 }
 

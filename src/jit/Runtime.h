@@ -76,7 +76,7 @@ struct DrvSite {
 
 /// One intrinsic call site.
 struct CallSite {
-  CallPlan::Kind K = CallPlan::Assert;
+  IntrinsicKind K = IntrinsicKind::Assert;
 };
 
 /// One wait site, resolved per instance.

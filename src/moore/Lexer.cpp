@@ -85,6 +85,10 @@ struct LexState {
     return S;
   }
 
+  /// The widest sized literal: 2^24 bits, the size limit most
+  /// SystemVerilog tools share.
+  static constexpr uint64_t MaxLiteralWidth = 1u << 24;
+
   Token lexNumber() {
     Token T;
     T.Kind = Tok::Number;
@@ -96,7 +100,18 @@ struct LexState {
     if (peek() == '\'') {
       get();
       if (!Digits.empty()) {
-        Width = std::stoul(Digits);
+        // A size past MaxLiteralWidth is a diagnostic, not an
+        // allocation of that many bits.
+        uint64_t W = 0;
+        for (char C : Digits)
+          if ((W = W * 10 + unsigned(C - '0')) > MaxLiteralWidth)
+            break;
+        if (W > MaxLiteralWidth) {
+          Error = "line " + std::to_string(Line) + ": literal width '" +
+                  Digits + "' is out of range";
+          return T;
+        }
+        Width = static_cast<unsigned>(W);
         Sized = true;
       }
       char B = std::tolower(get());

@@ -241,7 +241,7 @@ DriverIdMap::DriverIdMap(const Design &D, const LirCache &Cache) {
       const LirOp &Op = L.Ops[Pc];
       uint64_t Stable = (uint64_t(I) << 32) |
                         (uint64_t(Pc & 0xFFFFFF) << 8);
-      switch (Op.C) {
+      switch (baseOpc(Op.C)) {
       case LirOpc::Drv:
       case LirOpc::Del:
         add(driverId(&UI, Op.Origin), Stable);

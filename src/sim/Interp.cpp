@@ -48,3 +48,6 @@ const SignalTable &InterpSim::signals() const { return P->Signals; }
 const Design &InterpSim::design() const { return P->D; }
 const jit::JitStats &InterpSim::jitStats() const { return P->jitStats(); }
 const std::string &InterpSim::jitSource() const { return P->jitSource(); }
+size_t InterpSim::processCells(uint32_t PI) const {
+  return P->procCells(PI);
+}

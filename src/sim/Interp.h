@@ -100,6 +100,10 @@ public:
   const jit::JitStats &jitStats() const;
   /// The generated C++ translation unit ("" when nothing was emitted).
   const std::string &jitSource() const;
+  /// The memory cells the \p PI-th process instance (in design instance
+  /// order) holds: one per var op whose pointer is only a ld/st address,
+  /// plus one per execution of a var whose pointer escapes.
+  size_t processCells(uint32_t PI) const;
 
 protected:
   /// Runs \p Prog recording \p EngineName in checkpoint headers.

@@ -13,21 +13,32 @@ using namespace llhd;
 
 const char *llhd::lirOpcName(LirOpc C) {
   switch (C) {
-  case LirOpc::Pure:    return "pure";
-  case LirOpc::Prb:     return "prb";
-  case LirOpc::Drv:     return "drv";
-  case LirOpc::Jmp:     return "jmp";
-  case LirOpc::CondJmp: return "condjmp";
-  case LirOpc::Copy:    return "copy";
-  case LirOpc::Wait:    return "wait";
-  case LirOpc::Halt:    return "halt";
-  case LirOpc::Ret:     return "ret";
-  case LirOpc::Call:    return "call";
-  case LirOpc::Var:     return "var";
-  case LirOpc::Ld:      return "ld";
-  case LirOpc::St:      return "st";
-  case LirOpc::Reg:     return "reg";
-  case LirOpc::Del:     return "del";
+  case LirOpc::Pure:     return "pure";
+  case LirOpc::PureW:    return "purew";
+  case LirOpc::Prb:      return "prb";
+  case LirOpc::PrbW:     return "prbw";
+  case LirOpc::Drv:      return "drv";
+  case LirOpc::DrvW:     return "drvw";
+  case LirOpc::Jmp:      return "jmp";
+  case LirOpc::CondJmp:  return "condjmp";
+  case LirOpc::CondJmpW: return "condjmpw";
+  case LirOpc::Copy:     return "copy";
+  case LirOpc::CopyW:    return "copyw";
+  case LirOpc::Wait:     return "wait";
+  case LirOpc::Halt:     return "halt";
+  case LirOpc::Ret:      return "ret";
+  case LirOpc::Call:     return "call";
+  case LirOpc::Var:      return "var";
+  case LirOpc::VarW:     return "varw";
+  case LirOpc::VarM:     return "varm";
+  case LirOpc::Ld:       return "ld";
+  case LirOpc::LdW:      return "ldw";
+  case LirOpc::LdM:      return "ldm";
+  case LirOpc::St:       return "st";
+  case LirOpc::StW:      return "stw";
+  case LirOpc::StM:      return "stm";
+  case LirOpc::Reg:      return "reg";
+  case LirOpc::Del:      return "del";
   }
   return "?";
 }
@@ -74,6 +85,8 @@ private:
     else
       lowerControlFlow(U);
     optimize();
+    typeSlots(U);
+    typeOps();
     classify();
   }
 
@@ -245,6 +258,8 @@ private:
       for (unsigned J = 0; J != I->numOperands(); ++J)
         L.OperandPool.push_back(slotOf(I->operand(J)));
       Op.Callee = I->callee();
+      if (Op.Callee)
+        Op.Intr = intrinsicKind(*Op.Callee);
       Op.Origin = I;
       L.Ops.push_back(Op);
       return;
@@ -435,6 +450,158 @@ private:
   }
 
   //===------------------------------------------------------------------===//
+  // Slot typing
+  //===------------------------------------------------------------------===//
+
+  /// Records every slot's static IR type and file: arguments and
+  /// instructions carry their value numbers; phi-staging scratch slots
+  /// take their type from the Copy that writes them.
+  void typeSlots(Unit &U) {
+    L.Slots.assign(L.NumSlots, LirSlot());
+    auto note = [&](const Value *V) {
+      uint32_t S = V->valueNumber();
+      if (S < L.NumSlots)
+        L.Slots[S].Ty = V->type();
+    };
+    for (Argument *A : U.inputs())
+      note(A);
+    for (Argument *A : U.outputs())
+      note(A);
+    for (BasicBlock *B : U.blocks())
+      for (Instruction *I : B->insts())
+        note(I);
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (const LirOp &Op : L.Ops)
+        if (Op.C == LirOpc::Copy && Op.Dst >= 0 && !L.Slots[Op.Dst].Ty &&
+            L.Slots[Op.A].Ty) {
+          L.Slots[Op.Dst].Ty = L.Slots[Op.A].Ty;
+          Changed = true;
+        }
+    }
+    for (LirSlot &S : L.Slots) {
+      Type *T = S.Ty;
+      if (T && (T->isInt() || T->isEnum()) && T->bitWidth() <= 64) {
+        S.Word = true;
+        S.Width = static_cast<uint8_t>(T->bitWidth());
+      }
+    }
+  }
+
+  bool word(int32_t S) const { return S >= 0 && L.Slots[S].Word; }
+  unsigned width(int32_t S) const { return L.Slots[S].Width; }
+
+  /// Calls \p F(slot, IsAddress) for every slot \p Op reads; IsAddress
+  /// marks the pointer operand of ld/st.
+  template <typename Fn> void forEachRead(const LirOp &Op, Fn &&F) const {
+    for (int32_t S : {Op.A, Op.B, Op.Cc, Op.Dd})
+      if (S >= 0)
+        F(S, S == Op.A && (Op.C == LirOpc::Ld || Op.C == LirOpc::St));
+    if (Op.C == LirOpc::Pure || Op.C == LirOpc::Wait || Op.C == LirOpc::Call)
+      for (uint32_t J = 0; J != Op.OpsCount; ++J)
+        F(L.OperandPool[Op.OpsBase + J], false);
+    for (uint32_t J = 0; J != Op.TrigCount; ++J) {
+      const LirTrigger &T = L.TriggerPool[Op.TrigBase + J];
+      for (int32_t S : {T.Value, T.Trig, T.Delay, T.Cond})
+        if (S >= 0)
+          F(S, false);
+    }
+  }
+
+  /// Picks each op's file form, gives every var whose pointer is only a
+  /// ld/st address its fixed cell, and splits the constant preloads by
+  /// file.
+  void typeOps() {
+    std::vector<char> Escapes(L.NumSlots, 0);
+    for (const LirOp &Op : L.Ops)
+      forEachRead(Op, [&](int32_t S, bool Addr) {
+        if (!Addr)
+          Escapes[S] = 1;
+      });
+    // Cells first, in pc order: a ld may sit at a lower pc than its var.
+    std::vector<int32_t> CellOf(L.NumSlots, -1); // Pointer slot -> cell.
+    for (LirOp &Op : L.Ops) {
+      if (Op.C != LirOpc::Var)
+        continue;
+      if (Escapes[Op.Dst]) {
+        Op.C = LirOpc::VarM;
+        L.HasMemory = true;
+        continue;
+      }
+      Op.Imm = CellOf[Op.Dst] = L.NumSlots + L.NumCells++;
+      L.Slots.push_back(L.Slots[Op.A]);
+      if (word(Op.A))
+        Op.C = LirOpc::VarW;
+    }
+
+    for (LirOp &Op : L.Ops) {
+      switch (Op.C) {
+      case LirOpc::Pure: {
+        const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+        unsigned N = Op.OpsCount, RW;
+        if (!word(Op.Dst) || N - 1u >= 2u || !word(Ops[0]) ||
+            !word(Ops[N - 1]))
+          break;
+        unsigned Wa = width(Ops[0]), Wb = N == 2 ? width(Ops[1]) : 0;
+        if (!wordPure(Op.IrOp, N, Wa, Wb, Op.Width, RW) ||
+            RW != width(Op.Dst))
+          break;
+        Op.C = LirOpc::PureW;
+        Op.A = Ops[0];
+        Op.B = Ops[N - 1];
+        Op.WidthA = Wa;
+        Op.WidthB = Wb;
+        Op.Width = RW;
+        break;
+      }
+      case LirOpc::Prb:
+        if (word(Op.Dst))
+          Op.C = LirOpc::PrbW;
+        break;
+      case LirOpc::Drv:
+        if (word(Op.B)) {
+          Op.C = LirOpc::DrvW;
+          Op.Width = width(Op.B);
+        }
+        break;
+      case LirOpc::CondJmp:
+        if (word(Op.A))
+          Op.C = LirOpc::CondJmpW;
+        break;
+      case LirOpc::Copy:
+        if (word(Op.Dst) && word(Op.A) && width(Op.Dst) == width(Op.A))
+          Op.C = LirOpc::CopyW;
+        break;
+      case LirOpc::Ld:
+      case LirOpc::St: {
+        bool IsLd = Op.C == LirOpc::Ld;
+        int32_t Cell = CellOf[Op.A], Val = IsLd ? Op.Dst : Op.B;
+        if (Cell < 0) {
+          Op.C = IsLd ? LirOpc::LdM : LirOpc::StM;
+          L.HasMemory = true;
+          break;
+        }
+        Op.Imm = Cell;
+        if (word(Cell) && word(Val) && width(Cell) == width(Val))
+          Op.C = IsLd ? LirOpc::LdW : LirOpc::StW;
+        break;
+      }
+      default:
+        break;
+      }
+    }
+
+    std::vector<std::pair<uint32_t, RtValue>> Boxed;
+    for (auto &[Slot, V] : L.ConstSlots) {
+      if (word(Slot) && V.isInt())
+        L.ConstWords.push_back({Slot, V.intValue().zextToU64()});
+      else
+        Boxed.push_back({Slot, std::move(V)});
+    }
+    L.ConstSlots = std::move(Boxed);
+  }
+
+  //===------------------------------------------------------------------===//
   // Classification
   //===------------------------------------------------------------------===//
 
@@ -474,7 +641,7 @@ private:
     // plain front-to-back sweep.
     bool Straight = WaitPc == (int32_t)L.Ops.size() - 1;
     for (int32_t I = 0; Straight && I != WaitPc; ++I) {
-      switch (L.Ops[I].C) {
+      switch (baseOpc(L.Ops[I].C)) {
       case LirOpc::Pure:
       case LirOpc::Prb:
       case LirOpc::Drv:
@@ -511,84 +678,104 @@ std::string LirUnit::dump() const {
                      : U->isEntity() ? "entity"
                                      : "func";
   OS << "lir " << Kind << " @" << U->name() << " {\n";
+  uint32_t NumWords = 0;
+  for (const LirSlot &S : Slots)
+    NumWords += S.Word;
   OS << "  slots: " << NumSlots << " (values " << NumValues << ")"
+     << "  cells: " << NumCells << "  words: " << NumWords
      << "  regprev: " << NumRegPrev << "  delprev: " << NumDelPrev
      << "\n";
   if (U->isProcess())
     OS << "  class: " << procClassName(Class) << "\n";
+  // A word slot prints as w[N], an RtValue slot as [N]: N indexes the
+  // file that holds it.
+  auto slot = [&](int32_t S) {
+    return (S >= 0 && Slots[S].Word ? "w[" : "[") + std::to_string(S) + "]";
+  };
   for (const auto &[Slot, V] : ConstSlots)
-    OS << "  const [" << Slot << "] = " << V.toString() << "\n";
-  auto slot = [](int32_t S) { return "[" + std::to_string(S) + "]"; };
+    OS << "  const " << slot(Slot) << " = " << V.toString() << "\n";
+  for (const auto &[Slot, V] : ConstWords)
+    OS << "  const " << slot(Slot) << " = " << V << "\n";
   auto span = [&](uint32_t Base, uint32_t Count) {
-    std::string S = "[";
-    for (uint32_t J = 0; J != Count; ++J) {
-      if (J)
-        S += ", ";
-      S += std::to_string(OperandPool[Base + J]);
-    }
-    return S + "]";
+    std::string S = "(";
+    for (uint32_t J = 0; J != Count; ++J)
+      S += (J ? ", " : "") + slot(OperandPool[Base + J]);
+    return S + ")";
   };
   for (size_t I = 0; I != Ops.size(); ++I) {
     const LirOp &Op = Ops[I];
-    OS << "  " << I << ": ";
+    OS << "  " << I << ": " << lirOpcName(Op.C) << " ";
     switch (Op.C) {
     case LirOpc::Pure:
-      OS << "pure " << opcodeName(Op.IrOp) << " " << slot(Op.Dst)
+      OS << opcodeName(Op.IrOp) << " " << slot(Op.Dst)
          << ", ops=" << span(Op.OpsBase, Op.OpsCount);
       if (Op.Imm)
         OS << " imm=" << Op.Imm;
       break;
+    case LirOpc::PureW:
+      OS << opcodeName(Op.IrOp) << " " << slot(Op.Dst) << ", "
+         << slot(Op.A);
+      if (Op.OpsCount == 2)
+        OS << ", " << slot(Op.B);
+      if (Op.Imm)
+        OS << " imm=" << Op.Imm;
+      break;
     case LirOpc::Prb:
-      OS << "prb " << slot(Op.Dst) << ", " << slot(Op.A);
+    case LirOpc::PrbW:
+    case LirOpc::Copy:
+    case LirOpc::CopyW:
+    case LirOpc::VarM:
+    case LirOpc::LdM:
+      OS << slot(Op.Dst) << ", " << slot(Op.A);
       break;
     case LirOpc::Drv:
-      OS << "drv " << slot(Op.A) << ", " << slot(Op.B) << " after "
-         << slot(Op.Cc);
+    case LirOpc::DrvW:
+      OS << slot(Op.A) << ", " << slot(Op.B) << " after " << slot(Op.Cc);
       if (Op.Dd >= 0)
         OS << " if " << slot(Op.Dd);
       break;
     case LirOpc::Jmp:
-      OS << "jmp @" << Op.Jmp0;
+      OS << "@" << Op.Jmp0;
       break;
     case LirOpc::CondJmp:
-      OS << "condjmp " << slot(Op.A) << " ? @" << Op.Jmp1 << " : @"
-         << Op.Jmp0;
-      break;
-    case LirOpc::Copy:
-      OS << "copy " << slot(Op.Dst) << ", " << slot(Op.A);
+    case LirOpc::CondJmpW:
+      OS << slot(Op.A) << " ? @" << Op.Jmp1 << " : @" << Op.Jmp0;
       break;
     case LirOpc::Wait:
-      OS << "wait resume=@" << Op.Jmp0;
+      OS << "resume=@" << Op.Jmp0;
       if (Op.A >= 0)
         OS << " timeout=" << slot(Op.A);
       OS << " obs=" << span(Op.OpsBase, Op.OpsCount);
       break;
     case LirOpc::Halt:
-      OS << "halt";
       break;
     case LirOpc::Ret:
-      OS << "ret";
       if (Op.A >= 0)
-        OS << " " << slot(Op.A);
+        OS << slot(Op.A);
       break;
     case LirOpc::Call:
-      OS << "call ";
       if (Op.Dst >= 0)
         OS << slot(Op.Dst) << ", ";
       OS << "@" << (Op.Callee ? Op.Callee->name() : "?")
          << " args=" << span(Op.OpsBase, Op.OpsCount);
       break;
     case LirOpc::Var:
-      OS << "var " << slot(Op.Dst) << ", " << slot(Op.A);
+    case LirOpc::VarW:
+      OS << slot(Op.Imm) << ", " << slot(Op.A) << " ptr=" << slot(Op.Dst);
       break;
     case LirOpc::Ld:
-      OS << "ld " << slot(Op.Dst) << ", " << slot(Op.A);
+    case LirOpc::LdW:
+      OS << slot(Op.Dst) << ", " << slot(Op.Imm) << " ptr=" << slot(Op.A);
       break;
     case LirOpc::St:
-      OS << "st " << slot(Op.A) << ", " << slot(Op.B);
+    case LirOpc::StW:
+      OS << slot(Op.Imm) << ", " << slot(Op.B) << " ptr=" << slot(Op.A);
+      break;
+    case LirOpc::StM:
+      OS << slot(Op.A) << ", " << slot(Op.B);
       break;
     case LirOpc::Reg:
-      OS << "reg " << slot(Op.A) << " base=" << Op.Imm;
+      OS << slot(Op.A) << " base=" << Op.Imm;
       for (uint32_t J = 0; J != Op.TrigCount; ++J) {
         const LirTrigger &T = TriggerPool[Op.TrigBase + J];
         OS << (J ? ", " : " ") << "{" << regModeName(T.Mode) << " "
@@ -601,8 +788,8 @@ std::string LirUnit::dump() const {
       }
       break;
     case LirOpc::Del:
-      OS << "del " << slot(Op.A) << ", " << slot(Op.B) << " after "
-         << slot(Op.Cc) << " base=" << Op.Imm;
+      OS << slot(Op.A) << ", " << slot(Op.B) << " after " << slot(Op.Cc)
+         << " base=" << Op.Imm;
       break;
     }
     OS << "\n";
@@ -611,9 +798,12 @@ std::string LirUnit::dump() const {
   return OS.str();
 }
 
-void LirUnit::preload(const UnitInstance &UI,
+void LirUnit::preload(const UnitInstance &UI, std::vector<uint64_t> &Words,
                       std::vector<RtValue> &Frame) const {
-  Frame.assign(NumSlots, RtValue());
+  Words.assign(fileSize(), 0);
+  Frame.assign(fileSize(), RtValue());
+  for (const auto &[Slot, V] : ConstWords)
+    Words[Slot] = V;
   for (const auto &[Slot, V] : ConstSlots)
     Frame[Slot] = V;
   for (const auto &[Val, Ref] : UI.Bindings) {
@@ -621,4 +811,19 @@ void LirUnit::preload(const UnitInstance &UI,
     if (Slot < NumValues)
       Frame[Slot] = RtValue(Ref);
   }
+}
+
+void llhd::execPure(const LirUnit &L, const LirOp &Op, uint64_t *W,
+                    RtValue *F) {
+  const int32_t *Idx = L.OperandPool.data() + Op.OpsBase;
+  for (uint32_t J = 0; J != Op.OpsCount; ++J)
+    L.boxed(Idx[J], W, F);
+  RtValue &D = F[Op.Dst];
+  if (Op.OpsCount - 1u >= 2u ||
+      !evalIntFast(Op.IrOp, F[Idx[0]], Op.OpsCount == 2 ? &F[Idx[1]] : nullptr,
+                   Op.Imm, Op.Width, D))
+    D = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
+                     Op.Origin);
+  if (L.Slots[Op.Dst].Word)
+    W[Op.Dst] = D.isInt() ? D.intValue().zextToU64() : 0;
 }

@@ -3,12 +3,32 @@
 // The lowered runtime IR shared by both execution engines. A unit is
 // lowered exactly once at elaboration into a flat instruction array in
 // block order: operands become dense frame-slot indices (the unit's value
-// numbering, Unit::numberValues), constants are hoisted into a preload
-// table, phis become staged edge-copy trampolines, jump targets are
+// numbering, Unit::numberValues), constants are hoisted into preload
+// tables, phis become staged edge-copy trampolines, jump targets are
 // absolute instruction indices, and every `wait` carries its resumption
 // point. Register triggers are fully decoded (mode + value/trigger/
 // delay/condition slots + dense previous-sample index), so no engine ever
 // re-derives `reg` operand layout.
+//
+// Typed slots. Lowering records every slot's static IR type
+// (LirUnit::Slots). A slot whose type is a two-state int or enum of at
+// most 64 bits is a word slot: its value lives in the frame's word file
+// (uint64_t, the zero-extended value). Every other slot lives in the
+// RtValue file. Both files are indexed by slot number, so an operand is
+// the same index whichever file holds it, and the generic ops can box a
+// word operand into the RtValue file's entry for that slot in place.
+// Ops whose operands and result all live in the word file get word
+// opcodes (PureW, PrbW, DrvW, CondJmpW, CopyW, VarW, LdW, StW) that never
+// test a kind tag; the generic opcodes box and unbox word operands.
+//
+// Var cells. A `var` whose pointer is used only as the address of `ld`
+// and `st` owns one fixed cell, appended to both files after the slots
+// (index NumSlots + k for the k-th such var in pc order): executing the
+// var re-initialises the cell, and ld/st address it directly (LirOp::Imm).
+// No op can tell a reused cell from a fresh one, since the pointer is
+// never copied. Only a var whose pointer escapes (a phi, a call
+// argument, a stored value) allocates a cell per execution (VarM/LdM/
+// StM over the frame's dynamic memory).
 //
 // On top of the lowering sits a process classifier:
 //   PureComb   — a straight-line probe/compute/drive sweep ending in one
@@ -22,9 +42,10 @@
 //                sensitivity); the engines' full paths apply.
 //
 // The interpreter and Blaze execute this form directly (sim/LirEngine.h),
-// and Blaze's JIT plans its native code from it (jit/Codegen.h). The
-// only opcode-level walk over ir::Instruction lives in lowerUnit below —
-// engine semantics are shared by construction.
+// and Blaze's JIT plans its native code from it (jit/Codegen.h), reading
+// the slot types from here. The only opcode-level walk over
+// ir::Instruction lives in lowerUnit below — engine semantics are shared
+// by construction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,26 +77,60 @@ constexpr uint64_t MaxBackwardJumps = 100000000ull;
 
 /// The lowered opcode set. Pure data-flow computation is one opcode
 /// carrying the ir::Opcode for RtOps dispatch; everything else is an
-/// execution-shaped instruction.
+/// execution-shaped instruction. F is the frame's RtValue file, W its
+/// word file (see the file header); a generic op reads a word slot by
+/// boxing it and writes one by unboxing its result.
 enum class LirOpc : uint8_t {
-  Pure,    ///< frame[Dst] = IrOp(frame[operands...]); see execPure.
-  Prb,     ///< frame[Dst] = signal read of frame[A].
-  Drv,     ///< drive frame[A] with frame[B] after frame[C] if frame[Dd].
-  Jmp,     ///< pc = Jmp0.
-  CondJmp, ///< pc = frame[A] ? Jmp1 : Jmp0.
-  Copy,    ///< frame[Dst] = frame[A] (phi edge copies).
-  Wait,    ///< suspend; resume at Jmp0; timeout frame[A]; observe operands.
-  Halt,    ///< terminate the process.
-  Ret,     ///< return frame[A] (A = -1: void).
-  Call,    ///< frame[Dst] = call Callee(frame[operands...]).
-  Var,     ///< memory cell from frame[A]; pointer into frame[Dst].
-  Ld,      ///< frame[Dst] = memory[frame[A]].
-  St,      ///< memory[frame[A]] = frame[B].
-  Reg,     ///< register rules on target frame[A]; triggers in TriggerPool.
-  Del,     ///< transport delay: frame[A] <- sig frame[B] after frame[C].
+  Pure,     ///< F[Dst] = IrOp(F[operands...]); see execPure.
+  PureW,    ///< W[Dst] = IrOp(W[A], W[B]) (B = A when unary); execPureW.
+  Prb,      ///< F[Dst] = signal read of F[A].
+  PrbW,     ///< W[Dst] = signal read of F[A].
+  Drv,      ///< drive F[A] with F[B] after F[Cc] if frame[Dd].
+  DrvW,     ///< drive F[A] with W[B] (Width bits) after F[Cc] if frame[Dd].
+  Jmp,      ///< pc = Jmp0.
+  CondJmp,  ///< pc = F[A] ? Jmp1 : Jmp0.
+  CondJmpW, ///< pc = W[A] ? Jmp1 : Jmp0.
+  Copy,     ///< F[Dst] = F[A] (phi edge copies).
+  CopyW,    ///< W[Dst] = W[A].
+  Wait,     ///< suspend; resume at Jmp0; timeout F[A]; observe operands.
+  Halt,     ///< terminate the process.
+  Ret,      ///< return frame[A] (A = -1: void).
+  Call,     ///< frame[Dst] = call Callee(frame[operands...]).
+  Var,      ///< fixed cell F[Imm] = F[A]; Dst names the pointer.
+  VarW,     ///< fixed cell W[Imm] = W[A]; Dst names the pointer.
+  VarM,     ///< new memory cell from frame[A]; pointer into F[Dst].
+  Ld,       ///< F[Dst] = fixed cell F[Imm]; A names the pointer.
+  LdW,      ///< W[Dst] = fixed cell W[Imm]; A names the pointer.
+  LdM,      ///< frame[Dst] = memory[F[A]].
+  St,       ///< fixed cell F[Imm] = F[B]; A names the pointer.
+  StW,      ///< fixed cell W[Imm] = W[B]; A names the pointer.
+  StM,      ///< memory[F[A]] = frame[B].
+  Reg,      ///< register rules on target F[A]; triggers in TriggerPool.
+  Del,      ///< transport delay: F[A] <- sig F[B] after F[Cc].
 };
 
 const char *lirOpcName(LirOpc C);
+
+/// The IR-level operation \p C executes, whatever file it runs over:
+/// PureW is Pure, PrbW is Prb, VarW and VarM are Var, and so on. Passes
+/// that care about what an op does, not where its operands live (the
+/// JIT planner, the classifier), switch on this.
+constexpr LirOpc baseOpc(LirOpc C) {
+  switch (C) {
+  case LirOpc::PureW:    return LirOpc::Pure;
+  case LirOpc::PrbW:     return LirOpc::Prb;
+  case LirOpc::DrvW:     return LirOpc::Drv;
+  case LirOpc::CondJmpW: return LirOpc::CondJmp;
+  case LirOpc::CopyW:    return LirOpc::Copy;
+  case LirOpc::VarW:
+  case LirOpc::VarM:     return LirOpc::Var;
+  case LirOpc::LdW:
+  case LirOpc::LdM:      return LirOpc::Ld;
+  case LirOpc::StW:
+  case LirOpc::StM:      return LirOpc::St;
+  default:               return C;
+  }
+}
 
 /// One fully decoded `reg` trigger: all indices are frame slots.
 struct LirTrigger {
@@ -88,17 +143,24 @@ struct LirTrigger {
 
 /// One lowered instruction. Fixed operands live in A/B/Cc/Dd; variadic
 /// operand lists (Pure, Wait observes, Call arguments) are spans of the
-/// unit's OperandPool.
+/// unit's OperandPool. Every operand is a slot number, which indexes
+/// whichever file holds the slot.
 struct LirOp {
   LirOpc C;
-  Opcode IrOp = Opcode::Halt; ///< Pure: the data-flow opcode.
+  Opcode IrOp = Opcode::Halt; ///< Pure/PureW: the data-flow opcode.
+  /// PureW: the widths of operands A and B.
+  uint8_t WidthA = 0, WidthB = 0;
+  /// Call: what the callee is when it is declared, not defined.
+  IntrinsicKind Intr = IntrinsicKind::None;
   int32_t Dst = -1;
   int32_t A = -1, B = -1, Cc = -1, Dd = -1;
-  /// Pure: the insf/extf/inss/exts immediate. Reg/Del: the base index
-  /// into the instance's previous-sample state arrays.
+  /// Pure/PureW: the insf/extf/inss/exts immediate. Reg/Del: the base
+  /// index into the instance's previous-sample state arrays. Var/Ld/St
+  /// and their W forms: the fixed cell's file index.
   uint32_t Imm = 0;
   /// Pure: the result width of zext/sext/trunc and integer or logic exts
   /// (pureResultWidth in sim/RtOps.h), so evaluation never reads Origin.
+  /// PureW: the result width. DrvW: the value's width.
   uint32_t Width = 0;
   int32_t Jmp0 = -1, Jmp1 = -1;
   uint32_t OpsBase = 0, OpsCount = 0;   ///< Span of LirUnit::OperandPool.
@@ -114,6 +176,17 @@ enum class ProcClass : uint8_t { PureComb, ClockedReg, General };
 
 const char *procClassName(ProcClass C);
 
+/// The static layout of one frame slot or var cell.
+struct LirSlot {
+  /// The slot's IR type; null when nothing in the unit gives it one.
+  Type *Ty = nullptr;
+  /// The value lives in the word file: Ty is a two-state int or enum of
+  /// at most 64 bits.
+  bool Word = false;
+  /// Word slots: the integer's width.
+  uint8_t Width = 0;
+};
+
 /// One unit lowered for execution, shared across its instances.
 struct LirUnit {
   Unit *U = nullptr;
@@ -124,8 +197,19 @@ struct LirUnit {
   /// numbering; [NumValues, NumSlots) are phi-staging scratch.
   uint32_t NumSlots = 0;
   uint32_t NumValues = 0;
-  /// Constant preloads into fresh frames: (slot, value).
+  /// Fixed var cells, one per non-escaping var op; they follow the slots
+  /// in both files.
+  uint32_t NumCells = 0;
+  /// The layout of every slot, then of every fixed cell (its var's
+  /// value type): NumSlots + NumCells entries.
+  std::vector<LirSlot> Slots;
+  /// Constant preloads into fresh frames: (slot, value), RtValue file.
   std::vector<std::pair<uint32_t, RtValue>> ConstSlots;
+  /// Constant preloads of word slots: (slot, zero-extended value).
+  std::vector<std::pair<uint32_t, uint64_t>> ConstWords;
+  /// True when some var's pointer escapes (VarM ops), so frames need
+  /// dynamic memory.
+  bool HasMemory = false;
   /// Dense previous-sample state sizes (per instance).
   uint32_t NumRegPrev = 0, NumDelPrev = 0;
 
@@ -155,13 +239,47 @@ struct LirUnit {
     return nullptr;
   }
 
-  /// Deterministic textual form for golden tests and --dump-lir.
+  /// The size of each file: the slots, then the fixed cells.
+  uint32_t fileSize() const { return NumSlots + NumCells; }
+
+  /// Deterministic textual form for golden tests and --dump-lir: word
+  /// operands print as w[N], RtValue operands as [N].
   std::string dump() const;
 
-  /// Sets \p Frame up for a fresh activation of instance \p UI: every
-  /// slot empty but the constant preloads and the instance's signal
-  /// bindings.
-  void preload(const UnitInstance &UI, std::vector<RtValue> &Frame) const;
+  /// Sets the files \p Words and \p Frame up for a fresh activation of
+  /// instance \p UI: every slot zero or empty but the constant preloads
+  /// and the instance's signal bindings.
+  void preload(const UnitInstance &UI, std::vector<uint64_t> &Words,
+               std::vector<RtValue> &Frame) const;
+
+  /// Slot \p S's value in the RtValue file; a word slot is boxed into
+  /// F[S] first. The generic ops read word operands through this.
+  const RtValue &boxed(int32_t S, const uint64_t *W, RtValue *F) const {
+    const LirSlot &Sl = Slots[S];
+    if (Sl.Word)
+      F[S].setWord(Sl.Width, W[S]);
+    return F[S];
+  }
+  /// The boolean interpretation of slot \p S (an i1 condition).
+  bool truthy(int32_t S, const uint64_t *W, const RtValue *F) const {
+    return Slots[S].Word ? W[S] != 0 : F[S].isTruthy();
+  }
+  /// Copies slot or cell \p S into \p D, across files when they differ.
+  void copy(int32_t D, int32_t S, uint64_t *W, RtValue *F) const {
+    if (!Slots[D].Word)
+      F[D] = boxed(S, W, F);
+    else if (Slots[S].Word)
+      W[D] = W[S];
+    else
+      W[D] = F[S].isInt() ? F[S].intValue().zextToU64() : 0;
+  }
+  /// Stores \p V into slot \p S: a word slot keeps the integer's word.
+  void store(int32_t S, RtValue V, uint64_t *W, RtValue *F) const {
+    if (Slots[S].Word)
+      W[S] = V.isInt() ? V.intValue().zextToU64() : 0;
+    else
+      F[S] = std::move(V);
+  }
 };
 
 /// The runtime identity of the driver \p I of the instance tagged \p Tag,
@@ -175,19 +293,16 @@ inline uint64_t driverId(const void *Tag, const Instruction *I) {
 /// engines; includes jump-chain threading and fall-through elision.
 LirUnit lowerUnit(Unit &U);
 
-/// Shared `Pure` op execution, the pure op of every engine: evaluates
-/// \p Op over frame \p F (operand slots in \p Pool, the unit's
-/// OperandPool) into F[Op.Dst]. Two-state operands of at most 64 bits
-/// take the word path (evalIntFast), which writes the result word into
-/// the slot in place; everything else takes evalPureWide.
-inline void execPure(const LirOp &Op, const int32_t *Pool, RtValue *F) {
-  const int32_t *Idx = Pool + Op.OpsBase;
-  if (Op.OpsCount - 1u < 2u &&
-      evalIntFast(Op.IrOp, F[Idx[0]], Op.OpsCount == 2 ? &F[Idx[1]] : nullptr,
-                  Op.Imm, Op.Width, F[Op.Dst]))
-    return;
-  F[Op.Dst] = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
-                           Op.Origin);
+/// The generic `Pure` op of every engine: boxes its word operands,
+/// evaluates \p Op over the RtValue file (evalIntFast where it applies,
+/// else evalPureWide) and stores the result into its slot's file.
+void execPure(const LirUnit &L, const LirOp &Op, uint64_t *W, RtValue *F);
+
+/// The word `PureW` op: every operand and the result are word slots, and
+/// the widths were decoded at lowering (wordPure in sim/RtOps.h).
+inline void execPureW(const LirOp &Op, uint64_t *W) {
+  W[Op.Dst] = evalWord(Op.IrOp, W[Op.A], W[Op.B], Op.WidthA, Op.WidthB,
+                       Op.Imm, Op.Width);
 }
 
 /// Per-module lowering cache: every unit is lowered once and shared by
@@ -217,7 +332,8 @@ public:
   void linkCallees() {
     for (auto &[U, L] : Units) {
       for (const LirOp &Op : L.Ops) {
-        if (Op.C != LirOpc::Call || L.callee(Op.Callee))
+        if (Op.C != LirOpc::Call || Op.Intr != IntrinsicKind::None ||
+            L.callee(Op.Callee))
           continue;
         if (const LirUnit *CL = lookup(Op.Callee))
           L.Callees.push_back({Op.Callee, CL});

@@ -16,9 +16,13 @@ SimState makeState(const Design &D, const SimOptions &O) {
   return D.ok() ? SimState(D, O.TraceMode, O.Seed) : SimState();
 }
 
-/// Where a Jmp or CondJmp op goes in frame \p F.
-int32_t jumpTarget(const LirOp &Op, const RtValue *F) {
-  return Op.C == LirOpc::CondJmp && F[Op.A].isTruthy() ? Op.Jmp1 : Op.Jmp0;
+/// Where a Jmp, CondJmp or CondJmpW op of \p L goes in frame (W, F).
+int32_t jumpTarget(const LirUnit &L, const LirOp &Op, const uint64_t *W,
+                   const RtValue *F) {
+  bool Taken = Op.C == LirOpc::CondJmpW  ? W[Op.A] != 0
+               : Op.C == LirOpc::CondJmp ? L.truthy(Op.A, W, F)
+                                         : false;
+  return Taken ? Op.Jmp1 : Op.Jmp0;
 }
 } // namespace
 
@@ -38,13 +42,15 @@ void LirEngine::build() {
       ProcState PS;
       PS.L = &L;
       PS.Inst = &UI;
-      L.preload(UI, PS.Frame);
+      L.preload(UI, PS.Words, PS.Frame);
+      PS.WordSigs = wordSignals(L, PS.Frame);
       Procs.push_back(std::move(PS));
     } else {
       EntState ES;
       ES.L = &L;
       ES.Inst = &UI;
-      L.preload(UI, ES.Frame);
+      L.preload(UI, ES.Words, ES.Frame);
+      ES.WordSigs = wordSignals(L, ES.Frame);
       ES.RegPrev.assign(L.NumRegPrev, RtValue());
       ES.RegPrevValid.assign(L.NumRegPrev, 0);
       ES.DelPrev.assign(L.NumDelPrev, RtValue());
@@ -122,61 +128,85 @@ void LirEngine::runProcessNative(uint32_t PI) {
 // Function execution (immediate, §2.4.1)
 //===----------------------------------------------------------------------===//
 
-RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
-  if (Fn->isIntrinsic() || Fn->isDeclaration())
-    return callIntrinsic(*Fn, Args, Opts, St);
+RtValue LirEngine::callFunction(const LirOp &Call,
+                                std::vector<RtValue> &Args) {
+  Unit *Fn = Call.Callee;
+  if (Call.Intr != IntrinsicKind::None)
+    return callIntrinsic(Call.Intr, *Fn, Args, Opts, St);
   // Eagerly lowered by the program (call-graph fixpoint); pure lookup.
   const LirUnit &L = *Cache.lookup(Fn);
   auto FR = FnPool.lease();
-  std::vector<RtValue> &Frame = FR->Frame;
-  std::vector<RtValue> &Memory = FR->Memory;
-  Frame.assign(L.NumSlots, RtValue());
-  Memory.clear();
+  // Word slots need no clearing: every one is written before it is read.
+  FR->Words.resize(L.fileSize());
+  FR->Frame.assign(L.fileSize(), RtValue());
+  FR->Memory.clear();
+  uint64_t *W = FR->Words.data();
+  RtValue *F = FR->Frame.data();
+  for (const auto &[Slot, V] : L.ConstWords)
+    W[Slot] = V;
   for (const auto &[Slot, V] : L.ConstSlots)
-    Frame[Slot] = V;
+    F[Slot] = V;
   for (unsigned I = 0; I != Fn->inputs().size(); ++I)
-    Frame[Fn->input(I)->valueNumber()] = std::move(Args[I]);
+    L.store(Fn->input(I)->valueNumber(), std::move(Args[I]), W, F);
 
   const LirOp *Ops = L.Ops.data();
-  const int32_t *Pool = L.OperandPool.data();
-  RtValue *F = Frame.data();
   int32_t Pc = 0;
   uint64_t Fuel = MaxBackwardJumps;
   for (;;) {
     const LirOp &Op = Ops[Pc];
     switch (Op.C) {
     case LirOpc::Ret:
-      return Op.A >= 0 ? std::move(F[Op.A]) : RtValue();
+      if (Op.A < 0)
+        return RtValue();
+      L.boxed(Op.A, W, F);
+      return std::move(F[Op.A]);
     case LirOpc::Jmp:
-    case LirOpc::CondJmp: {
-      int32_t To = jumpTarget(Op, F);
+    case LirOpc::CondJmp:
+    case LirOpc::CondJmpW: {
+      int32_t To = jumpTarget(L, Op, W, F);
       if (To <= Pc && !--Fuel)
         return defaultValue(Fn->returnType()); // Runaway guard.
       Pc = To;
       continue;
     }
-    case LirOpc::Copy:
-      F[Op.Dst] = F[Op.A];
+    case LirOpc::PureW:
+      execPureW(Op, W);
       break;
     case LirOpc::Pure:
-      execPure(Op, Pool, F);
+      execPure(L, Op, W, F);
+      break;
+    case LirOpc::CopyW:
+      W[Op.Dst] = W[Op.A];
+      break;
+    case LirOpc::VarW:
+      W[Op.Imm] = W[Op.A];
+      break;
+    case LirOpc::LdW:
+      W[Op.Dst] = W[Op.Imm];
+      break;
+    case LirOpc::StW:
+      W[Op.Imm] = W[Op.B];
+      break;
+    case LirOpc::Copy:
+      L.copy(Op.Dst, Op.A, W, F);
       break;
     case LirOpc::Var:
-      Memory.push_back(F[Op.A]);
-      F[Op.Dst] = RtValue::makePointer(Memory.size() - 1);
+      L.copy(Op.Imm, Op.A, W, F);
       break;
     case LirOpc::Ld:
-      F[Op.Dst] = Memory[F[Op.A].pointer()];
+      L.copy(Op.Dst, Op.Imm, W, F);
       break;
     case LirOpc::St:
-      Memory[F[Op.A].pointer()] = F[Op.B];
+      L.copy(Op.Imm, Op.B, W, F);
       break;
-    case LirOpc::Call: {
-      RtValue R = callOp(Op, F, Pool);
-      if (Op.Dst >= 0)
-        F[Op.Dst] = std::move(R);
+    case LirOpc::VarM:
+    case LirOpc::LdM:
+    case LirOpc::StM:
+      execMem(L, Op, W, F, FR->Memory);
       break;
-    }
+    case LirOpc::Call:
+      callOp(L, Op, W, F);
+      break;
     default:
       assert(false && "illegal op in function");
       return RtValue();
@@ -185,16 +215,49 @@ RtValue LirEngine::callFunction(Unit *Fn, std::vector<RtValue> &Args) {
   }
 }
 
-/// Gathers a Call op's arguments (slots in the caller's operand pool)
-/// from the caller's frame into a pooled buffer and invokes the callee.
-RtValue LirEngine::callOp(const LirOp &Op, const RtValue *F,
-                          const int32_t *Pool) {
-  auto Lease = ArgPool.lease();
-  std::vector<RtValue> &Args = *Lease;
-  Args.clear();
-  for (uint32_t J = 0; J != Op.OpsCount; ++J)
-    Args.push_back(F[Pool[Op.OpsBase + J]]);
-  return callFunction(Op.Callee, Args);
+void LirEngine::callOp(const LirUnit &L, const LirOp &Op, uint64_t *W,
+                       RtValue *F) {
+  const int32_t *Args = L.OperandPool.data() + Op.OpsBase;
+  // The intrinsics with no result act in place: no argument buffer.
+  switch (Op.Intr) {
+  case IntrinsicKind::Assert:
+    intrinsicAssert(St, Op.OpsCount == 0 || L.truthy(Args[0], W, F));
+    return;
+  case IntrinsicKind::Finish:
+    intrinsicFinish(St);
+    return;
+  default:
+    break;
+  }
+  RtValue R;
+  {
+    auto Lease = ArgPool.lease();
+    std::vector<RtValue> &Buf = *Lease;
+    Buf.clear();
+    for (uint32_t J = 0; J != Op.OpsCount; ++J)
+      Buf.push_back(L.boxed(Args[J], W, F));
+    R = callFunction(Op, Buf);
+  }
+  if (Op.Dst >= 0)
+    L.store(Op.Dst, std::move(R), W, F);
+}
+
+void LirEngine::execMem(const LirUnit &L, const LirOp &Op, uint64_t *W,
+                        RtValue *F, std::vector<RtValue> &Mem) {
+  switch (Op.C) {
+  case LirOpc::VarM:
+    Mem.push_back(L.boxed(Op.A, W, F));
+    F[Op.Dst] = RtValue::makePointer(Mem.size() - 1);
+    break;
+  case LirOpc::LdM:
+    L.store(Op.Dst, Mem[F[Op.A].pointer()], W, F);
+    break;
+  case LirOpc::StM:
+    Mem[F[Op.A].pointer()] = L.boxed(Op.B, W, F);
+    break;
+  default:
+    break;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -214,7 +277,9 @@ void LirEngine::runProcess(uint32_t PI) {
   const LirUnit &L = *PS.L;
   const LirOp *Ops = L.Ops.data();
   const int32_t *Pool = L.OperandPool.data();
+  uint64_t *W = PS.Words.data();
   RtValue *F = PS.Frame.data();
+  const SignalId *WS = PS.WordSigs.data();
 
   // PureComb fast path: a straight probe/compute/drive sweep with no
   // control-flow dispatch, ending in the (implicit) static wait. The
@@ -225,27 +290,50 @@ void LirEngine::runProcess(uint32_t PI) {
     for (int32_t Pc = L.ResumePc; Pc != End; ++Pc) {
       const LirOp &Op = Ops[Pc];
       switch (Op.C) {
+      case LirOpc::PureW:
+        execPureW(Op, W);
+        break;
+      case LirOpc::PrbW:
+        execPrbW(Op, W, F, WS);
+        break;
+      case LirOpc::DrvW:
+      case LirOpc::Drv:
+        execDrv(L, Op, W, F, WS, PS.Inst);
+        break;
+      case LirOpc::CopyW:
+        W[Op.Dst] = W[Op.A];
+        break;
+      case LirOpc::VarW:
+        W[Op.Imm] = W[Op.A];
+        break;
+      case LirOpc::LdW:
+        W[Op.Dst] = W[Op.Imm];
+        break;
+      case LirOpc::StW:
+        W[Op.Imm] = W[Op.B];
+        break;
       case LirOpc::Pure:
-        execPure(Op, Pool, F);
+        execPure(L, Op, W, F);
         break;
       case LirOpc::Prb:
-        execPrb(Op, F);
-        break;
-      case LirOpc::Drv:
-        execDrv(Op, F, PS.Inst);
+        execPrb(Op, F, WS);
         break;
       case LirOpc::Copy:
-        F[Op.Dst] = F[Op.A];
+        L.copy(Op.Dst, Op.A, W, F);
         break;
       case LirOpc::Var:
-        PS.Memory.push_back(F[Op.A]);
-        F[Op.Dst] = RtValue::makePointer(PS.Memory.size() - 1);
+        L.copy(Op.Imm, Op.A, W, F);
         break;
       case LirOpc::Ld:
-        F[Op.Dst] = PS.Memory[F[Op.A].pointer()];
+        L.copy(Op.Dst, Op.Imm, W, F);
         break;
       case LirOpc::St:
-        PS.Memory[F[Op.A].pointer()] = F[Op.B];
+        L.copy(Op.Imm, Op.B, W, F);
+        break;
+      case LirOpc::VarM:
+      case LirOpc::LdM:
+      case LirOpc::StM:
+        execMem(L, Op, W, F, PS.Memory);
         break;
       default:
         break; // Unreachable by classification.
@@ -262,6 +350,39 @@ void LirEngine::runProcess(uint32_t PI) {
   for (;;) {
     const LirOp &Op = Ops[Pc];
     switch (Op.C) {
+    case LirOpc::PureW:
+      execPureW(Op, W);
+      break;
+    case LirOpc::PrbW:
+      execPrbW(Op, W, F, WS);
+      break;
+    case LirOpc::DrvW:
+    case LirOpc::Drv:
+      execDrv(L, Op, W, F, WS, PS.Inst);
+      break;
+    case LirOpc::CopyW:
+      W[Op.Dst] = W[Op.A];
+      break;
+    case LirOpc::VarW:
+      W[Op.Imm] = W[Op.A];
+      break;
+    case LirOpc::LdW:
+      W[Op.Dst] = W[Op.Imm];
+      break;
+    case LirOpc::StW:
+      W[Op.Imm] = W[Op.B];
+      break;
+    case LirOpc::CondJmpW:
+    case LirOpc::CondJmp:
+    case LirOpc::Jmp: {
+      int32_t To = jumpTarget(L, Op, W, F);
+      if (To <= Pc && !--Fuel) {
+        PS.State = ProcState::St::Halted; // Runaway guard: treat as hung.
+        return;
+      }
+      Pc = To;
+      continue;
+    }
     case LirOpc::Halt:
       PS.State = ProcState::St::Halted;
       return;
@@ -283,44 +404,32 @@ void LirEngine::runProcess(uint32_t PI) {
       PS.Pc = Op.Jmp0;
       return;
     }
-    case LirOpc::Jmp:
-    case LirOpc::CondJmp: {
-      int32_t To = jumpTarget(Op, F);
-      if (To <= Pc && !--Fuel) {
-        PS.State = ProcState::St::Halted; // Runaway guard: treat as hung.
-        return;
-      }
-      Pc = To;
-      continue;
-    }
-    case LirOpc::Copy:
-      F[Op.Dst] = F[Op.A];
+    case LirOpc::Pure:
+      execPure(L, Op, W, F);
       break;
     case LirOpc::Prb:
-      execPrb(Op, F);
+      execPrb(Op, F, WS);
       break;
-    case LirOpc::Drv:
-      execDrv(Op, F, PS.Inst);
-      break;
-    case LirOpc::Pure:
-      execPure(Op, Pool, F);
+    case LirOpc::Copy:
+      L.copy(Op.Dst, Op.A, W, F);
       break;
     case LirOpc::Var:
-      PS.Memory.push_back(F[Op.A]);
-      F[Op.Dst] = RtValue::makePointer(PS.Memory.size() - 1);
+      L.copy(Op.Imm, Op.A, W, F);
       break;
     case LirOpc::Ld:
-      F[Op.Dst] = PS.Memory[F[Op.A].pointer()];
+      L.copy(Op.Dst, Op.Imm, W, F);
       break;
     case LirOpc::St:
-      PS.Memory[F[Op.A].pointer()] = F[Op.B];
+      L.copy(Op.Imm, Op.B, W, F);
       break;
-    case LirOpc::Call: {
-      RtValue R = callOp(Op, F, Pool);
-      if (Op.Dst >= 0)
-        F[Op.Dst] = std::move(R);
+    case LirOpc::VarM:
+    case LirOpc::LdM:
+    case LirOpc::StM:
+      execMem(L, Op, W, F, PS.Memory);
       break;
-    }
+    case LirOpc::Call:
+      callOp(L, Op, W, F);
+      break;
     default:
       assert(false && "illegal op in process");
       PS.State = ProcState::St::Halted;
@@ -335,11 +444,13 @@ void LirEngine::runProcess(uint32_t PI) {
 //===----------------------------------------------------------------------===//
 
 void LirEngine::execReg(EntState &ES, const LirOp &Op, bool Initial) {
-  const RtValue *F = ES.Frame.data();
+  const LirUnit &L = *ES.L;
+  uint64_t *W = ES.Words.data();
+  RtValue *F = ES.Frame.data();
   SigRef Target = F[Op.A].sigRef();
   for (uint32_t TI = 0; TI != Op.TrigCount; ++TI) {
-    const LirTrigger &T = ES.L->TriggerPool[Op.TrigBase + TI];
-    const RtValue &Cur = F[T.Trig];
+    const LirTrigger &T = L.TriggerPool[Op.TrigBase + TI];
+    const RtValue &Cur = L.boxed(T.Trig, W, F);
     uint32_t PrevIdx = Op.Imm + TI;
     bool HavePrev = ES.RegPrevValid[PrevIdx];
     RtValue Pv = HavePrev ? RtValue(ES.RegPrev[PrevIdx]) : Cur;
@@ -361,14 +472,14 @@ void LirEngine::execReg(EntState &ES, const LirOp &Op, bool Initial) {
       Fire = false;
     if (!Fire)
       continue;
-    if (T.Cond >= 0 && !F[T.Cond].isTruthy())
+    if (T.Cond >= 0 && !L.truthy(T.Cond, W, F))
       continue;
     Time Delay;
     if (T.Delay >= 0)
       Delay = F[T.Delay].timeValue();
     Sched.scheduleUpdate(
         driveTarget(Now, Delay),
-        {Target, F[T.Value], driverId(ES.Inst, Op.Origin) + TI});
+        {Target, L.boxed(T.Value, W, F), driverId(ES.Inst, Op.Origin) + TI});
     Sched.countScheduled(1);
   }
 }
@@ -377,18 +488,26 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
   EntState &ES = Ents[EI];
   ++Stats.EntityEvals;
   const LirUnit &L = *ES.L;
-  const int32_t *Pool = L.OperandPool.data();
+  uint64_t *W = ES.Words.data();
   RtValue *F = ES.Frame.data();
+  const SignalId *WS = ES.WordSigs.data();
   for (const LirOp &Op : L.Ops) {
     switch (Op.C) {
+    case LirOpc::PureW:
+      execPureW(Op, W);
+      break;
+    case LirOpc::PrbW:
+      execPrbW(Op, W, F, WS);
+      break;
+    case LirOpc::DrvW:
+    case LirOpc::Drv:
+      execDrv(L, Op, W, F, WS, ES.Inst);
+      break;
     case LirOpc::Pure:
-      execPure(Op, Pool, F);
+      execPure(L, Op, W, F);
       break;
     case LirOpc::Prb:
-      execPrb(Op, F);
-      break;
-    case LirOpc::Drv:
-      execDrv(Op, F, ES.Inst);
+      execPrb(Op, F, WS);
       break;
     case LirOpc::Reg:
       execReg(ES, Op, Initial);
@@ -422,37 +541,61 @@ SimStats LirEngine::run() {
 
 namespace {
 
-/// Rebuilds an interpreter RtValue from native lanes: one lane per
-/// two-state int/enum (<= 64 bits), one lane per element for flat
-/// arrays of such ints — the exact lane model of jit/Codegen.h.
-RtValue lanesToValue(Type *Ty, const uint64_t *Lanes, uint32_t N) {
-  if (Ty->isArray()) {
-    auto *AT = cast<ArrayType>(Ty);
-    unsigned EW = AT->element()->bitWidth();
-    std::vector<RtValue> Es;
-    Es.reserve(N);
-    for (uint32_t I = 0; I != N; ++I)
-      Es.push_back(RtValue(IntValue(EW, Lanes[I])));
-    return RtValue::makeArray(std::move(Es));
-  }
-  return RtValue(IntValue(Ty->bitWidth(), Lanes[0]));
+/// Rebuilds an interpreter array from native lanes, one lane per element
+/// of a flat array of two-state ints (<= 64 bits): the array lane model
+/// of jit/Codegen.h. Scalar lanes are word slots, copied as words.
+RtValue lanesToArray(Type *Ty, const uint64_t *Lanes, uint32_t N) {
+  unsigned EW = cast<ArrayType>(Ty)->element()->bitWidth();
+  std::vector<RtValue> Es;
+  Es.reserve(N);
+  for (uint32_t I = 0; I != N; ++I)
+    Es.push_back(RtValue(IntValue(EW, Lanes[I])));
+  return RtValue::makeArray(std::move(Es));
 }
 
-/// Loads an interpreter RtValue into native lanes. Invalid values are
+/// Loads an interpreter array into native lanes. Invalid values are
 /// left alone (never-written slots keep their constant preloads); any
 /// other shape mismatch is ignored the same way — the slot would have
 /// been written before being read in either execution model.
-void valueToLanes(const RtValue &V, uint64_t *Lanes, uint32_t N) {
-  if (V.isInt() && N == 1) {
-    Lanes[0] = V.intValue().zextToU64();
+void arrayToLanes(const RtValue &V, uint64_t *Lanes, uint32_t N) {
+  if (!V.isAggregate())
     return;
-  }
-  if (V.isAggregate()) {
-    const std::vector<RtValue> &Es = V.elements();
-    for (uint32_t I = 0; I != N && I != Es.size(); ++I)
-      if (Es[I].isInt())
-        Lanes[I] = Es[I].intValue().zextToU64();
-  }
+  const std::vector<RtValue> &Es = V.elements();
+  for (uint32_t I = 0; I != N && I != Es.size(); ++I)
+    if (Es[I].isInt())
+      Lanes[I] = Es[I].intValue().zextToU64();
+}
+
+/// The engine-neutral image of slot or cell \p S of frame (W, F): a word
+/// slot boxed, anything else as it is.
+RtValue imageValue(const LirUnit &L, uint32_t S, const uint64_t *W,
+                   const RtValue *F) {
+  const LirSlot &Sl = L.Slots[S];
+  return Sl.Word ? RtValue(IntValue(Sl.Width, W[S])) : F[S];
+}
+
+/// The slots of frame (W, F) as the image's RtValue frame.
+std::vector<RtValue> imageFrame(const LirUnit &L, const uint64_t *W,
+                                const RtValue *F) {
+  std::vector<RtValue> Out;
+  Out.reserve(L.NumSlots);
+  for (uint32_t S = 0; S != L.NumSlots; ++S)
+    Out.push_back(imageValue(L, S, W, F));
+  return Out;
+}
+
+/// Loads the image frame \p In into the slots of frame (W, F).
+void loadImageFrame(const LirUnit &L, std::vector<RtValue> &In, uint64_t *W,
+                    RtValue *F) {
+  for (uint32_t S = 0; S != L.NumSlots; ++S)
+    L.store(S, std::move(In[S]), W, F);
+}
+
+/// The fixed-cell var ops of \p L (Var and VarW), in pc order.
+template <typename Fn> void forEachCell(const LirUnit &L, Fn &&Visit) {
+  for (const LirOp &Op : L.Ops)
+    if (Op.C == LirOpc::Var || Op.C == LirOpc::VarW)
+      Visit(Op);
 }
 
 } // namespace
@@ -461,7 +604,9 @@ void LirEngine::syncFromNative(ProcState &PS) {
   const jit::JitModule::NativeUnit *NU = Prog->JitMod->nativeFor(PS.L);
   const jit::UnitPlan &Plan = NU->Plan;
   const LirUnit &L = *PS.L;
-  uint64_t *Lanes = PS.Jit->Lanes.data();
+  const uint64_t *Lanes = PS.Jit->Lanes.data();
+  uint64_t *W = PS.Words.data();
+  RtValue *F = PS.Frame.data();
 
   // The native resumption token maps onto the interpreter's stored pc:
   // entry E resumes after wait E-1, i.e. at that wait's continuation.
@@ -469,33 +614,23 @@ void LirEngine::syncFromNative(ProcState &PS) {
               ? 0
               : L.Ops[Plan.Waits[PS.Entry - 1].Pc].Jmp0;
 
-  // Laned slots back into the frame. Slots outside the lane model
-  // (signal bindings, constant times) were never moved out of it.
-  for (uint32_t S = 0; S != L.NumSlots; ++S) {
-    if (Plan.LaneOf[S] < 0 || !Plan.SlotType[S])
-      continue;
-    PS.Frame[S] =
-        lanesToValue(Plan.SlotType[S], Lanes + Plan.LaneOf[S],
-                     Plan.LanesOf[S]);
-  }
-
-  // Var cells: the native code holds them in static lanes; rebuild the
-  // interpreter's memory with one cell per Var op (pc order) and point
-  // the pointer slots at them — the state an interpreted execution of
-  // the same (straight-line-var) process produces.
-  PS.Memory.clear();
+  // Laned slots and var cells back into the files: words as words,
+  // arrays rebuilt. Slots outside the lane model (signal bindings,
+  // constant times) were never moved out of them.
+  auto fromLanes = [&](uint32_t S, int32_t Lane, uint32_t N) {
+    if (Lane < 0)
+      return;
+    if (L.Slots[S].Word)
+      W[S] = Lanes[Lane];
+    else if (L.Slots[S].Ty && L.Slots[S].Ty->isArray())
+      F[S] = lanesToArray(L.Slots[S].Ty, Lanes + Lane, N);
+  };
+  for (uint32_t S = 0; S != L.NumSlots; ++S)
+    fromLanes(S, Plan.LaneOf[S], Plan.LanesOf[S]);
   int32_t VI = 0;
-  for (const LirOp &Op : L.Ops) {
-    if (Op.C != LirOpc::Var)
-      continue;
-    int32_t Lane = Plan.CellLane[VI++];
-    if (Lane < 0 || !Plan.SlotType[Op.A])
-      continue;
-    PS.Memory.push_back(lanesToValue(Plan.SlotType[Op.A], Lanes + Lane,
-                                     Plan.LanesOf[Op.A]));
-    PS.Frame[Op.Dst] =
-        RtValue::makePointer(uint32_t(PS.Memory.size() - 1));
-  }
+  forEachCell(L, [&](const LirOp &Op) {
+    fromLanes(Op.Imm, Plan.CellLane[VI++], Plan.LanesOf[Op.A]);
+  });
 }
 
 bool LirEngine::syncToNative(ProcState &PS) {
@@ -503,6 +638,8 @@ bool LirEngine::syncToNative(ProcState &PS) {
   const jit::UnitPlan &Plan = NU->Plan;
   const LirUnit &L = *PS.L;
   uint64_t *Lanes = PS.Jit->Lanes.data();
+  const uint64_t *W = PS.Words.data();
+  const RtValue *F = PS.Frame.data();
 
   // Map the interpreter pc back onto a native resumption entry. Halted
   // processes never run again, so any token works for them.
@@ -520,22 +657,20 @@ bool LirEngine::syncToNative(ProcState &PS) {
     PS.Entry = Entry;
   }
 
-  for (uint32_t S = 0; S != L.NumSlots; ++S)
-    if (Plan.LaneOf[S] >= 0)
-      valueToLanes(PS.Frame[S], Lanes + Plan.LaneOf[S], Plan.LanesOf[S]);
-
-  int32_t VI = 0;
-  for (const LirOp &Op : L.Ops) {
-    if (Op.C != LirOpc::Var)
-      continue;
-    int32_t Lane = Plan.CellLane[VI++];
+  auto toLanes = [&](uint32_t S, int32_t Lane, uint32_t N) {
     if (Lane < 0)
-      continue;
-    const RtValue &P = PS.Frame[Op.Dst];
-    if (P.isPointer() && P.pointer() < PS.Memory.size())
-      valueToLanes(PS.Memory[P.pointer()], Lanes + Lane,
-                   Plan.LanesOf[Op.A]);
-  }
+      return;
+    if (L.Slots[S].Word)
+      Lanes[Lane] = W[S];
+    else
+      arrayToLanes(F[S], Lanes + Lane, N);
+  };
+  for (uint32_t S = 0; S != L.NumSlots; ++S)
+    toLanes(S, Plan.LaneOf[S], Plan.LanesOf[S]);
+  int32_t VI = 0;
+  forEachCell(L, [&](const LirOp &Op) {
+    toLanes(Op.Imm, Plan.CellLane[VI++], Plan.LanesOf[Op.A]);
+  });
   return true;
 }
 
@@ -547,19 +682,28 @@ void LirEngine::checkpoint(std::vector<uint8_t> &Out) {
     // image restores identically with or without the JIT.
     if (PS.Jit)
       syncFromNative(PS);
+    const LirUnit &L = *PS.L;
     ckpt::ProcRecord &Rec = PRecs[I];
     Rec.State = static_cast<uint8_t>(PS.State);
     Rec.Started = PS.Started;
     Rec.Pc = PS.Pc;
     Rec.WakeGen = PS.WakeGen;
     Rec.Sens = PS.Sensitivity;
-    Rec.Frame = PS.Frame;
+    Rec.Frame = imageFrame(L, PS.Words.data(), PS.Frame.data());
+    // Dynamic memory, then one cell per fixed var in pc order, its
+    // pointer slot aimed at it.
     Rec.Memory = PS.Memory;
+    forEachCell(L, [&](const LirOp &Op) {
+      Rec.Frame[Op.Dst] = RtValue::makePointer(Rec.Memory.size());
+      Rec.Memory.push_back(
+          imageValue(L, Op.Imm, PS.Words.data(), PS.Frame.data()));
+    });
   }
   std::vector<ckpt::EntRecord> ERecs(Ents.size());
   for (size_t I = 0; I != Ents.size(); ++I) {
     const EntState &ES = Ents[I];
-    ERecs[I] = {ES.Frame, ES.RegPrev, ES.RegPrevValid, ES.DelPrev};
+    ERecs[I] = {imageFrame(*ES.L, ES.Words.data(), ES.Frame.data()),
+                ES.RegPrev, ES.RegPrevValid, ES.DelPrev};
   }
   ckpt::writeImage(Out, EngineName, D, Cache, St, PRecs, ERecs);
 }
@@ -571,14 +715,25 @@ bool LirEngine::restore(const std::vector<uint8_t> &In, std::string &Err) {
     return false;
   for (size_t I = 0; I != Procs.size(); ++I) {
     ProcState &PS = Procs[I];
+    const LirUnit &L = *PS.L;
     ckpt::ProcRecord &Rec = PRecs[I];
     PS.State = static_cast<ProcState::St>(Rec.State);
     PS.Started = Rec.Started != 0;
     PS.Pc = static_cast<int32_t>(Rec.Pc);
     PS.WakeGen = Rec.WakeGen;
     PS.Sensitivity = std::move(Rec.Sens);
-    PS.Frame = std::move(Rec.Frame);
-    PS.Memory = std::move(Rec.Memory);
+    uint64_t *W = PS.Words.data();
+    RtValue *F = PS.Frame.data();
+    // A fixed cell takes the memory cell its var's pointer slot names.
+    forEachCell(L, [&](const LirOp &Op) {
+      const RtValue &P = Rec.Frame[Op.Dst];
+      if (P.isPointer() && P.pointer() < Rec.Memory.size())
+        L.store(Op.Imm, Rec.Memory[P.pointer()], W, F);
+    });
+    loadImageFrame(L, Rec.Frame, W, F);
+    PS.Memory.clear();
+    if (L.HasMemory)
+      PS.Memory = std::move(Rec.Memory);
     if (PS.Jit && !syncToNative(PS)) {
       // The image's resumption point has no native entry here (it came
       // from a run with different JIT coverage): this instance falls
@@ -591,7 +746,7 @@ bool LirEngine::restore(const std::vector<uint8_t> &In, std::string &Err) {
   for (size_t I = 0; I != Ents.size(); ++I) {
     EntState &ES = Ents[I];
     ckpt::EntRecord &Rec = ERecs[I];
-    ES.Frame = std::move(Rec.Frame);
+    loadImageFrame(*ES.L, Rec.Frame, ES.Words.data(), ES.Frame.data());
     ES.RegPrev = std::move(Rec.RegPrev);
     ES.RegPrevValid = std::move(Rec.RegPrevValid);
     ES.DelPrev = std::move(Rec.DelPrev);

@@ -105,6 +105,10 @@ public:
   std::string procName(uint32_t PI) const {
     return Procs[PI].Inst->HierName;
   }
+  /// The fixed var cells of process \p PI plus its dynamic memory cells.
+  size_t procCells(uint32_t PI) const {
+    return Procs[PI].L->NumCells + Procs[PI].Memory.size();
+  }
 
   void runProcess(uint32_t PI);
   void evalEntity(uint32_t EI, bool Initial);
@@ -145,10 +149,18 @@ public:
   bool Resumed = false;
 
 private:
+  /// One activation frame: the word file and the RtValue file, indexed
+  /// by slot and then by fixed var cell (sim/Lir.h), plus the dynamic
+  /// memory of vars whose pointers escape.
   struct ProcState {
     const LirUnit *L = nullptr;
     const UnitInstance *Inst = nullptr;
+    std::vector<uint64_t> Words;
     std::vector<RtValue> Frame;
+    /// Per slot: the word-lane storage root of the whole signal the slot
+    /// binds, resolved once at build(); InvalidSignal for every other
+    /// slot (see wordSignals()).
+    std::vector<SignalId> WordSigs;
     std::vector<RtValue> Memory;
     int32_t Pc = 0;
     /// Set at the first suspension; afterwards classified processes
@@ -166,7 +178,9 @@ private:
   struct EntState {
     const LirUnit *L = nullptr;
     const UnitInstance *Inst = nullptr;
+    std::vector<uint64_t> Words;
     std::vector<RtValue> Frame;
+    std::vector<SignalId> WordSigs; ///< As ProcState::WordSigs.
     std::vector<RtValue> RegPrev;
     std::vector<uint8_t> RegPrevValid;
     std::vector<RtValue> DelPrev;
@@ -186,37 +200,65 @@ private:
   /// bookkeeping exactly.
   void runProcessNative(uint32_t PI);
 
+  /// The word-lane storage root of the signal \p Sig refers to, when it
+  /// is a whole word-lane signal; InvalidSignal otherwise.
+  SignalId wordSignal(const RtValue &Sig) const {
+    return Sig.isWholeSignal() ? Signals.wordCanon(Sig.sigId())
+                               : InvalidSignal;
+  }
+  /// wordSignal() of every slot of the preloaded frame \p Frame: signal
+  /// bindings never change, so each probe and drive of a bound signal
+  /// reads its root from here instead of resolving it again.
+  std::vector<SignalId> wordSignals(const LirUnit &L,
+                                    const std::vector<RtValue> &Frame) const {
+    std::vector<SignalId> WS(L.NumSlots, InvalidSignal);
+    for (uint32_t S = 0; S != L.NumSlots; ++S)
+      WS[S] = wordSignal(Frame[S]);
+    return WS;
+  }
+  /// The word-lane root of signal slot \p S: the cached binding's, or,
+  /// for a signal computed at run time, the current value's.
+  SignalId wordSignal(const SignalId *WS, const RtValue *F, int32_t S) const {
+    SignalId C = WS[S];
+    return C != InvalidSignal ? C : wordSignal(F[S]);
+  }
+
   /// A probe of a whole word-lane signal reads the stored value in place
   /// (a word copy), the rule Blaze's direct native probes follow; every
   /// other probe resolves through SignalTable::read().
-  void execPrb(const LirOp &Op, RtValue *F) {
-    const RtValue &Sig = F[Op.A];
-    SignalId Canon = Sig.isWholeSignal() ? Signals.wordCanon(Sig.sigId())
-                                         : InvalidSignal;
+  void execPrb(const LirOp &Op, RtValue *F, const SignalId *WS) {
+    SignalId Canon = wordSignal(WS, F, Op.A);
     if (Canon != InvalidSignal)
       F[Op.Dst] = Signals.storedValue(Canon);
     else
-      F[Op.Dst] = Signals.read(Sig.sigRef());
+      F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+  }
+  void execPrbW(const LirOp &Op, uint64_t *W, const RtValue *F,
+                const SignalId *WS) {
+    SignalId Canon = wordSignal(WS, F, Op.A);
+    W[Op.Dst] = Canon != InvalidSignal
+                    ? Signals.storedValue(Canon).intValue().zextToU64()
+                    : Signals.read(F[Op.A].sigRef()).intValue().zextToU64();
   }
 
   /// A drive of a whole word-lane signal with an integer value files a
   /// 24-byte word entry; every other drive files a general SigUpdate.
-  void execDrv(const LirOp &Op, const RtValue *F, const void *Tag) {
-    if (Op.Dd >= 0 && !F[Op.Dd].isTruthy())
+  /// DrvW drives the word W[B]; Drv drives the boxed F[B].
+  void execDrv(const LirUnit &L, const LirOp &Op, uint64_t *W, RtValue *F,
+               const SignalId *WS, const void *Tag) {
+    if (Op.Dd >= 0 && !L.truthy(Op.Dd, W, F))
       return;
     Time T = driveTarget(Now, F[Op.Cc].timeValue());
-    const RtValue &Sig = F[Op.A], &Val = F[Op.B];
-    SignalId Canon = Val.isInt() && Sig.isWholeSignal()
-                         ? Signals.wordCanon(Sig.sigId())
-                         : InvalidSignal;
+    const RtValue &Sig = F[Op.A];
+    SignalId Canon =
+        Op.C == LirOpc::DrvW ? wordSignal(WS, F, Op.A) : InvalidSignal;
     if (Canon != InvalidSignal) {
-      assert(Val.intValue().width() ==
-                 Signals.storedValue(Canon).intValue().width() &&
+      assert(Op.Width == Signals.storedValue(Canon).intValue().width() &&
              "drive value width differs from the signal's");
-      Sched.scheduleWord(T, Canon, Val.intValue().zextToU64(),
-                         driverId(Tag, Op.Origin));
+      Sched.scheduleWord(T, Canon, W[Op.B], driverId(Tag, Op.Origin));
     } else {
-      Sched.scheduleUpdate(T, {Sig.sigRef(), Val, driverId(Tag, Op.Origin)});
+      Sched.scheduleUpdate(
+          T, {Sig.sigRef(), L.boxed(Op.B, W, F), driverId(Tag, Op.Origin)});
     }
     Sched.countScheduled(1);
   }
@@ -225,8 +267,14 @@ private:
   /// previous samples, and schedules the value of every firing trigger.
   void execReg(EntState &ES, const LirOp &Op, bool Initial);
 
-  RtValue callFunction(Unit *F, std::vector<RtValue> &Args);
-  RtValue callOp(const LirOp &Op, const RtValue *F, const int32_t *Pool);
+  RtValue callFunction(const LirOp &Op, std::vector<RtValue> &Args);
+  /// Runs the Call op \p Op of unit \p L over the frame (W, F): an
+  /// assert or finish acts at once; every other call gathers its
+  /// arguments, boxed, into a pooled buffer.
+  void callOp(const LirUnit &L, const LirOp &Op, uint64_t *W, RtValue *F);
+  /// Var/Ld/St over dynamic memory \p Mem (the M forms).
+  static void execMem(const LirUnit &L, const LirOp &Op, uint64_t *W,
+                      RtValue *F, std::vector<RtValue> &Mem);
 
   std::vector<ProcState> Procs;
   std::vector<EntState> Ents;
@@ -235,6 +283,7 @@ private:
   /// reused across calls so steady-state function execution does not
   /// allocate.
   struct FnFrame {
+    std::vector<uint64_t> Words;
     std::vector<RtValue> Frame;
     std::vector<RtValue> Memory;
   };

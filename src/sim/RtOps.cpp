@@ -290,7 +290,30 @@ void llhd::intrinsicAssert(SimState &St, bool Ok) {
 
 void llhd::intrinsicFinish(SimState &St) { St.FinishRequested = true; }
 
-RtValue llhd::callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
+namespace {
+constexpr const char *TestPfx = "llhd.plusarg.test.";
+constexpr const char *ValuePfx = "llhd.plusarg.value.";
+} // namespace
+
+IntrinsicKind llhd::intrinsicKind(const Unit &Fn) {
+  if (!Fn.isIntrinsic() && !Fn.isDeclaration())
+    return IntrinsicKind::None;
+  const std::string &N = Fn.name();
+  if (N == "llhd.assert")
+    return IntrinsicKind::Assert;
+  if (N == "llhd.finish")
+    return IntrinsicKind::Finish;
+  if (N == "llhd.random")
+    return IntrinsicKind::Random;
+  if (N.rfind(TestPfx, 0) == 0)
+    return IntrinsicKind::PlusargTest;
+  if (N.rfind(ValuePfx, 0) == 0)
+    return IntrinsicKind::PlusargValue;
+  return IntrinsicKind::Other;
+}
+
+RtValue llhd::callIntrinsic(IntrinsicKind K, const Unit &Fn,
+                            const std::vector<RtValue> &Args,
                             const SimOptions &O, SimState &St) {
   const std::string &N = Fn.name();
   // Integer results take their width from the declared return type (i32
@@ -299,30 +322,27 @@ RtValue llhd::callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
     return RtValue(
         IntValue(Fn.returnType() ? Fn.returnType()->bitWidth() : 32, X));
   };
-  if (N == "llhd.assert") {
-    intrinsicAssert(St, Args.empty() || Args[0].isTruthy());
-    return RtValue();
-  }
-  if (N == "llhd.finish") {
-    intrinsicFinish(St);
-    return RtValue();
-  }
-  if (N == "llhd.random") // $random / $urandom: the seeded stream.
-    return intResult(St.nextRandom());
   // Plusarg queries: the key is encoded in the intrinsic name by the
   // frontend (moore/Compiler.cpp), the values come from SimOptions.
   // Yields the value of the first `+key[=value]` ("" when bare), or null.
   auto plusarg = [&](const char *Pfx) -> const std::string * {
-    for (const auto &[K, V] : O.Plusargs)
-      if (N.compare(strlen(Pfx), std::string::npos, K) == 0)
+    for (const auto &[Key, V] : O.Plusargs)
+      if (N.compare(strlen(Pfx), std::string::npos, Key) == 0)
         return &V;
     return nullptr;
   };
-  constexpr const char *TestPfx = "llhd.plusarg.test.";
-  constexpr const char *ValuePfx = "llhd.plusarg.value.";
-  if (N.rfind(TestPfx, 0) == 0)
+  switch (K) {
+  case IntrinsicKind::Assert:
+    intrinsicAssert(St, Args.empty() || Args[0].isTruthy());
+    return RtValue();
+  case IntrinsicKind::Finish:
+    intrinsicFinish(St);
+    return RtValue();
+  case IntrinsicKind::Random: // $random / $urandom: the seeded stream.
+    return intResult(St.nextRandom());
+  case IntrinsicKind::PlusargTest:
     return intResult(plusarg(TestPfx) ? 1 : 0);
-  if (N.rfind(ValuePfx, 0) == 0) {
+  case IntrinsicKind::PlusargValue: {
     // $plusarg$value("KEY", default): the plusarg's numeric value, or
     // the default when absent or non-numeric.
     uint64_t X = Args.empty() ? 0 : Args[0].intValue().zextToU64();
@@ -334,5 +354,7 @@ RtValue llhd::callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
     }
     return intResult(X);
   }
-  return defaultValue(Fn.returnType());
+  default:
+    return defaultValue(Fn.returnType());
+  }
 }

@@ -27,175 +27,164 @@ namespace prelude {
 #include "jit/Prelude.h"
 } // namespace prelude
 
+/// What a call's callee is when it is declared rather than defined,
+/// decoded once at lowering (LirOp::Intr); the JIT's call sites use the
+/// same kinds.
+enum class IntrinsicKind : uint8_t {
+  None,         ///< A defined function.
+  Assert,       ///< llhd.assert(cond).
+  Finish,       ///< llhd.finish().
+  Random,       ///< llhd.random(): the run's seeded stream.
+  PlusargTest,  ///< llhd.plusarg.test.<key>.
+  PlusargValue, ///< llhd.plusarg.value.<key>(default).
+  Other,        ///< Any other declaration: returns its default value.
+};
+
 /// The result width a pure instruction's evaluation needs: the target
 /// width of zext/sext/trunc and of an integer or logic exts; 0 for
 /// every other instruction. Lowering stores it in LirOp::Width.
 unsigned pureResultWidth(const Instruction &I);
 
-/// The one <=64-bit evaluator: computes \p Op in place into \p Dst when
-/// operand \p L (and \p R, the second operand of a binary op, else
-/// null) is a two-state integer of at most 64 bits. Covers the
-/// arithmetic, bitwise, shift and comparison opcodes, inss, and the
-/// unary not/neg/zext/sext/trunc/exts; \p Imm is the inss/exts offset
-/// and \p Width the pureResultWidth(). Returns false, leaving \p Dst
-/// alone, for every other opcode or operand shape: the caller then takes
-/// evalPureWide. \p Dst may hold any kind, and may be an operand.
-inline bool evalIntFast(Opcode Op, const RtValue &L, const RtValue *R,
-                        unsigned Imm, unsigned Width, RtValue &Dst) {
-  using namespace prelude;
-  if (!L.isInt())
+/// Whether the pure op \p Op runs on words when its \p NumOps operands
+/// are two-state integers of widths \p Wa (and \p Wb, the second
+/// operand of a binary op) and \p Width is its pureResultWidth(); sets
+/// \p RW to the result's width when it does. Covers the arithmetic,
+/// bitwise, shift and comparison opcodes (operands of one width, but a
+/// shift amount of any width), inss, and the unary not/neg/zext/sext/
+/// trunc/exts. Operand widths other than a shift amount's must be at
+/// most 64.
+inline bool wordPure(Opcode Op, unsigned NumOps, unsigned Wa, unsigned Wb,
+                     unsigned Width, unsigned &RW) {
+  if (Wa > 64)
     return false;
-  const IntValue &A = L.intValue();
-  unsigned W = A.width();
-  if (W > 64)
-    return false;
-  u64 a = A.zextToU64();
-  // The result: the low RW bits of V.
-  unsigned RW = W;
-  u64 V;
-
-  if (!R) {
+  RW = Wa;
+  if (NumOps == 1) {
     switch (Op) {
     case Opcode::Not:
-      V = ~a;
-      break;
     case Opcode::Neg:
-      V = 0 - a;
-      break;
+      return true;
     case Opcode::Zext:
     case Opcode::Sext:
-      if (Width > 64)
-        return false;
-      RW = Width;
-      V = Op == Opcode::Zext ? a : u64(jsx(a, W));
-      break;
     case Opcode::Trunc:
-      RW = Width;
-      V = a;
-      break;
     case Opcode::Exts:
       RW = Width;
-      V = Imm < 64 ? a >> Imm : 0;
-      break;
+      return Width <= 64;
     default:
       return false;
     }
-    Dst.setWord(RW, V);
-    return true;
   }
-
-  if (!R->isInt())
+  if (NumOps != 2)
     return false;
-  const IntValue &B = R->intValue();
-  unsigned WB = B.width();
   switch (Op) {
-  // Shifts take their amount from an operand of independent width.
   case Opcode::Shl:
   case Opcode::Shr:
-  case Opcode::Ashr: {
-    u64 Amt = B.fitsU64() ? B.zextToU64() : ~u64(0);
-    V = Op == Opcode::Shl   ? jshl(a, Amt, W)
-        : Op == Opcode::Shr ? jshr(a, Amt, W)
-                            : jashr(a, Amt, W);
-    Dst.setWord(RW, V);
+  case Opcode::Ashr:
     return true;
-  }
   case Opcode::Inss:
-    // The slice replaces bits [Imm, Imm + WB) of a, Imm + WB <= W.
-    if (WB == 0)
-      V = a;
-    else if (WB <= 64)
-      V = (a & ~(IntValue::maskOf(WB) << Imm)) | (B.zextToU64() << Imm);
-    else
-      return false;
-    Dst.setWord(RW, V);
-    return true;
-  default:
-    break;
-  }
-
-  if (WB != W)
-    return false;
-  u64 b = B.zextToU64();
-  switch (Op) {
+    return Wb <= 64;
   case Opcode::Add:
-    V = a + b;
-    break;
   case Opcode::Sub:
-    V = a - b;
-    break;
   case Opcode::Mul:
-    V = a * b;
-    break;
   case Opcode::And:
-    V = a & b;
-    break;
   case Opcode::Or:
-    V = a | b;
-    break;
   case Opcode::Xor:
-    V = a ^ b;
-    break;
   case Opcode::Udiv:
-    V = judiv(a, b, W);
-    break;
   case Opcode::Umod:
   case Opcode::Urem:
-    V = jurem(a, b);
-    break;
   case Opcode::Sdiv:
-    V = jsdiv(a, b, W);
-    break;
   case Opcode::Srem:
-    V = jsrem(a, b, W);
-    break;
   case Opcode::Smod:
-    V = jsmod(a, b, W);
-    break;
+    return Wb == Wa;
   case Opcode::Eq:
-    RW = 1;
-    V = a == b;
-    break;
   case Opcode::Neq:
-    RW = 1;
-    V = a != b;
-    break;
   case Opcode::Ult:
-    RW = 1;
-    V = a < b;
-    break;
   case Opcode::Ugt:
-    RW = 1;
-    V = a > b;
-    break;
   case Opcode::Ule:
-    RW = 1;
-    V = a <= b;
-    break;
   case Opcode::Uge:
-    RW = 1;
-    V = a >= b;
-    break;
   case Opcode::Slt:
-    RW = 1;
-    V = jsx(a, W) < jsx(b, W);
-    break;
   case Opcode::Sgt:
-    RW = 1;
-    V = jsx(a, W) > jsx(b, W);
-    break;
   case Opcode::Sle:
-    RW = 1;
-    V = jsx(a, W) <= jsx(b, W);
-    break;
   case Opcode::Sge:
     RW = 1;
-    V = jsx(a, W) >= jsx(b, W);
-    break;
+    return Wb == Wa;
   default:
     return false;
   }
-  Dst.setWord(RW, V);
+}
+
+/// The one <=64-bit evaluator: \p Op over the operand words \p a and \p b
+/// (b is ignored by unary ops; a shift amount wider than 64 bits is
+/// passed as all-ones), of widths \p W and \p WB, where wordPure()
+/// accepted the op and gave its result width \p RW. \p Imm is the inss/
+/// exts offset. Returns the result masked to RW bits. The interpreter's
+/// PureW op and evalIntFast run it; native code runs the same
+/// jit/Prelude.h helpers.
+[[gnu::always_inline]] inline uint64_t
+evalWord(Opcode Op, uint64_t a, uint64_t b, unsigned W,
+                         unsigned WB, unsigned Imm, unsigned RW) {
+  using namespace prelude;
+  u64 V;
+  switch (Op) {
+  case Opcode::Not: V = ~a; break;
+  case Opcode::Neg: V = 0 - a; break;
+  case Opcode::Zext:
+  case Opcode::Trunc: V = a; break;
+  case Opcode::Sext: V = u64(jsx(a, W)); break;
+  case Opcode::Exts: V = Imm < 64 ? a >> Imm : 0; break;
+  case Opcode::Shl: V = jshl(a, b, W); break;
+  case Opcode::Shr: V = jshr(a, b, W); break;
+  case Opcode::Ashr: V = jashr(a, b, W); break;
+  case Opcode::Inss:
+    // The slice replaces bits [Imm, Imm + WB) of a, Imm + WB <= W.
+    V = WB == 0 ? a
+                : (a & ~(IntValue::maskOf(WB) << Imm)) | (b << Imm);
+    break;
+  case Opcode::Add: V = a + b; break;
+  case Opcode::Sub: V = a - b; break;
+  case Opcode::Mul: V = a * b; break;
+  case Opcode::And: V = a & b; break;
+  case Opcode::Or: V = a | b; break;
+  case Opcode::Xor: V = a ^ b; break;
+  case Opcode::Udiv: V = judiv(a, b, W); break;
+  case Opcode::Umod:
+  case Opcode::Urem: V = jurem(a, b); break;
+  case Opcode::Sdiv: V = jsdiv(a, b, W); break;
+  case Opcode::Srem: V = jsrem(a, b, W); break;
+  case Opcode::Smod: V = jsmod(a, b, W); break;
+  case Opcode::Eq: return a == b;
+  case Opcode::Neq: return a != b;
+  case Opcode::Ult: return a < b;
+  case Opcode::Ugt: return a > b;
+  case Opcode::Ule: return a <= b;
+  case Opcode::Uge: return a >= b;
+  case Opcode::Slt: return jsx(a, W) < jsx(b, W);
+  case Opcode::Sgt: return jsx(a, W) > jsx(b, W);
+  case Opcode::Sle: return jsx(a, W) <= jsx(b, W);
+  case Opcode::Sge: return jsx(a, W) >= jsx(b, W);
+  default: V = 0; break; // Unreachable: wordPure() rejected it.
+  }
+  return jm(V, RW);
+}
+
+/// evalWord() over runtime values: computes \p Op in place into \p Dst
+/// when operand \p L (and \p R, the second operand of a binary op, else
+/// null) is a two-state integer that wordPure() accepts; \p Imm is the
+/// inss/exts offset and \p Width the pureResultWidth(). Returns false,
+/// leaving \p Dst alone, for every other opcode or operand shape: the
+/// caller then takes evalPureWide. \p Dst may hold any kind, and may be
+/// an operand.
+inline bool evalIntFast(Opcode Op, const RtValue &L, const RtValue *R,
+                        unsigned Imm, unsigned Width, RtValue &Dst) {
+  if (!L.isInt() || (R && !R->isInt()))
+    return false;
+  const IntValue &A = L.intValue();
+  unsigned WB = R ? R->intValue().width() : 0, RW;
+  if (!wordPure(Op, R ? 2 : 1, A.width(), WB, Width, RW))
+    return false;
+  uint64_t b = 0;
+  if (R)
+    b = R->intValue().fitsU64() ? R->intValue().zextToU64() : ~uint64_t(0);
+  Dst.setWord(RW, evalWord(Op, A.zextToU64(), b, A.width(), WB, Imm, RW));
   return true;
 }
 
@@ -228,12 +217,17 @@ RtValue readSubValue(const RtValue &V, const SigRef &Ref);
 /// Writes \p Sub into the part of \p V designated by \p Ref.
 void writeSubValue(RtValue &V, const SigRef &Ref, const RtValue &Sub);
 
-/// Calls the intrinsic or declared function \p Fn on behalf of the run
-/// \p St configured by \p O: llhd.assert, llhd.finish, llhd.random and
-/// the llhd.plusarg.* queries. Any other declaration is a no-op
-/// returning its type's default value.
-RtValue callIntrinsic(const Unit &Fn, const std::vector<RtValue> &Args,
-                      const SimOptions &O, SimState &St);
+/// What \p Fn, a callee, is: None for a defined function, else the
+/// intrinsic its name spells (Other for any other declaration).
+IntrinsicKind intrinsicKind(const Unit &Fn);
+
+/// Calls the declared function \p Fn, of kind \p K (intrinsicKind), on
+/// behalf of the run \p St configured by \p O: llhd.assert,
+/// llhd.finish, llhd.random and the llhd.plusarg.* queries. Any other
+/// declaration is a no-op returning its type's default value.
+RtValue callIntrinsic(IntrinsicKind K, const Unit &Fn,
+                      const std::vector<RtValue> &Args, const SimOptions &O,
+                      SimState &St);
 
 /// The llhd.assert and llhd.finish bodies, also called by native code
 /// (jit/Runtime.cpp).

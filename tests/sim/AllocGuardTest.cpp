@@ -6,7 +6,9 @@
 // Blaze's native code — also while the default hash trace digests
 // values whose decimal text outgrows std::string's inline buffer, while
 // a VCD writer streams every change of such values to a sink, and while
-// a process calls a function every cycle.
+// a process calls a function every cycle. The Table 2 designs whose
+// processes execute `var` every activation hold one memory cell per var
+// op however long they run.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
@@ -19,8 +21,11 @@
 
 #include "asm/Parser.h"
 #include "blaze/Blaze.h"
+#include "designs/Designs.h"
 #include "jit/HostCompiler.h"
+#include "moore/Compiler.h"
 #include "sim/Interp.h"
+#include "sim/Lir.h"
 #include "sim/Wave.h"
 
 #include <gtest/gtest.h>
@@ -340,6 +345,54 @@ TEST(AllocGuard, FunctionCallSteadyStateIsAllocationFree) {
     GTEST_SKIP() << "no host C++ compiler: Blaze runs interpreted";
   expectSteadyStateAllocationFree(
       Calling, makeBlaze(Trace::Mode::Off, jit::JitOptions::Mode::On));
+}
+
+// rr_arbiter and gray run `var` inside their process loops on every
+// activation. On the reference interpreter, at two iteration counts, each
+// process must hold exactly one memory cell per var op (a cell per
+// execution would grow with the run), and the longer run must allocate
+// no more than the shorter one.
+TEST(AllocGuard, VarCellsStayOnePerVarOp) {
+  for (const char *Key : {"rr_arbiter", "gray"}) {
+    size_t Allocs[2];
+    const double Scales[2] = {0.001, 0.002};
+    uint64_t Steps[2];
+    for (int K = 0; K != 2; ++K) {
+      designs::DesignInfo D = designs::designByKey(Key, Scales[K]);
+      ASSERT_FALSE(D.Key.empty()) << Key;
+      Context Ctx;
+      Module M(Ctx, Key);
+      moore::CompileResult R =
+          moore::compileSystemVerilog(D.Source, D.TopModule, M);
+      ASSERT_TRUE(R.Ok) << R.Error;
+      SimOptions Opts;
+      Opts.TraceMode = Trace::Mode::Hash;
+      InterpSim Sim(elaborate(M, R.TopUnit), Opts);
+      ASSERT_TRUE(Sim.valid()) << Sim.error();
+      size_t Before = GNewCount.load(std::memory_order_relaxed);
+      SimStats St = Sim.run();
+      Allocs[K] = GNewCount.load(std::memory_order_relaxed) - Before;
+      Steps[K] = St.Steps;
+      EXPECT_EQ(St.AssertFailures, 0u) << Key;
+
+      uint32_t PI = 0, VarProcs = 0;
+      for (const UnitInstance &UI : Sim.design().Instances) {
+        if (!UI.U->isProcess())
+          continue;
+        LirUnit L = lowerUnit(*UI.U);
+        size_t VarOps = 0;
+        for (const LirOp &Op : L.Ops)
+          VarOps += baseOpc(Op.C) == LirOpc::Var;
+        VarProcs += VarOps != 0;
+        EXPECT_EQ(Sim.processCells(PI), VarOps)
+            << Key << " " << UI.HierName << " at scale " << Scales[K];
+        ++PI;
+      }
+      EXPECT_GT(VarProcs, 0u) << Key << ": no process executes a var";
+    }
+    EXPECT_GT(Steps[1], Steps[0] + Steps[0] / 2) << Key;
+    EXPECT_EQ(Allocs[0], Allocs[1]) << Key;
+  }
 }
 
 TEST(AllocGuard, RtValueLayout) {

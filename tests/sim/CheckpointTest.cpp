@@ -6,8 +6,9 @@
 // matches and the two VCD fragments concatenate byte-identically to the
 // reference dump. Swept over the Table 2 designs suite for Interp and for
 // Blaze with the JIT on and off, plus the cross-engine (interp <->
-// unoptimised native blaze, unoptimised blaze -> interp) and JIT-Blaze
-// forced-deopt resume paths and the image-corruption error cases.
+// unoptimised native blaze, unoptimised blaze -> interp, interp's var
+// cells -> native lanes) and JIT-Blaze forced-deopt resume paths and the
+// image-corruption error cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,6 +218,66 @@ TEST(Checkpoint, CrossEngineInterpBlazeResume) {
     EXPECT_EQ(Digest, Ref->trace().digest())
         << (InterpFirst ? "interp->blaze" : "blaze->interp")
         << ": digest diverges across the engine swap";
+  }
+}
+
+// rr_arbiter's processes run `var` on every activation. The interpreter
+// keeps one fixed cell per var op in its word file; its image writes them
+// as one memory cell per var op in pc order, the layout native lanes load
+// from. Checkpointed mid-run on Interp, the run resumes on unoptimised
+// Blaze, natively and with the JIT off, with the uninterrupted run's
+// digest and VCD bytes.
+TEST(Checkpoint, InterpVarCellsResumeOnBlaze) {
+  designs::DesignInfo D = designs::designByKey("rr_arbiter", 0.0);
+  ASSERT_FALSE(D.Key.empty());
+  Context Ctx;
+
+  Module MRef(Ctx, "ref");
+  std::string Top = compileDesign(D, MRef);
+  WaveWriter WRef;
+  SimOptions ORef;
+  ORef.Wave = &WRef;
+  auto Ref = makeInterp(MRef, Top, ORef);
+  SimStats SRef = Ref->run();
+  ASSERT_GE(SRef.Steps, 4u);
+
+  for (auto Jit : {jit::JitOptions::Mode::On, jit::JitOptions::Mode::Off}) {
+    const char *Name = Jit == jit::JitOptions::Mode::On ? "native" : "jit-off";
+    Module MCut(Ctx, std::string("cut.") + Name);
+    compileDesign(D, MCut);
+    WaveWriter WCut;
+    SimOptions OCut;
+    OCut.Wave = &WCut;
+    auto Cut = makeInterp(MCut, Top, OCut);
+    std::vector<uint8_t> Image;
+    Cut->options().RC.MaxSteps = SRef.Steps / 2;
+    Cut->options().RC.CheckpointOnStop = true;
+    Cut->options().RC.Checkpoint = [&](Time) {
+      Cut->checkpoint(Image);
+      return true;
+    };
+    ASSERT_EQ(Cut->run().Stop, StopReason::DeltaBudget) << Name;
+    ASSERT_FALSE(Image.empty()) << Name;
+
+    Module MRes(Ctx, std::string("res.") + Name);
+    compileDesign(D, MRes);
+    WaveWriter WRes;
+    SimOptions ORes;
+    ORes.Wave = &WRes;
+    auto Res = makeBlaze(MRes, Top, ORes, "", /*Optimize=*/false, Jit);
+    std::string Err;
+    ASSERT_TRUE(Res->restore(Image, Err)) << Name << ": " << Err;
+    if (Res->jitStats().Compiled) {
+      EXPECT_EQ(Res->jitStats().InterpProcs, 0u)
+          << Name << ": a restored process fell back to interpretation";
+    }
+    SimStats SRes = Res->run();
+    EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Name;
+    EXPECT_EQ(SRes.Steps, SRef.Steps) << Name;
+    EXPECT_EQ(Res->trace().digest(), Ref->trace().digest())
+        << Name << ": resumed digest diverges";
+    EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
+        << Name << ": VCD not byte-identical";
   }
 }
 

@@ -120,14 +120,15 @@ TEST_F(LirTest, GoldenDumpPureCombProcess) {
   LirUnit L = lowerNamed(*M, "comb");
   EXPECT_EQ(L.dump(),
             "lir process @comb {\n"
-            "  slots: 9 (values 9)  regprev: 0  delprev: 0\n"
+            "  slots: 9 (values 9)  cells: 0  words: 3  regprev: 0  "
+            "delprev: 0\n"
             "  class: pure_comb\n"
             "  const [6] = 0s\n"
-            "  0: prb [3], [0]\n"
-            "  1: prb [4], [1]\n"
-            "  2: pure add [5], ops=[3, 4]\n"
-            "  3: drv [2], [5] after [6]\n"
-            "  4: wait resume=@0 obs=[0, 1]\n"
+            "  0: prbw w[3], [0]\n"
+            "  1: prbw w[4], [1]\n"
+            "  2: purew add w[5], w[3], w[4]\n"
+            "  3: drvw [2], w[5] after [6]\n"
+            "  4: wait resume=@0 obs=([0], [1])\n"
             "}\n");
   EXPECT_EQ(L.Class, ProcClass::PureComb);
   EXPECT_TRUE(L.StableWait);
@@ -147,10 +148,11 @@ entity @ff (i1$ %clk, i8$ %d) -> (i8$ %q) {
   LirUnit L = lowerNamed(*M, "ff");
   EXPECT_EQ(L.dump(),
             "lir entity @ff {\n"
-            "  slots: 6 (values 6)  regprev: 1  delprev: 0\n"
-            "  0: prb [3], [0]\n"
-            "  1: prb [4], [1]\n"
-            "  2: reg [2] base=0 {rise [4] on [3]}\n"
+            "  slots: 6 (values 6)  cells: 0  words: 2  regprev: 1  "
+            "delprev: 0\n"
+            "  0: prbw w[3], [0]\n"
+            "  1: prbw w[4], [1]\n"
+            "  2: reg [2] base=0 {rise w[4] on w[3]}\n"
             "}\n");
   EXPECT_EQ(L.NumRegPrev, 1u);
 }

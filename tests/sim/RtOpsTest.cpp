@@ -8,12 +8,18 @@
 // must produce the same result bits no matter which side of the 64-bit
 // boundary the width falls on. It also holds the in-place path to the
 // wide path directly, for every opcode it takes, on widths 1..64 and
-// over destinations of every kind. The same model checks jit/Prelude.h's
-// helpers directly, which the fast path and every native unit call.
+// over destinations of every kind, and holds the LIR's word opcode
+// (PureW, as lowering decodes it) to the wide path on the boundary
+// widths. The same model checks jit/Prelude.h's helpers directly, which
+// the fast path and every native unit call.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Context.h"
+#include "ir/IRBuilder.h"
+#include "ir/Module.h"
 #include "ir/Instruction.h"
+#include "sim/Lir.h"
 #include "sim/RtOps.h"
 
 #include <gtest/gtest.h>
@@ -499,6 +505,116 @@ TEST(RtOpsInPlace, DestinationAliasesOperand) {
   EXPECT_EQ(A, RtValue(IntValue(16, 70000 & 0xffff)));
   ASSERT_TRUE(evalIntFast(Opcode::Ult, A, &B, 0, 0, B));
   EXPECT_EQ(B, RtValue(IntValue(1, 1)));
+}
+
+//===----------------------------------------------------------------------===//
+// The LIR word opcode against the wide path
+//===----------------------------------------------------------------------===//
+
+// Each op lowering turns into PureW, at the widths around the byte, word
+// and 64-bit boundaries, on edge values and fixed-seed random operands:
+// the function `f(a, b) = op a, b` is lowered, its op must be PureW, and
+// running it over a word file must give exactly what evalPureWide gives
+// on the same operands.
+TEST(RtOpsWordOps, PureWMatchesWidePath) {
+  enum Shape { Bin, Cmp, Shift, Un, Ext, Trunc, Exts, Inss };
+  struct Case {
+    Opcode Op;
+    Shape S;
+  };
+  const Case Cases[] = {
+      {Opcode::Add, Bin},    {Opcode::Sub, Bin},   {Opcode::Mul, Bin},
+      {Opcode::Udiv, Bin},   {Opcode::Sdiv, Bin},  {Opcode::Umod, Bin},
+      {Opcode::Urem, Bin},   {Opcode::Smod, Bin},  {Opcode::Srem, Bin},
+      {Opcode::And, Bin},    {Opcode::Or, Bin},    {Opcode::Xor, Bin},
+      {Opcode::Eq, Cmp},     {Opcode::Neq, Cmp},   {Opcode::Ult, Cmp},
+      {Opcode::Ugt, Cmp},    {Opcode::Ule, Cmp},   {Opcode::Uge, Cmp},
+      {Opcode::Slt, Cmp},    {Opcode::Sgt, Cmp},   {Opcode::Sle, Cmp},
+      {Opcode::Sge, Cmp},    {Opcode::Shl, Shift}, {Opcode::Shr, Shift},
+      {Opcode::Ashr, Shift}, {Opcode::Not, Un},    {Opcode::Neg, Un},
+      {Opcode::Zext, Ext},   {Opcode::Sext, Ext},  {Opcode::Trunc, Trunc},
+      {Opcode::Exts, Exts},  {Opcode::Inss, Inss}};
+  const unsigned Widths[] = {1, 2, 7, 8, 31, 32, 33, 63, 64};
+  Context Ctx;
+  Module M(Ctx, "purew");
+  std::mt19937_64 Rng(0x9e3779b9ull);
+  unsigned Units = 0, Checked = 0;
+
+  for (unsigned W : Widths) {
+    uint64_t Mask = IntValue::maskOf(W);
+    for (const Case &C : Cases) {
+      // The second operand's width, and the cast or slice geometry.
+      unsigned WB = C.S == Shift ? 1 + Rng() % 64 : W;
+      unsigned To = C.S == Ext ? W + Rng() % (64 - W + 1)
+                    : C.S == Trunc || C.S == Exts ? 1 + Rng() % W
+                                                  : W;
+      unsigned Off = C.S == Exts ? Rng() % (W - To + 1) : 0;
+      if (C.S == Inss) {
+        WB = 1 + Rng() % W;
+        Off = Rng() % (W - WB + 1);
+      }
+      bool Binary = C.S == Bin || C.S == Cmp || C.S == Shift || C.S == Inss;
+
+      Unit *F = M.createFunction("f" + std::to_string(Units++));
+      Value *A = F->addInput(Ctx.intType(W), "a");
+      Value *B = Binary ? F->addInput(Ctx.intType(WB), "b") : nullptr;
+      IRBuilder Bld(F->createBlock("entry"));
+      Instruction *I = nullptr;
+      switch (C.S) {
+      case Bin: I = Bld.binary(C.Op, A, B); break;
+      case Cmp: I = Bld.cmp(C.Op, A, B); break;
+      case Shift: I = Bld.shift(C.Op, A, B); break;
+      case Un: I = Bld.unary(C.Op, A); break;
+      case Ext:
+      case Trunc: I = Bld.cast(C.Op, Ctx.intType(To), A); break;
+      case Exts: I = Bld.exts(A, Off, To); break;
+      case Inss: I = Bld.inss(A, B, Off); break;
+      }
+      F->setReturnType(I->type());
+      Bld.ret(I);
+
+      LirUnit L = lowerUnit(*F);
+      const LirOp *Op = nullptr;
+      for (const LirOp &O : L.Ops)
+        if (O.Origin == I)
+          Op = &O;
+      ASSERT_NE(Op, nullptr);
+      ASSERT_EQ(Op->C, LirOpc::PureW)
+          << opcodeName(C.Op) << " at width " << W << " stays generic";
+
+      std::vector<uint64_t> As{0, 1, uint64_t(1) << (W - 1), Mask, Mask - 1};
+      std::vector<uint64_t> Bs{0, 1, IntValue::maskOf(WB),
+                               uint64_t(1) << (WB - 1), W, W - 1u};
+      for (unsigned K = 0; K != 6; ++K) {
+        As.push_back(Rng() & Mask);
+        Bs.push_back(Rng() & IntValue::maskOf(WB));
+      }
+      if (!Binary)
+        Bs.resize(1);
+      for (uint64_t a : As) {
+        for (uint64_t b : Bs) {
+          std::vector<uint64_t> Words(L.fileSize(), 0);
+          Words[A->valueNumber()] = a & Mask;
+          std::vector<RtValue> Ops{RtValue(IntValue(W, a))};
+          if (B) {
+            Words[B->valueNumber()] = b & IntValue::maskOf(WB);
+            Ops.push_back(RtValue(IntValue(WB, b)));
+          }
+          const int32_t Idx[] = {0, 1};
+          RtValue Wide = evalPureWide(C.Op, Ops.data(), Idx, Ops.size(),
+                                      I->immediate(), pureResultWidth(*I), I);
+          execPureW(*Op, Words.data());
+          ASSERT_TRUE(Wide.isInt());
+          EXPECT_EQ(L.Slots[Op->Dst].Width, Wide.intValue().width());
+          EXPECT_EQ(Words[Op->Dst], Wide.intValue().zextToU64())
+              << opcodeName(C.Op) << " w" << W << " a=" << a << " b=" << b
+              << " imm " << I->immediate();
+          ++Checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Checked, 10000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -99,6 +99,25 @@ protected:
   }
 };
 
+// A number too large for its field is a parse diagnostic (exit 65), in
+// an .llhd type width and in a SystemVerilog literal size alike; neither
+// may abort the tool.
+TEST_F(LlhdSimTest, OutOfRangeNumbersAreParseDiagnostics) {
+  SimResult Llhd = sim(write("wide.llhd", "entity @top () -> () {\n"
+                                          "  %c = const i99999999999999999999 0\n"
+                                          "}\n"));
+  EXPECT_EQ(Llhd.Exit, 65) << Llhd.Err;
+  EXPECT_NE(Llhd.Err.find("out of range"), std::string::npos) << Llhd.Err;
+
+  SimResult Sv = sim(write("wide.sv", "module top;\n"
+                                      "  logic [7:0] x;\n"
+                                      "  initial x = 99999999999999999999'd5;\n"
+                                      "endmodule\n") +
+                     " --top=top");
+  EXPECT_EQ(Sv.Exit, 65) << Sv.Err;
+  EXPECT_NE(Sv.Err.find("out of range"), std::string::npos) << Sv.Err;
+}
+
 TEST_F(LlhdSimTest, ExitCodes) {
   EXPECT_EQ(sim(Examples + "acc_tb.llhd").Exit, 0);
   EXPECT_EQ(sim(write("assert.llhd", AssertSrc)).Exit, 1);
