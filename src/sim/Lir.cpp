@@ -704,7 +704,9 @@ std::string LirUnit::dump() const {
   };
   for (size_t I = 0; I != Ops.size(); ++I) {
     const LirOp &Op = Ops[I];
-    OS << "  " << I << ": " << lirOpcName(Op.C) << " ";
+    // Every op but halt has operands ("ret void" included).
+    OS << "  " << I << ": " << lirOpcName(Op.C)
+       << (Op.C == LirOpc::Halt ? "" : " ");
     switch (Op.C) {
     case LirOpc::Pure:
       OS << opcodeName(Op.IrOp) << " " << slot(Op.Dst)
@@ -750,8 +752,7 @@ std::string LirUnit::dump() const {
     case LirOpc::Halt:
       break;
     case LirOpc::Ret:
-      if (Op.A >= 0)
-        OS << slot(Op.A);
+      OS << (Op.A >= 0 ? slot(Op.A) : "void");
       break;
     case LirOpc::Call:
       if (Op.Dst >= 0)

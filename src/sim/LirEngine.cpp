@@ -16,11 +16,10 @@ SimState makeState(const Design &D, const SimOptions &O) {
   return D.ok() ? SimState(D, O.TraceMode, O.Seed) : SimState();
 }
 
-/// Where a Jmp, CondJmp or CondJmpW op of \p L goes in frame (W, F).
-int32_t jumpTarget(const LirUnit &L, const LirOp &Op, const uint64_t *W,
-                   const RtValue *F) {
+/// Where a Jmp, CondJmp or CondJmpW op goes in frame (W, F).
+int32_t jumpTarget(const LirOp &Op, const uint64_t *W, const RtValue *F) {
   bool Taken = Op.C == LirOpc::CondJmpW  ? W[Op.A] != 0
-               : Op.C == LirOpc::CondJmp ? L.truthy(Op.A, W, F)
+               : Op.C == LirOpc::CondJmp ? F[Op.A].isTruthy()
                                          : false;
   return Taken ? Op.Jmp1 : Op.Jmp0;
 }
@@ -163,7 +162,7 @@ RtValue LirEngine::callFunction(const LirOp &Call,
     case LirOpc::Jmp:
     case LirOpc::CondJmp:
     case LirOpc::CondJmpW: {
-      int32_t To = jumpTarget(L, Op, W, F);
+      int32_t To = jumpTarget(Op, W, F);
       if (To <= Pc && !--Fuel)
         return defaultValue(Fn->returnType()); // Runaway guard.
       Pc = To;
@@ -375,7 +374,7 @@ void LirEngine::runProcess(uint32_t PI) {
     case LirOpc::CondJmpW:
     case LirOpc::CondJmp:
     case LirOpc::Jmp: {
-      int32_t To = jumpTarget(L, Op, W, F);
+      int32_t To = jumpTarget(Op, W, F);
       if (To <= Pc && !--Fuel) {
         PS.State = ProcState::St::Halted; // Runaway guard: treat as hung.
         return;
