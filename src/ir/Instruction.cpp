@@ -107,7 +107,7 @@ bool Instruction::isPureDataFlow() const {
   default:
     return isBinaryArith() || isBinaryBitwise() || isShift() || isCompare() ||
            isCast() || Op == Opcode::Neg || Op == Opcode::Not ||
-           Op == Opcode::Insf ||
+           Op == Opcode::Insf || Op == Opcode::Inss ||
            // extf/exts are pure only on values; on signals/pointers they
            // produce an alias, which is still side-effect free and
            // movable, so they count as pure here.

@@ -61,6 +61,10 @@ TEST_F(IRBuilderTest, SliceTypes) {
   Instruction *Ins = B.inss(A, B.constInt(4, 1), 0);
   EXPECT_EQ(Ins->type(), Ctx.intType(16));
   EXPECT_EQ(Ins->immediate(), 0u);
+  // Both slice ops are pure data flow: lowering, elaboration and the
+  // optimisation passes treat them like the other bit ops.
+  EXPECT_TRUE(Ins->isPureDataFlow());
+  EXPECT_TRUE(B.exts(A, 0, 4)->isPureDataFlow());
   B.ret();
 }
 
