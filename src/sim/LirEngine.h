@@ -2,9 +2,10 @@
 //
 // The shared LIR execution core behind the reference interpreter
 // (LLHD-Sim) and the Blaze engine: per-instance frames are dense slot
-// arrays preloaded with constants and signal bindings, processes run a
-// flat pc-dispatch loop over LirOps, entities run a single front-to-back
-// sweep, and functions execute from pooled frames. The classifier's fast
+// arrays, a word file and an RtValue file (sim/Lir.h), preloaded with
+// constants and signal bindings; processes run a flat pc-dispatch loop
+// over LirOps, entities run a single front-to-back sweep, and functions
+// execute from pooled frames. The classifier's fast
 // paths live here: PureComb processes re-evaluate via a straight sweep
 // with no control-flow dispatch, and ClockedReg processes resume from a
 // compile-time-constant pc with no sensitivity re-registration or wake-
@@ -190,9 +191,10 @@ private:
   /// (no-op when the JIT is off); called at the end of build().
   void buildJit();
   /// Copies a natively-executing process's lane state back into the
-  /// interpreter-visible Frame/Memory/Pc before checkpointing.
+  /// interpreter-visible files (words, RtValues, var cells) and Pc
+  /// before checkpointing.
   void syncFromNative(ProcState &PS);
-  /// Loads restored Frame/Memory/Pc into the native lane state; false
+  /// Loads the restored files and Pc into the native lane state; false
   /// when the resumption pc has no native entry (the caller then deopts
   /// the instance).
   bool syncToNative(ProcState &PS);
