@@ -596,6 +596,96 @@ loop:
   }
 }
 
+// A var whose pointer only feeds ld/st owns one fixed cell (VarW); vars
+// whose pointers meet in a phi escape and keep cells in the frame's
+// dynamic memory (VarM/LdM/StM). Both kinds must agree on every engine:
+// the process alternates between the two escaping cells by the parity
+// of the fixed counter, accumulating 1 + 0 + 2 + 4 + 6 = 13 into the first
+// and 10 + 1 + 3 + 5 + 7 = 26 into the second, and drives each sum.
+TEST_F(LirTest, EscapingVarPointersUseDynamicCells) {
+  const char *Src = R"(
+entity @top () -> () {
+  %z = const i8 0
+  %o = sig i8 %z
+  inst @p () -> (i8$ %o)
+}
+proc @p () -> (i8$ %o) {
+entry:
+  %zero = const i8 0
+  %one = const i8 1
+  %ten = const i8 10
+  %lim = const i8 8
+  %t = const time 1ns
+  %n = var i8 %zero
+  %pa = var i8 %one
+  %pb = var i8 %ten
+  br %loop
+loop:
+  %nv = ld i8* %n
+  %low = and i8 %nv, %one
+  %odd = eq i8 %low, %one
+  br %odd, %even, %oddbb
+even:
+  br %join
+oddbb:
+  br %join
+join:
+  %p = phi i8* [%pa, %even], [%pb, %oddbb]
+  %v = ld i8* %p
+  %v1 = add i8 %v, %nv
+  st i8* %p, %v1
+  %n1 = add i8 %nv, %one
+  st i8* %n, %n1
+  drv i8$ %o, %v1 after %t
+  %done = eq i8 %n1, %lim
+  br %done, %wait, %stop
+wait:
+  wait %loop for %t
+stop:
+  halt
+}
+)";
+  Module *M = parseFresh(Src, "escape");
+  LirUnit L = lowerNamed(*M, "p");
+  std::map<LirOpc, unsigned> N;
+  for (const LirOp &Op : L.Ops)
+    ++N[Op.C];
+  EXPECT_EQ(L.NumCells, 1u);
+  EXPECT_TRUE(L.HasMemory);
+  EXPECT_EQ(N[LirOpc::VarW], 1u);
+  EXPECT_EQ(N[LirOpc::VarM], 2u);
+  EXPECT_EQ(N[LirOpc::LdW], 1u);
+  EXPECT_EQ(N[LirOpc::StW], 1u);
+  EXPECT_EQ(N[LirOpc::LdM], 1u);
+  EXPECT_EQ(N[LirOpc::StM], 1u);
+
+  std::unique_ptr<InterpSim> Ref = runAllEngines(Src, "top");
+  EXPECT_EQ(signalValue(*Ref, "o"), RtValue(IntValue(8, 26)));
+  // The fixed counter cell, plus the two escaping cells made once.
+  EXPECT_EQ(Ref->processCells(0), 3u);
+
+  // Cut mid-run and resumed, the dynamic cells and the fixed one carry
+  // over through the image.
+  SimStats Full = RunStats["interp"];
+  Module *MCut = parseFresh(Src, "escape.cut");
+  InterpSim Cut(elaborate(*MCut, "top"));
+  std::vector<uint8_t> Image;
+  Cut.options().RC.MaxSteps = Full.Steps / 2;
+  Cut.options().RC.CheckpointOnStop = true;
+  Cut.options().RC.Checkpoint = [&](Time) {
+    Cut.checkpoint(Image);
+    return true;
+  };
+  ASSERT_EQ(Cut.run().Stop, StopReason::DeltaBudget);
+  Module *MRes = parseFresh(Src, "escape.res");
+  InterpSim Res(elaborate(*MRes, "top"));
+  std::string Err;
+  ASSERT_TRUE(Res.restore(Image, Err)) << Err;
+  Res.run();
+  EXPECT_EQ(Res.trace().digest(), Ref->trace().digest());
+  EXPECT_EQ(signalValue(Res, "o"), RtValue(IntValue(8, 26)));
+}
+
 // The paper's central cross-simulator claim holds through the shared
 // layer: one digest per design on both engines (the full-suite
 // sweep lives in EngineEquivalenceTest; WaveTest asserts VCD byte-
