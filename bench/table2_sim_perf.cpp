@@ -16,6 +16,12 @@
 // of a calibration kernel just before it, and the kernel shares no code
 // with the library (see calibrationRun): a change to the engines moves
 // the numbers the gate reads, a change of host speed mostly does not.
+// The gate also compares each design's exact work counts (the engines'
+// steps, process runs, entity evaluations and drives, the static LIR op
+// count and the generated C++'s size) with the committed ones, and they
+// must be equal: they do not depend on the machine, so any difference
+// is a change of what the engines compute. --counts-only gates on the
+// counts alone, a deterministic check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +31,13 @@
 #include "moore/Compiler.h"
 #include "sim/Batch.h"
 #include "sim/Interp.h"
+#include "sim/Program.h"
 #include "sim/Wave.h"
 
 #include <thread>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +50,23 @@ using namespace llhd;
 using namespace llhd_bench;
 
 namespace {
+
+/// The exact work counts of one design, in their BENCH_sim.json order:
+/// each engine's SimStats work (Blaze's prefixed "blaze_"), the static
+/// op count of the interpreter's lowering and the size of Blaze's
+/// generated C++ (jit.source_bytes in perfbench).
+const char *const CountNames[] = {
+    "steps", "process_runs", "entity_evals", "drives", "word_drives",
+    "blaze_steps", "blaze_process_runs", "blaze_entity_evals",
+    "blaze_drives", "blaze_word_drives", "lir_ops", "jit_source_bytes"};
+using Counts = std::array<uint64_t, std::size(CountNames)>;
+
+Counts countsOf(const SimStats &Int, const SimStats &Jit, uint64_t LirOps,
+                uint64_t SourceBytes) {
+  return {Int.Steps, Int.ProcessRuns, Int.EntityEvals, Int.DrivesScheduled,
+          Int.WordDrives, Jit.Steps, Jit.ProcessRuns, Jit.EntityEvals,
+          Jit.DrivesScheduled, Jit.WordDrives, LirOps, SourceBytes};
+}
 
 /// One design's measurements for the machine-readable dump.
 struct Row {
@@ -59,6 +84,7 @@ struct Row {
   /// instances run sequentially (jobs=1) vs on the worker pool, over
   /// one shared program each.
   double BatchSeqS = 0, BatchPoolS = 0;
+  Counts Work{};
 };
 
 /// Per-engine geometric means: ns/cycle and calibration units.
@@ -152,20 +178,25 @@ Geomeans geomeansOf(const std::vector<Row> &Rows) {
   return G;
 }
 
-/// Reads the geomean line out of a BENCH_sim.json. The last occurrence
-/// wins: committed files may carry a historical baseline section before
-/// the current numbers.
-Geomeans parseGeomeans(const std::string &Path) {
-  Geomeans G;
+/// The whole text of the file \p Path ("" when it cannot be read).
+std::string readFile(const std::string &Path) {
+  std::string Text;
   FILE *F = fopen(Path.c_str(), "r");
   if (!F)
-    return G;
-  std::string Text;
+    return Text;
   char Buf[4096];
   size_t N;
   while ((N = fread(Buf, 1, sizeof(Buf), F)) > 0)
     Text.append(Buf, N);
   fclose(F);
+  return Text;
+}
+
+/// Reads the geomean line out of a BENCH_sim.json's \p Text. The last
+/// occurrence wins: committed files may carry a historical baseline
+/// section before the current numbers.
+Geomeans parseGeomeans(const std::string &Text) {
+  Geomeans G;
   const char *Key = "\"geomean_ns_per_cycle\"";
   size_t Pos = Text.rfind(Key);
   if (Pos == std::string::npos)
@@ -178,15 +209,69 @@ Geomeans parseGeomeans(const std::string &Path) {
   return G;
 }
 
-/// The perf gate: compares fresh interp/blaze geomeans against the
-/// committed baseline, both in calibration units (Row::IntCal/JitCal),
-/// so the comparison is robust to absolute machine speed and no engine
-/// change moves the reference. Fails on a >Tol relative regression of
-/// either engine.
+/// Reads the work counts of the design named \p Name out of a
+/// BENCH_sim.json's \p Text into \p Out; false when its line has none.
+bool parseCounts(const std::string &Text, const std::string &Name,
+                 Counts &Out) {
+  size_t Pos = Text.rfind("{\"name\": \"" + Name + "\"");
+  if (Pos == std::string::npos)
+    return false;
+  std::string Line = Text.substr(Pos, Text.find('\n', Pos) - Pos);
+  size_t At = Line.find("\"counts\": {");
+  for (size_t I = 0; I != Out.size(); ++I) {
+    std::string Key = std::string("\"") + CountNames[I] + "\": ";
+    At = At == std::string::npos ? At : Line.find(Key, At);
+    if (At == std::string::npos)
+      return false;
+    At += Key.size();
+    Out[I] = strtoull(Line.c_str() + At, nullptr, 10);
+  }
+  return true;
+}
+
+/// Compares every row's work counts with the baseline's exactly and
+/// prints each difference; true when all are equal.
+bool countsMatch(const std::vector<Row> &Rows, const std::string &Text) {
+  bool Ok = true;
+  for (const Row &R : Rows) {
+    Counts Base;
+    if (!parseCounts(Text, R.Name, Base)) {
+      printf("  %s: no baseline work counts\n", R.Name.c_str());
+      Ok = false;
+      continue;
+    }
+    for (size_t I = 0; I != Base.size(); ++I) {
+      if (R.Work[I] == Base[I])
+        continue;
+      printf("  %s: %s %llu vs baseline %llu\n", R.Name.c_str(),
+             CountNames[I], (unsigned long long)R.Work[I],
+             (unsigned long long)Base[I]);
+      Ok = false;
+    }
+  }
+  return Ok;
+}
+
+/// The perf gate: every design's work counts must equal the committed
+/// baseline's exactly. Unless \p CountsOnly, it also compares fresh
+/// interp/blaze geomeans against the baseline's, both in calibration
+/// units (Row::IntCal/JitCal), so the comparison is robust to absolute
+/// machine speed and no engine change moves the reference, and fails on
+/// a >Tol relative regression of either engine.
 int runGate(const std::vector<Row> &Rows, const std::string &GatePath,
-            double Tol) {
+            double Tol, bool CountsOnly) {
+  std::string Text = readFile(GatePath);
+  printf("\nWork counts vs %s (exact):\n", GatePath.c_str());
+  bool Fail = !countsMatch(Rows, Text);
+  printf("  counts: %s\n", Fail ? "differ" : "equal");
+  for (const Row &R : Rows)
+    Fail |= !R.TracesMatch;
+  if (CountsOnly) {
+    printf("  gate: %s\n", Fail ? "FAIL" : "ok");
+    return Fail ? 2 : 0;
+  }
   Geomeans Fresh = geomeansOf(Rows);
-  Geomeans Base = parseGeomeans(GatePath);
+  Geomeans Base = parseGeomeans(Text);
   if (!Fresh.Ok || !Base.Ok) {
     fprintf(stderr,
             "perf gate: cannot read baseline geomeans (interp_calib, "
@@ -202,9 +287,7 @@ int runGate(const std::vector<Row> &Rows, const std::string &GatePath,
          (FInt / BInt - 1) * 100);
   printf("  blaze:  %.2f vs baseline %.2f (%+.1f%%)\n", FJit, BJit,
          (FJit / BJit - 1) * 100);
-  bool Fail = FInt > BInt * (1 + Tol) || FJit > BJit * (1 + Tol);
-  for (const Row &R : Rows)
-    Fail |= !R.TracesMatch;
+  Fail |= FInt > BInt * (1 + Tol) || FJit > BJit * (1 + Tol);
   printf("  gate: %s\n", Fail ? "FAIL" : "ok");
   return Fail ? 2 : 0;
 }
@@ -235,11 +318,14 @@ void writeJson(const std::string &Path, double Scale,
             "\"interp_ns_per_cycle\": %.1f, \"blaze_ns_per_cycle\": %.1f, "
             "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
             "\"blaze_compile_ms\": %.1f, \"checkpoint_overhead\": %.3f, "
-            "\"traces_match\": %s}%s\n",
+            "\"traces_match\": %s, \"counts\": {",
             R.Name.c_str(), (unsigned long long)R.Cycles, NInt, NJit,
             R.IntCal, R.JitCal, R.CompileMs, Ckpt,
-            R.TracesMatch ? "true" : "false",
-            I + 1 != Rows.size() ? "," : "");
+            R.TracesMatch ? "true" : "false");
+    for (size_t J = 0; J != R.Work.size(); ++J)
+      fprintf(F, "%s\"%s\": %llu", J ? ", " : "", CountNames[J],
+              (unsigned long long)R.Work[J]);
+    fprintf(F, "}}%s\n", I + 1 != Rows.size() ? "," : "");
   }
   size_t N = Rows.empty() ? 1 : Rows.size();
   if (BatchN) {
@@ -341,6 +427,12 @@ int main(int argc, char **argv) {
       BestCal = std::min(BestCal, nsPerCycleOf(T, D.Iterations) / CalNs);
     };
     double CompileMs = 0;
+    // The static op count of the interpreter's lowering.
+    uint64_t LirOps = 0;
+    LirProgram::build(elaborate(M1, R1.TopUnit))
+        ->Cache.forEach([&](const Unit *, const LirUnit &L) {
+          LirOps += L.Ops.size();
+        });
     SimStats S1, S2;
     std::unique_ptr<InterpSim> Int;
     std::unique_ptr<BlazeSim> Jit;
@@ -429,7 +521,8 @@ int main(int argc, char **argv) {
       printf("%-16s cannot write %s/%s.vcd\n", "", VcdDir.c_str(),
              D.Key.c_str());
     Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, IntCal, JitCal,
-                    TCkpt, CompileMs, Match, TBatchSeq, TBatchPool});
+                    TCkpt, CompileMs, Match, TBatchSeq, TBatchPool,
+                    countsOf(S1, S2, LirOps, Jit->jitSource().size())});
 
     printf("%-16s %5u %10llu %12.3f %12.3f %9.1f %8.1f %7.1f%%%s\n",
            D.PaperName.c_str(), locOf(D.Source),
@@ -468,6 +561,7 @@ int main(int argc, char **argv) {
     writeJson(JsonPath, Scale, Rows, BatchN);
   std::string GatePath = argStr(argc, argv, "gate", "");
   if (!GatePath.empty())
-    return runGate(Rows, GatePath, argFloat(argc, argv, "gate-tol", 0.05));
+    return runGate(Rows, GatePath, argFloat(argc, argv, "gate-tol", 0.05),
+                   argFlag(argc, argv, "counts-only"));
   return 0;
 }

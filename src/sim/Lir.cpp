@@ -14,7 +14,7 @@ using namespace llhd;
 const char *llhd::lirOpcName(LirOpc C) {
   switch (C) {
   case LirOpc::Pure:     return "pure";
-  case LirOpc::PureW:    return "purew";
+  LLHD_LIR_WORD_CASES    return "purew";
   case LirOpc::Prb:      return "prb";
   case LirOpc::PrbW:     return "prbw";
   case LirOpc::Drv:      return "drv";
@@ -546,7 +546,7 @@ private:
         if (!wordPure(Op.IrOp, N, Wa, Wb, Op.Width, RW) ||
             RW != width(Op.Dst))
           break;
-        Op.C = LirOpc::PureW;
+        Op.C = wordOpc(Op.IrOp);
         Op.A = Ops[0];
         Op.B = Ops[N - 1];
         Op.WidthA = Wa;
@@ -714,7 +714,7 @@ std::string LirUnit::dump() const {
       if (Op.Imm)
         OS << " imm=" << Op.Imm;
       break;
-    case LirOpc::PureW:
+    LLHD_LIR_WORD_CASES
       OS << opcodeName(Op.IrOp) << " " << slot(Op.Dst) << ", "
          << slot(Op.A);
       if (Op.OpsCount == 2)
@@ -819,10 +819,13 @@ void llhd::execPure(const LirUnit &L, const LirOp &Op, uint64_t *W,
   const int32_t *Idx = L.OperandPool.data() + Op.OpsBase;
   for (uint32_t J = 0; J != Op.OpsCount; ++J)
     L.boxed(Idx[J], W, F);
+  // The destination is the op's own slot, never an operand's, so the
+  // in-place paths may write it while reading the operands.
   RtValue &D = F[Op.Dst];
+  const RtValue *R = Op.OpsCount == 2 ? &F[Idx[1]] : nullptr;
   if (Op.OpsCount - 1u >= 2u ||
-      !evalIntFast(Op.IrOp, F[Idx[0]], Op.OpsCount == 2 ? &F[Idx[1]] : nullptr,
-                   Op.Imm, Op.Width, D))
+      (!evalIntFast(Op.IrOp, F[Idx[0]], R, Op.Imm, Op.Width, D) &&
+       !(R && insertInPlace(Op.IrOp, F[Idx[0]], *R, Op.Imm, D))))
     D = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
                      Op.Origin);
   if (L.Slots[Op.Dst].Word)

@@ -18,8 +18,9 @@
 // the same index whichever file holds it, and the generic ops can box a
 // word operand into the RtValue file's entry for that slot in place.
 // Ops whose operands and result all live in the word file get word
-// opcodes (PureW, PrbW, DrvW, CondJmpW, CopyW, VarW, LdW, StW) that never
-// test a kind tag; the generic opcodes box and unbox word operands.
+// opcodes (PrbW, DrvW, CondJmpW, CopyW, VarW, LdW, StW, and one opcode
+// per pure operation: AddW, XorW, UltW, ...) that never test a kind tag;
+// the generic opcodes box and unbox word operands.
 //
 // Var cells. A `var` whose pointer is used only as the address of `ld`
 // and `st` owns one fixed cell, appended to both files after the slots
@@ -75,14 +76,19 @@ struct UnitInstance;
 /// every engine the same limit whatever its dispatch granularity.
 constexpr uint64_t MaxBackwardJumps = 100000000ull;
 
-/// The lowered opcode set. Pure data-flow computation is one opcode
-/// carrying the ir::Opcode for RtOps dispatch; everything else is an
-/// execution-shaped instruction. F is the frame's RtValue file, W its
-/// word file (see the file header); a generic op reads a word slot by
-/// boxing it and writes one by unboxing its result.
+/// The lowered opcode set. Generic pure data-flow computation is one
+/// opcode carrying the ir::Opcode for RtOps dispatch; a pure op over word
+/// slots is decoded into its own opcode, one per evalWord() operation
+/// (LLHD_WORD_OPS in sim/RtOps.h); everything else is an execution-shaped
+/// instruction. F is the frame's RtValue file, W its word file (see the
+/// file header); a generic op reads a word slot by boxing it and writes
+/// one by unboxing its result.
 enum class LirOpc : uint8_t {
   Pure,     ///< F[Dst] = IrOp(F[operands...]); see execPure.
-  PureW,    ///< W[Dst] = IrOp(W[A], W[B]) (B = A when unary); execPureW.
+  /// OpW: W[Dst] = evalWord(Op, W[A], W[B]) (B = A when unary); execWord.
+#define LLHD_LIR_WORD_OPC(Op) Op##W,
+  LLHD_WORD_OPS(LLHD_LIR_WORD_OPC)
+#undef LLHD_LIR_WORD_OPC
   Prb,      ///< F[Dst] = signal read of F[A].
   PrbW,     ///< W[Dst] = signal read of F[A].
   Drv,      ///< drive F[A] with F[B] after F[Cc] if frame[Dd].
@@ -109,15 +115,35 @@ enum class LirOpc : uint8_t {
   Del,      ///< transport delay: F[A] <- sig F[B] after F[Cc].
 };
 
+/// The opcode's name in LirUnit::dump(); every word pure op prints as
+/// "purew" followed by its IR opcode.
 const char *lirOpcName(LirOpc C);
 
+/// Case labels for every word pure opcode (AddW, XorW, ...).
+#define LLHD_LIR_WORD_CASE(Op) case LirOpc::Op##W:
+#define LLHD_LIR_WORD_CASES LLHD_WORD_OPS(LLHD_LIR_WORD_CASE)
+
+/// The word pure opcode of \p Op, an operation wordPure() accepts.
+constexpr LirOpc wordOpc(Opcode Op) {
+  switch (Op) {
+#define LLHD_LIR_WORD_OF(O)                                                   \
+  case Opcode::O:                                                             \
+    return LirOpc::O##W;
+    LLHD_WORD_OPS(LLHD_LIR_WORD_OF)
+#undef LLHD_LIR_WORD_OF
+  default:
+    return LirOpc::Pure;
+  }
+}
+
 /// The IR-level operation \p C executes, whatever file it runs over:
-/// PureW is Pure, PrbW is Prb, VarW and VarM are Var, and so on. Passes
-/// that care about what an op does, not where its operands live (the
-/// JIT planner, the classifier), switch on this.
+/// every word pure opcode is Pure, PrbW is Prb, VarW and VarM are Var,
+/// and so on. Passes that care about what an op does, not where its
+/// operands live (the JIT planner, the classifier), switch on this.
 constexpr LirOpc baseOpc(LirOpc C) {
   switch (C) {
-  case LirOpc::PureW:    return LirOpc::Pure;
+  LLHD_LIR_WORD_CASES
+    return LirOpc::Pure;
   case LirOpc::PrbW:     return LirOpc::Prb;
   case LirOpc::DrvW:     return LirOpc::Drv;
   case LirOpc::CondJmpW: return LirOpc::CondJmp;
@@ -147,20 +173,21 @@ struct LirTrigger {
 /// whichever file holds the slot.
 struct LirOp {
   LirOpc C;
-  Opcode IrOp = Opcode::Halt; ///< Pure/PureW: the data-flow opcode.
-  /// PureW: the widths of operands A and B.
+  /// Pure and the word pure ops: the data-flow opcode.
+  Opcode IrOp = Opcode::Halt;
+  /// Word pure ops: the widths of operands A and B.
   uint8_t WidthA = 0, WidthB = 0;
   /// Call: what the callee is when it is declared, not defined.
   IntrinsicKind Intr = IntrinsicKind::None;
   int32_t Dst = -1;
   int32_t A = -1, B = -1, Cc = -1, Dd = -1;
-  /// Pure/PureW: the insf/extf/inss/exts immediate. Reg/Del: the base
+  /// Pure ops: the insf/extf/inss/exts immediate. Reg/Del: the base
   /// index into the instance's previous-sample state arrays. Var/Ld/St
   /// and their W forms: the fixed cell's file index.
   uint32_t Imm = 0;
   /// Pure: the result width of zext/sext/trunc and integer or logic exts
   /// (pureResultWidth in sim/RtOps.h), so evaluation never reads Origin.
-  /// PureW: the result width. DrvW: the value's width.
+  /// Word pure ops: the result width. DrvW: the value's width.
   uint32_t Width = 0;
   int32_t Jmp0 = -1, Jmp1 = -1;
   uint32_t OpsBase = 0, OpsCount = 0;   ///< Span of LirUnit::OperandPool.
@@ -298,11 +325,16 @@ LirUnit lowerUnit(Unit &U);
 /// else evalPureWide) and stores the result into its slot's file.
 void execPure(const LirUnit &L, const LirOp &Op, uint64_t *W, RtValue *F);
 
-/// The word `PureW` op: every operand and the result are word slots, and
-/// the widths were decoded at lowering (wordPure in sim/RtOps.h).
-inline void execPureW(const LirOp &Op, uint64_t *W) {
-  W[Op.Dst] = evalWord(Op.IrOp, W[Op.A], W[Op.B], Op.WidthA, Op.WidthB,
-                       Op.Imm, Op.Width);
+/// The word pure op \p Op, whose opcode is IrOp's (LirOpc::IrOpW), over
+/// the word file \p W: every operand and the result are word slots, and
+/// the widths were decoded at lowering (wordPure in sim/RtOps.h). With a
+/// constant IrOp, evalWord folds to the one operation, so a dispatch loop
+/// that gives every word opcode its own case executes it with a single
+/// indirect jump.
+template <Opcode IrOp>
+[[gnu::always_inline]] inline void execWord(const LirOp &Op, uint64_t *W) {
+  W[Op.Dst] =
+      evalWord(IrOp, W[Op.A], W[Op.B], Op.WidthA, Op.WidthB, Op.Imm, Op.Width);
 }
 
 /// Per-module lowering cache: every unit is lowered once and shared by

@@ -7,7 +7,22 @@
 #include "sim/EventLoop.h"
 #include "sim/RtOps.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 using namespace llhd;
+
+// The four dispatch loops below (the PureComb sweep, the general process
+// loop, callFunction and evalEntity) each have one switch over every
+// LirOpc and no default: this file builds with -Werror=switch, so an
+// opcode missing from a loop is a compile error. Each loop expands this
+// case into one per word pure opcode, with its op `Op` and word file `W`
+// in scope: evalWord then runs with a constant IR opcode, and a word op
+// costs one indirect jump.
+#define LLHD_WORD_EXEC(O)                                                     \
+  case LirOpc::O##W:                                                          \
+    execWord<Opcode::O>(Op, W);                                               \
+    break;
 
 namespace {
 /// Run state for a program; invalid designs get an inert default (they
@@ -22,6 +37,14 @@ int32_t jumpTarget(const LirOp &Op, const uint64_t *W, const RtValue *F) {
                : Op.C == LirOpc::CondJmp ? F[Op.A].isTruthy()
                                          : false;
   return Taken ? Op.Jmp1 : Op.Jmp0;
+}
+
+/// Stops on an op the classifier keeps out of a PureComb sweep: reaching
+/// one means the classifier and the sweep disagree.
+[[noreturn]] void unsweepable(const LirOp &Op) {
+  std::fprintf(stderr, "llhd: internal error: '%s' op in a pure_comb sweep\n",
+               lirOpcName(Op.C));
+  std::abort();
 }
 } // namespace
 
@@ -135,9 +158,10 @@ RtValue LirEngine::callFunction(const LirOp &Call,
   // Eagerly lowered by the program (call-graph fixpoint); pure lookup.
   const LirUnit &L = *Cache.lookup(Fn);
   auto FR = FnPool.lease();
-  // Word slots need no clearing: every one is written before it is read.
+  // Neither file needs clearing: every slot is written before it is
+  // read, so a pooled frame keeps what an earlier call left in it.
   FR->Words.resize(L.fileSize());
-  FR->Frame.assign(L.fileSize(), RtValue());
+  FR->Frame.resize(L.fileSize());
   FR->Memory.clear();
   uint64_t *W = FR->Words.data();
   RtValue *F = FR->Frame.data();
@@ -168,9 +192,7 @@ RtValue LirEngine::callFunction(const LirOp &Call,
       Pc = To;
       continue;
     }
-    case LirOpc::PureW:
-      execPureW(Op, W);
-      break;
+    LLHD_WORD_OPS(LLHD_WORD_EXEC)
     case LirOpc::Pure:
       execPure(L, Op, W, F);
       break;
@@ -206,7 +228,14 @@ RtValue LirEngine::callFunction(const LirOp &Call,
     case LirOpc::Call:
       callOp(L, Op, W, F);
       break;
-    default:
+    case LirOpc::Prb:
+    case LirOpc::PrbW:
+    case LirOpc::Drv:
+    case LirOpc::DrvW:
+    case LirOpc::Wait:
+    case LirOpc::Halt:
+    case LirOpc::Reg:
+    case LirOpc::Del:
       assert(false && "illegal op in function");
       return RtValue();
     }
@@ -289,9 +318,7 @@ void LirEngine::runProcess(uint32_t PI) {
     for (int32_t Pc = L.ResumePc; Pc != End; ++Pc) {
       const LirOp &Op = Ops[Pc];
       switch (Op.C) {
-      case LirOpc::PureW:
-        execPureW(Op, W);
-        break;
+      LLHD_WORD_OPS(LLHD_WORD_EXEC)
       case LirOpc::PrbW:
         execPrbW(Op, W, F, WS);
         break;
@@ -334,8 +361,16 @@ void LirEngine::runProcess(uint32_t PI) {
       case LirOpc::StM:
         execMem(L, Op, W, F, PS.Memory);
         break;
-      default:
-        break; // Unreachable by classification.
+      case LirOpc::Jmp:
+      case LirOpc::CondJmp:
+      case LirOpc::CondJmpW:
+      case LirOpc::Wait:
+      case LirOpc::Halt:
+      case LirOpc::Ret:
+      case LirOpc::Call:
+      case LirOpc::Reg:
+      case LirOpc::Del:
+        unsweepable(Op);
       }
     }
     PS.State = ProcState::St::Waiting;
@@ -349,9 +384,7 @@ void LirEngine::runProcess(uint32_t PI) {
   for (;;) {
     const LirOp &Op = Ops[Pc];
     switch (Op.C) {
-    case LirOpc::PureW:
-      execPureW(Op, W);
-      break;
+    LLHD_WORD_OPS(LLHD_WORD_EXEC)
     case LirOpc::PrbW:
       execPrbW(Op, W, F, WS);
       break;
@@ -429,7 +462,9 @@ void LirEngine::runProcess(uint32_t PI) {
     case LirOpc::Call:
       callOp(L, Op, W, F);
       break;
-    default:
+    case LirOpc::Ret:
+    case LirOpc::Reg:
+    case LirOpc::Del:
       assert(false && "illegal op in process");
       PS.State = ProcState::St::Halted;
       return;
@@ -492,9 +527,7 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
   const SignalId *WS = ES.WordSigs.data();
   for (const LirOp &Op : L.Ops) {
     switch (Op.C) {
-    case LirOpc::PureW:
-      execPureW(Op, W);
-      break;
+    LLHD_WORD_OPS(LLHD_WORD_EXEC)
     case LirOpc::PrbW:
       execPrbW(Op, W, F, WS);
       break;
@@ -523,7 +556,24 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
       }
       break;
     }
-    default:
+    case LirOpc::Jmp:
+    case LirOpc::CondJmp:
+    case LirOpc::CondJmpW:
+    case LirOpc::Copy:
+    case LirOpc::CopyW:
+    case LirOpc::Wait:
+    case LirOpc::Halt:
+    case LirOpc::Ret:
+    case LirOpc::Call:
+    case LirOpc::Var:
+    case LirOpc::VarW:
+    case LirOpc::VarM:
+    case LirOpc::Ld:
+    case LirOpc::LdW:
+    case LirOpc::LdM:
+    case LirOpc::St:
+    case LirOpc::StW:
+    case LirOpc::StM:
       assert(false && "illegal op in entity");
       break;
     }

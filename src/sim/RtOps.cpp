@@ -91,6 +91,22 @@ RtValue llhd::evalPure(Opcode Op, const std::vector<RtValue> &Ops,
                       I);
 }
 
+bool llhd::insertInPlace(Opcode Op, const RtValue &Agg, const RtValue &V,
+                         unsigned Imm, RtValue &Dst) {
+  if ((Op != Opcode::Insf && Op != Opcode::Inss) || !Agg.isAggregate())
+    return false;
+  Dst = Agg;
+  std::vector<RtValue> &Es = Dst.elements();
+  if (Op == Opcode::Insf) {
+    Es[Imm] = V;
+    return true;
+  }
+  const std::vector<RtValue> &Src = V.elements();
+  for (unsigned J = 0; J != Src.size(); ++J)
+    Es[Imm + J] = Src[J];
+  return true;
+}
+
 RtValue llhd::evalPureWide(Opcode Op, const RtValue *Base,
                            const int32_t *Idx, size_t NumOps, unsigned Imm,
                            unsigned Width, const Instruction *I) {
@@ -192,8 +208,9 @@ RtValue llhd::evalPureWide(Opcode Op, const RtValue *Base,
     return RtValue(Ops(0).intValue().trunc(Width));
   case Opcode::Insf: {
     // On a signal/pointer operand the caller handles it; here: values.
-    RtValue R = Ops(0);
-    R.elements()[Imm] = Ops(1);
+    RtValue R;
+    [[maybe_unused]] bool Ok = insertInPlace(Op, Ops(0), Ops(1), Imm, R);
+    assert(Ok && "insertion into a non-aggregate");
     return R;
   }
   case Opcode::Extf: {
@@ -208,10 +225,9 @@ RtValue llhd::evalPureWide(Opcode Op, const RtValue *Base,
       return RtValue(
           Ops(0).logicValue().insertBits(Imm, Ops(1).logicValue()));
     // Array slice insert.
-    RtValue R = Ops(0);
-    const auto &Src = Ops(1).elements();
-    for (unsigned J = 0; J != Src.size(); ++J)
-      R.elements()[Imm + J] = Src[J];
+    RtValue R;
+    [[maybe_unused]] bool Ok = insertInPlace(Op, Ops(0), Ops(1), Imm, R);
+    assert(Ok && "insertion into a non-aggregate");
     return R;
   }
   case Opcode::Exts: {

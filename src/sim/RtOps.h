@@ -25,6 +25,14 @@ struct SimState;
 namespace prelude {
 #define LLHD_JIT_ENGINE
 #include "jit/Prelude.h"
+// The helpers most word ops end in, forced inline into the dispatch
+// loops: left to itself, GCC splits jm's mask into an out-of-line part
+// that every op would call. The prelude's own text stays as native
+// units see it.
+[[gnu::always_inline]] static inline u64 jm(u64 v, unsigned w);
+[[gnu::always_inline]] static inline s64 jsx(u64 v, unsigned w);
+[[gnu::always_inline]] static inline u64 jshl(u64 a, u64 amt, unsigned w);
+[[gnu::always_inline]] static inline u64 jshr(u64 a, u64 amt, unsigned w);
 } // namespace prelude
 
 /// What a call's callee is when it is declared rather than defined,
@@ -112,13 +120,23 @@ inline bool wordPure(Opcode Op, unsigned NumOps, unsigned Wa, unsigned Wb,
   }
 }
 
+/// Every opcode evalWord() evaluates, once: X(Op) names ir::Opcode::Op.
+/// Lowering gives each its own LIR opcode (LirOpc::OpW, sim/Lir.h), and
+/// each interpreter dispatch loop expands this list into the cases of
+/// its one switch, so a word op costs a single dispatch.
+#define LLHD_WORD_OPS(X)                                                    \
+  X(Not) X(Neg) X(Zext) X(Sext) X(Trunc) X(Exts) X(Shl) X(Shr) X(Ashr)      \
+  X(Inss) X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Udiv) X(Umod)          \
+  X(Urem) X(Sdiv) X(Srem) X(Smod) X(Eq) X(Neq) X(Ult) X(Ugt) X(Ule)         \
+  X(Uge) X(Slt) X(Sgt) X(Sle) X(Sge)
+
 /// The one <=64-bit evaluator: \p Op over the operand words \p a and \p b
 /// (b is ignored by unary ops; a shift amount wider than 64 bits is
 /// passed as all-ones), of widths \p W and \p WB, where wordPure()
 /// accepted the op and gave its result width \p RW. \p Imm is the inss/
 /// exts offset. Returns the result masked to RW bits. The interpreter's
-/// PureW op and evalIntFast run it; native code runs the same
-/// jit/Prelude.h helpers.
+/// word ops run it with a constant \p Op (LirOpc::OpW), evalIntFast with
+/// a run-time one; native code runs the same jit/Prelude.h helpers.
 [[gnu::always_inline]] inline uint64_t
 evalWord(Opcode Op, uint64_t a, uint64_t b, unsigned W,
                          unsigned WB, unsigned Imm, unsigned RW) {
@@ -187,6 +205,18 @@ inline bool evalIntFast(Opcode Op, const RtValue &L, const RtValue *R,
   Dst.setWord(RW, evalWord(Op, A.zextToU64(), b, A.width(), WB, Imm, RW));
   return true;
 }
+
+/// insf or inss into a value aggregate, in place: makes \p Dst the array
+/// or struct \p Agg with \p V inserted at \p Imm (insf: element Imm
+/// becomes V; inss: the elements of the array V replace Agg's from Imm
+/// on). Dst reuses its element buffer when it already holds a flat
+/// aggregate (RtValue's copy assignment), so a process that rewrites an
+/// array in a var allocates nothing once warm. Returns false, leaving
+/// Dst alone, for any other opcode or when Agg is no aggregate (an
+/// integer, a logic vector or a signal ref): the caller then takes
+/// evalPureWide. Dst must not be, or live inside, Agg or V.
+bool insertInPlace(Opcode Op, const RtValue &Agg, const RtValue &V,
+                   unsigned Imm, RtValue &Dst);
 
 /// Evaluates a pure data-flow opcode over already-evaluated operands:
 /// evalIntFast where it applies, else evalPureWide. \p Imm is the

@@ -2,6 +2,8 @@
 
 #include "sim/RtValue.h"
 
+#include <algorithm>
+
 using namespace llhd;
 
 void RtValue::destroyHeap() {
@@ -58,6 +60,15 @@ void RtValue::assignHeap(const RtValue &RHS) {
     }
     if (K == Kind::Logic) {
       LV = RHS.LV;
+      return;
+    }
+    // An aggregate reuses its element buffer when no element owns heap
+    // memory: RHS, an aggregate itself, then cannot live inside it.
+    if ((K == Kind::Array || K == Kind::Struct) &&
+        std::all_of(Agg->begin(), Agg->end(), [](const RtValue &E) {
+          return E.trivialPayload();
+        })) {
+      *Agg = *RHS.Agg;
       return;
     }
   }

@@ -8,7 +8,8 @@
 // a VCD writer streams every change of such values to a sink, and while
 // a process calls a function every cycle. The Table 2 designs whose
 // processes execute `var` every activation hold one memory cell per var
-// op however long they run.
+// op however long they run, and stream_delayer's testbench, which
+// shifts two array vars every iteration, allocates nothing per shift.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
@@ -393,6 +394,37 @@ TEST(AllocGuard, VarCellsStayOnePerVarOp) {
     EXPECT_GT(Steps[1], Steps[0] + Steps[0] / 2) << Key;
     EXPECT_EQ(Allocs[0], Allocs[1]) << Key;
   }
+}
+
+// stream_delayer's testbench keeps its history in two array vars and
+// shifts them with ld/extf/insf/st on every iteration. The copies into
+// and out of the var cells and the insf itself reuse the element buffer
+// already in the destination slot, so on the reference interpreter
+// doubling the iteration count adds no allocation.
+TEST(AllocGuard, ArrayVarShiftIsAllocationFree) {
+  size_t Allocs[2];
+  uint64_t Runs[2];
+  const double Scales[2] = {0.001, 0.002};
+  for (int K = 0; K != 2; ++K) {
+    designs::DesignInfo D = designs::designByKey("stream_delayer", Scales[K]);
+    ASSERT_FALSE(D.Key.empty());
+    Context Ctx;
+    Module M(Ctx, "stream_delayer");
+    moore::CompileResult R =
+        moore::compileSystemVerilog(D.Source, D.TopModule, M);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    SimOptions Opts;
+    Opts.TraceMode = Trace::Mode::Hash;
+    InterpSim Sim(elaborate(M, R.TopUnit), Opts);
+    ASSERT_TRUE(Sim.valid()) << Sim.error();
+    size_t Before = GNewCount.load(std::memory_order_relaxed);
+    SimStats St = Sim.run();
+    Allocs[K] = GNewCount.load(std::memory_order_relaxed) - Before;
+    Runs[K] = St.ProcessRuns;
+    EXPECT_EQ(St.AssertFailures, 0u);
+  }
+  EXPECT_GT(Runs[1], Runs[0] + Runs[0] / 2);
+  EXPECT_EQ(Allocs[0], Allocs[1]);
 }
 
 TEST(AllocGuard, RtValueLayout) {

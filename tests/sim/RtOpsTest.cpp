@@ -8,10 +8,11 @@
 // must produce the same result bits no matter which side of the 64-bit
 // boundary the width falls on. It also holds the in-place path to the
 // wide path directly, for every opcode it takes, on widths 1..64 and
-// over destinations of every kind, and holds the LIR's word opcode
-// (PureW, as lowering decodes it) to the wide path on the boundary
-// widths. The same model checks jit/Prelude.h's helpers directly, which
-// the fast path and every native unit call.
+// over destinations of every kind, and holds the LIR's word opcodes
+// (as lowering decodes them), run by each of the interpreter's dispatch
+// loops, to the wide path on the boundary widths. The same model checks
+// jit/Prelude.h's helpers directly, which the fast path and every native
+// unit call.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +20,14 @@
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "ir/Instruction.h"
+#include "sim/Interp.h"
 #include "sim/Lir.h"
 #include "sim/RtOps.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -508,15 +512,37 @@ TEST(RtOpsInPlace, DestinationAliasesOperand) {
 }
 
 //===----------------------------------------------------------------------===//
-// The LIR word opcode against the wide path
+// The LIR word opcodes against the wide path, in every dispatch loop
 //===----------------------------------------------------------------------===//
 
-// Each op lowering turns into PureW, at the widths around the byte, word
-// and 64-bit boundaries, on edge values and fixed-seed random operands:
-// the function `f(a, b) = op a, b` is lowered, its op must be PureW, and
-// running it over a word file must give exactly what evalPureWide gives
-// on the same operands.
-TEST(RtOpsWordOps, PureWMatchesWidePath) {
+namespace {
+
+/// The signal of \p Sim whose name ends in "/" + \p Name.
+SignalId signalNamed(const InterpSim &Sim, const std::string &Name) {
+  const SignalTable &S = Sim.signals();
+  std::string Suffix = "/" + Name;
+  for (SignalId I = 0; I != S.size(); ++I) {
+    const std::string &N = S.name(I);
+    if (N.size() >= Suffix.size() &&
+        N.compare(N.size() - Suffix.size(), Suffix.size(), Suffix) == 0)
+      return I;
+  }
+  return InvalidSignal;
+}
+
+} // namespace
+
+// Each op lowers to its own word opcode at the widths around the byte,
+// word and 64-bit boundaries, and runs through each of the interpreter's
+// four dispatch loops on edge values and fixed-seed random operands,
+// where it must give exactly what evalPureWide gives on the same
+// operands. Per op and width, one design computes `op a, b` in a
+// function (callFunction), an entity (evalEntity), a PureComb process
+// (its sweep; its first run takes the general loop) and the testbench
+// process that feeds one operand pair per nanosecond (the general
+// process loop), which also calls the function; each result is driven
+// onto its own signal, sampled at the end of every nanosecond.
+TEST(RtOpsWordOps, DecodedOpsMatchWidePathInEveryLoop) {
   enum Shape { Bin, Cmp, Shift, Un, Ext, Trunc, Exts, Inss };
   struct Case {
     Opcode Op;
@@ -535,10 +561,10 @@ TEST(RtOpsWordOps, PureWMatchesWidePath) {
       {Opcode::Zext, Ext},   {Opcode::Sext, Ext},  {Opcode::Trunc, Trunc},
       {Opcode::Exts, Exts},  {Opcode::Inss, Inss}};
   const unsigned Widths[] = {1, 2, 7, 8, 31, 32, 33, 63, 64};
+  const char *const Results[] = {"rf", "re", "rc", "rg"};
   Context Ctx;
-  Module M(Ctx, "purew");
   std::mt19937_64 Rng(0x9e3779b9ull);
-  unsigned Units = 0, Checked = 0;
+  unsigned Checked = 0;
 
   for (unsigned W : Widths) {
     uint64_t Mask = IntValue::maskOf(W);
@@ -554,34 +580,11 @@ TEST(RtOpsWordOps, PureWMatchesWidePath) {
         Off = Rng() % (W - WB + 1);
       }
       bool Binary = C.S == Bin || C.S == Cmp || C.S == Shift || C.S == Inss;
+      std::string Where = std::string(opcodeName(C.Op)) + " at width " +
+                          std::to_string(W);
+      SCOPED_TRACE(Where);
 
-      Unit *F = M.createFunction("f" + std::to_string(Units++));
-      Value *A = F->addInput(Ctx.intType(W), "a");
-      Value *B = Binary ? F->addInput(Ctx.intType(WB), "b") : nullptr;
-      IRBuilder Bld(F->createBlock("entry"));
-      Instruction *I = nullptr;
-      switch (C.S) {
-      case Bin: I = Bld.binary(C.Op, A, B); break;
-      case Cmp: I = Bld.cmp(C.Op, A, B); break;
-      case Shift: I = Bld.shift(C.Op, A, B); break;
-      case Un: I = Bld.unary(C.Op, A); break;
-      case Ext:
-      case Trunc: I = Bld.cast(C.Op, Ctx.intType(To), A); break;
-      case Exts: I = Bld.exts(A, Off, To); break;
-      case Inss: I = Bld.inss(A, B, Off); break;
-      }
-      F->setReturnType(I->type());
-      Bld.ret(I);
-
-      LirUnit L = lowerUnit(*F);
-      const LirOp *Op = nullptr;
-      for (const LirOp &O : L.Ops)
-        if (O.Origin == I)
-          Op = &O;
-      ASSERT_NE(Op, nullptr);
-      ASSERT_EQ(Op->C, LirOpc::PureW)
-          << opcodeName(C.Op) << " at width " << W << " stays generic";
-
+      // The operand pairs, and what the wide path makes of each.
       std::vector<uint64_t> As{0, 1, uint64_t(1) << (W - 1), Mask, Mask - 1};
       std::vector<uint64_t> Bs{0, 1, IntValue::maskOf(WB),
                                uint64_t(1) << (WB - 1), W, W - 1u};
@@ -591,30 +594,173 @@ TEST(RtOpsWordOps, PureWMatchesWidePath) {
       }
       if (!Binary)
         Bs.resize(1);
-      for (uint64_t a : As) {
-        for (uint64_t b : Bs) {
-          std::vector<uint64_t> Words(L.fileSize(), 0);
-          Words[A->valueNumber()] = a & Mask;
-          std::vector<RtValue> Ops{RtValue(IntValue(W, a))};
-          if (B) {
-            Words[B->valueNumber()] = b & IntValue::maskOf(WB);
-            Ops.push_back(RtValue(IntValue(WB, b)));
-          }
-          const int32_t Idx[] = {0, 1};
-          RtValue Wide = evalPureWide(C.Op, Ops.data(), Idx, Ops.size(),
-                                      I->immediate(), pureResultWidth(*I), I);
-          execPureW(*Op, Words.data());
-          ASSERT_TRUE(Wide.isInt());
-          EXPECT_EQ(L.Slots[Op->Dst].Width, Wide.intValue().width());
-          EXPECT_EQ(Words[Op->Dst], Wide.intValue().zextToU64())
-              << opcodeName(C.Op) << " w" << W << " a=" << a << " b=" << b
-              << " imm " << I->immediate();
+      std::vector<std::pair<uint64_t, uint64_t>> Pairs;
+      for (uint64_t a : As)
+        for (uint64_t b : Bs)
+          Pairs.push_back({a & Mask, b & IntValue::maskOf(WB)});
+
+      Module M(Ctx, "wordops");
+      Type *TA = Ctx.intType(W), *TB = Ctx.intType(WB);
+      std::vector<Instruction *> OpInsts;
+      auto emit = [&](IRBuilder &Bld, Value *A, Value *B) {
+        Instruction *I = nullptr;
+        switch (C.S) {
+        case Bin: I = Bld.binary(C.Op, A, B); break;
+        case Cmp: I = Bld.cmp(C.Op, A, B); break;
+        case Shift: I = Bld.shift(C.Op, A, B); break;
+        case Un: I = Bld.unary(C.Op, A); break;
+        case Ext:
+        case Trunc: I = Bld.cast(C.Op, Ctx.intType(To), A); break;
+        case Exts: I = Bld.exts(A, Off, To); break;
+        case Inss: I = Bld.inss(A, B, Off); break;
+        }
+        OpInsts.push_back(I);
+        return I;
+      };
+      // The ports of a unit computing op(a, b) into r.
+      auto ports = [&](Unit *U, Type *TR) {
+        std::vector<Value *> P{U->addInput(Ctx.signalType(TA), "a")};
+        if (Binary)
+          P.push_back(U->addInput(Ctx.signalType(TB), "b"));
+        P.push_back(U->addOutput(Ctx.signalType(TR), "r"));
+        return P;
+      };
+
+      Unit *Fn = M.createFunction("f");
+      std::vector<Value *> FArgs{Fn->addInput(TA, "a")};
+      if (Binary)
+        FArgs.push_back(Fn->addInput(TB, "b"));
+      IRBuilder FBld(Fn->createBlock("entry"));
+      Instruction *FI = emit(FBld, FArgs[0], Binary ? FArgs[1] : nullptr);
+      Type *TR = FI->type();
+      Fn->setReturnType(TR);
+      FBld.ret(FI);
+
+      Unit *Ent = M.createEntity("ent");
+      std::vector<Value *> EP = ports(Ent, TR);
+      IRBuilder EBld(Ent->entityBlock());
+      EBld.drv(EP.back(),
+               emit(EBld, EBld.prb(EP[0]), Binary ? EBld.prb(EP[1]) : nullptr),
+               EBld.constTime(Time()));
+
+      Unit *Comb = M.createProcess("comb");
+      std::vector<Value *> CP = ports(Comb, TR);
+      BasicBlock *CEntry = Comb->createBlock("entry");
+      IRBuilder CBld(CEntry);
+      CBld.drv(CP.back(),
+               emit(CBld, CBld.prb(CP[0]), Binary ? CBld.prb(CP[1]) : nullptr),
+               CBld.constTime(Time()));
+      CBld.wait(CEntry, std::vector<Value *>(CP.begin(), CP.end() - 1));
+
+      // The testbench drives pair k onto a and b at k ns and computes
+      // op itself and through f.
+      Unit *Tb = M.createProcess("tb");
+      std::vector<Value *> TP{Tb->addOutput(Ctx.signalType(TA), "a")};
+      if (Binary)
+        TP.push_back(Tb->addOutput(Ctx.signalType(TB), "b"));
+      Value *Rg = Tb->addOutput(Ctx.signalType(TR), "rg");
+      Value *Rf = Tb->addOutput(Ctx.signalType(TR), "rf");
+      IRBuilder TBld(Tb->createBlock("p0"));
+      Instruction *Delta = TBld.constTime(Time());
+      Instruction *Step = TBld.constTime(Time::ns(1));
+      for (size_t K = 0; K != Pairs.size(); ++K) {
+        std::vector<Value *> Args{TBld.constInt(W, Pairs[K].first)};
+        if (Binary)
+          Args.push_back(TBld.constInt(WB, Pairs[K].second));
+        for (size_t J = 0; J != Args.size(); ++J)
+          TBld.drv(TP[J], Args[J], Delta);
+        TBld.drv(Rg, emit(TBld, Args[0], Binary ? Args[1] : nullptr), Delta);
+        TBld.drv(Rf, TBld.call(Fn, Args), Delta);
+        BasicBlock *Next = Tb->createBlock("p" + std::to_string(K + 1));
+        TBld.wait(Next, {}, Step);
+        TBld.setInsertPoint(Next);
+      }
+      TBld.halt();
+
+      Unit *Top = M.createEntity("top");
+      IRBuilder T(Top->entityBlock());
+      std::vector<Value *> In{T.sig(T.constInt(W, 0), "a")};
+      if (Binary)
+        In.push_back(T.sig(T.constInt(WB, 0), "b"));
+      std::map<std::string, Value *> R;
+      for (const char *N : Results)
+        R[N] = T.sig(T.constInt(TR->bitWidth(), 0), N);
+      T.inst(Ent, In, {R["re"]});
+      T.inst(Comb, In, {R["rc"]});
+      std::vector<Value *> TbOut = In;
+      TbOut.push_back(R["rg"]);
+      TbOut.push_back(R["rf"]);
+      T.inst(Tb, {}, TbOut);
+
+      // Every op lowers to the word opcode of its IR opcode, and each
+      // process takes the loop it is here for.
+      for (Unit *U : {Fn, Ent, Comb, Tb}) {
+        LirUnit L = lowerUnit(*U);
+        unsigned Found = 0;
+        for (const LirOp &Op : L.Ops) {
+          if (std::find(OpInsts.begin(), OpInsts.end(), Op.Origin) ==
+              OpInsts.end())
+            continue;
+          ++Found;
+          ASSERT_EQ(Op.C, wordOpc(C.Op))
+              << "@" << U->name() << " stays generic";
+          EXPECT_EQ(Op.IrOp, C.Op);
+          EXPECT_EQ(L.Slots[Op.Dst].Width, TR->bitWidth());
+        }
+        EXPECT_EQ(Found, U == Tb ? Pairs.size() : 1u) << "@" << U->name();
+        if (U == Comb) {
+          EXPECT_EQ(L.Class, ProcClass::PureComb);
+        }
+        if (U == Tb) {
+          EXPECT_EQ(L.Class, ProcClass::General);
+        }
+      }
+
+      Design D = elaborate(M, "top");
+      ASSERT_TRUE(D.ok()) << D.Error;
+      SimOptions O;
+      O.TraceMode = Trace::Mode::Full;
+      InterpSim Sim(std::move(D), O);
+      SimStats St = Sim.run();
+      ASSERT_TRUE(St.Finished);
+
+      // Replays the trace, sampling every result signal at the end of
+      // each nanosecond.
+      std::vector<SignalId> Ids;
+      std::vector<std::string> Cur;
+      for (const char *N : Results) {
+        Ids.push_back(signalNamed(Sim, N));
+        ASSERT_NE(Ids.back(), InvalidSignal) << N;
+        Cur.push_back(RtValue(IntValue(TR->bitWidth(), 0)).toString());
+      }
+      const std::vector<Trace::Change> &Changes = Sim.trace().changes();
+      size_t Next = 0;
+      const int32_t Idx[] = {0, 1};
+      for (size_t K = 0; K != Pairs.size(); ++K) {
+        for (; Next != Changes.size() &&
+               Changes[Next].T.Fs <= Time::ns(K).Fs;
+             ++Next)
+          for (size_t J = 0; J != Ids.size(); ++J)
+            if (Changes[Next].Sig == Ids[J])
+              Cur[J] = Changes[Next].Val;
+        auto [a, b] = Pairs[K];
+        std::vector<RtValue> Ops{RtValue(IntValue(W, a))};
+        if (Binary)
+          Ops.push_back(RtValue(IntValue(WB, b)));
+        RtValue Wide = evalPureWide(C.Op, Ops.data(), Idx, Ops.size(),
+                                    FI->immediate(), pureResultWidth(*FI),
+                                    FI);
+        ASSERT_TRUE(Wide.isInt());
+        for (size_t J = 0; J != Ids.size(); ++J) {
+          EXPECT_EQ(Cur[J], Wide.toString())
+              << Results[J] << ": a=" << a << " b=" << b << " imm "
+              << FI->immediate();
           ++Checked;
         }
       }
     }
   }
-  EXPECT_GT(Checked, 10000u);
+  EXPECT_GT(Checked, 40000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -60,6 +60,10 @@ std::vector<Sample> samples() {
   Elems.push_back(RtValue(IntValue(8, 1)));
   Elems.push_back(RtValue(IntValue(100, 2)));
   S.push_back({"array", RtValue::makeArray(Elems), false});
+  S.push_back({"flat-array",
+               RtValue::makeArray({RtValue(IntValue(16, 5)),
+                                   RtValue(IntValue(64, 6))}),
+               false});
   std::vector<RtValue> Fields;
   Fields.push_back(RtValue(Time::ps(1)));
   Fields.push_back(RtValue::makeArray(Elems));
@@ -134,6 +138,27 @@ TEST(RtValue, AssignFromNestedElement) {
     V = V.elements()[1];
     EXPECT_EQ(V, Expect) << X.Name;
   }
+}
+
+// Assigning an aggregate over one whose elements own no heap memory
+// reuses the destination's element buffer, whatever the source holds;
+// a destination with a heap element takes the copy path.
+TEST(RtValue, FlatAggregateAssignmentReusesElements) {
+  RtValue Dst = RtValue::makeArray(
+      {RtValue(IntValue(16, 1)), RtValue(IntValue(16, 2))});
+  const RtValue *Buf = Dst.elements().data();
+  RtValue Src = RtValue::makeArray(
+      {RtValue(IntValue(16, 3)), RtValue(IntValue(16, 4))});
+  Dst = Src;
+  EXPECT_EQ(Dst, Src);
+  EXPECT_EQ(Dst.elements().data(), Buf);
+  RtValue Wide = RtValue::makeArray(
+      {RtValue(IntValue(100, 5)), RtValue(IntValue(8, 6))});
+  Dst = Wide;
+  EXPECT_EQ(Dst, Wide);
+  EXPECT_EQ(Dst.elements().data(), Buf);
+  Dst = Src;
+  EXPECT_EQ(Dst, Src);
 }
 
 TEST(RtValue, SetWordOverEveryKind) {
