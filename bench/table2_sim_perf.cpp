@@ -77,7 +77,6 @@ struct Row {
   /// cycle over the calibration kernel's ns per iteration, taken run by
   /// run against the kernel run just before, minimum over repetitions.
   double IntCal, JitCal;
-  double CkptS;     ///< Interp runtime with periodic checkpointing on.
   double CompileMs; ///< Blaze elaborate+codegen+host-compile wall time.
   bool TracesMatch;
   /// --batch columns (0 when the mode is off): wall seconds for N
@@ -303,31 +302,28 @@ void writeJson(const std::string &Path, double Scale,
     fprintf(stderr, "cannot write %s\n", Path.c_str());
     return;
   }
-  double GCkpt = 0, SumCompile = 0;
+  double SumCompile = 0;
   fprintf(F, "{\n  \"bench\": \"table2_sim_perf\",\n");
   fprintf(F, "  \"scale\": %g,\n  \"designs\": [\n", Scale);
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
     double NInt = nsPerCycleOf(R.IntS, R.Cycles),
            NJit = nsPerCycleOf(R.JitS, R.Cycles);
-    double Ckpt = R.IntS > 0 ? R.CkptS / R.IntS : 1.0;
-    GCkpt += std::log(Ckpt);
     SumCompile += R.CompileMs;
     fprintf(F,
             "    {\"name\": \"%s\", \"cycles\": %llu, "
             "\"interp_ns_per_cycle\": %.1f, \"blaze_ns_per_cycle\": %.1f, "
             "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
-            "\"blaze_compile_ms\": %.1f, \"checkpoint_overhead\": %.3f, "
+            "\"blaze_compile_ms\": %.1f, "
             "\"traces_match\": %s, \"counts\": {",
             R.Name.c_str(), (unsigned long long)R.Cycles, NInt, NJit,
-            R.IntCal, R.JitCal, R.CompileMs, Ckpt,
+            R.IntCal, R.JitCal, R.CompileMs,
             R.TracesMatch ? "true" : "false");
     for (size_t J = 0; J != R.Work.size(); ++J)
       fprintf(F, "%s\"%s\": %llu", J ? ", " : "", CountNames[J],
               (unsigned long long)R.Work[J]);
     fprintf(F, "}}%s\n", I + 1 != Rows.size() ? "," : "");
   }
-  size_t N = Rows.empty() ? 1 : Rows.size();
   if (BatchN) {
     // Aggregate fleet throughput: total simulated cycles per wall
     // second across the whole suite, sequential loop vs worker pool
@@ -357,10 +353,8 @@ void writeJson(const std::string &Path, double Scale,
   fprintf(F,
           "{\"interp\": %.1f, \"blaze\": %.1f, "
           "\"interp_calib\": %.2f, \"blaze_calib\": %.2f, "
-          "\"blaze_compile_ms_total\": %.1f, "
-          "\"checkpoint_overhead_geomean\": %.3f}\n}\n",
-          G.Int, G.Jit, G.IntCal, G.JitCal, SumCompile,
-          std::exp(GCkpt / N));
+          "\"blaze_compile_ms_total\": %.1f}\n}\n",
+          G.Int, G.Jit, G.IntCal, G.JitCal, SumCompile);
   fclose(F);
   printf("wrote %s\n", Path.c_str());
 }
@@ -393,9 +387,8 @@ int main(int argc, char **argv) {
   printf("Engines: Int. = LLHD-Sim reference interpreter, JIT = "
          "LLHD-Blaze%s\n\n",
          NoJit ? " (native codegen OFF, --no-jit)" : "");
-  printf("%-16s %5s %10s %12s %12s %9s %8s %8s\n", "Design", "LoC",
-         "Cycles", "Int. [s]", "JIT [s]", "Comp.[ms]", "Int/JIT",
-         "Ckpt[%]");
+  printf("%-16s %5s %10s %12s %12s %9s %8s\n", "Design", "LoC", "Cycles",
+         "Int. [s]", "JIT [s]", "Comp.[ms]", "Int/JIT");
 
   for (const designs::DesignInfo &D : designs::allDesigns(Scale)) {
     Context Ctx;
@@ -416,7 +409,7 @@ int main(int argc, char **argv) {
     // minimum runtime counts — the noise-robust estimator the perf
     // gate relies on. Trace/VCD comparisons use the last repetition
     // (the digests are identical across reps by determinism).
-    double TInt = 1e300, TJit = 1e300, TCkpt = 1e300;
+    double TInt = 1e300, TJit = 1e300;
     double IntCal = 1e300, JitCal = 1e300;
     // Times one engine run into Best and, for the gate, into BestCal in
     // calibration units against a kernel run just before it.
@@ -457,22 +450,6 @@ int main(int argc, char **argv) {
       if (Rep == 0)
         CompileMs = TBuild * 1e3;
       timeRun([&] { S2 = Jit->run(); }, TJit, JitCal);
-
-      // Checkpoint overhead: the interpreter again, serializing the full
-      // runtime state into an in-memory buffer eight times over the run.
-      // The table reports the cost relative to the plain Int. column.
-      SimOptions CkOpts = Opts;
-      CkOpts.Wave = nullptr;
-      CkOpts.RC.CheckpointEveryFs = std::max<uint64_t>(S1.EndTime.Fs / 8, 1);
-      Design CkDn = elaborate(M1, R1.TopUnit);
-      auto Ck = std::make_unique<InterpSim>(std::move(CkDn), CkOpts);
-      std::vector<uint8_t> Image;
-      Ck->options().RC.Checkpoint = [&Ck, &Image](Time) {
-        Image.clear();
-        Ck->checkpoint(Image);
-        return true;
-      };
-      TCkpt = std::min(TCkpt, timeIt([&] { Ck->run(); }));
     }
 
     // --batch: N instances of the shared program, once sequentially
@@ -521,14 +498,13 @@ int main(int argc, char **argv) {
       printf("%-16s cannot write %s/%s.vcd\n", "", VcdDir.c_str(),
              D.Key.c_str());
     Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, IntCal, JitCal,
-                    TCkpt, CompileMs, Match, TBatchSeq, TBatchPool,
+                    CompileMs, Match, TBatchSeq, TBatchPool,
                     countsOf(S1, S2, LirOps, Jit->jitSource().size())});
 
-    printf("%-16s %5u %10llu %12.3f %12.3f %9.1f %8.1f %7.1f%%%s\n",
+    printf("%-16s %5u %10llu %12.3f %12.3f %9.1f %8.1f%s\n",
            D.PaperName.c_str(), locOf(D.Source),
            static_cast<unsigned long long>(D.Iterations), TInt, TJit,
-           CompileMs, TJit > 0 ? TInt / TJit : 0.0,
-           TInt > 0 ? (TCkpt / TInt - 1) * 100 : 0.0, Status);
+           CompileMs, TJit > 0 ? TInt / TJit : 0.0, Status);
   }
   printf("\nShape note: both engines share one lowered IR (sim/Lir.h) "
          "and one kernel\n(scheduler, signal table, trace). JIT runs "

@@ -890,6 +890,32 @@ bool hasBackwardJump(const LirUnit &L) {
   return false;
 }
 
+/// The process shape the comment above a native unit names:
+/// "pure_comb" for a stable-wait process whose one wait ends a
+/// straight-line sweep of data-flow, signal and var ops, "clocked_reg"
+/// for any other stable-wait process, "general" for the rest.
+const char *shapeName(const LirUnit &L) {
+  if (!L.StableWait)
+    return "general";
+  if (L.Ops.back().C != LirOpc::Wait)
+    return "clocked_reg";
+  for (size_t Pc = 0; Pc + 1 != L.Ops.size(); ++Pc) {
+    switch (baseOpc(L.Ops[Pc].C)) {
+    case LirOpc::Pure:
+    case LirOpc::Prb:
+    case LirOpc::Drv:
+    case LirOpc::Copy:
+    case LirOpc::Var:
+    case LirOpc::Ld:
+    case LirOpc::St:
+      break;
+    default:
+      return "clocked_reg";
+    }
+  }
+  return "pure_comb";
+}
+
 /// Whether the emitted body of \p L ends in a return or a goto, so
 /// control cannot fall off its end.
 bool endsInJump(const LirUnit &L) {
@@ -950,7 +976,7 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   }
 
   f(S, "\n// @%s (%s): %u lir ops, %u lanes, %zu waits\n",
-    L.U->name().c_str(), procClassName(L.Class), (unsigned)L.Ops.size(),
+    L.U->name().c_str(), shapeName(L), (unsigned)L.Ops.size(),
     P.NumLanes, P.Waits.size());
   f(S, "extern \"C\" s64 %s(const LlhdJitApi *api, void *ctx, u64 *s, "
        "s64 entry) {\n",

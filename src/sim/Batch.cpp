@@ -28,9 +28,9 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 /// \p CheckpointPath, and records the outcome in \p Out.
 void simulate(InterpSim &Sim, const BatchOptions &O,
               const std::string &CheckpointPath, BatchInstance &Out) {
-  if (!O.Resume.empty()) {
+  if (O.Resume) {
     std::string Err;
-    if (!Sim.restore(O.Resume, Err)) {
+    if (!Sim.restore(*O.Resume, Err)) {
       Out.Error = "cannot resume: " + Err;
       Out.Stats.Stop = StopReason::CheckpointError;
       return;

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,9 +67,10 @@ struct BatchOptions {
   /// request checkpoints), instance i writes its images atomically to
   /// instancePath(CheckpointPath, i).
   std::string CheckpointPath;
-  /// When non-empty, a checkpoint image every instance restores before
-  /// it runs (llhd-sim --resume).
-  std::vector<uint8_t> Resume;
+  /// When set, a checkpoint image every instance restores before it
+  /// runs (llhd-sim --resume); an empty image fails to restore like any
+  /// truncated one.
+  std::optional<std::vector<uint8_t>> Resume;
 };
 
 /// Collision-free per-instance output naming: "<path>.<index>". Applied
@@ -120,7 +122,7 @@ struct BatchInstance {
 /// streamed to \p Vcd when non-null, checkpoint images written
 /// atomically to \p CheckpointPath when non-empty (at the cadence and on
 /// the stops \p O.Base.RC asks for), resuming from \p O.Resume when
-/// non-empty.
+/// set.
 BatchInstance runInstance(const BatchProgram &P, const BatchOptions &O,
                           uint64_t Seed, std::ostream *Vcd,
                           const std::string &CheckpointPath);

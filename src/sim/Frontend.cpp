@@ -2,6 +2,7 @@
 
 #include "sim/Frontend.h"
 #include "asm/Parser.h"
+#include "ir/Verifier.h"
 #include "moore/Compiler.h"
 
 #include <cstdio>
@@ -54,10 +55,20 @@ std::unique_ptr<Module> DesignSource::build(const std::string &Name,
     Error = R.Error;
     UnitTop = !R.Ok ? "" : Top.empty() ? findTopUnit(*M, Error) : Top;
   }
-  if (!UnitTop.empty())
+  if (UnitTop.empty()) {
+    if (!Quiet)
+      fprintf(stderr, "%s: %s\n", Tool, Error.c_str());
+    return nullptr;
+  }
+  // The engines run only verified IR: an op its unit kind forbids (a
+  // `ret` in a process, a `prb` in a function) is an input error.
+  std::vector<std::string> Errors;
+  if (verifyModule(*M, Errors))
     return M;
   if (!Quiet)
-    fprintf(stderr, "%s: %s\n", Tool, Error.c_str());
+    for (const std::string &E : Errors)
+      fprintf(stderr, "%s: %s\n", Tool, E.c_str());
+  UnitTop.clear();
   return nullptr;
 }
 

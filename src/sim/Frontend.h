@@ -3,8 +3,9 @@
 // The input path of the command-line tools (llhd-sim, llhd-lint): read a
 // design from a file or stdin, take it as LLHD assembly or SystemVerilog,
 // and build fresh modules from it through the assembly parser or the
-// Moore frontend, finding the top unit when none was given, then
-// elaborate. Failures are printed to stderr as "<tool>: <message>".
+// Moore frontend, finding the top unit when none was given, verify them
+// (ir/Verifier.h), then elaborate. Failures are printed to stderr as
+// "<tool>: <message>".
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +47,9 @@ struct DesignSource {
   /// Reads File into Src; false (error printed) when it cannot be opened.
   bool read();
 
-  /// Builds a module named \p Name; \p UnitTop receives the unit to
-  /// simulate. On a frontend error, prints it unless \p Quiet and
-  /// returns null.
+  /// Builds and verifies a module named \p Name; \p UnitTop receives the
+  /// unit to simulate. On a frontend or verifier error, prints it unless
+  /// \p Quiet and returns null.
   std::unique_ptr<Module> build(const std::string &Name, std::string &UnitTop,
                                 bool Quiet = false);
 

@@ -43,15 +43,6 @@ const char *llhd::lirOpcName(LirOpc C) {
   return "?";
 }
 
-const char *llhd::procClassName(ProcClass C) {
-  switch (C) {
-  case ProcClass::PureComb:   return "pure_comb";
-  case ProcClass::ClockedReg: return "clocked_reg";
-  case ProcClass::General:    return "general";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Lowers one unit. This is the single IR-opcode walk all engines share.
@@ -608,19 +599,16 @@ private:
   void classify() {
     if (!L.U->isProcess())
       return;
-    int32_t WaitPc = -1;
-    unsigned NumWaits = 0;
-    bool HasTimeout = false;
-    for (size_t I = 0; I != L.Ops.size(); ++I) {
-      if (L.Ops[I].C != LirOpc::Wait)
+    const LirOp *Wait = nullptr;
+    for (const LirOp &Op : L.Ops) {
+      if (Op.C != LirOpc::Wait)
         continue;
-      ++NumWaits;
-      WaitPc = I;
-      HasTimeout |= L.Ops[I].A >= 0;
+      if (Wait || Op.A >= 0)
+        return; // Several waits or a timer: dynamic.
+      Wait = &Op;
     }
-    if (NumWaits != 1 || HasTimeout)
-      return; // General: dynamic resumption or timers.
-    const LirOp &W = L.Ops[WaitPc];
+    if (!Wait)
+      return;
 
     // Static sensitivity: no instruction ever writes an observed slot
     // (observed signals are preloaded bindings, not recomputed values).
@@ -628,34 +616,11 @@ private:
     for (const LirOp &Op : L.Ops)
       if (Op.Dst >= 0)
         Written[Op.Dst] = 1;
-    for (uint32_t J = 0; J != W.OpsCount; ++J)
-      if (Written[L.OperandPool[W.OpsBase + J]])
+    for (uint32_t J = 0; J != Wait->OpsCount; ++J)
+      if (Written[L.OperandPool[Wait->OpsBase + J]])
         return;
 
     L.StableWait = true;
-    L.WaitPc = WaitPc;
-    L.ResumePc = W.Jmp0;
-
-    // PureComb: the wait is the final op and everything before it runs
-    // straight-line — no control transfer, no calls. Execution is a
-    // plain front-to-back sweep.
-    bool Straight = WaitPc == (int32_t)L.Ops.size() - 1;
-    for (int32_t I = 0; Straight && I != WaitPc; ++I) {
-      switch (baseOpc(L.Ops[I].C)) {
-      case LirOpc::Pure:
-      case LirOpc::Prb:
-      case LirOpc::Drv:
-      case LirOpc::Copy:
-      case LirOpc::Var:
-      case LirOpc::Ld:
-      case LirOpc::St:
-        break;
-      default:
-        Straight = false;
-        break;
-      }
-    }
-    L.Class = Straight ? ProcClass::PureComb : ProcClass::ClockedReg;
   }
 
   LirUnit L;
@@ -686,7 +651,7 @@ std::string LirUnit::dump() const {
      << "  regprev: " << NumRegPrev << "  delprev: " << NumDelPrev
      << "\n";
   if (U->isProcess())
-    OS << "  class: " << procClassName(Class) << "\n";
+    OS << "  sensitivity: " << (StableWait ? "stable" : "dynamic") << "\n";
   // A word slot prints as w[N], an RtValue slot as [N]: N indexes the
   // file that holds it.
   auto slot = [&](int32_t S) {

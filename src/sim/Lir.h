@@ -31,16 +31,12 @@
 // argument, a stored value) allocates a cell per execution (VarM/LdM/
 // StM over the frame's dynamic memory).
 //
-// On top of the lowering sits a process classifier:
-//   PureComb   — a straight-line probe/compute/drive sweep ending in one
-//                static wait that resumes at a fixed point; executes with
-//                no control-flow dispatch at all.
-//   ClockedReg — one static wait (the shape always_ff lowers to): the
-//                resumption point is a compile-time constant and the
-//                sensitivity set never changes, so engines skip all
-//                per-activation resumption bookkeeping and re-registration.
-//   General    — everything else (multiple waits, timeouts, or dynamic
-//                sensitivity); the engines' full paths apply.
+// On top of the lowering sits one process classification, StableWait: a
+// process with a single timeout-free wait whose observed signals no
+// instruction writes (the shape always_ff and assign lower to) observes
+// the same signals at every suspension, so the engine registers its
+// sensitivity once and skips the per-activation wake-generation bump and
+// re-registration.
 //
 // The interpreter and Blaze execute this form directly (sim/LirEngine.h),
 // and Blaze's JIT plans its native code from it (jit/Codegen.h), reading
@@ -198,11 +194,6 @@ struct LirOp {
   const Instruction *Origin = nullptr;
 };
 
-/// Structural process classification (see file header).
-enum class ProcClass : uint8_t { PureComb, ClockedReg, General };
-
-const char *procClassName(ProcClass C);
-
 /// The static layout of one frame slot or var cell.
 struct LirSlot {
   /// The slot's IR type; null when nothing in the unit gives it one.
@@ -240,16 +231,10 @@ struct LirUnit {
   /// Dense previous-sample state sizes (per instance).
   uint32_t NumRegPrev = 0, NumDelPrev = 0;
 
-  /// Process classification results (General for entities/functions).
-  ProcClass Class = ProcClass::General;
-  /// Pc of the unique wait for PureComb/ClockedReg, else -1.
-  int32_t WaitPc = -1;
-  /// The unique wait's resumption pc for PureComb/ClockedReg, else -1.
-  int32_t ResumePc = -1;
-  /// True when every wait is free of timeouts and observes only slots no
-  /// instruction ever writes: once registered, the process's sensitivity
-  /// never changes, so engines may skip re-registration and wake-
-  /// generation churn after the first suspension.
+  /// True for a process with one wait, free of timeouts and observing
+  /// only slots no instruction ever writes: once registered, its
+  /// sensitivity never changes, so the engine skips re-registration and
+  /// wake-generation churn after the first suspension.
   bool StableWait = false;
 
   /// The lowerings of the defined functions this unit's Call ops name,

@@ -4,21 +4,20 @@
 #include "ir/Type.h"
 #include "jit/Runtime.h"
 #include "sim/Checkpoint.h"
-#include "sim/EventLoop.h"
 #include "sim/RtOps.h"
+#include "sim/Wave.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <chrono>
 
 using namespace llhd;
 
-// The four dispatch loops below (the PureComb sweep, the general process
-// loop, callFunction and evalEntity) each have one switch over every
-// LirOpc and no default: this file builds with -Werror=switch, so an
-// opcode missing from a loop is a compile error. Each loop expands this
-// case into one per word pure opcode, with its op `Op` and word file `W`
-// in scope: evalWord then runs with a constant IR opcode, and a word op
-// costs one indirect jump.
+// The two dispatch loops below (exec, which runs processes and functions,
+// and evalEntity) each have one switch over every LirOpc and no default:
+// this file builds with -Werror=switch, so an opcode missing from a loop
+// is a compile error. Each loop expands this case into one per word pure
+// opcode, with its op `Op` and word file `W` in scope: evalWord then runs
+// with a constant IR opcode, and a word op costs one indirect jump.
 #define LLHD_WORD_EXEC(O)                                                     \
   case LirOpc::O##W:                                                          \
     execWord<Opcode::O>(Op, W);                                               \
@@ -39,12 +38,12 @@ int32_t jumpTarget(const LirOp &Op, const uint64_t *W, const RtValue *F) {
   return Taken ? Op.Jmp1 : Op.Jmp0;
 }
 
-/// Stops on an op the classifier keeps out of a PureComb sweep: reaching
-/// one means the classifier and the sweep disagree.
-[[noreturn]] void unsweepable(const LirOp &Op) {
-  std::fprintf(stderr, "llhd: internal error: '%s' op in a pure_comb sweep\n",
-               lirOpcName(Op.C));
-  std::abort();
+/// Sorts and dedups a wake list; most lists hold at most one unit.
+void sortUnique(std::vector<uint32_t> &V) {
+  if (V.size() < 2)
+    return;
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
 }
 } // namespace
 
@@ -121,10 +120,22 @@ const std::string &LirEngine::jitSource() const {
   return Prog->JitMod ? Prog->JitMod->Source : Empty;
 }
 
+template <typename FillFn>
+void LirEngine::suspend(uint32_t PI, FillFn &&FillSens, const Time *Timeout) {
+  ProcState &PS = Procs[PI];
+  if (!PS.L->StableWait || !PS.Started) {
+    PS.Sensitivity.clear();
+    ++PS.WakeGen;
+    FillSens(PS.Sensitivity);
+  }
+  if (Timeout)
+    Sched.scheduleWake(Now.advance(*Timeout), {PI, PS.WakeGen});
+  PS.Started = true;
+  PS.State = ProcState::St::Waiting;
+}
+
 void LirEngine::runProcessNative(uint32_t PI) {
   ProcState &PS = Procs[PI];
-  PS.State = ProcState::St::Ready;
-  ++Stats.ProcessRuns;
   jit::ProcContext &C = *PS.Jit;
   long long R = C.Fn(jit::apiTable(), &C, C.Lanes.data(), PS.Entry);
   if (R < 0) {
@@ -134,21 +145,102 @@ void LirEngine::runProcessNative(uint32_t PI) {
     return;
   }
   const jit::WaitSite &W = C.Waits[R];
-  const LirUnit &L = *PS.L;
-  if (!L.StableWait || !PS.Started) {
-    PS.Sensitivity.assign(W.Sens.begin(), W.Sens.end());
-    ++PS.WakeGen;
-  }
-  if (W.HasTimeout)
-    Sched.scheduleWake(Now.advance(W.Timeout), {PI, PS.WakeGen});
-  PS.Started = true;
-  PS.State = ProcState::St::Waiting;
+  suspend(
+      PI,
+      [&W](std::vector<SignalId> &Sens) {
+        Sens.assign(W.Sens.begin(), W.Sens.end());
+      },
+      W.HasTimeout ? &W.Timeout : nullptr);
   PS.Entry = W.ResumeEntry;
 }
 
 //===----------------------------------------------------------------------===//
 // Function execution (immediate, §2.4.1)
 //===----------------------------------------------------------------------===//
+
+// Each instantiation has one caller (runProcess, callFunction), which it
+// is forced into: left out of line, the call cost every activation ~5%
+// of suite-interp-vcd's cycles_per_s.
+template <bool InFn>
+[[gnu::always_inline]] inline int32_t LirEngine::exec(const LirUnit &L, int32_t Pc, uint64_t *W, RtValue *F,
+                        const SignalId *WS, const void *Tag,
+                        std::vector<RtValue> &Mem) {
+  const LirOp *Ops = L.Ops.data();
+  uint64_t Fuel = MaxBackwardJumps;
+  for (;;) {
+    const LirOp &Op = Ops[Pc];
+    switch (Op.C) {
+    LLHD_WORD_OPS(LLHD_WORD_EXEC)
+    case LirOpc::PrbW:
+      if (InFn)
+        return Pc;
+      execPrbW(Op, W, F, WS);
+      break;
+    case LirOpc::DrvW:
+    case LirOpc::Drv:
+      if (InFn)
+        return Pc;
+      execDrv(L, Op, W, F, WS, Tag);
+      break;
+    case LirOpc::CopyW:
+      W[Op.Dst] = W[Op.A];
+      break;
+    case LirOpc::VarW:
+      W[Op.Imm] = W[Op.A];
+      break;
+    case LirOpc::LdW:
+      W[Op.Dst] = W[Op.Imm];
+      break;
+    case LirOpc::StW:
+      W[Op.Imm] = W[Op.B];
+      break;
+    case LirOpc::CondJmpW:
+    case LirOpc::CondJmp:
+    case LirOpc::Jmp: {
+      int32_t To = jumpTarget(Op, W, F);
+      if (To <= Pc && !--Fuel)
+        return -1; // Runaway guard.
+      Pc = To;
+      continue;
+    }
+    case LirOpc::Pure:
+      execPure(L, Op, W, F);
+      break;
+    case LirOpc::Prb:
+      if (InFn)
+        return Pc;
+      execPrb(Op, F, WS);
+      break;
+    case LirOpc::Copy:
+      L.copy(Op.Dst, Op.A, W, F);
+      break;
+    case LirOpc::Var:
+      L.copy(Op.Imm, Op.A, W, F);
+      break;
+    case LirOpc::Ld:
+      L.copy(Op.Dst, Op.Imm, W, F);
+      break;
+    case LirOpc::St:
+      L.copy(Op.Imm, Op.B, W, F);
+      break;
+    case LirOpc::VarM:
+    case LirOpc::LdM:
+    case LirOpc::StM:
+      execMem(L, Op, W, F, Mem);
+      break;
+    case LirOpc::Call:
+      callOp(L, Op, W, F);
+      break;
+    case LirOpc::Wait:
+    case LirOpc::Halt:
+    case LirOpc::Ret:
+    case LirOpc::Reg:
+    case LirOpc::Del:
+      return Pc;
+    }
+    ++Pc;
+  }
+}
 
 RtValue LirEngine::callFunction(const LirOp &Call,
                                 std::vector<RtValue> &Args) {
@@ -172,75 +264,15 @@ RtValue LirEngine::callFunction(const LirOp &Call,
   for (unsigned I = 0; I != Fn->inputs().size(); ++I)
     L.store(Fn->input(I)->valueNumber(), std::move(Args[I]), W, F);
 
-  const LirOp *Ops = L.Ops.data();
-  int32_t Pc = 0;
-  uint64_t Fuel = MaxBackwardJumps;
-  for (;;) {
-    const LirOp &Op = Ops[Pc];
-    switch (Op.C) {
-    case LirOpc::Ret:
-      if (Op.A < 0)
-        return RtValue();
-      L.boxed(Op.A, W, F);
-      return std::move(F[Op.A]);
-    case LirOpc::Jmp:
-    case LirOpc::CondJmp:
-    case LirOpc::CondJmpW: {
-      int32_t To = jumpTarget(Op, W, F);
-      if (To <= Pc && !--Fuel)
-        return defaultValue(Fn->returnType()); // Runaway guard.
-      Pc = To;
-      continue;
-    }
-    LLHD_WORD_OPS(LLHD_WORD_EXEC)
-    case LirOpc::Pure:
-      execPure(L, Op, W, F);
-      break;
-    case LirOpc::CopyW:
-      W[Op.Dst] = W[Op.A];
-      break;
-    case LirOpc::VarW:
-      W[Op.Imm] = W[Op.A];
-      break;
-    case LirOpc::LdW:
-      W[Op.Dst] = W[Op.Imm];
-      break;
-    case LirOpc::StW:
-      W[Op.Imm] = W[Op.B];
-      break;
-    case LirOpc::Copy:
-      L.copy(Op.Dst, Op.A, W, F);
-      break;
-    case LirOpc::Var:
-      L.copy(Op.Imm, Op.A, W, F);
-      break;
-    case LirOpc::Ld:
-      L.copy(Op.Dst, Op.Imm, W, F);
-      break;
-    case LirOpc::St:
-      L.copy(Op.Imm, Op.B, W, F);
-      break;
-    case LirOpc::VarM:
-    case LirOpc::LdM:
-    case LirOpc::StM:
-      execMem(L, Op, W, F, FR->Memory);
-      break;
-    case LirOpc::Call:
-      callOp(L, Op, W, F);
-      break;
-    case LirOpc::Prb:
-    case LirOpc::PrbW:
-    case LirOpc::Drv:
-    case LirOpc::DrvW:
-    case LirOpc::Wait:
-    case LirOpc::Halt:
-    case LirOpc::Reg:
-    case LirOpc::Del:
-      assert(false && "illegal op in function");
-      return RtValue();
-    }
-    ++Pc;
-  }
+  int32_t Pc = exec<true>(L, 0, W, F, nullptr, nullptr, FR->Memory);
+  if (Pc < 0)
+    return defaultValue(Fn->returnType()); // Runaway guard.
+  const LirOp &Ret = L.Ops[Pc];
+  assert(Ret.C == LirOpc::Ret && "illegal op in function");
+  if (Ret.C != LirOpc::Ret || Ret.A < 0)
+    return RtValue();
+  L.boxed(Ret.A, W, F);
+  return std::move(F[Ret.A]);
 }
 
 void LirEngine::callOp(const LirUnit &L, const LirOp &Op, uint64_t *W,
@@ -296,181 +328,33 @@ void LirEngine::runProcess(uint32_t PI) {
   ProcState &PS = Procs[PI];
   if (PS.State == ProcState::St::Halted)
     return;
+  PS.State = ProcState::St::Ready;
+  ++Stats.ProcessRuns;
   if (PS.Jit) {
     runProcessNative(PI);
     return;
   }
-  PS.State = ProcState::St::Ready;
-  ++Stats.ProcessRuns;
   const LirUnit &L = *PS.L;
-  const LirOp *Ops = L.Ops.data();
-  const int32_t *Pool = L.OperandPool.data();
-  uint64_t *W = PS.Words.data();
   RtValue *F = PS.Frame.data();
-  const SignalId *WS = PS.WordSigs.data();
-
-  // PureComb fast path: a straight probe/compute/drive sweep with no
-  // control-flow dispatch, ending in the (implicit) static wait. The
-  // sensitivity set was registered at the first suspension and never
-  // changes; no pc, wake-generation or registration bookkeeping runs.
-  if (L.Class == ProcClass::PureComb && PS.Started) {
-    const int32_t End = L.WaitPc;
-    for (int32_t Pc = L.ResumePc; Pc != End; ++Pc) {
-      const LirOp &Op = Ops[Pc];
-      switch (Op.C) {
-      LLHD_WORD_OPS(LLHD_WORD_EXEC)
-      case LirOpc::PrbW:
-        execPrbW(Op, W, F, WS);
-        break;
-      case LirOpc::DrvW:
-      case LirOpc::Drv:
-        execDrv(L, Op, W, F, WS, PS.Inst);
-        break;
-      case LirOpc::CopyW:
-        W[Op.Dst] = W[Op.A];
-        break;
-      case LirOpc::VarW:
-        W[Op.Imm] = W[Op.A];
-        break;
-      case LirOpc::LdW:
-        W[Op.Dst] = W[Op.Imm];
-        break;
-      case LirOpc::StW:
-        W[Op.Imm] = W[Op.B];
-        break;
-      case LirOpc::Pure:
-        execPure(L, Op, W, F);
-        break;
-      case LirOpc::Prb:
-        execPrb(Op, F, WS);
-        break;
-      case LirOpc::Copy:
-        L.copy(Op.Dst, Op.A, W, F);
-        break;
-      case LirOpc::Var:
-        L.copy(Op.Imm, Op.A, W, F);
-        break;
-      case LirOpc::Ld:
-        L.copy(Op.Dst, Op.Imm, W, F);
-        break;
-      case LirOpc::St:
-        L.copy(Op.Imm, Op.B, W, F);
-        break;
-      case LirOpc::VarM:
-      case LirOpc::LdM:
-      case LirOpc::StM:
-        execMem(L, Op, W, F, PS.Memory);
-        break;
-      case LirOpc::Jmp:
-      case LirOpc::CondJmp:
-      case LirOpc::CondJmpW:
-      case LirOpc::Wait:
-      case LirOpc::Halt:
-      case LirOpc::Ret:
-      case LirOpc::Call:
-      case LirOpc::Reg:
-      case LirOpc::Del:
-        unsweepable(Op);
-      }
-    }
-    PS.State = ProcState::St::Waiting;
+  int32_t Pc = exec<false>(L, PS.Pc, PS.Words.data(), F, PS.WordSigs.data(),
+                           PS.Inst, PS.Memory);
+  if (Pc >= 0 && L.Ops[Pc].C == LirOpc::Wait) {
+    const LirOp &Op = L.Ops[Pc];
+    const int32_t *Obs = L.OperandPool.data() + Op.OpsBase;
+    Time Timeout = Op.A >= 0 ? F[Op.A].timeValue() : Time();
+    suspend(
+        PI,
+        [&](std::vector<SignalId> &Sens) {
+          for (uint32_t J = 0; J != Op.OpsCount; ++J)
+            Sens.push_back(Signals.canonical(F[Obs[J]].sigId()));
+        },
+        Op.A >= 0 ? &Timeout : nullptr);
+    PS.Pc = Op.Jmp0;
     return;
   }
-
-  // ClockedReg processes resume from the classifier's constant pc; the
-  // stored pc is only needed for the unclassified general shape.
-  int32_t Pc = L.StableWait && PS.Started ? L.ResumePc : PS.Pc;
-  uint64_t Fuel = MaxBackwardJumps;
-  for (;;) {
-    const LirOp &Op = Ops[Pc];
-    switch (Op.C) {
-    LLHD_WORD_OPS(LLHD_WORD_EXEC)
-    case LirOpc::PrbW:
-      execPrbW(Op, W, F, WS);
-      break;
-    case LirOpc::DrvW:
-    case LirOpc::Drv:
-      execDrv(L, Op, W, F, WS, PS.Inst);
-      break;
-    case LirOpc::CopyW:
-      W[Op.Dst] = W[Op.A];
-      break;
-    case LirOpc::VarW:
-      W[Op.Imm] = W[Op.A];
-      break;
-    case LirOpc::LdW:
-      W[Op.Dst] = W[Op.Imm];
-      break;
-    case LirOpc::StW:
-      W[Op.Imm] = W[Op.B];
-      break;
-    case LirOpc::CondJmpW:
-    case LirOpc::CondJmp:
-    case LirOpc::Jmp: {
-      int32_t To = jumpTarget(Op, W, F);
-      if (To <= Pc && !--Fuel) {
-        PS.State = ProcState::St::Halted; // Runaway guard: treat as hung.
-        return;
-      }
-      Pc = To;
-      continue;
-    }
-    case LirOpc::Halt:
-      PS.State = ProcState::St::Halted;
-      return;
-    case LirOpc::Wait: {
-      if (!L.StableWait || !PS.Started) {
-        // Register sensitivity (canonical ids) and invalidate earlier
-        // timers. Stable waits do this exactly once.
-        PS.Sensitivity.clear();
-        ++PS.WakeGen;
-        for (uint32_t J = 0; J != Op.OpsCount; ++J)
-          PS.Sensitivity.push_back(
-              Signals.canonical(F[Pool[Op.OpsBase + J]].sigId()));
-      }
-      if (Op.A >= 0)
-        Sched.scheduleWake(Now.advance(F[Op.A].timeValue()),
-                           {PI, PS.WakeGen});
-      PS.Started = true;
-      PS.State = ProcState::St::Waiting;
-      PS.Pc = Op.Jmp0;
-      return;
-    }
-    case LirOpc::Pure:
-      execPure(L, Op, W, F);
-      break;
-    case LirOpc::Prb:
-      execPrb(Op, F, WS);
-      break;
-    case LirOpc::Copy:
-      L.copy(Op.Dst, Op.A, W, F);
-      break;
-    case LirOpc::Var:
-      L.copy(Op.Imm, Op.A, W, F);
-      break;
-    case LirOpc::Ld:
-      L.copy(Op.Dst, Op.Imm, W, F);
-      break;
-    case LirOpc::St:
-      L.copy(Op.Imm, Op.B, W, F);
-      break;
-    case LirOpc::VarM:
-    case LirOpc::LdM:
-    case LirOpc::StM:
-      execMem(L, Op, W, F, PS.Memory);
-      break;
-    case LirOpc::Call:
-      callOp(L, Op, W, F);
-      break;
-    case LirOpc::Ret:
-    case LirOpc::Reg:
-    case LirOpc::Del:
-      assert(false && "illegal op in process");
-      PS.State = ProcState::St::Halted;
-      return;
-    }
-    ++Pc;
-  }
+  // A halt, or the runaway guard: treat as hung.
+  assert((Pc < 0 || L.Ops[Pc].C == LirOpc::Halt) && "illegal op in process");
+  PS.State = ProcState::St::Halted;
 }
 
 //===----------------------------------------------------------------------===//
@@ -580,8 +464,207 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Event loop
+//===----------------------------------------------------------------------===//
+
 SimStats LirEngine::run() {
-  return runEventLoop(*this, D, Opts, St, Resumed);
+  // The design is shared immutable state (batch instances run it
+  // concurrently); everything this loop mutates lives in the run's
+  // SimState and in Procs/Ents. Local references, unlike the member
+  // ones, stay in registers across the loop's calls.
+  Scheduler &Sched = St.Sched;
+  Trace &Tr = St.Tr;
+  Time &Now = St.Now;
+  SimStats &Stats = St.Stats;
+  SignalTable &Signals = St.Signals;
+  // Dynamic process sensitivity, re-registered at every suspension.
+  WakeIndex WIdx;
+  WIdx.resize(Signals.size());
+  auto registerSensitivity = [&](uint32_t PI) {
+    const ProcState &PS = Procs[PI];
+    if (PS.State == ProcState::St::Waiting)
+      WIdx.watch(PI, PS.WakeGen, PS.Sensitivity);
+  };
+  auto curGen = [this](uint32_t PI) { return Procs[PI].WakeGen; };
+
+  // Optional waveform observer: header and initial state go out before
+  // the first event (initialisation only schedules, it never commits a
+  // signal value, so the elaboration-time values are the #0 state). A
+  // resumed run instead seeds the writer's last-value cache from the
+  // restored signal table and appends — no header, no $dumpvars.
+  WaveWriter *Wave = Opts.Wave;
+  if (Wave) {
+    if (Resumed)
+      Wave->resume(Signals);
+    else
+      Wave->begin(Signals);
+  }
+
+  if (!Resumed) {
+    // Initialisation (§2.4.3): processes run to their first suspension,
+    // entities evaluate once.
+    Now = Time();
+    for (uint32_t PI = 0; PI != Procs.size(); ++PI) {
+      runProcess(PI);
+      registerSensitivity(PI);
+    }
+    for (uint32_t EI = 0; EI != Ents.size(); ++EI)
+      evalEntity(EI, /*Initial=*/true);
+  } else {
+    // Restored processes are already suspended mid-simulation; rebuild
+    // the (loop-local) wake index from their checkpointed sensitivity.
+    for (uint32_t PI = 0; PI != Procs.size(); ++PI)
+      registerSensitivity(PI);
+  }
+
+  const RunControl &RC = Opts.RC;
+  using WallClock = std::chrono::steady_clock;
+  WallClock::time_point Deadline{};
+  if (RC.WallTimeoutSec > 0)
+    Deadline = WallClock::now() +
+               std::chrono::duration_cast<WallClock::duration>(
+                   std::chrono::duration<double>(RC.WallTimeoutSec));
+  uint64_t NextCkptFs =
+      RC.CheckpointEveryFs
+          ? (Now.Fs / RC.CheckpointEveryFs + 1) * RC.CheckpointEveryFs
+          : 0;
+
+  uint64_t DeltasAtInstant = 0;
+  uint64_t LastFs = Resumed ? Now.Fs : ~0ull;
+  // Scratch reused across slots; capacity settles after a few steps.
+  SlotEvents Ev;
+  std::vector<SignalId> Changed;
+  std::vector<uint32_t> ProcsToRun, EntsToRun;
+  std::vector<uint8_t> ChangedMark(Signals.size(), 0);
+  while (!Sched.empty() && !St.FinishRequested) {
+    Time T = Sched.nextTime();
+    if (T > Opts.MaxTime)
+      break;
+    if (T.Fs != LastFs) {
+      // A physical-instant boundary: the previous instant is fully
+      // settled (the waveform writer's pending buffer holds exactly that
+      // instant), so every run-control action fires here and only here.
+      StopReason Why = StopReason::None;
+      if (RC.StopFlag && *RC.StopFlag)
+        Why = StopReason::Interrupted;
+      else if (RC.MaxSteps && Stats.Steps >= RC.MaxSteps)
+        Why = StopReason::DeltaBudget;
+      else if (RC.MaxEvents && Sched.totalScheduled() >= RC.MaxEvents)
+        Why = StopReason::EventBudget;
+      else if (RC.WallTimeoutSec > 0 && WallClock::now() >= Deadline)
+        Why = StopReason::WallTimeout;
+      if (RC.Checkpoint &&
+          ((NextCkptFs && T.Fs >= NextCkptFs) ||
+           (Why != StopReason::None && RC.CheckpointOnStop))) {
+        // Flush the settled instant first so the on-disk VCD and the
+        // checkpoint cover the same prefix. Byte-neutral: the writer
+        // would emit the identical bytes on the instant's next change.
+        if (Wave)
+          Wave->flushNow();
+        if (!RC.Checkpoint(Now))
+          Why = StopReason::CheckpointError;
+        if (NextCkptFs)
+          while (NextCkptFs <= T.Fs)
+            NextCkptFs += RC.CheckpointEveryFs;
+      }
+      if (Why != StopReason::None) {
+        Stats.Stop = Why;
+        break;
+      }
+      LastFs = T.Fs;
+      DeltasAtInstant = 0;
+    } else if (++DeltasAtInstant > Opts.MaxDeltasPerInstant) {
+      Stats.DeltaOverflow = true;
+      Stats.Stop = StopReason::Oscillation;
+      // Diagnose the cycle instead of just dying: the processes woken
+      // and the signals changed in the previous delta are the cycling
+      // set (the instant has been spinning for MaxDeltasPerInstant
+      // deltas, so the steady-state combatants are in these vectors).
+      for (uint32_t PI : ProcsToRun)
+        Stats.OscProcs.push_back(Procs[PI].Inst->HierName);
+      for (SignalId S : Changed)
+        Stats.OscSigs.push_back(Signals.name(S));
+      auto trim = [](std::vector<std::string> &V) {
+        std::sort(V.begin(), V.end());
+        V.erase(std::unique(V.begin(), V.end()), V.end());
+        if (V.size() > 16)
+          V.resize(16);
+      };
+      trim(Stats.OscProcs);
+      trim(Stats.OscSigs);
+      break;
+    }
+    Now = T;
+    ++Stats.Steps;
+
+    Sched.pop(Ev);
+
+    // Apply signal updates in scheduling order, word and general lanes
+    // interleaved as filed; collect changed canonical signals (deduped
+    // via marks, in first-change order).
+    Changed.clear();
+    for (const UpdateEntry &E : Ev.Entries) {
+      SignalId Canon = commitUpdate(Signals, Ev, E);
+      if (Canon == InvalidSignal)
+        continue;
+      if (!ChangedMark[Canon]) {
+        ChangedMark[Canon] = 1;
+        Changed.push_back(Canon);
+      }
+      const RtValue &V = Signals.storedValue(Canon);
+      Tr.record(Now, Canon, V);
+      if (Wave)
+        Wave->onChange(Now, Canon, V);
+    }
+    for (SignalId S : Changed)
+      ChangedMark[S] = 0;
+
+    // Wake set: fresh timers plus sensitivity matches, each a direct
+    // index lookup. Units run in ascending index order for determinism.
+    ProcsToRun.clear();
+    for (const ProcWake &W : Ev.Wakes)
+      if (Procs[W.Proc].WakeGen == W.Gen &&
+          Procs[W.Proc].State == ProcState::St::Waiting)
+        ProcsToRun.push_back(W.Proc);
+    EntsToRun.clear();
+    for (SignalId S : Changed) {
+      const std::vector<uint32_t> &Ws = D.EntityWatchers[S];
+      EntsToRun.insert(EntsToRun.end(), Ws.begin(), Ws.end());
+      WIdx.collect(S, curGen, ProcsToRun);
+    }
+    sortUnique(ProcsToRun);
+    sortUnique(EntsToRun);
+
+    for (uint32_t PI : ProcsToRun) {
+      if (Procs[PI].L->StableWait) {
+        // Stable sensitivity: the registration made at the first
+        // suspension stays live (the generation never moves, and no
+        // timers exist that would need invalidating).
+        runProcess(PI);
+        continue;
+      }
+      ++Procs[PI].WakeGen; // Invalidate pending timers.
+      runProcess(PI);
+      registerSensitivity(PI);
+    }
+    for (uint32_t EI : EntsToRun)
+      evalEntity(EI, /*Initial=*/false);
+  }
+
+  if (Wave)
+    Wave->finish();
+  Stats.EndTime = Now;
+  Stats.DrivesScheduled = Sched.totalScheduled();
+  Stats.WordDrives = Sched.wordScheduled();
+  Stats.Finished = St.FinishRequested;
+  if (!Stats.Finished) {
+    bool AllHalted = !Procs.empty();
+    for (const ProcState &PS : Procs)
+      AllHalted &= PS.State == ProcState::St::Halted;
+    Stats.Finished = AllHalted || Sched.empty();
+  }
+  return Stats;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,19 +1,26 @@
 //===- sim/LirEngine.h - Direct LIR execution core --------------*- C++ -*-===//
 //
-// The shared LIR execution core behind the reference interpreter
-// (LLHD-Sim) and the Blaze engine: per-instance frames are dense slot
-// arrays, a word file and an RtValue file (sim/Lir.h), preloaded with
-// constants and signal bindings; processes run a flat pc-dispatch loop
-// over LirOps, entities run a single front-to-back sweep, and functions
-// execute from pooled frames. The classifier's fast
-// paths live here: PureComb processes re-evaluate via a straight sweep
-// with no control-flow dispatch, and ClockedReg processes resume from a
-// compile-time-constant pc with no sensitivity re-registration or wake-
-// generation churn (see procSenseStable / EventLoop.h).
+// The one LIR executor behind the reference interpreter (LLHD-Sim) and
+// the Blaze engine, and the event-driven main loop that drives it:
+// run() pops time slots, applies signal updates, computes the wake set
+// and runs the woken units. Per-instance frames are dense slot arrays, a
+// word file and an RtValue file (sim/Lir.h), preloaded with constants
+// and signal bindings. Processes and functions run one pc-dispatch loop
+// over LirOps (exec), entities a single front-to-back sweep
+// (evalEntity); functions execute from pooled frames. A process whose
+// sensitivity is stable (LirUnit::StableWait) registers it once, at its
+// first suspension, and skips the wake-generation bump and the
+// re-registration on every later activation.
 //
-// The two engines instantiating this core (through the one InterpSim
-// facade) differ only in what they feed it: Interp lowers the caller's
-// module as-is; Blaze clones and runs the optimisation pipeline first and
+// Wake sets are computed through dense reverse indices: entity watchers
+// come from Design::EntityWatchers (built at elaboration), and dynamic
+// process sensitivity is registered into a WakeIndex each time a process
+// suspends. One time slot therefore costs O(updates + changed signals +
+// woken units), independent of the total process count.
+//
+// The two engines running this core (through the one InterpSim facade)
+// differ only in what they feed it: Interp lowers the caller's module
+// as-is; Blaze clones and runs the optimisation pipeline first and
 // compiles native code (its "JIT" configuration).
 //
 //===----------------------------------------------------------------------===//
@@ -39,8 +46,7 @@ class JitModule;
 struct ProcContext;
 } // namespace jit
 
-/// Direct executor of the lowered runtime IR; implements the EventLoop
-/// engine contract.
+/// Direct executor of the lowered runtime IR and its event loop.
 ///
 /// One engine is one run: it holds the per-run SimState plus the
 /// per-instance execution frames, and reads everything else from an
@@ -58,7 +64,7 @@ public:
   /// program's lowering, native bindings for JIT-compiled units).
   void build();
 
-  /// Runs the shared event loop to completion. After restore(), the loop
+  /// Runs the event loop to completion. After restore(), the loop
   /// continues from the checkpointed instant instead of initialising.
   SimStats run();
 
@@ -79,40 +85,10 @@ public:
   /// version/module mismatch or a corrupt image.
   bool restore(const std::vector<uint8_t> &In, std::string &Err);
 
-  //===------------------------------------------------------------------===//
-  // EventLoop hooks
-  //===------------------------------------------------------------------===//
-
-  uint32_t numProcs() const { return Procs.size(); }
-  uint32_t numEnts() const { return Ents.size(); }
-  bool procWaiting(uint32_t PI) const {
-    return Procs[PI].State == ProcState::St::Waiting;
-  }
-  bool procHalted(uint32_t PI) const {
-    return Procs[PI].State == ProcState::St::Halted;
-  }
-  const std::vector<SignalId> &procSensitivity(uint32_t PI) const {
-    return Procs[PI].Sensitivity;
-  }
-  uint64_t procWakeGen(uint32_t PI) const { return Procs[PI].WakeGen; }
-  void procBumpWakeGen(uint32_t PI) { ++Procs[PI].WakeGen; }
-  /// True when the process's registered sensitivity outlives every
-  /// activation (single static wait): the event loop then registers it
-  /// once and skips the per-activation invalidate/re-register cycle.
-  bool procSenseStable(uint32_t PI) const {
-    return Procs[PI].L->StableWait;
-  }
-  bool finishRequested() const { return St.FinishRequested; }
-  std::string procName(uint32_t PI) const {
-    return Procs[PI].Inst->HierName;
-  }
   /// The fixed var cells of process \p PI plus its dynamic memory cells.
   size_t procCells(uint32_t PI) const {
     return Procs[PI].L->NumCells + Procs[PI].Memory.size();
   }
-
-  void runProcess(uint32_t PI);
-  void evalEntity(uint32_t EI, bool Initial);
 
   //===------------------------------------------------------------------===//
   // JIT surface
@@ -163,9 +139,11 @@ private:
     /// slot (see wordSignals()).
     std::vector<SignalId> WordSigs;
     std::vector<RtValue> Memory;
+    /// Where the next interpreted activation starts: 0, then the
+    /// continuation of the wait it last suspended at.
     int32_t Pc = 0;
-    /// Set at the first suspension; afterwards classified processes
-    /// resume from the LIR's constant resumption point.
+    /// Set at the first suspension; a StableWait process registers its
+    /// sensitivity only then.
     bool Started = false;
     enum class St : uint8_t { Ready, Waiting, Halted } State = St::Ready;
     std::vector<SignalId> Sensitivity;
@@ -198,9 +176,28 @@ private:
   /// when the resumption pc has no native entry (the caller then deopts
   /// the instance).
   bool syncToNative(ProcState &PS);
-  /// Runs a natively-bound process; mirrors runProcess's wait/halt
-  /// bookkeeping exactly.
+  /// Runs process \p PI from where it suspended, interpreted or native.
+  void runProcess(uint32_t PI);
+  /// Runs a natively-bound process; suspends through suspend() like an
+  /// interpreted one.
   void runProcessNative(uint32_t PI);
+  /// Suspends process \p PI at a wait. Unless its sensitivity is stable
+  /// and already registered, \p FillSens refills PS.Sensitivity with the
+  /// canonical ids it observes and the wake generation moves on,
+  /// invalidating earlier timers; a non-null \p Timeout schedules a wake.
+  template <typename FillFn>
+  void suspend(uint32_t PI, FillFn &&FillSens, const Time *Timeout);
+  /// The dispatch loop of processes and functions: runs the ops of \p L
+  /// over the frame (W, F) from \p Pc and returns the pc of the op that
+  /// stopped it (a wait, halt or ret, or an op illegal in the unit kind;
+  /// signal ops are illegal in a function), or -1 when the runaway guard
+  /// trips. \p WS, \p Tag and \p Mem are the frame's word-signal table,
+  /// driver tag and dynamic memory.
+  template <bool InFn>
+  int32_t exec(const LirUnit &L, int32_t Pc, uint64_t *W, RtValue *F,
+               const SignalId *WS, const void *Tag, std::vector<RtValue> &Mem);
+  /// Runs entity \p EI's sweep; \p Initial at initialisation.
+  void evalEntity(uint32_t EI, bool Initial);
 
   /// The word-lane storage root of the signal \p Sig refers to, when it
   /// is a whole word-lane signal; InvalidSignal otherwise.

@@ -46,8 +46,8 @@ struct SimStats {
   std::vector<std::string> OscSigs;
 };
 
-/// Everything one simulation run mutates. Engines own one of these per
-/// run; the shared event loop (sim/EventLoop.h) drives it against a
+/// Everything one simulation run mutates. The engine owns one of these
+/// per run; its event loop (LirEngine::run) drives it against a
 /// `const Design &`.
 struct SimState {
   /// Per-run signal values and driver slots over the shared layout.

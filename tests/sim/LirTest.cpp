@@ -1,7 +1,7 @@
 //===- tests/sim/LirTest.cpp - Lowered runtime IR tests -------------------===//
 //
 // The shared lowering layer: golden LIR dumps for representative units,
-// the process classifier (PureComb / ClockedReg / General), and
+// the process classifier (StableWait), and
 // cross-engine equivalence on the features the layer carries — element-
 // aligned `con` of sub-signals and array slices of signals, on Blaze both
 // interpreted and native — plus a whole-suite lowering/classification
@@ -115,14 +115,14 @@ entry:
 }
 )";
 
-TEST_F(LirTest, GoldenDumpPureCombProcess) {
+TEST_F(LirTest, GoldenDumpCombProcess) {
   Module *M = parseFresh(CombProcSrc, "m1");
   LirUnit L = lowerNamed(*M, "comb");
   EXPECT_EQ(L.dump(),
             "lir process @comb {\n"
             "  slots: 9 (values 9)  cells: 0  words: 3  regprev: 0  "
             "delprev: 0\n"
-            "  class: pure_comb\n"
+            "  sensitivity: stable\n"
             "  const [6] = 0s\n"
             "  0: prbw w[3], [0]\n"
             "  1: prbw w[4], [1]\n"
@@ -130,10 +130,7 @@ TEST_F(LirTest, GoldenDumpPureCombProcess) {
             "  3: drvw [2], w[5] after [6]\n"
             "  4: wait resume=@0 obs=([0], [1])\n"
             "}\n");
-  EXPECT_EQ(L.Class, ProcClass::PureComb);
   EXPECT_TRUE(L.StableWait);
-  EXPECT_EQ(L.WaitPc, 4);
-  EXPECT_EQ(L.ResumePc, 0);
 }
 
 TEST_F(LirTest, GoldenDumpEntityWithReg) {
@@ -161,33 +158,27 @@ entity @ff (i1$ %clk, i8$ %d) -> (i8$ %q) {
 // Classifier
 //===----------------------------------------------------------------------===//
 
-TEST_F(LirTest, ClassifiesClockedRegProcess) {
+TEST_F(LirTest, ClassifiesClockedProcessAsStable) {
   // The Figure 5 flip-flop shape: one static wait on the clock, edge
   // detection and a conditional store after resumption.
   Module *M = parseFresh(llhd_test::accTestbench("10"), "m3");
   LirUnit L = lowerNamed(*M, "acc_ff");
-  EXPECT_EQ(L.Class, ProcClass::ClockedReg);
   EXPECT_TRUE(L.StableWait);
-  ASSERT_GE(L.WaitPc, 0);
-  EXPECT_EQ(L.Ops[L.WaitPc].C, LirOpc::Wait);
-  EXPECT_EQ(L.Ops[L.WaitPc].A, -1) << "no timeout on a classified wait";
 
   // The branching combinational process is single-wait too (the wait
-  // sits behind control flow, so it is not a straight-line sweep).
+  // sits behind control flow).
   LirUnit LC = lowerNamed(*M, "acc_comb");
-  EXPECT_EQ(LC.Class, ProcClass::ClockedReg);
   EXPECT_TRUE(LC.StableWait);
 }
 
-TEST_F(LirTest, ClassifiesTimedTestbenchAsGeneral) {
-  // The testbench waits with a timeout: timers force the general path.
+TEST_F(LirTest, ClassifiesTimedTestbenchAsDynamic) {
+  // The testbench waits with a timeout: timers force re-registration.
   Module *M = parseFresh(llhd_test::accTestbench("10"), "m4");
   LirUnit L = lowerNamed(*M, "acc_tb_initial");
-  EXPECT_EQ(L.Class, ProcClass::General);
   EXPECT_FALSE(L.StableWait);
 }
 
-TEST_F(LirTest, ClassifiesMooreAssignAsPureComb) {
+TEST_F(LirTest, ClassifiesMooreAssignAsStable) {
   const char *Src = R"(
 module m (input logic a, input logic b, output logic c);
   assign c = a ^ b;
@@ -210,22 +201,19 @@ endmodule
   ASSERT_TRUE(R.Ok) << R.Error;
   Design D = elaborate(M, R.TopUnit);
   ASSERT_TRUE(D.ok()) << D.Error;
-  unsigned PureComb = 0, General = 0;
+  unsigned Stable = 0, Dynamic = 0;
   for (const UnitInstance &UI : D.Instances) {
     if (!UI.U->isProcess())
       continue;
     LirUnit L = lowerUnit(*UI.U);
-    if (L.Class == ProcClass::PureComb)
-      ++PureComb;
-    if (L.Class == ProcClass::General)
-      ++General;
+    ++(L.StableWait ? Stable : Dynamic);
   }
-  EXPECT_GE(PureComb, 1u) << "the assign process is a straight sweep";
-  EXPECT_GE(General, 1u) << "the timed initial block stays general";
+  EXPECT_GE(Stable, 1u) << "the assign process waits on its inputs only";
+  EXPECT_GE(Dynamic, 1u) << "the timed initial block stays dynamic";
 }
 
-// Every unit of the Table 2 suite lowers, classifies, and dumps; the
-// classified fast-path metadata is internally consistent.
+// Every unit of the Table 2 suite lowers, classifies, and dumps; a
+// stable-wait process has exactly one wait, and no timeout on it.
 TEST_F(LirTest, DesignsSuiteLowersAndClassifies) {
   for (const designs::DesignInfo &Dsg : designs::allDesigns(0.0)) {
     Context DCtx;
@@ -240,22 +228,14 @@ TEST_F(LirTest, DesignsSuiteLowersAndClassifies) {
       EXPECT_FALSE(L.dump().empty());
       EXPECT_EQ(L.NumValues <= L.NumSlots, true);
       if (L.StableWait) {
-        ASSERT_GE(L.WaitPc, 0) << Dsg.Key << " @" << UI.U->name();
-        ASSERT_LT(L.WaitPc, (int32_t)L.Ops.size());
-        EXPECT_EQ(L.Ops[L.WaitPc].C, LirOpc::Wait);
-        EXPECT_EQ(L.Ops[L.WaitPc].A, -1);
-        ASSERT_GE(L.ResumePc, 0);
-        ASSERT_LT(L.ResumePc, (int32_t)L.Ops.size());
-      }
-      if (L.Class == ProcClass::PureComb) {
-        EXPECT_EQ(L.WaitPc, (int32_t)L.Ops.size() - 1);
-        for (int32_t I = 0; I != L.WaitPc; ++I) {
-          LirOpc C = L.Ops[I].C;
-          EXPECT_TRUE(C != LirOpc::Jmp && C != LirOpc::CondJmp &&
-                      C != LirOpc::Wait && C != LirOpc::Halt &&
-                      C != LirOpc::Call)
-              << Dsg.Key << " @" << UI.U->name() << " pc " << I;
+        unsigned Waits = 0;
+        for (const LirOp &Op : L.Ops) {
+          if (Op.C != LirOpc::Wait)
+            continue;
+          ++Waits;
+          EXPECT_EQ(Op.A, -1) << Dsg.Key << " @" << UI.U->name();
         }
+        EXPECT_EQ(Waits, 1u) << Dsg.Key << " @" << UI.U->name();
       }
     }
   }

@@ -533,15 +533,15 @@ SignalId signalNamed(const InterpSim &Sim, const std::string &Name) {
 } // namespace
 
 // Each op lowers to its own word opcode at the widths around the byte,
-// word and 64-bit boundaries, and runs through each of the interpreter's
-// four dispatch loops on edge values and fixed-seed random operands,
-// where it must give exactly what evalPureWide gives on the same
-// operands. Per op and width, one design computes `op a, b` in a
-// function (callFunction), an entity (evalEntity), a PureComb process
-// (its sweep; its first run takes the general loop) and the testbench
-// process that feeds one operand pair per nanosecond (the general
-// process loop), which also calls the function; each result is driven
-// onto its own signal, sampled at the end of every nanosecond.
+// word and 64-bit boundaries, and runs through both of the interpreter's
+// dispatch loops on edge values and fixed-seed random operands, where it
+// must give exactly what evalPureWide gives on the same operands. Per op
+// and width, one design computes `op a, b` in a function (exec in a
+// call), an entity (evalEntity), a straight-line process with a stable
+// wait and the testbench process that feeds one operand pair per
+// nanosecond (exec in a process, both), which also calls the function;
+// each result is driven onto its own signal, sampled at the end of every
+// nanosecond.
 TEST(RtOpsWordOps, DecodedOpsMatchWidePathInEveryLoop) {
   enum Shape { Bin, Cmp, Shift, Un, Ext, Trunc, Exts, Inss };
   struct Case {
@@ -709,10 +709,10 @@ TEST(RtOpsWordOps, DecodedOpsMatchWidePathInEveryLoop) {
         }
         EXPECT_EQ(Found, U == Tb ? Pairs.size() : 1u) << "@" << U->name();
         if (U == Comb) {
-          EXPECT_EQ(L.Class, ProcClass::PureComb);
+          EXPECT_TRUE(L.StableWait);
         }
         if (U == Tb) {
-          EXPECT_EQ(L.Class, ProcClass::General);
+          EXPECT_FALSE(L.StableWait);
         }
       }
 

@@ -15,7 +15,6 @@
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
-#include "sim/EventLoop.h"
 #include "sim/Interp.h"
 #include "sim/Wave.h"
 

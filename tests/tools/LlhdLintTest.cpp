@@ -23,6 +23,37 @@ namespace {
 const std::string Examples = std::string(LLHD_SOURCE_DIR) + "/examples/";
 const std::string MultiDrive = Examples + "lint/multi-drive.llhd";
 
+/// A process ending in `ret`, which only a function may hold.
+const char *RetInProcessSrc = R"(
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+entry:
+  ret
+}
+)";
+
+/// A function that probes a signal, which only processes and entities
+/// may do.
+const char *PrbInFunctionSrc = R"(
+entity @top () -> () {
+  %z = const i8 0
+  %s = sig i8 %z
+  inst @p (i8$ %s) -> ()
+}
+func @f (i8$ %s) i8 {
+entry:
+  %v = prb i8$ %s
+  ret i8 %v
+}
+proc @p (i8$ %s) -> () {
+entry:
+  %v = call i8 @f (i8$ %s)
+  halt
+}
+)";
+
 struct LintResult {
   int Exit = -1;
   std::string Out, Err;
@@ -98,6 +129,20 @@ TEST_F(LlhdLintTest, ExitCodes) {
   EXPECT_EQ(Missing.Exit, 66);
   EXPECT_EQ(Missing.Err,
             "llhd-lint: cannot open '" + path("missing.llhd") + "'\n");
+}
+
+// Input the IR verifier rejects is a frontend error (exit 65) with the
+// verifier's message.
+TEST_F(LlhdLintTest, UnverifiableInputIsFrontendError) {
+  LintResult Ret = lint(write("ret.llhd", RetInProcessSrc));
+  EXPECT_EQ(Ret.Exit, 65) << Ret.Err;
+  EXPECT_EQ(Ret.Err, "llhd-lint: @p: 'ret' not allowed in this unit kind in "
+                     "'ret'\n");
+  LintResult Prb = lint(write("prb.llhd", PrbInFunctionSrc));
+  EXPECT_EQ(Prb.Exit, 65) << Prb.Err;
+  EXPECT_NE(Prb.Err.find("llhd-lint: @f: 'prb' not allowed in this unit kind"),
+            std::string::npos)
+      << Prb.Err;
 }
 
 TEST_F(LlhdLintTest, LanguageFlagsOverrideExtension) {

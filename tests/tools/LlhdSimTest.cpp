@@ -37,6 +37,37 @@ entry:
 }
 )";
 
+/// A process ending in `ret`, which only a function may hold.
+const char *RetInProcessSrc = R"(
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+entry:
+  ret
+}
+)";
+
+/// A function that probes a signal, which only processes and entities
+/// may do.
+const char *PrbInFunctionSrc = R"(
+entity @top () -> () {
+  %z = const i8 0
+  %s = sig i8 %z
+  inst @p (i8$ %s) -> ()
+}
+func @f (i8$ %s) i8 {
+entry:
+  %v = prb i8$ %s
+  ret i8 %v
+}
+proc @p (i8$ %s) -> () {
+entry:
+  %v = call i8 @f (i8$ %s)
+  halt
+}
+)";
+
 struct SimResult {
   int Exit = -1;
   std::string Out, Err;
@@ -209,6 +240,35 @@ TEST_F(LlhdSimTest, BatchOfOneMatchesPlainRun) {
   ASSERT_EQ(P.size(), 1u) << Plain.Err;
   ASSERT_EQ(B.size(), 1u) << Batch.Err;
   EXPECT_EQ(P[0], B[0]);
+}
+
+// Input the IR verifier rejects is a frontend error (exit 65) with the
+// verifier's message, never something to simulate.
+TEST_F(LlhdSimTest, UnverifiableInputIsFrontendError) {
+  SimResult Ret = sim(write("ret.llhd", RetInProcessSrc));
+  EXPECT_EQ(Ret.Exit, 65) << Ret.Err;
+  EXPECT_NE(Ret.Err.find("llhd-sim: @p: 'ret' not allowed in this unit kind"),
+            std::string::npos)
+      << Ret.Err;
+  SimResult Prb = sim(write("prb.llhd", PrbInFunctionSrc));
+  EXPECT_EQ(Prb.Exit, 65) << Prb.Err;
+  EXPECT_NE(Prb.Err.find("llhd-sim: @f: 'prb' not allowed in this unit kind"),
+            std::string::npos)
+      << Prb.Err;
+}
+
+// An empty image is a resume request that fails like a truncated one:
+// exit 84, and the VCD it would have appended to keeps its bytes.
+TEST_F(LlhdSimTest, EmptyResumeImageIsRejected) {
+  std::string Vcd = path("a.vcd");
+  const std::string Base = Examples + "counter.llhd --until=5ns --vcd=" + Vcd;
+  ASSERT_EQ(sim(Base).Exit, 0);
+  std::string Before = slurp(Vcd);
+  ASSERT_FALSE(Before.empty());
+  SimResult R = sim(Base + " --resume=" + write("empty.ckpt", ""));
+  EXPECT_EQ(R.Exit, 84) << R.Err;
+  EXPECT_NE(R.Err.find("cannot resume: "), std::string::npos) << R.Err;
+  EXPECT_EQ(slurp(Vcd), Before);
 }
 
 // Budget stop + checkpoint, then resume with a doubled budget appending to

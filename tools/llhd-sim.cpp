@@ -468,7 +468,8 @@ int main(int Argc, char **Argv) {
             "--resume\n");
     return exitFor(ExitCode::Usage);
   }
-  if (!Cfg.ResumePath.empty() && !readFile(Cfg.ResumePath, BO.Resume)) {
+  if (!Cfg.ResumePath.empty() &&
+      !readFile(Cfg.ResumePath, BO.Resume.emplace())) {
     fprintf(stderr, "llhd-sim: cannot read checkpoint '%s'\n",
             Cfg.ResumePath.c_str());
     return exitFor(ExitCode::IoError);
@@ -613,9 +614,8 @@ int main(int Argc, char **Argv) {
     if (Cfg.DiffEngines) {
       Vcd = &Captured;
     } else if (!BO.VcdPath.empty()) {
-      VcdOut.open(BO.VcdPath, BO.Resume.empty()
-                                  ? std::ios::binary
-                                  : std::ios::binary | std::ios::app);
+      VcdOut.open(BO.VcdPath, BO.Resume ? std::ios::binary | std::ios::app
+                                        : std::ios::binary);
       if (!VcdOut) {
         fprintf(stderr, "llhd-sim: cannot write '%s'\n",
                 BO.VcdPath.c_str());
