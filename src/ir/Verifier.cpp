@@ -38,8 +38,8 @@ public:
     }
     checkBlocks();
     // Definitions must dominate uses; the shared dominator analysis
-    // (analysis/Dominators.h) answers the queries. Unreachable blocks are
-    // dominated by nothing, matching the old private bitset computation.
+    // (analysis/Dominators.h) answers the queries. As in LLVM, a use in an
+    // unreachable block never runs, so every definition dominates it.
     DT.emplace(const_cast<Unit &>(U));
     for (const BasicBlock *BB : U.blocks())
       for (const Instruction *I : BB->insts())
@@ -103,7 +103,7 @@ private:
   //===------------------------------------------------------------------===//
 
   bool dominates(const BasicBlock *A, const BasicBlock *B) const {
-    return DT && DT->isReachable(B) && DT->dominates(A, B);
+    return DT && (!DT->isReachable(B) || DT->dominates(A, B));
   }
 
   /// True if def at \p Def is visible at use site (\p UseInst, operand to a

@@ -1025,6 +1025,18 @@ private:
 
 } // namespace
 
+/// Erases the empty blocks codegen opens as the insertion point after a
+/// statement that leaves (`break`, an `if` whose arms both leave): no
+/// branch targets them, and the verifier rejects an empty block.
+static void eraseEmptyBlocks(Unit &U) {
+  std::vector<BasicBlock *> Dead;
+  for (BasicBlock *BB : U.blocks())
+    if (BB->empty() && !BB->hasUses())
+      Dead.push_back(BB);
+  for (BasicBlock *BB : Dead)
+    U.eraseBlock(BB);
+}
+
 //===----------------------------------------------------------------------===//
 // Read/write scanning
 //===----------------------------------------------------------------------===//
@@ -1204,6 +1216,7 @@ bool Elaborator::genProcess(const ProcBlock &PB, const std::string &PName,
   }
   if (CG.failed())
     return false;
+  eraseEmptyBlocks(*P);
 
   std::vector<Value *> Ins, Outs;
   for (Argument *A : P->inputs())
@@ -1351,6 +1364,7 @@ Elaborator::elaborateModule(const ModuleDecl &MD,
     CG.B.ret(CG.B.ld(CG.RetSlot));
     if (CG.failed())
       return "";
+    eraseEmptyBlocks(*FU);
   }
 
   // Continuous assigns become one combinational process each.

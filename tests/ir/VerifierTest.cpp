@@ -112,6 +112,35 @@ TEST_F(VerifierTest, UseBeforeDefRejected) {
   EXPECT_TRUE(hasError("does not dominate"));
 }
 
+// A use in an unreachable block never runs, so any definition dominates
+// it (as in LLVM); a definition in an unreachable block still dominates
+// no reachable use.
+TEST_F(VerifierTest, UnreachableUsesAreDominated) {
+  Unit *F = M.createFunction("f");
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Dead = F->createBlock("dead");
+  IRBuilder B(Entry);
+  Instruction *C = B.constInt(32, 1);
+  B.ret();
+  IRBuilder BD(Dead);
+  BD.add(C, C);
+  BD.ret();
+  EXPECT_TRUE(verify()) << (Errors.empty() ? "" : Errors[0]);
+
+  Unit *G = M.createFunction("g");
+  BasicBlock *GEntry = G->createBlock("entry");
+  BasicBlock *GDead = G->createBlock("dead");
+  IRBuilder GD(GDead);
+  Instruction *D = GD.constInt(32, 2);
+  GD.ret();
+  IRBuilder GB(GEntry);
+  GB.add(D, D);
+  GB.ret();
+  EXPECT_FALSE(verify());
+  EXPECT_TRUE(hasError("@g: operand"));
+  EXPECT_FALSE(hasError("@f: "));
+}
+
 TEST_F(VerifierTest, DominanceAcrossDiamond) {
   Unit *F = M.createFunction("f");
   BasicBlock *Entry = F->createBlock("entry");

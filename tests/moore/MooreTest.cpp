@@ -252,6 +252,40 @@ endmodule
   EXPECT_EQ(St.AssertFailures, 0u);
 }
 
+// `break` leaves the codegen in a block nothing branches to: an empty one
+// is erased, and code after a `case` whose arms all leave sits in an
+// unreachable block that reads the entry's variables. Both verify and
+// simulate.
+TEST_F(MooreTest, BreakAndDeadCode) {
+  const char *Src = R"(
+module brk_tb;
+  bit [7:0] x, y;
+  initial begin
+    bit [7:0] i;
+    i = 0;
+    forever begin
+      if (i == 8'd3) break;
+      i = i + 8'd1;
+    end
+    x = i;
+    forever begin
+      case (i)
+        8'd3: break;
+        default: break;
+      endcase
+      i = i + 8'd1;
+    end
+    y = i + 8'd1;
+  end
+endmodule
+)";
+  std::string Top = compile(Src, "brk_tb");
+  ASSERT_FALSE(Top.empty());
+  simulate(Top);
+  EXPECT_EQ(signalValue("/x").intValue().zextToU64(), 3u);
+  EXPECT_EQ(signalValue("/y").intValue().zextToU64(), 4u);
+}
+
 TEST_F(MooreTest, ConcatSliceOps) {
   const char *Src = R"(
 module top;

@@ -54,6 +54,27 @@ entry:
 }
 )";
 
+/// A process with a block no branch reaches, whose code uses values the
+/// entry defines: dead code to warn about, not a verifier error.
+const char *DeadCodeSrc = R"(
+entity @top () -> () {
+  %z = const i8 0
+  %s = sig i8 %z
+  inst @p (i8$ %s) -> ()
+}
+proc @p (i8$ %s) -> () {
+entry:
+  %v = prb i8$ %s
+  %t = const time 1ns
+  drv i8$ %s, %v after %t
+  halt
+dead:
+  %w = add i8 %v, %v
+  drv i8$ %s, %w after %t
+  halt
+}
+)";
+
 struct LintResult {
   int Exit = -1;
   std::string Out, Err;
@@ -143,6 +164,16 @@ TEST_F(LlhdLintTest, UnverifiableInputIsFrontendError) {
   EXPECT_NE(Prb.Err.find("llhd-lint: @f: 'prb' not allowed in this unit kind"),
             std::string::npos)
       << Prb.Err;
+}
+
+// Dead code that uses live values verifies: the lint warns about the
+// block and exits 0.
+TEST_F(LlhdLintTest, DeadCodeUsingLiveValuesIsAWarning) {
+  LintResult R = lint(write("dead.llhd", DeadCodeSrc));
+  EXPECT_EQ(R.Exit, 0) << R.Err;
+  EXPECT_NE(R.Err.find("warning: [unreachable] @p: block 'dead'"),
+            std::string::npos)
+      << R.Err;
 }
 
 TEST_F(LlhdLintTest, LanguageFlagsOverrideExtension) {

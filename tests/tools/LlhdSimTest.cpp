@@ -68,6 +68,27 @@ entry:
 }
 )";
 
+/// A process with a block no branch reaches, whose code uses values the
+/// entry defines: dead code to warn about, not a verifier error.
+const char *DeadCodeSrc = R"(
+entity @top () -> () {
+  %z = const i8 0
+  %s = sig i8 %z
+  inst @p (i8$ %s) -> ()
+}
+proc @p (i8$ %s) -> () {
+entry:
+  %v = prb i8$ %s
+  %t = const time 1ns
+  drv i8$ %s, %v after %t
+  halt
+dead:
+  %w = add i8 %v, %v
+  drv i8$ %s, %w after %t
+  halt
+}
+)";
+
 struct SimResult {
   int Exit = -1;
   std::string Out, Err;
@@ -255,6 +276,29 @@ TEST_F(LlhdSimTest, UnverifiableInputIsFrontendError) {
   EXPECT_NE(Prb.Err.find("llhd-sim: @f: 'prb' not allowed in this unit kind"),
             std::string::npos)
       << Prb.Err;
+}
+
+// Dead code that uses live values verifies and simulates, in .llhd and
+// in SystemVerilog (a loop left by `if (...) break;`).
+TEST_F(LlhdSimTest, DeadCodeUsingLiveValuesSimulates) {
+  SimResult R = sim(write("dead.llhd", DeadCodeSrc));
+  EXPECT_EQ(R.Exit, 0) << R.Err;
+  SimResult Sv = sim(write("brk.sv", R"(
+module brk_tb;
+  bit [7:0] x;
+  initial begin
+    bit [7:0] i;
+    i = 0;
+    forever begin
+      if (i == 8'd3) break;
+      i = i + 8'd1;
+    end
+    x = i;
+    assert(x == 8'd3);
+  end
+endmodule
+)"));
+  EXPECT_EQ(Sv.Exit, 0) << Sv.Err;
 }
 
 // An empty image is a resume request that fails like a truncated one:
