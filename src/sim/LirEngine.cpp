@@ -39,7 +39,9 @@ int32_t jumpTarget(const LirOp &Op, const uint64_t *W, const RtValue *F) {
 }
 
 /// Sorts and dedups a wake list; most lists hold at most one unit.
-void sortUnique(std::vector<uint32_t> &V) {
+/// `inline` gets the size check inlined into the event loop, which
+/// calls it twice per time step.
+inline void sortUnique(std::vector<uint32_t> &V) {
   if (V.size() < 2)
     return;
   std::sort(V.begin(), V.end());
