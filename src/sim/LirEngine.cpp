@@ -473,8 +473,7 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
 SimStats LirEngine::run() {
   // The design is shared immutable state (batch instances run it
   // concurrently); everything this loop mutates lives in the run's
-  // SimState and in Procs/Ents. Local references, unlike the member
-  // ones, stay in registers across the loop's calls.
+  // SimState and in Procs/Ents.
   Scheduler &Sched = St.Sched;
   Trace &Tr = St.Tr;
   Time &Now = St.Now;
