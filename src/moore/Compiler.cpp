@@ -1025,16 +1025,13 @@ private:
 
 } // namespace
 
-/// Erases the empty blocks codegen opens as the insertion point after a
-/// statement that leaves (`break`, an `if` whose arms both leave): no
-/// branch targets them, and the verifier rejects an empty block.
+/// Erases the empty blocks codegen leaves behind a `break`: nothing
+/// branches to them, and the verifier rejects an empty block.
 static void eraseEmptyBlocks(Unit &U) {
-  std::vector<BasicBlock *> Dead;
-  for (BasicBlock *BB : U.blocks())
+  std::vector<BasicBlock *> Blocks = U.blocks();
+  for (BasicBlock *BB : Blocks)
     if (BB->empty() && !BB->hasUses())
-      Dead.push_back(BB);
-  for (BasicBlock *BB : Dead)
-    U.eraseBlock(BB);
+      U.eraseBlock(BB);
 }
 
 //===----------------------------------------------------------------------===//

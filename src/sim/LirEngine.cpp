@@ -39,8 +39,6 @@ int32_t jumpTarget(const LirOp &Op, const uint64_t *W, const RtValue *F) {
 }
 
 /// Sorts and dedups a wake list; most lists hold at most one unit.
-/// `inline` gets the size check inlined into the event loop, which
-/// calls it twice per time step.
 inline void sortUnique(std::vector<uint32_t> &V) {
   if (V.size() < 2)
     return;
@@ -164,9 +162,10 @@ void LirEngine::runProcessNative(uint32_t PI) {
 // is forced into: left out of line, the call cost every activation ~5%
 // of suite-interp-vcd's cycles_per_s.
 template <bool InFn>
-[[gnu::always_inline]] inline int32_t LirEngine::exec(const LirUnit &L, int32_t Pc, uint64_t *W, RtValue *F,
-                        const SignalId *WS, const void *Tag,
-                        std::vector<RtValue> &Mem) {
+[[gnu::always_inline]] inline int32_t
+LirEngine::exec(const LirUnit &L, int32_t Pc, uint64_t *W, RtValue *F,
+                const SignalId *WS, const void *Tag,
+                std::vector<RtValue> &Mem) {
   const LirOp *Ops = L.Ops.data();
   uint64_t Fuel = MaxBackwardJumps;
   for (;;) {
