@@ -17,9 +17,10 @@
 // with the library (see calibrationRun): a change to the engines moves
 // the numbers the gate reads, a change of host speed mostly does not.
 // The gate also compares each design's exact work counts (the engines'
-// steps, process runs, entity evaluations and drives, the static LIR op
-// count and the generated C++'s size) with the committed ones, and they
-// must be equal: they do not depend on the machine, so any difference
+// steps, process runs, entity evaluations and drives, each engine's
+// static LIR op count, Blaze's native and interpreted process instances
+// and the generated C++'s size) with the committed ones, and they must
+// be equal: they do not depend on the machine, so any difference
 // is a change of what the engines compute. --counts-only gates on the
 // counts alone, a deterministic check.
 //
@@ -53,19 +54,32 @@ namespace {
 
 /// The exact work counts of one design, in their BENCH_sim.json order:
 /// each engine's SimStats work (Blaze's prefixed "blaze_"), the static
-/// op count of the interpreter's lowering and the size of Blaze's
-/// generated C++ (jit.source_bytes in perfbench).
+/// op count of each engine's lowering, Blaze's process instances bound
+/// to native code and interpreted (a process that stops compiling moves
+/// from one to the other), and the size of Blaze's generated C++
+/// (jit.source_bytes in perfbench).
 const char *const CountNames[] = {
     "steps", "process_runs", "entity_evals", "drives", "word_drives",
     "blaze_steps", "blaze_process_runs", "blaze_entity_evals",
-    "blaze_drives", "blaze_word_drives", "lir_ops", "jit_source_bytes"};
+    "blaze_drives", "blaze_word_drives", "lir_ops", "blaze_lir_ops",
+    "native_procs", "interp_procs", "jit_source_bytes"};
 using Counts = std::array<uint64_t, std::size(CountNames)>;
 
 Counts countsOf(const SimStats &Int, const SimStats &Jit, uint64_t LirOps,
-                uint64_t SourceBytes) {
+                uint64_t BlazeLirOps, const BlazeSim &B) {
   return {Int.Steps, Int.ProcessRuns, Int.EntityEvals, Int.DrivesScheduled,
           Int.WordDrives, Jit.Steps, Jit.ProcessRuns, Jit.EntityEvals,
-          Jit.DrivesScheduled, Jit.WordDrives, LirOps, SourceBytes};
+          Jit.DrivesScheduled, Jit.WordDrives, LirOps, BlazeLirOps,
+          B.jitStats().NativeProcs, B.jitStats().InterpProcs,
+          B.jitSource().size()};
+}
+
+/// The static op count of \p P's lowering.
+uint64_t lirOps(const LirProgram &P) {
+  uint64_t N = 0;
+  P.Cache.forEach(
+      [&](const Unit *, const LirUnit &L) { N += L.Ops.size(); });
+  return N;
 }
 
 /// One design's measurements for the machine-readable dump.
@@ -420,12 +434,14 @@ int main(int argc, char **argv) {
       BestCal = std::min(BestCal, nsPerCycleOf(T, D.Iterations) / CalNs);
     };
     double CompileMs = 0;
-    // The static op count of the interpreter's lowering.
-    uint64_t LirOps = 0;
-    LirProgram::build(elaborate(M1, R1.TopUnit))
-        ->Cache.forEach([&](const Unit *, const LirUnit &L) {
-          LirOps += L.Ops.size();
-        });
+    // The static op count of each engine's lowering: the interpreter's
+    // of the module as written, Blaze's of its optimised clone.
+    uint64_t LirOps = lirOps(*LirProgram::build(elaborate(M1, R1.TopUnit)));
+    BlazeSim::BlazeOptions Lowered;
+    Lowered.Jit.M = jit::JitOptions::Mode::Off;
+    std::string Err;
+    auto BlazeProg = BlazeSim::buildProgram(M2, R2.TopUnit, Lowered, Err);
+    uint64_t BlazeLirOps = BlazeProg ? lirOps(*BlazeProg) : 0;
     SimStats S1, S2;
     std::unique_ptr<InterpSim> Int;
     std::unique_ptr<BlazeSim> Jit;
@@ -499,7 +515,7 @@ int main(int argc, char **argv) {
              D.Key.c_str());
     Rows.push_back({D.PaperName, D.Iterations, TInt, TJit, IntCal, JitCal,
                     CompileMs, Match, TBatchSeq, TBatchPool,
-                    countsOf(S1, S2, LirOps, Jit->jitSource().size())});
+                    countsOf(S1, S2, LirOps, BlazeLirOps, *Jit)});
 
     printf("%-16s %5u %10llu %12.3f %12.3f %9.1f %8.1f%s\n",
            D.PaperName.c_str(), locOf(D.Source),

@@ -1,7 +1,7 @@
 //===- jit/Codegen.cpp - LIR to C++ translation ---------------------------===//
 //
-// Planning decides, per process, whether every op fits the two-state
-// width <= 64 lane model, the ops of every function it calls included;
+// Planning decides, per process, whether every op runs over the LIR word
+// file (sim/Lir.h), the ops of every function it calls included;
 // emission then prints one C++ function per surviving process, preceded
 // by a static function per callee. Numeric semantics: jit/Prelude.h.
 //
@@ -33,56 +33,6 @@ void f(std::string &S, const char *Fmt, ...) {
   S += Buf;
 }
 
-/// The storage classes the lane model distinguishes.
-enum class SlotCls : uint8_t {
-  Int,      ///< Two-state integer/enum, width <= 64: one lane.
-  IntArray, ///< Flat array of such ints: one lane per element.
-  Sig,      ///< Signal reference: no lanes, bound per instance.
-  TimeTy,   ///< Time: no lanes, must be a constant consumed by a site.
-  Other,    ///< Everything the lane model cannot hold.
-};
-
-SlotCls classify(Type *T, unsigned &W, uint32_t &N) {
-  W = 0;
-  N = 0;
-  if (!T)
-    return SlotCls::Other;
-  if (T->isInt() || T->isEnum()) {
-    W = T->bitWidth();
-    return W <= 64 ? SlotCls::Int : SlotCls::Other;
-  }
-  if (T->isArray()) {
-    auto *AT = cast<ArrayType>(T);
-    Type *E = AT->element();
-    if (!(E->isInt() || E->isEnum()) || E->bitWidth() > 64)
-      return SlotCls::Other;
-    W = E->bitWidth();
-    N = AT->length();
-    return SlotCls::IntArray;
-  }
-  if (T->isSignal())
-    return SlotCls::Sig;
-  if (T->isTime())
-    return SlotCls::TimeTy;
-  return SlotCls::Other;
-}
-
-/// A plan for \p L with every slot unassigned.
-UnitPlan freshPlan(const LirUnit &L) {
-  UnitPlan P;
-  P.L = &L;
-  P.LaneOf.assign(L.NumSlots, -1);
-  P.LanesOf.assign(L.NumSlots, 0);
-  return P;
-}
-
-/// True when a value of type \p T fits one lane.
-bool laneScalar(Type *T) {
-  unsigned W;
-  uint32_t N;
-  return classify(T, W, N) == SlotCls::Int;
-}
-
 struct Planner {
   const LirUnit &L;
   UnitPlan &P;
@@ -92,9 +42,7 @@ struct Planner {
   /// Functions being planned, outermost first (recursion detection).
   std::vector<const LirUnit *> &Active;
   bool Fn; ///< Function mode: P plans a callee.
-  std::vector<uint8_t> Written;      ///< Slot is some op's Dst.
-  std::vector<int32_t> VarIdxOfSlot; ///< Pointer slot -> var index.
-  std::vector<uint32_t> VarLanes;    ///< Var index -> lane count.
+  std::vector<uint8_t> Written; ///< Slot is some op's Dst.
   /// Defined functions this unit calls, in first-call order; planned
   /// after the unit's own ops, so its intrinsic sites stay contiguous.
   std::vector<const LirUnit *> Callees;
@@ -109,54 +57,41 @@ struct Planner {
     return false;
   }
 
-  SlotCls cls(int32_t Slot, unsigned &W, uint32_t &N) const {
-    return classify(L.Slots[Slot].Ty, W, N);
+  bool isArray(int32_t Slot) const {
+    return !L.Slots[Slot].Word && L.Slots[Slot].Len;
   }
 
-  /// Assigns lanes to a slot that must hold lane-representable data.
-  bool laneify(int32_t Slot) {
-    if (P.LaneOf[Slot] >= 0)
-      return true;
-    unsigned W;
-    uint32_t N;
-    switch (cls(Slot, W, N)) {
-    case SlotCls::Int:
-      P.LaneOf[Slot] = P.NumLanes;
-      P.LanesOf[Slot] = 1;
-      P.NumLanes += 1;
-      return true;
-    case SlotCls::IntArray:
-      P.LaneOf[Slot] = P.NumLanes;
-      P.LanesOf[Slot] = N;
-      P.NumLanes += N;
-      return true;
-    default:
+  /// A slot the word file holds: a word slot or a word array.
+  bool words(int32_t Slot) {
+    if (!L.Slots[Slot].Len)
       return deopt("slot v" + std::to_string(Slot) +
                    " has a type outside the two-state <=64-bit model");
-    }
+    return true;
   }
 
+  /// A word slot of width \p W.
   bool scalar(int32_t Slot, unsigned &W) {
-    uint32_t N;
-    if (cls(Slot, W, N) != SlotCls::Int)
+    W = L.Slots[Slot].Width;
+    if (!L.Slots[Slot].Word)
       return deopt("slot v" + std::to_string(Slot) +
                    " is not a two-state <=64-bit integer");
-    return laneify(Slot);
+    return true;
   }
 
+  /// A word array of \p N elements of width \p W.
   bool array(int32_t Slot, unsigned &W, uint32_t &N) {
-    if (cls(Slot, W, N) != SlotCls::IntArray)
+    W = L.Slots[Slot].Width;
+    N = L.Slots[Slot].Len;
+    if (!isArray(Slot))
       return deopt("slot v" + std::to_string(Slot) +
                    " is not a flat array of <=64-bit integers");
-    return laneify(Slot);
+    return true;
   }
 
   /// A signal slot usable by a bind-time site: its reference must be
   /// the preloaded binding, i.e. nothing in the unit may overwrite it.
   bool staticSignal(int32_t Slot) {
-    unsigned W;
-    uint32_t N;
-    if (cls(Slot, W, N) != SlotCls::Sig)
+    if (!L.Slots[Slot].Ty || !L.Slots[Slot].Ty->isSignal())
       return deopt("operand v" + std::to_string(Slot) + " is not a signal");
     if (Written[Slot])
       return deopt("signal slot v" + std::to_string(Slot) +
@@ -241,34 +176,23 @@ bool Planner::planPure(const LirOp &Op) {
     return true;
   }
   case Opcode::Extf:
-    if (cls(Ops[0], Wa, Na) != SlotCls::IntArray)
+    if (!isArray(Ops[0]))
       return deopt("extf on a non-array value");
     return array(Ops[0], Wa, Na) && scalar(Op.Dst, Wd);
   case Opcode::Exts:
-    switch (cls(Ops[0], Wa, Na)) {
-    case SlotCls::Int:
-      return scalar(Ops[0], Wa) && scalar(Op.Dst, Wd);
-    case SlotCls::IntArray:
+    if (isArray(Ops[0]))
       return array(Ops[0], Wa, Na) && array(Op.Dst, Wd, Nd);
-    default:
-      return deopt("exts on an unsupported value");
-    }
+    return scalar(Ops[0], Wa) && scalar(Op.Dst, Wd);
   case Opcode::Insf:
-    if (cls(Ops[0], Wa, Na) != SlotCls::IntArray)
+    if (!isArray(Ops[0]))
       return deopt("insf on a non-array value");
     return array(Ops[0], Wa, Na) && scalar(Ops[1], Wb) &&
            array(Op.Dst, Wd, Nd);
   case Opcode::Inss:
-    switch (cls(Ops[0], Wa, Na)) {
-    case SlotCls::Int:
-      return scalar(Ops[0], Wa) && scalar(Ops[1], Wb) &&
-             scalar(Op.Dst, Wd);
-    case SlotCls::IntArray:
+    if (isArray(Ops[0]))
       return array(Ops[0], Wa, Na) && array(Ops[1], Wb, Nb) &&
              array(Op.Dst, Wd, Nd);
-    default:
-      return deopt("inss on an unsupported value");
-    }
+    return scalar(Ops[0], Wa) && scalar(Ops[1], Wb) && scalar(Op.Dst, Wd);
   default:
     return deopt(std::string("unsupported pure op '") +
                  opcodeName(Op.IrOp) + "'");
@@ -301,11 +225,11 @@ bool Planner::planCall(uint32_t Pc, const LirOp &Op) {
   if (std::find(Active.begin(), Active.end(), CL) != Active.end())
     return deopt("recursive call to function " + Name);
   for (Argument *A : Callee->inputs())
-    if (!laneScalar(A->type()))
+    if (!isWordType(A->type()))
       return deopt("call to function " + Name +
                    " with an argument outside the two-state <=64-bit "
                    "integer model");
-  if (!Callee->returnType()->isVoid() && !laneScalar(Callee->returnType()))
+  if (!Callee->returnType()->isVoid() && !isWordType(Callee->returnType()))
     return deopt("call to function " + Name +
                  " with a result outside the two-state <=64-bit "
                  "integer model");
@@ -325,7 +249,8 @@ bool Planner::planFn(const LirUnit &CL) {
   for (const UnitPlan &FP : Root.Fns)
     if (FP.L == &CL)
       return true;
-  UnitPlan FP = freshPlan(CL);
+  UnitPlan FP;
+  FP.L = &CL;
   Active.push_back(&CL);
   Planner Pl(CL, FP, Root, Active, /*Fn=*/true);
   bool Ok = Pl.run();
@@ -346,9 +271,8 @@ bool Planner::planFn(const LirUnit &CL) {
 bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
   unsigned W;
-  uint32_t N;
-  // The planner reads what each op does; which file holds its operands
-  // does not matter to the lane model.
+  // The planner reads what each op does; native code runs every op over
+  // the word file, whichever form the interpreter runs.
   LirOpc C = baseOpc(Op.C);
   // A function has no signals and never suspends: its only side
   // effects are intrinsic calls.
@@ -359,7 +283,7 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   case LirOpc::Pure:
     return planPure(Op);
   case LirOpc::Prb:
-    if (!staticSignal(Op.A) || !laneify(Op.Dst))
+    if (!staticSignal(Op.A) || !words(Op.Dst))
       return false;
     P.Prbs.push_back({Pc, Op.A});
     return true;
@@ -373,20 +297,9 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
     D.SigSlot = Op.A;
     D.DelaySlot = Op.Cc;
     D.Origin = Op.Origin;
-    switch (cls(Op.B, W, N)) {
-    case SlotCls::Int:
-      D.Width = W;
-      D.NumElems = 0;
-      break;
-    case SlotCls::IntArray:
-      D.Width = W;
-      D.NumElems = N;
-      break;
-    default:
-      return deopt("drive value v" + std::to_string(Op.B) +
-                   " outside the lane model");
-    }
-    if (!laneify(Op.B))
+    D.Width = L.Slots[Op.B].Width;
+    D.NumElems = isArray(Op.B) ? L.Slots[Op.B].Len : 0;
+    if (!words(Op.B))
       return false;
     P.Drvs.push_back(D);
     return true;
@@ -413,44 +326,20 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
     return true;
   case LirOpc::CondJmp:
     return scalar(Op.A, W);
-  case LirOpc::Copy: {
-    unsigned Wa, Wd;
-    uint32_t Na, Nd;
-    SlotCls Ca = cls(Op.A, Wa, Na), Cd = cls(Op.Dst, Wd, Nd);
-    if (Ca != Cd || Wa != Wd || Na != Nd ||
-        (Ca != SlotCls::Int && Ca != SlotCls::IntArray))
-      return deopt("copy of a value outside the lane model");
-    return laneify(Op.A) && laneify(Op.Dst);
-  }
-  case LirOpc::Var: {
-    int32_t VI = VarIdxOfSlot[Op.Dst];
-    if (!laneify(Op.A))
-      return false;
-    if (P.CellLane[VI] < 0) {
-      P.CellLane[VI] = P.NumLanes;
-      VarLanes[VI] = P.LanesOf[Op.A];
-      P.NumLanes += P.LanesOf[Op.A];
-    }
-    return true;
-  }
-  case LirOpc::Ld: {
-    int32_t VI = Op.A < (int32_t)L.NumSlots ? VarIdxOfSlot[Op.A] : -1;
-    if (VI < 0 || P.CellLane[VI] < 0)
-      return deopt("load through a pointer with no unique var cell");
-    if (!laneify(Op.Dst))
-      return false;
-    if (P.LanesOf[Op.Dst] != VarLanes[VI])
-      return deopt("load width differs from its var cell");
-    return true;
-  }
+  case LirOpc::Copy:
+  case LirOpc::Var:
+  case LirOpc::Ld:
   case LirOpc::St: {
-    int32_t VI = Op.A < (int32_t)L.NumSlots ? VarIdxOfSlot[Op.A] : -1;
-    if (VI < 0 || P.CellLane[VI] < 0)
-      return deopt("store through a pointer with no unique var cell");
-    if (!laneify(Op.B))
-      return false;
-    if (P.LanesOf[Op.B] != VarLanes[VI])
-      return deopt("store width differs from its var cell");
+    // A copy between two slots, or a fixed var cell (Imm) and a slot, of
+    // one layout.
+    if (Op.C == LirOpc::VarM || Op.C == LirOpc::LdM || Op.C == LirOpc::StM)
+      return deopt("var cell reached through an escaping pointer");
+    int32_t D = C == LirOpc::Copy || C == LirOpc::Ld ? Op.Dst : Op.Imm;
+    int32_t S = C == LirOpc::Ld ? Op.Imm : C == LirOpc::St ? Op.B : Op.A;
+    const LirSlot &Sd = L.Slots[D], &Ss = L.Slots[S];
+    if (!words(S) || Sd.Len != Ss.Len || Sd.Word != Ss.Word ||
+        Sd.Width != Ss.Width)
+      return deopt("copy of a value outside the word file");
     return true;
   }
   case LirOpc::Call:
@@ -468,18 +357,11 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
 
 bool Planner::run() {
   Written.assign(L.NumSlots, 0);
-  VarIdxOfSlot.assign(L.NumSlots, -1);
-  uint32_t NumVars = 0;
-  for (const LirOp &Op : L.Ops) {
+  for (const LirOp &Op : L.Ops)
     if (Op.Dst >= 0)
       Written[Op.Dst] = 1;
-    if (baseOpc(Op.C) == LirOpc::Var)
-      VarIdxOfSlot[Op.Dst] = NumVars++;
-  }
-  P.CellLane.assign(NumVars, -1);
-  VarLanes.assign(NumVars, 0);
 
-  // A function's arguments arrive in lanes.
+  // A function's arguments arrive in words.
   unsigned W;
   if (Fn)
     for (Argument *A : L.U->inputs())
@@ -492,10 +374,6 @@ bool Planner::run() {
   for (const LirUnit *CL : Callees)
     if (!planFn(*CL))
       return false;
-
-  for (const auto &[Slot, V] : L.ConstWords)
-    if (P.LaneOf[Slot] >= 0)
-      P.ConstLanes.push_back({(uint32_t)P.LaneOf[Slot], V});
   return true;
 }
 
@@ -508,7 +386,8 @@ UnitPlan jit::planUnit(const LirUnit &L) {
     P.DeoptReason = "not a process";
     return P;
   }
-  UnitPlan P = freshPlan(L);
+  UnitPlan P;
+  P.L = &L;
   std::vector<const LirUnit *> Active;
   Planner Pl(L, P, P, Active, /*Fn=*/false);
   P.Native = Pl.run();
@@ -540,46 +419,26 @@ struct Emitter {
   /// a process, the zero result from a function.
   const char *Starved;
   std::string S;
-  std::vector<int32_t> VarIdx; ///< Pointer slot -> var index.
   size_t PrbI = 0, DrvI = 0, CallI = 0, WaitI = 0;
 
-  void buildVarMap() {
-    VarIdx.assign(L.NumSlots, -1);
-    int32_t N = 0;
-    for (const LirOp &Op : L.Ops)
-      if (baseOpc(Op.C) == LirOpc::Var)
-        VarIdx[Op.Dst] = N++;
-  }
-
+  /// Slot or cell \p Slot in the word file: a word slot's word, a word
+  /// array's first word.
   std::string sl(int32_t Slot) const {
-    return "s[" + std::to_string(P.LaneOf[Slot]) + "]";
+    return "s[" + std::to_string(Slot) + "]";
   }
-  int32_t la(int32_t Slot) const { return P.LaneOf[Slot]; }
-  unsigned wOf(int32_t Slot) const {
-    unsigned W;
-    uint32_t N;
-    classify(L.Slots[Slot].Ty, W, N);
-    return W;
-  }
-  uint32_t nOf(int32_t Slot) const {
-    unsigned W;
-    uint32_t N;
-    classify(L.Slots[Slot].Ty, W, N);
-    return N;
-  }
-  bool isArraySlot(int32_t Slot) const {
-    return P.LanesOf[Slot] > 1 ||
-           (L.Slots[Slot].Ty && L.Slots[Slot].Ty->isArray());
-  }
+  int32_t la(int32_t Slot) const { return L.Slots[Slot].Base; }
+  uint32_t len(int32_t Slot) const { return L.Slots[Slot].Len; }
+  unsigned wOf(int32_t Slot) const { return L.Slots[Slot].Width; }
+  bool isArraySlot(int32_t Slot) const { return !L.Slots[Slot].Word; }
 
-  void copyLanes(int32_t DstLane, int32_t SrcLane, uint32_t N) {
+  void copyWords(int32_t Dst, int32_t Src, uint32_t N) {
     if (N == 1) {
-      f(S, "  s[%d] = s[%d];\n", DstLane, SrcLane);
+      f(S, "  s[%d] = s[%d];\n", Dst, Src);
       return;
     }
     f(S, "  { for (unsigned j = 0; j != %uu; ++j) s[%d + j] = "
          "s[%d + j]; }\n",
-      N, DstLane, SrcLane);
+      N, Dst, Src);
   }
 
   /// Backward jumps carry the runaway guard (MaxBackwardJumps).
@@ -699,7 +558,7 @@ void Emitter::emitPure(const LirOp &Op) {
     f(S, "  %s = jm(%s, %uu);\n", D.c_str(), sl(Ops[0]).c_str(), W);
     break;
   case Opcode::Mux: {
-    uint32_t N = nOf(Ops[0]);
+    uint32_t N = len(Ops[0]);
     f(S, "  { u64 i = %s; if (i >= %uu) i = %uu; %s = s[%d + i]; }\n",
       sl(Ops[1]).c_str(), N, N - 1, D.c_str(), la(Ops[0]));
     break;
@@ -714,22 +573,20 @@ void Emitter::emitPure(const LirOp &Op) {
     break;
   case Opcode::Exts:
     if (isArraySlot(Ops[0]))
-      copyLanes(la(Op.Dst), la(Ops[0]) + (int32_t)Op.Imm,
-                P.LanesOf[Op.Dst]);
+      copyWords(la(Op.Dst), la(Ops[0]) + (int32_t)Op.Imm, len(Op.Dst));
     else
       f(S, "  %s = jm(%s >> %uu, %uu);\n", D.c_str(),
         sl(Ops[0]).c_str(), Op.Imm, W);
     break;
   case Opcode::Insf:
-    copyLanes(la(Op.Dst), la(Ops[0]), P.LanesOf[Op.Dst]);
+    copyWords(la(Op.Dst), la(Ops[0]), len(Op.Dst));
     f(S, "  s[%d] = %s;\n", la(Op.Dst) + (int32_t)Op.Imm,
       sl(Ops[1]).c_str());
     break;
   case Opcode::Inss:
     if (isArraySlot(Ops[0])) {
-      copyLanes(la(Op.Dst), la(Ops[0]), P.LanesOf[Op.Dst]);
-      copyLanes(la(Op.Dst) + (int32_t)Op.Imm, la(Ops[1]),
-                P.LanesOf[Ops[1]]);
+      copyWords(la(Op.Dst), la(Ops[0]), len(Op.Dst));
+      copyWords(la(Op.Dst) + (int32_t)Op.Imm, la(Ops[1]), len(Ops[1]));
     } else {
       unsigned SrcW = wOf(Ops[1]);
       if (SrcW == 0) {
@@ -756,7 +613,7 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
     assert(P.Prbs[PrbI].Pc == Pc);
     if (isArraySlot(Op.Dst))
       f(S, "  api->prb_arr(ctx, %zuu, s + %d, %uu);\n", PrbI,
-        la(Op.Dst), P.LanesOf[Op.Dst]);
+        la(Op.Dst), len(Op.Dst));
     else
       f(S, "  s[%d] = api->prb(ctx, %zuu);\n", la(Op.Dst), PrbI);
     ++PrbI;
@@ -800,18 +657,18 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
     jumpTo(Op.Jmp0, Pc);
     break;
   case LirOpc::Copy:
-    copyLanes(la(Op.Dst), la(Op.A), P.LanesOf[Op.Dst]);
+    copyWords(la(Op.Dst), la(Op.A), len(Op.Dst));
     break;
   case LirOpc::Var:
-    // The var's memory cell is a static lane range; executing the op
+    // The var's memory cell is a fixed word range; executing the op
     // (re)initialises it from the init value.
-    copyLanes(P.CellLane[VarIdx[Op.Dst]], la(Op.A), P.LanesOf[Op.A]);
+    copyWords(la(Op.Imm), la(Op.A), len(Op.A));
     break;
   case LirOpc::Ld:
-    copyLanes(la(Op.Dst), P.CellLane[VarIdx[Op.A]], P.LanesOf[Op.Dst]);
+    copyWords(la(Op.Dst), la(Op.Imm), len(Op.Dst));
     break;
   case LirOpc::St:
-    copyLanes(P.CellLane[VarIdx[Op.A]], la(Op.B), P.LanesOf[Op.B]);
+    copyWords(la(Op.Imm), la(Op.B), len(Op.B));
     break;
   case LirOpc::Call:
     emitCall(Pc, Op);
@@ -857,7 +714,6 @@ void Emitter::emitCall(uint32_t Pc, const LirOp &Op) {
 /// The unit's ops in pc order, every jump target and resume point
 /// labelled.
 void Emitter::emitBody() {
-  buildVarMap();
   std::set<int32_t> Labels;
   for (const LirOp &Op : L.Ops) {
     LirOpc C = baseOpc(Op.C);
@@ -890,32 +746,6 @@ bool hasBackwardJump(const LirUnit &L) {
   return false;
 }
 
-/// The process shape the comment above a native unit names:
-/// "pure_comb" for a stable-wait process whose one wait ends a
-/// straight-line sweep of data-flow, signal and var ops, "clocked_reg"
-/// for any other stable-wait process, "general" for the rest.
-const char *shapeName(const LirUnit &L) {
-  if (!L.StableWait)
-    return "general";
-  if (L.Ops.back().C != LirOpc::Wait)
-    return "clocked_reg";
-  for (size_t Pc = 0; Pc + 1 != L.Ops.size(); ++Pc) {
-    switch (baseOpc(L.Ops[Pc].C)) {
-    case LirOpc::Pure:
-    case LirOpc::Prb:
-    case LirOpc::Drv:
-    case LirOpc::Copy:
-    case LirOpc::Var:
-    case LirOpc::Ld:
-    case LirOpc::St:
-      break;
-    default:
-      return "clocked_reg";
-    }
-  }
-  return "pure_comb";
-}
-
 /// Whether the emitted body of \p L ends in a return or a goto, so
 /// control cannot fall off its end.
 bool endsInJump(const LirUnit &L) {
@@ -933,29 +763,29 @@ bool endsInJump(const LirUnit &L) {
   }
 }
 
-/// One callee as a static function over a local lane array: constants
-/// are set and arguments stored in its prologue, and when it can loop it
-/// keeps its own runaway-guard fuel per call. It returns its result in a
-/// u64 (0 for void, and when the guard trips). The array is not zeroed:
-/// the LIR is in SSA form, so every lane is written before any op reads
-/// it.
+/// One callee as a static function over a local word file (its own
+/// LIR layout): constants are set and arguments stored in its prologue,
+/// and when it can loop it keeps its own runaway-guard fuel per call. It
+/// returns its result in a u64 (0 for void, and when the guard trips).
+/// The array is not zeroed: the LIR is in SSA form, so every word is
+/// written before any op reads it.
 std::string emitFn(UnitPlan &FP, const std::vector<UnitPlan> &Fns) {
   const LirUnit &L = *FP.L;
   std::string S;
-  f(S, "\n// @%s (function): %u lir ops, %u lanes\n", L.U->name().c_str(),
-    (unsigned)L.Ops.size(), FP.NumLanes);
+  f(S, "\n// @%s (function): %u lir ops, %u words\n", L.U->name().c_str(),
+    (unsigned)L.Ops.size(), L.NumWords);
   std::string Params = FP.NeedsApi ? "const LlhdJitApi *api, void *ctx" : "";
   for (unsigned I = 0; I != L.U->inputs().size(); ++I)
     Params += (Params.empty() ? "u64 a" : ", u64 a") + std::to_string(I);
   f(S, "static u64 %s(%s) {\n", FP.Symbol.c_str(), Params.c_str());
-  if (FP.NumLanes)
-    f(S, "  u64 s[%u];\n", FP.NumLanes);
+  if (L.NumWords)
+    f(S, "  u64 s[%u];\n", L.NumWords);
   if (hasBackwardJump(L))
     f(S, "  u64 fuel = %lluull;\n", (unsigned long long)MaxBackwardJumps);
-  for (const auto &[Lane, V] : FP.ConstLanes)
-    f(S, "  s[%u] = 0x%llxull;\n", Lane, (unsigned long long)V);
+  for (const auto &[Word, V] : L.ConstWords)
+    f(S, "  s[%u] = 0x%llxull;\n", Word, (unsigned long long)V);
   for (unsigned I = 0; I != L.U->inputs().size(); ++I)
-    f(S, "  s[%d] = a%u;\n", FP.LaneOf[L.U->input(I)->valueNumber()], I);
+    f(S, "  s[%u] = a%u;\n", L.U->input(I)->valueNumber(), I);
   Emitter E{FP, L, Fns, "0", std::move(S), {}};
   E.emitBody();
   E.S += endsInJump(L) ? "}\n" : "  return 0;\n}\n";
@@ -975,9 +805,8 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
     S += emitFn(P.Fns[J], P.Fns);
   }
 
-  f(S, "\n// @%s (%s): %u lir ops, %u lanes, %zu waits\n",
-    L.U->name().c_str(), shapeName(L), (unsigned)L.Ops.size(),
-    P.NumLanes, P.Waits.size());
+  f(S, "\n// @%s: %u lir ops, %u words, %zu waits\n", L.U->name().c_str(),
+    (unsigned)L.Ops.size(), L.NumWords, P.Waits.size());
   f(S, "extern \"C\" s64 %s(const LlhdJitApi *api, void *ctx, u64 *s, "
        "s64 entry) {\n",
     P.Symbol.c_str());

@@ -2,24 +2,27 @@
 //
 // Translates lowered process units (sim/Lir.h) into self-contained C++
 // source for host compilation (jit/HostCompiler.h). A process that
-// survives planning becomes one extern "C" function over a flat
-// uint64_t lane array: every live int slot (width <= 64) owns one lane,
-// flat arrays of such ints own one lane per element, and `var` cells
-// get static lanes appended after the slots. Side effects — probes,
-// drives, waits, intrinsic calls — go through the function-pointer
-// table in jit/Runtime.h, so the generated translation unit needs no
-// headers and no symbols from the engine.
+// survives planning becomes one extern "C" function over the process's
+// LIR word file (sim/Lir.h), the frame the interpreter runs it over:
+// word slot S is s[S], a word array or word-array var cell occupies
+// s[Base, Base + Len), and the constants are the file's preloads. The
+// planner lays nothing out; it only checks that every op the process
+// runs reads and writes the word file. Side effects — probes, drives,
+// waits, intrinsic calls — go through the function-pointer table in
+// jit/Runtime.h, so the generated translation unit needs no headers and
+// no symbols from the engine.
 //
 // A call to a defined function is planned in function mode: the callee
 // (reached through LirUnit::Callees) may take and return two-state
 // integers of width <= 64 and run pure ops, var/ld/st, branches, `ret`,
 // llhd.assert/llhd.finish and calls to other such functions. Each one
 // the process reaches becomes a `static` C++ function emitted just
-// before the process's own, over a local lane array (with its own
-// runaway-guard fuel when it can loop). Its intrinsic sites are numbered after the
-// process's own in the process's Calls table, so the callbacks serve
-// them unchanged. No callee frame lives across a `wait`: a native
-// frame is still exactly (lanes, entry).
+// before the process's own, over a local word file laid out by the
+// callee's own lowering (with its own runaway-guard fuel when it can
+// loop). Its intrinsic sites are numbered after the process's own in
+// the process's Calls table, so the callbacks serve them unchanged. No
+// callee frame lives across a `wait`: a native process's state is
+// exactly its word file and its resumption entry.
 //
 // Planning is conservative: any op the emitter cannot prove two-state
 // width <= 64 (wide ints, logic, structs, nested arrays, dynamic drive
@@ -88,21 +91,13 @@ struct WaitPlan {
   int32_t ResumeEntry = 0;       ///< Entry value: wait index + 1.
 };
 
-/// The translation plan of one process unit: either a full lane layout
-/// plus the side-effect site tables, or the reason translation was
-/// declined.
+/// The translation plan of one process unit: either the side-effect site
+/// tables (the frame is the LIR word file), or the reason translation
+/// was declined.
 struct UnitPlan {
   const LirUnit *L = nullptr;
   bool Native = false;
   std::string DeoptReason; ///< Set when !Native.
-
-  /// uint64_t lane layout: slots first, `var` cells appended.
-  uint32_t NumLanes = 0;
-  std::vector<int32_t> LaneOf;    ///< Slot -> first lane, -1 unassigned.
-  std::vector<uint32_t> LanesOf;  ///< Slot -> lane count.
-  std::vector<int32_t> CellLane;  ///< Per Var op (pc order) -> first lane.
-  /// Constant preloads: (lane, masked value), from ConstSlots.
-  std::vector<std::pair<uint32_t, uint64_t>> ConstLanes;
 
   std::vector<PrbPlan> Prbs;
   std::vector<DrvPlan> Drvs;
@@ -125,8 +120,8 @@ struct UnitPlan {
   bool NeedsApi = false;
 };
 
-/// Decides whether \p L can run natively and computes the lane layout
-/// and site tables. Never fails hard: an unsupported shape returns a
+/// Decides whether \p L can run natively over its word file and computes
+/// the site tables. Never fails hard: an unsupported shape returns a
 /// plan with Native == false and a DeoptReason.
 UnitPlan planUnit(const LirUnit &L);
 

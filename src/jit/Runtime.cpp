@@ -21,7 +21,7 @@ using namespace llhd::jit;
 //
 // These mirror the interpreter's Prb/Drv/Call cases in LirEngine.cpp
 // exactly; the only difference is that values cross the boundary as
-// already-masked u64 lanes instead of RtValues.
+// already-masked words of the word file instead of RtValues.
 
 namespace {
 
@@ -39,19 +39,16 @@ u64 apiPrb(void *CtxP, unsigned Site) {
 void apiPrbArr(void *CtxP, unsigned Site, u64 *Dst, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const PrbSite &S = C.Prbs[Site];
-  auto copyOut = [&](const RtValue &V) {
-    const std::vector<RtValue> &E = V.elements();
-    for (unsigned I = 0; I != N; ++I)
-      Dst[I] = E[I].intValue().zextToU64();
-  };
+  // u64 and uint64_t are both 64-bit words, spelt differently.
+  auto *W = reinterpret_cast<uint64_t *>(Dst);
   if (S.Direct)
-    copyOut(*S.Direct);
+    unpackWords(*S.Direct, W, N);
   else
-    copyOut(C.Eng->Signals.read(S.Ref));
+    unpackWords(C.Eng->Signals.read(S.Ref), W, N);
 }
 
 /// True when a probe can read \p V in place: a two-state scalar of at
-/// most 64 bits, or an array of them (the native lane shapes).
+/// most 64 bits, or an array of them (the word file's shapes).
 bool directReadable(const RtValue &V) {
   auto Lane = [](const RtValue &E) {
     return E.isInt() && E.intValue().width() <= 64;
@@ -79,11 +76,9 @@ void apiDrvArr(void *CtxP, unsigned Site, const u64 *Val, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   DrvSite &S = C.Drvs[Site];
   LirEngine &E = *C.Eng;
-  std::vector<RtValue> &El = S.Scratch.elements();
-  for (unsigned I = 0; I != N; ++I)
-    El[I] = RtValue(IntValue(S.Width, Val[I]));
-  E.Sched.scheduleUpdate(driveTarget(E.Now, S.Delay),
-                         {S.Ref, S.Scratch, S.Driver});
+  packWords(S.Scratch, reinterpret_cast<const uint64_t *>(Val), N, S.Width);
+  E.Sched.scheduleUpdate(driveTarget(E.Now, S.Delay), S.Ref, S.Scratch,
+                         S.Driver);
   E.Sched.countScheduled(1);
 }
 
@@ -222,9 +217,6 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
   Ctx.Eng = &Eng;
   Ctx.ProcIndex = ProcIndex;
   Ctx.Fn = NU.Fn;
-  Ctx.Lanes.assign(P.NumLanes, 0);
-  for (const auto &[Lane, Val] : P.ConstLanes)
-    Ctx.Lanes[Lane] = Val;
 
   for (const PrbPlan &Pp : P.Prbs) {
     const RtValue &S = Frame[Pp.SigSlot];
@@ -259,9 +251,6 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
              "drive value width differs from the signal's");
       Site.Mask = IntValue::maskOf(Dp.Width);
     }
-    if (Dp.NumElems)
-      Site.Scratch = RtValue::makeArray(
-          std::vector<RtValue>(Dp.NumElems, RtValue(IntValue(Dp.Width, 0))));
     Ctx.Drvs.push_back(std::move(Site));
   }
 
@@ -284,6 +273,7 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
       Site.Timeout = T.timeValue();
     }
     Site.ResumeEntry = Wp.ResumeEntry;
+    Site.ResumePc = P.L->Ops[Wp.Pc].Jmp0;
     Ctx.Waits.push_back(std::move(Site));
   }
   return true;

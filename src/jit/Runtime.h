@@ -4,14 +4,16 @@
 // (jit/Codegen.h) has the signature
 //
 //   extern "C" long long fn(const LlhdJitApi *api, void *ctx,
-//                           unsigned long long *lanes, long long entry);
+//                           unsigned long long *words, long long entry);
 //
-// and returns the index of the wait site it suspended at, -1 on halt,
-// or -2 on fuel exhaustion. `ctx` is the ProcContext bound to one
-// process instance: it carries the resolved side-effect sites (signal
-// references, drive delays and driver identities, canonical wait
-// sensitivities, intrinsic kinds) so the generated code itself stays
-// free of engine types and pointers.
+// runs over the process instance's LIR word file (sim/Lir.h), the same
+// frame the interpreter runs it over, and returns the index of the wait
+// site it suspended at, -1 on halt, or -2 on fuel exhaustion. `ctx` is
+// the ProcContext bound to one process instance: it carries the resolved
+// side-effect sites (signal references, drive delays and driver
+// identities, canonical wait sensitivities, intrinsic kinds) so the
+// generated code itself stays free of engine types and pointers. It
+// holds no process state: that is all in the word file.
 //
 // JitModule orchestrates the whole pipeline for one engine build: plan
 // every distinct process unit, emit one translation unit, compile it
@@ -40,7 +42,7 @@ struct UnitInstance;
 namespace jit {
 
 /// Signature of a generated process function. The generated side
-/// spells the lane array `unsigned long long*`; uint64_t is
+/// spells the word file `unsigned long long*`; uint64_t is
 /// layout-identical on every supported host.
 using JitFn = long long (*)(const LlhdJitApi *, void *, uint64_t *,
                             long long);
@@ -71,7 +73,7 @@ struct DrvSite {
   /// by Mask. InvalidSignal sends them down the general path.
   SignalId WordCanon = InvalidSignal;
   uint64_t Mask = 0;
-  RtValue Scratch; ///< Array drives: reused element buffer.
+  RtValue Scratch; ///< Array drives: reused element buffer (packWords).
 };
 
 /// One intrinsic call site.
@@ -85,14 +87,15 @@ struct WaitSite {
   bool HasTimeout = false;
   Time Timeout;
   long long ResumeEntry = 0;
+  int32_t ResumePc = 0; ///< The LIR pc ResumeEntry resumes at.
 };
 
-/// Everything one native process instance needs at run time.
+/// The side-effect sites of one native process instance; its state lives
+/// in the engine's frame.
 struct ProcContext {
   LirEngine *Eng = nullptr;
   uint32_t ProcIndex = 0;
   JitFn Fn = nullptr;
-  std::vector<uint64_t> Lanes;
   std::vector<PrbSite> Prbs;
   std::vector<DrvSite> Drvs;
   std::vector<CallSite> Calls;

@@ -163,11 +163,11 @@ bool SignalTable::write(const SigRef &RefIn, const RtValue &V,
     return true;
   }
 
-  // Two-state drives: last write wins. A whole scalar signal compares
-  // and assigns in place; sub-signals splice through a copy of the old
-  // element.
-  if (Ref.wholeSignal() && SV.isInt() && V.isInt()) {
-    if (SV.intValue() == V.intValue())
+  // Two-state drives: last write wins. A whole signal compares and
+  // assigns in place (an array reuses its element buffer); sub-signals
+  // splice through a copy of the old element.
+  if (Ref.wholeSignal()) {
+    if (SV == V)
       return false;
     SV = V;
     return true;
@@ -194,10 +194,11 @@ uint32_t Scheduler::allocSlot() {
 }
 
 void Scheduler::recycle(uint32_t Idx, SlotEvents &Out) {
-  // The caller's buffers are empty: swapping hands the slot's events
-  // over without touching them, and leaves the slot empty buffers whose
-  // capacity lets it schedule again without allocating.
-  assert(Out.Entries.empty() && Out.General.empty() && Out.Wakes.empty());
+  // The caller's buffers hold no events: swapping hands the slot's
+  // events over without touching them, and leaves the slot buffers whose
+  // capacity (and spent general payloads) let it schedule again without
+  // allocating.
+  assert(Out.Entries.empty() && !Out.NumGeneral && Out.Wakes.empty());
   Out.swap(Arena[Idx]);
   FreeSlots.push_back(Idx);
 }

@@ -253,17 +253,21 @@ static_assert(sizeof(UpdateEntry) == 24, "word-lane entries stay 24 bytes");
 /// what makes equal-time updates last-write-wins.
 struct SlotEvents {
   std::vector<UpdateEntry> Entries;
-  std::vector<SigUpdate> General; ///< Payloads of the general entries.
+  /// Payloads of the general entries: the first NumGeneral. The rest are
+  /// spent payloads, kept so that filing a new one reuses their buffers.
+  std::vector<SigUpdate> General;
+  uint32_t NumGeneral = 0;
   std::vector<ProcWake> Wakes;
 
   void clear() {
     Entries.clear();
-    General.clear();
+    NumGeneral = 0;
     Wakes.clear();
   }
   void swap(SlotEvents &O) {
     Entries.swap(O.Entries);
     General.swap(O.General);
+    std::swap(NumGeneral, O.NumGeneral);
     Wakes.swap(O.Wakes);
   }
 };
@@ -283,11 +287,15 @@ class Scheduler {
 public:
   /// Files a general update. Producers count it with countScheduled();
   /// checkpoint restore replays through here without counting.
-  void scheduleUpdate(Time T, SigUpdate U) {
-    SlotEvents &S = slotForCached(T);
-    S.Entries.push_back(
-        {InvalidSignal, static_cast<uint32_t>(S.General.size()), 0, 0});
-    S.General.push_back(std::move(U));
+  void scheduleUpdate(Time T, SigUpdate U) { general(T) = std::move(U); }
+  /// The same, assigned into a spent payload: an array value reuses its
+  /// element buffer, so a steady stream of such drives allocates nothing.
+  void scheduleUpdate(Time T, const SigRef &Ref, const RtValue &Val,
+                      uint64_t Driver) {
+    SigUpdate &U = general(T);
+    U.Ref = Ref;
+    U.Val = Val;
+    U.Driver = Driver;
   }
   /// Files a word-lane update: \p Driver drives the whole of \p Canon,
   /// a wordCanon() target, to \p Word (masked to its width). Counted in
@@ -356,6 +364,16 @@ private:
     MemoIdx = static_cast<uint32_t>(&S - Arena.data());
     MemoValid = true;
     return S;
+  }
+
+  /// Files a general entry at \p T and returns its payload to fill in:
+  /// a spent one when the slot keeps one, else a fresh one.
+  SigUpdate &general(Time T) {
+    SlotEvents &S = slotForCached(T);
+    S.Entries.push_back({InvalidSignal, S.NumGeneral, 0, 0});
+    if (S.NumGeneral == S.General.size())
+      S.General.emplace_back();
+    return S.General[S.NumGeneral++];
   }
 
   SlotEvents &slotFor(Time T);

@@ -24,6 +24,7 @@ const char *llhd::lirOpcName(LirOpc C) {
   case LirOpc::CondJmpW: return "condjmpw";
   case LirOpc::Copy:     return "copy";
   case LirOpc::CopyW:    return "copyw";
+  case LirOpc::ArrW:     return "purew";
   case LirOpc::Wait:     return "wait";
   case LirOpc::Halt:     return "halt";
   case LirOpc::Ret:      return "ret";
@@ -471,15 +472,20 @@ private:
         }
     }
     for (LirSlot &S : L.Slots) {
-      Type *T = S.Ty;
-      if (T && (T->isInt() || T->isEnum()) && T->bitWidth() <= 64) {
+      auto *AT = dyn_cast_if_present<ArrayType>(S.Ty);
+      if (isWordType(S.Ty)) {
         S.Word = true;
-        S.Width = static_cast<uint8_t>(T->bitWidth());
+        S.Width = static_cast<uint8_t>(S.Ty->bitWidth());
+        S.Len = 1;
+      } else if (AT && AT->length() && isWordType(AT->element())) {
+        S.Width = static_cast<uint8_t>(AT->element()->bitWidth());
+        S.Len = AT->length();
       }
     }
   }
 
   bool word(int32_t S) const { return S >= 0 && L.Slots[S].Word; }
+  bool inWords(int32_t S) const { return S >= 0 && L.Slots[S].Len; }
   unsigned width(int32_t S) const { return L.Slots[S].Width; }
 
   /// Calls \p F(slot, IsAddress) for every slot \p Op reads; IsAddress
@@ -500,8 +506,9 @@ private:
   }
 
   /// Picks each op's file form, gives every var whose pointer is only a
-  /// ld/st address its fixed cell, and splits the constant preloads by
-  /// file.
+  /// ld/st address its fixed cell, lays the word file out (every word
+  /// array's words past the slots and cells) and splits the constant
+  /// preloads by file.
   void typeOps() {
     std::vector<char> Escapes(L.NumSlots, 0);
     for (const LirOp &Op : L.Ops)
@@ -524,12 +531,23 @@ private:
       if (word(Op.A))
         Op.C = LirOpc::VarW;
     }
+    L.NumWords = L.fileSize();
+    for (uint32_t S = 0; S != L.Slots.size(); ++S) {
+      LirSlot &Sl = L.Slots[S];
+      Sl.Base = Sl.Word ? S : L.NumWords;
+      if (!Sl.Word)
+        L.NumWords += Sl.Len;
+    }
 
     for (LirOp &Op : L.Ops) {
       switch (Op.C) {
       case LirOpc::Pure: {
         const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
         unsigned N = Op.OpsCount, RW;
+        if (arrayOp(Op)) {
+          Op.C = LirOpc::ArrW;
+          break;
+        }
         if (!word(Op.Dst) || N - 1u >= 2u || !word(Ops[0]) ||
             !word(Ops[N - 1]))
           break;
@@ -592,6 +610,29 @@ private:
     L.ConstSlots = std::move(Boxed);
   }
 
+  /// True when the pure op \p Op is an array operation over word arrays
+  /// and word slots only (LirOpc::ArrW).
+  bool arrayOp(const LirOp &Op) const {
+    const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+    switch (Op.IrOp) {
+    case Opcode::ArrayCreate:
+    case Opcode::Extf:
+    case Opcode::Exts:
+    case Opcode::Insf:
+    case Opcode::Inss:
+    case Opcode::Mux:
+      break;
+    default:
+      return false;
+    }
+    if (!inWords(Op.Dst) || (word(Op.Dst) && word(Ops[0])))
+      return false;
+    for (uint32_t J = 0; J != Op.OpsCount; ++J)
+      if (!inWords(Ops[J]))
+        return false;
+    return true;
+  }
+
   //===------------------------------------------------------------------===//
   // Classification
   //===------------------------------------------------------------------===//
@@ -643,24 +684,29 @@ std::string LirUnit::dump() const {
                      : U->isEntity() ? "entity"
                                      : "func";
   OS << "lir " << Kind << " @" << U->name() << " {\n";
-  uint32_t NumWords = 0;
+  uint32_t NumWordSlots = 0;
   for (const LirSlot &S : Slots)
-    NumWords += S.Word;
+    NumWordSlots += S.Word;
   OS << "  slots: " << NumSlots << " (values " << NumValues << ")"
-     << "  cells: " << NumCells << "  words: " << NumWords
+     << "  cells: " << NumCells << "  words: " << NumWordSlots
      << "  regprev: " << NumRegPrev << "  delprev: " << NumDelPrev
      << "\n";
   if (U->isProcess())
     OS << "  sensitivity: " << (StableWait ? "stable" : "dynamic") << "\n";
-  // A word slot prints as w[N], an RtValue slot as [N]: N indexes the
-  // file that holds it.
+  // A word slot prints as w[N], a word array as w[First..Last], an
+  // RtValue slot as [N]: the indices are the file's that holds it.
   auto slot = [&](int32_t S) {
-    return (S >= 0 && Slots[S].Word ? "w[" : "[") + std::to_string(S) + "]";
+    if (S < 0 || !Slots[S].Len)
+      return "[" + std::to_string(S) + "]";
+    const LirSlot &Sl = Slots[S];
+    return "w[" + std::to_string(Sl.Base) +
+           (Sl.Word ? "" : ".." + std::to_string(Sl.Base + Sl.Len - 1)) +
+           "]";
   };
   for (const auto &[Slot, V] : ConstSlots)
     OS << "  const " << slot(Slot) << " = " << V.toString() << "\n";
-  for (const auto &[Slot, V] : ConstWords)
-    OS << "  const " << slot(Slot) << " = " << V << "\n";
+  for (const auto &[Word, V] : ConstWords)
+    OS << "  const w[" << Word << "] = " << V << "\n";
   auto span = [&](uint32_t Base, uint32_t Count) {
     std::string S = "(";
     for (uint32_t J = 0; J != Count; ++J)
@@ -674,6 +720,7 @@ std::string LirUnit::dump() const {
        << (Op.C == LirOpc::Halt ? "" : " ");
     switch (Op.C) {
     case LirOpc::Pure:
+    case LirOpc::ArrW:
       OS << opcodeName(Op.IrOp) << " " << slot(Op.Dst)
          << ", ops=" << span(Op.OpsBase, Op.OpsCount);
       if (Op.Imm)
@@ -766,7 +813,7 @@ std::string LirUnit::dump() const {
 
 void LirUnit::preload(const UnitInstance &UI, std::vector<uint64_t> &Words,
                       std::vector<RtValue> &Frame) const {
-  Words.assign(fileSize(), 0);
+  Words.assign(NumWords, 0);
   Frame.assign(fileSize(), RtValue());
   for (const auto &[Slot, V] : ConstWords)
     Words[Slot] = V;
@@ -793,6 +840,34 @@ void llhd::execPure(const LirUnit &L, const LirOp &Op, uint64_t *W,
        !(R && insertInPlace(Op.IrOp, F[Idx[0]], *R, Op.Imm, D))))
     D = evalPureWide(Op.IrOp, F, Idx, Op.OpsCount, Op.Imm, Op.Width,
                      Op.Origin);
-  if (L.Slots[Op.Dst].Word)
+  const LirSlot &Sl = L.Slots[Op.Dst];
+  if (Sl.Word)
     W[Op.Dst] = D.isInt() ? D.intValue().zextToU64() : 0;
+  else if (Sl.Len)
+    unpackWords(D, W + Sl.Base, Sl.Len);
+}
+
+void llhd::execArrW(const LirUnit &L, const LirOp &Op, uint64_t *W) {
+  const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+  const LirSlot &D = L.Slots[Op.Dst], &A = L.Slots[Ops[0]];
+  uint64_t *Out = W + D.Base;
+  switch (Op.IrOp) {
+  case Opcode::ArrayCreate:
+    for (uint32_t J = 0; J != Op.OpsCount; ++J)
+      Out[J] = W[Ops[J]];
+    break;
+  case Opcode::Mux: // An index past the end reads the last element.
+    *Out = W[A.Base + std::min<uint64_t>(W[Ops[1]], A.Len - 1)];
+    break;
+  case Opcode::Extf:
+  case Opcode::Exts:
+    std::copy_n(W + A.Base + Op.Imm, D.Len, Out);
+    break;
+  default: { // Insf, Inss: the first operand with the second's words at Imm.
+    const LirSlot &B = L.Slots[Ops[1]];
+    std::copy_n(W + A.Base, D.Len, Out);
+    std::copy_n(W + B.Base, B.Len, Out + Op.Imm);
+    break;
+  }
+  }
 }

@@ -13,18 +13,27 @@
 // Typed slots. Lowering records every slot's static IR type
 // (LirUnit::Slots). A slot whose type is a two-state int or enum of at
 // most 64 bits is a word slot: its value lives in the frame's word file
-// (uint64_t, the zero-extended value). Every other slot lives in the
-// RtValue file. Both files are indexed by slot number, so an operand is
-// the same index whichever file holds it, and the generic ops can box a
-// word operand into the RtValue file's entry for that slot in place.
-// Ops whose operands and result all live in the word file get word
-// opcodes (PrbW, DrvW, CondJmpW, CopyW, VarW, LdW, StW, and one opcode
-// per pure operation: AddW, XorW, UltW, ...) that never test a kind tag;
-// the generic opcodes box and unbox word operands.
+// (uint64_t, the zero-extended value) at the slot's own index. A slot
+// whose type is a non-empty flat array of such ints (a word array) owns
+// one word per element, consecutive, past the slots and cells
+// (LirSlot::Base; NumWords is the word file's size).
+// Every other slot lives in the RtValue file. Both files are indexed by
+// slot number, so an operand is the same index whichever file holds it,
+// and the generic ops box a word or word-array operand into the RtValue
+// file's entry for that slot in place (LirUnit::boxed/store), so
+// entities, `reg`/`del` and checkpoint images see the same RtValues
+// whichever file holds a slot. Ops whose operands and result all live in
+// the word file get word opcodes (PrbW, DrvW, CondJmpW, CopyW, VarW, LdW,
+// StW, one opcode per pure operation: AddW, XorW, UltW, ..., and ArrW
+// for the array operations over word arrays) that never test a kind
+// tag; the generic opcodes box and unbox word operands. The word file is
+// also the frame of Blaze's native code (jit/Codegen.h): one layout,
+// decided here, serves both tiers.
 //
 // Var cells. A `var` whose pointer is used only as the address of `ld`
 // and `st` owns one fixed cell, appended to both files after the slots
-// (index NumSlots + k for the k-th such var in pc order): executing the
+// (index NumSlots + k for the k-th such var in pc order; a word-array
+// cell's words follow like a word array slot's): executing the
 // var re-initialises the cell, and ld/st address it directly (LirOp::Imm).
 // No op can tell a reused cell from a fresh one, since the pointer is
 // never copied. Only a var whose pointer escapes (a phi, a call
@@ -40,7 +49,7 @@
 //
 // The interpreter and Blaze execute this form directly (sim/LirEngine.h),
 // and Blaze's JIT plans its native code from it (jit/Codegen.h), reading
-// the slot types from here. The only opcode-level walk over
+// the slot layout from here. The only opcode-level walk over
 // ir::Instruction lives in lowerUnit below — engine semantics are shared
 // by construction.
 //
@@ -50,10 +59,12 @@
 #define LLHD_SIM_LIR_H
 
 #include "ir/Instruction.h"
+#include "ir/Type.h"
 #include "ir/Unit.h"
 #include "sim/RtOps.h"
 #include "sim/RtValue.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -94,6 +105,7 @@ enum class LirOpc : uint8_t {
   CondJmpW, ///< pc = W[A] ? Jmp1 : Jmp0.
   Copy,     ///< F[Dst] = F[A] (phi edge copies).
   CopyW,    ///< W[Dst] = W[A].
+  ArrW,     ///< IrOp over word arrays (array/extf/exts/insf/inss/mux).
   Wait,     ///< suspend; resume at Jmp0; timeout F[A]; observe operands.
   Halt,     ///< terminate the process.
   Ret,      ///< return frame[A] (A = -1: void).
@@ -133,13 +145,13 @@ constexpr LirOpc wordOpc(Opcode Op) {
 }
 
 /// The IR-level operation \p C executes, whatever file it runs over:
-/// every word pure opcode is Pure, PrbW is Prb, VarW and VarM are Var,
-/// and so on. Passes that care about what an op does, not where its
-/// operands live (the JIT planner, the classifier), switch on this.
+/// every word pure opcode and ArrW is Pure, PrbW is Prb, VarW and VarM
+/// are Var, and so on. Passes that care about what an op does, not where
+/// its operands live (the JIT planner, the classifier), switch on this.
 constexpr LirOpc baseOpc(LirOpc C) {
   switch (C) {
   LLHD_LIR_WORD_CASES
-    return LirOpc::Pure;
+  case LirOpc::ArrW:     return LirOpc::Pure;
   case LirOpc::PrbW:     return LirOpc::Prb;
   case LirOpc::DrvW:     return LirOpc::Drv;
   case LirOpc::CondJmpW: return LirOpc::CondJmp;
@@ -164,9 +176,10 @@ struct LirTrigger {
 };
 
 /// One lowered instruction. Fixed operands live in A/B/Cc/Dd; variadic
-/// operand lists (Pure, Wait observes, Call arguments) are spans of the
-/// unit's OperandPool. Every operand is a slot number, which indexes
-/// whichever file holds the slot.
+/// operand lists (Pure, ArrW, Wait observes, Call arguments) are spans
+/// of the unit's OperandPool. Every operand is a slot number, which
+/// indexes whichever file holds the slot (LirSlot::Base for a word
+/// array).
 struct LirOp {
   LirOpc C;
   /// Pure and the word pure ops: the data-flow opcode.
@@ -194,15 +207,46 @@ struct LirOp {
   const Instruction *Origin = nullptr;
 };
 
+/// True for the types the word file holds: two-state ints and enums of
+/// at most 64 bits.
+inline bool isWordType(const Type *T) {
+  return T && (T->isInt() || T->isEnum()) && T->bitWidth() <= 64;
+}
+
+/// Unpacks the array \p V into the \p N words at \p W. Anything but an
+/// aggregate (a never-written slot) leaves the words alone.
+inline void unpackWords(const RtValue &V, uint64_t *W, uint32_t N) {
+  if (!V.isAggregate())
+    return;
+  const std::vector<RtValue> &Es = V.elements();
+  for (uint32_t I = 0; I != N && I != Es.size(); ++I)
+    if (Es[I].isInt())
+      W[I] = Es[I].intValue().zextToU64();
+}
+
+/// Packs the \p N words at \p W into \p V as an array of \p Width-bit
+/// ints, in place when \p V already is an array of N elements.
+inline void packWords(RtValue &V, const uint64_t *W, uint32_t N,
+                      unsigned Width) {
+  if (V.kind() != RtValue::Kind::Array || V.elements().size() != N)
+    V = RtValue::makeArray(std::vector<RtValue>(N));
+  std::vector<RtValue> &Es = V.elements();
+  for (uint32_t I = 0; I != N; ++I)
+    Es[I].setWord(Width, W[I]);
+}
+
 /// The static layout of one frame slot or var cell.
 struct LirSlot {
   /// The slot's IR type; null when nothing in the unit gives it one.
   Type *Ty = nullptr;
-  /// The value lives in the word file: Ty is a two-state int or enum of
-  /// at most 64 bits.
+  /// A word slot: Ty is a two-state int or enum of at most 64 bits.
   bool Word = false;
-  /// Word slots: the integer's width.
+  /// Word slots: the integer's width; word arrays: the element width.
   uint8_t Width = 0;
+  /// The slot's words, W[Base, Base + Len): a word slot's own index and
+  /// 1, a word array's element words (Ty is a non-empty flat array of
+  /// word-typed elements), Len 0 for a slot of the RtValue file.
+  uint32_t Base = 0, Len = 0;
 };
 
 /// One unit lowered for execution, shared across its instances.
@@ -221,9 +265,12 @@ struct LirUnit {
   /// The layout of every slot, then of every fixed cell (its var's
   /// value type): NumSlots + NumCells entries.
   std::vector<LirSlot> Slots;
+  /// The word file's size: one word per slot and cell, then the words
+  /// of the word arrays.
+  uint32_t NumWords = 0;
   /// Constant preloads into fresh frames: (slot, value), RtValue file.
   std::vector<std::pair<uint32_t, RtValue>> ConstSlots;
-  /// Constant preloads of word slots: (slot, zero-extended value).
+  /// Constant preloads of the word file: (word, zero-extended value).
   std::vector<std::pair<uint32_t, uint64_t>> ConstWords;
   /// True when some var's pointer escapes (VarM ops), so frames need
   /// dynamic memory.
@@ -251,11 +298,12 @@ struct LirUnit {
     return nullptr;
   }
 
-  /// The size of each file: the slots, then the fixed cells.
+  /// The size of the RtValue file: the slots, then the fixed cells.
   uint32_t fileSize() const { return NumSlots + NumCells; }
 
   /// Deterministic textual form for golden tests and --dump-lir: word
-  /// operands print as w[N], RtValue operands as [N].
+  /// operands print as w[N], word arrays as w[First..Last], RtValue
+  /// operands as [N].
   std::string dump() const;
 
   /// Sets the files \p Words and \p Frame up for a fresh activation of
@@ -264,12 +312,15 @@ struct LirUnit {
   void preload(const UnitInstance &UI, std::vector<uint64_t> &Words,
                std::vector<RtValue> &Frame) const;
 
-  /// Slot \p S's value in the RtValue file; a word slot is boxed into
-  /// F[S] first. The generic ops read word operands through this.
+  /// Slot \p S's value in the RtValue file; a word or word-array slot is
+  /// boxed into F[S] first. The generic ops read such operands through
+  /// this.
   const RtValue &boxed(int32_t S, const uint64_t *W, RtValue *F) const {
     const LirSlot &Sl = Slots[S];
     if (Sl.Word)
       F[S].setWord(Sl.Width, W[S]);
+    else if (Sl.Len)
+      packWords(F[S], W + Sl.Base, Sl.Len, Sl.Width);
     return F[S];
   }
   /// The boolean interpretation of slot \p S (an i1 condition).
@@ -278,17 +329,22 @@ struct LirUnit {
   }
   /// Copies slot or cell \p S into \p D, across files when they differ.
   void copy(int32_t D, int32_t S, uint64_t *W, RtValue *F) const {
-    if (!Slots[D].Word)
+    const LirSlot &Sd = Slots[D], &Ss = Slots[S];
+    if (!Sd.Len)
       F[D] = boxed(S, W, F);
-    else if (Slots[S].Word)
-      W[D] = W[S];
+    else if (Sd.Len == Ss.Len && Sd.Word == Ss.Word)
+      std::copy_n(W + Ss.Base, Sd.Len, W + Sd.Base);
     else
-      W[D] = F[S].isInt() ? F[S].intValue().zextToU64() : 0;
+      store(D, boxed(S, W, F), W, F);
   }
-  /// Stores \p V into slot \p S: a word slot keeps the integer's word.
+  /// Stores \p V into slot \p S: a word slot keeps the integer's word, a
+  /// word array its elements' words.
   void store(int32_t S, RtValue V, uint64_t *W, RtValue *F) const {
-    if (Slots[S].Word)
+    const LirSlot &Sl = Slots[S];
+    if (Sl.Word)
       W[S] = V.isInt() ? V.intValue().zextToU64() : 0;
+    else if (Sl.Len)
+      unpackWords(V, W + Sl.Base, Sl.Len);
     else
       F[S] = std::move(V);
   }
@@ -321,6 +377,11 @@ template <Opcode IrOp>
   W[Op.Dst] =
       evalWord(IrOp, W[Op.A], W[Op.B], Op.WidthA, Op.WidthB, Op.Imm, Op.Width);
 }
+
+/// The ArrW op \p Op of \p L over the word file \p W: IrOp (array
+/// create, extf, exts, insf, inss or mux) over the words of its operand
+/// slots, every one a word slot or a word array.
+void execArrW(const LirUnit &L, const LirOp &Op, uint64_t *W);
 
 /// Per-module lowering cache: every unit is lowered once and shared by
 /// all instances (and both LIR-executing engines of one simulation).

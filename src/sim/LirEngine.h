@@ -72,17 +72,17 @@ public:
   // Checkpoint / restore (sim/Checkpoint.h)
   //===------------------------------------------------------------------===//
 
-  /// Serializes the full runtime state. Natively-executing processes are
-  /// synchronised back into their interpreter-visible frames first, so
-  /// the image is engine-neutral (restorable with or without the JIT).
+  /// Serializes the full runtime state. Native and interpreted processes
+  /// share one frame layout, so the image is engine-neutral (restorable
+  /// with or without the JIT).
   void checkpoint(std::vector<uint8_t> &Out);
 
   /// Restores a checkpoint() image into this freshly-built engine.
-  /// Natively-bound processes reload their lane state from the restored
-  /// frames; an instance whose resumption point has no native entry
-  /// (e.g. the image came from a differently-JITted run) deopts to
-  /// interpretation by itself. Returns false and sets \p Err on a
-  /// version/module mismatch or a corrupt image.
+  /// Natively-bound processes resume from the restored frames; an
+  /// instance whose resumption point has no native entry (e.g. the image
+  /// came from a differently-JITted run) deopts to interpretation by
+  /// itself. Returns false and sets \p Err on a version/module mismatch
+  /// or a corrupt image.
   bool restore(const std::vector<uint8_t> &In, std::string &Err);
 
   /// The fixed var cells of process \p PI plus its dynamic memory cells.
@@ -128,7 +128,8 @@ public:
 private:
   /// One activation frame: the word file and the RtValue file, indexed
   /// by slot and then by fixed var cell (sim/Lir.h), plus the dynamic
-  /// memory of vars whose pointers escape.
+  /// memory of vars whose pointers escape. A natively bound process runs
+  /// its generated code over the same word file.
   struct ProcState {
     const LirUnit *L = nullptr;
     const UnitInstance *Inst = nullptr;
@@ -139,8 +140,8 @@ private:
     /// slot (see wordSignals()).
     std::vector<SignalId> WordSigs;
     std::vector<RtValue> Memory;
-    /// Where the next interpreted activation starts: 0, then the
-    /// continuation of the wait it last suspended at.
+    /// Where the next activation starts: 0, then the continuation of the
+    /// wait it last suspended at (kept by native activations too).
     int32_t Pc = 0;
     /// Set at the first suspension; a StableWait process registers its
     /// sensitivity only then.
@@ -149,7 +150,7 @@ private:
     std::vector<SignalId> Sensitivity;
     uint64_t WakeGen = 0;
     /// Native execution state: non-null when this instance is bound to
-    /// generated code; Entry is the resumption token (0 = start).
+    /// generated code; Entry is the resumption token of Pc (0 = start).
     jit::ProcContext *Jit = nullptr;
     long long Entry = 0;
   };
@@ -168,14 +169,10 @@ private:
   /// Binds this run's process instances to the program's native code
   /// (no-op when the JIT is off); called at the end of build().
   void buildJit();
-  /// Copies a natively-executing process's lane state back into the
-  /// interpreter-visible files (words, RtValues, var cells) and Pc
-  /// before checkpointing.
-  void syncFromNative(ProcState &PS);
-  /// Loads the restored files and Pc into the native lane state; false
-  /// when the resumption pc has no native entry (the caller then deopts
-  /// the instance).
-  bool syncToNative(ProcState &PS);
+  /// Sets a restored native process's resumption token from its Pc;
+  /// false when the pc has no native entry (the caller then deopts the
+  /// instance).
+  bool resumeNative(ProcState &PS);
   /// Runs process \p PI from where it suspended, interpreted or native.
   void runProcess(uint32_t PI);
   /// Runs a natively-bound process; suspends through suspend() like an
@@ -224,13 +221,24 @@ private:
 
   /// A probe of a whole word-lane signal reads the stored value in place
   /// (a word copy), the rule Blaze's direct native probes follow; every
-  /// other probe resolves through SignalTable::read().
-  void execPrb(const LirOp &Op, RtValue *F, const SignalId *WS) {
+  /// other probe resolves through SignalTable::read(). A word array
+  /// takes the element words of the value, read in place when the
+  /// reference resolves to a whole signal.
+  void execPrb(const LirUnit &L, const LirOp &Op, uint64_t *W, RtValue *F,
+               const SignalId *WS) {
     SignalId Canon = wordSignal(WS, F, Op.A);
-    if (Canon != InvalidSignal)
+    const LirSlot &D = L.Slots[Op.Dst];
+    if (Canon != InvalidSignal) {
       F[Op.Dst] = Signals.storedValue(Canon);
-    else
+    } else if (D.Len) {
+      SigRef R = Signals.resolve(F[Op.A].sigRef());
+      if (R.wholeSignal())
+        unpackWords(Signals.storedValue(R.Sig), W + D.Base, D.Len);
+      else
+        unpackWords(Signals.read(R), W + D.Base, D.Len);
+    } else {
       F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+    }
   }
   void execPrbW(const LirOp &Op, uint64_t *W, const RtValue *F,
                 const SignalId *WS) {
@@ -256,8 +264,8 @@ private:
              "drive value width differs from the signal's");
       Sched.scheduleWord(T, Canon, W[Op.B], driverId(Tag, Op.Origin));
     } else {
-      Sched.scheduleUpdate(
-          T, {Sig.sigRef(), L.boxed(Op.B, W, F), driverId(Tag, Op.Origin)});
+      Sched.scheduleUpdate(T, Sig.sigRef(), L.boxed(Op.B, W, F),
+                           driverId(Tag, Op.Origin));
     }
     Sched.countScheduled(1);
   }

@@ -42,8 +42,9 @@ struct LirProgram {
   jit::JitOptions JitOpts;
   /// Native code compiled from the admissible process units; null when
   /// the JIT is off or the design is invalid. Immutable after build():
-  /// per-run binding state lives in jit::ProcContext, per-run counters
-  /// in the engines' own JitStats copies.
+  /// per-run binding state (resolved side-effect sites) lives in
+  /// jit::ProcContext, process state in the engines' own LIR frames,
+  /// per-run counters in the engines' own JitStats copies.
   std::unique_ptr<jit::JitModule> JitMod;
   /// Keeps frontend artifacts alive for the program's lifetime (e.g.
   /// Blaze's cloned + optimised module and its Context).

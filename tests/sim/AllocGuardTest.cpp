@@ -427,6 +427,96 @@ TEST(AllocGuard, ArrayVarShiftIsAllocationFree) {
   EXPECT_EQ(Allocs[0], Allocs[1]);
 }
 
+/// A clock and a process that, on every rising edge, probes a whole
+/// [2 x i32] array signal, shifts it through extf/add/insf and drives it
+/// back: element 0 counts the edges.
+const char *ArrayShifter = R"(
+entity @top () -> () {
+  %z1 = const i1 0
+  %z32 = const i32 0
+  %a0 = [i32 %z32, %z32]
+  %clk = sig i1 %z1
+  %arr = sig [2 x i32] %a0
+  inst @clkgen () -> (i1$ %clk)
+  inst @shift (i1$ %clk) -> ([2 x i32]$ %arr)
+}
+proc @clkgen () -> (i1$ %clk) {
+entry:
+  %b0 = const i1 0
+  %b1 = const i1 1
+  %half = const time 1ns
+  br %hi
+hi:
+  drv i1$ %clk, %b1 after %half
+  wait %lo for %half
+lo:
+  drv i1$ %clk, %b0 after %half
+  wait %hi for %half
+}
+proc @shift (i1$ %clk) -> ([2 x i32]$ %arr) {
+entry:
+  %one = const i32 1
+  %d0 = const time 0s
+  br %loop
+loop:
+  wait %tick for %clk
+tick:
+  %c = prb i1$ %clk
+  br %c, %loop, %up
+up:
+  %a = prb [2 x i32]$ %arr
+  %e = extf i32 %a, 0
+  %n = add i32 %e, %one
+  %b0 = insf [2 x i32] %a, %n, 0
+  %b = insf [2 x i32] %b0, %e, 1
+  drv [2 x i32]$ %arr, %b after %d0
+  br %loop
+}
+)";
+
+// Whole-array drives: the probe reads the stored array in place, the
+// drive packs the array's words into one RtValue it keeps (the slot's
+// own on the interpreter, the site's scratch value natively), the
+// scheduler assigns that into a spent update's element buffer, and the
+// commit assigns in place. Doubling the cycle count adds no allocation,
+// on the reference interpreter and natively. The trace is off: it
+// renders an array change as text, which allocates once the text
+// outgrows std::string's inline buffer.
+TEST(AllocGuard, ArrayDrivesAreAllocationFree) {
+  auto allocs = [](uint64_t Cycles, bool Native) {
+    Context Ctx;
+    Module M(Ctx, "array_guard");
+    ParseResult R = parseModule(ArrayShifter, M);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    std::unique_ptr<InterpSim> Sim;
+    BlazeSim::BlazeOptions Opts;
+    static_cast<SimOptions &>(Opts) =
+        optsFor(Cycles, Trace::Mode::Off, nullptr);
+    if (Native) {
+      Opts.Jit.M = jit::JitOptions::Mode::On;
+      Sim = std::make_unique<BlazeSim>(M, "top", Opts);
+      EXPECT_EQ(Sim->jitStats().NativeProcs, 2u);
+    } else {
+      Sim = std::make_unique<InterpSim>(elaborate(M, "top"), Opts);
+    }
+    size_t Before = GNewCount.load(std::memory_order_relaxed);
+    SimStats St = Sim->run();
+    size_t Allocs = GNewCount.load(std::memory_order_relaxed) - Before;
+    EXPECT_GE(St.DrivesScheduled, 2 * Cycles);
+    const SignalTable &Sigs = Sim->signals();
+    for (SignalId S = 0; S != Sigs.size(); ++S)
+      if (Sigs.name(S).find("arr") != std::string::npos) {
+        EXPECT_GE(Sigs.value(S).elements()[0].intValue().zextToU64(),
+                  Cycles - 10);
+      }
+    return Allocs;
+  };
+  EXPECT_EQ(allocs(200, false), allocs(400, false));
+  if (jit::HostCompiler::findCompiler().empty())
+    GTEST_SKIP() << "no host C++ compiler: Blaze runs interpreted";
+  EXPECT_EQ(allocs(200, true), allocs(400, true));
+}
+
 TEST(AllocGuard, RtValueLayout) {
   static_assert(sizeof(RtValue) <= 32,
                 "scalar RtValue must stay within 32 bytes");

@@ -6,9 +6,9 @@
 // matches and the two VCD fragments concatenate byte-identically to the
 // reference dump. Swept over the Table 2 designs suite for Interp and for
 // Blaze with the JIT on and off, plus the cross-engine (interp <->
-// unoptimised native blaze, unoptimised blaze -> interp, interp's var
-// cells -> native lanes) and JIT-Blaze forced-deopt resume paths and the
-// image-corruption error cases.
+// unoptimised native blaze over word arrays, unoptimised blaze ->
+// interp, interp's var cells -> native blaze) and JIT-Blaze forced-deopt
+// resume paths and the image-corruption error cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -158,27 +158,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
 // A checkpoint written by the reference interpreter restores into
-// unoptimised Blaze with the JIT on mid-run (and vice versa): its clone
-// prints like the caller's module, so the compatibility hash matches,
-// and the restore moves the interpreter's frames into native lanes (and
-// native lanes back out). The digest continues identically across the
-// engine swap.
-TEST(Checkpoint, CrossEngineInterpBlazeResume) {
-  designs::DesignInfo D = designs::designByKey("fifo", 0.0);
+// unoptimised Blaze with the JIT on mid-run, and a native image restores
+// into the interpreter: the clone prints like the caller's module, so the
+// compatibility hash matches, and both tiers run over one frame, whose
+// word arrays the image carries as RtValue arrays. fifo, stream_delayer
+// and riscv hold word arrays in native processes (riscv probes a
+// 32-element register file). The digest continues identically across
+// the engine swap, and the two runs' VCDs stitch into the uninterrupted
+// run's.
+class CrossEngineResume : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CrossEngineResume, InterpBlazeBothWays) {
+  designs::DesignInfo D = designs::designByKey(GetParam(), 0.0);
   ASSERT_FALSE(D.Key.empty());
   Context Ctx;
 
   Module MRef(Ctx, "ref");
   std::string Top = compileDesign(D, MRef);
-  SimOptions O;
-  auto Ref = makeInterp(MRef, Top, O);
+  WaveWriter WRef;
+  SimOptions ORef;
+  ORef.Wave = &WRef;
+  auto Ref = makeInterp(MRef, Top, ORef);
   SimStats SRef = Ref->run();
   ASSERT_GE(SRef.Steps, 4u);
 
   for (bool InterpFirst : {true, false}) {
+    const char *Name = InterpFirst ? "interp->blaze" : "blaze->interp";
     Module MCut(Ctx, InterpFirst ? "cut.i" : "cut.b");
     compileDesign(D, MCut);
     std::vector<uint8_t> Image;
+    WaveWriter WCut, WRes;
+    SimOptions OCut, ORes;
+    OCut.Wave = &WCut;
+    ORes.Wave = &WRes;
     SimStats SCut;
     auto cutRun = [&](auto Sim) {
       Sim->options().RC.MaxSteps = SRef.Steps / 2;
@@ -187,14 +199,18 @@ TEST(Checkpoint, CrossEngineInterpBlazeResume) {
         S->checkpoint(Image);
         return true;
       };
+      // With a host compiler, the Blaze side runs natively.
+      if (Sim->jitStats().Compiled) {
+        EXPECT_GT(Sim->jitStats().NativeProcs, 0u) << Name;
+      }
       SCut = Sim->run();
     };
     if (InterpFirst)
-      cutRun(makeInterp(MCut, Top, O));
+      cutRun(makeInterp(MCut, Top, OCut));
     else
-      cutRun(makeBlaze(MCut, Top, O, "", /*Optimize=*/false));
-    ASSERT_EQ(SCut.Stop, StopReason::DeltaBudget);
-    ASSERT_FALSE(Image.empty());
+      cutRun(makeBlaze(MCut, Top, OCut, "", /*Optimize=*/false));
+    ASSERT_EQ(SCut.Stop, StopReason::DeltaBudget) << Name;
+    ASSERT_FALSE(Image.empty()) << Name;
 
     Module MRes(Ctx, InterpFirst ? "res.b" : "res.i");
     compileDesign(D, MRes);
@@ -202,31 +218,36 @@ TEST(Checkpoint, CrossEngineInterpBlazeResume) {
     SimStats SRes;
     uint64_t Digest = 0;
     auto resRun = [&](auto Sim) {
-      ASSERT_TRUE(Sim->restore(Image, Err)) << Err;
-      // With a host compiler, restored instances keep running natively.
+      ASSERT_TRUE(Sim->restore(Image, Err)) << Name << ": " << Err;
       if (Sim->jitStats().Compiled) {
-        EXPECT_GT(Sim->jitStats().NativeProcs, 0u);
+        EXPECT_GT(Sim->jitStats().NativeProcs, 0u) << Name;
       }
       SRes = Sim->run();
       Digest = Sim->trace().digest();
     };
     if (InterpFirst)
-      resRun(makeBlaze(MRes, Top, O, "", /*Optimize=*/false));
+      resRun(makeBlaze(MRes, Top, ORes, "", /*Optimize=*/false));
     else
-      resRun(makeInterp(MRes, Top, O));
-    EXPECT_EQ(SRes.EndTime, SRef.EndTime);
+      resRun(makeInterp(MRes, Top, ORes));
+    EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Name;
     EXPECT_EQ(Digest, Ref->trace().digest())
-        << (InterpFirst ? "interp->blaze" : "blaze->interp")
-        << ": digest diverges across the engine swap";
+        << Name << ": digest diverges across the engine swap";
+    EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
+        << Name << ": VCD not byte-identical";
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    ArrayDesigns, CrossEngineResume,
+    ::testing::Values("fifo", "stream_delayer", "riscv"),
+    [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
+
 // rr_arbiter's processes run `var` on every activation. The interpreter
 // keeps one fixed cell per var op in its word file; its image writes them
-// as one memory cell per var op in pc order, the layout native lanes load
-// from. Checkpointed mid-run on Interp, the run resumes on unoptimised
-// Blaze, natively and with the JIT off, with the uninterrupted run's
-// digest and VCD bytes.
+// as one memory cell per var op in pc order, which a restore loads back
+// into the cells native code runs on. Checkpointed mid-run on Interp, the
+// run resumes on unoptimised Blaze, natively and with the JIT off, with
+// the uninterrupted run's digest and VCD bytes.
 TEST(Checkpoint, InterpVarCellsResumeOnBlaze) {
   designs::DesignInfo D = designs::designByKey("rr_arbiter", 0.0);
   ASSERT_FALSE(D.Key.empty());

@@ -3,9 +3,9 @@
 // The shared lowering layer: golden LIR dumps for representative units,
 // the process classifier (StableWait), and
 // cross-engine equivalence on the features the layer carries — element-
-// aligned `con` of sub-signals and array slices of signals, on Blaze both
-// interpreted and native — plus a whole-suite lowering/classification
-// sweep.
+// aligned `con` of sub-signals, array slices of signals and word arrays,
+// on Blaze both interpreted and native — plus a whole-suite
+// lowering/classification sweep.
 //
 //===----------------------------------------------------------------------===//
 
@@ -396,6 +396,138 @@ entry:
     EXPECT_EQ(LastJit.DirectPrbs, 1u);
     EXPECT_EQ(LastJit.ResolvedPrbs, 1u);
   }
+}
+
+/// A process over [4 x ELT]: array create, a var cell holding an array,
+/// extf/exts/insf/inss, a phi of arrays, a mux whose index runs past the
+/// end, and whole-array prb/drv, for seven 1ns iterations.
+std::string wordArraySrc(const std::string &Elt) {
+  std::string S = R"(
+entity @wtop () -> () {
+  %z = const ELT 0
+  %a0 = [ELT %z, %z, %z, %z]
+  %mem = sig [4 x ELT] %a0
+  %pick = sig ELT %z
+  inst @shuf ([4 x ELT]$ %mem) -> ([4 x ELT]$ %mem, ELT$ %pick)
+}
+proc @shuf ([4 x ELT]$ %in) -> ([4 x ELT]$ %out, ELT$ %pick) {
+entry:
+  %one = const ELT 1
+  %k = const ELT 7
+  %n0 = const i8 0
+  %n1 = const i8 1
+  %n7 = const i8 7
+  %t = const time 1ns
+  %init = [ELT %k, %one, %n0e, %k]
+  %cell = var [4 x ELT] %init
+  %n = var i8 %n0
+  br %loop
+loop:
+  %prev = phi [4 x ELT] [%init, %entry], [%c2, %next]
+  %a = prb [4 x ELT]$ %in
+  %c = ld [4 x ELT]* %cell
+  %e = extf ELT %a, 3
+  %e1 = add ELT %e, %k
+  %hi = exts [2 x ELT] %c, 1
+  %c1 = insf [4 x ELT] %c, %e1, 0
+  %c2 = inss [4 x ELT] %c1, %hi, 2
+  st [4 x ELT]* %cell, %c2
+  %i = ld i8* %n
+  %i1 = add i8 %i, %n1
+  st i8* %n, %i1
+  %m = mux ELT %prev, %i
+  drv [4 x ELT]$ %out, %c2 after %t
+  drv ELT$ %pick, %m after %t
+  %more = ult i8 %i1, %n7
+  br %more, %done, %next
+next:
+  wait %loop for %t
+done:
+  halt
+}
+)";
+  S.replace(S.find("%n0e"), 4, "%one");
+  for (size_t Pos; (Pos = S.find("ELT")) != std::string::npos;)
+    S.replace(Pos, 3, Elt);
+  return S;
+}
+
+// Word arrays: the [4 x i8] process keeps every array in the word file
+// (ArrW ops, N-word copies for the phi and the var cell) and runs
+// natively on the same words; Interp, Blaze with the JIT off and native
+// Blaze agree. The same process over [4 x i65] is outside the word model:
+// its arrays stay RtValues, it stays interpreted, and it computes the
+// same numbers.
+TEST_F(LirTest, WordArraysAcrossEngines) {
+  std::string Src = wordArraySrc("i8");
+  Module *M = parseFresh(Src.c_str(), "warr");
+  LirUnit L = lowerNamed(*M, "shuf");
+  // Slots 0-33, cells 34 (the array) and 35 (the counter); the word
+  // arrays' words follow from 36.
+  EXPECT_EQ(L.dump(),
+            "lir process @shuf {\n"
+            "  slots: 34 (values 32)  cells: 2  words: 12  regprev: 0  "
+            "delprev: 0\n"
+            "  sensitivity: dynamic\n"
+            "  const [8] = 1ns\n"
+            "  const w[3] = 1\n"
+            "  const w[4] = 7\n"
+            "  const w[5] = 0\n"
+            "  const w[6] = 1\n"
+            "  const w[7] = 7\n"
+            "  0: purew array w[36..39], ops=(w[4], w[3], w[3], w[4])\n"
+            "  1: var w[70..73], w[36..39] ptr=[10]\n"
+            "  2: varw w[35], w[5] ptr=[11]\n"
+            "  3: jmp @22\n"
+            "  4: prb w[44..47], [0]\n"
+            "  5: ld w[48..51], w[70..73] ptr=[10]\n"
+            "  6: purew extf w[16], ops=(w[44..47]) imm=3\n"
+            "  7: purew add w[17], w[16], w[4]\n"
+            "  8: purew exts w[52..53], ops=(w[48..51]) imm=1\n"
+            "  9: purew insf w[54..57], ops=(w[48..51], w[17])\n"
+            "  10: purew inss w[58..61], ops=(w[54..57], w[52..53]) imm=2\n"
+            "  11: st w[70..73], w[58..61] ptr=[10]\n"
+            "  12: ldw w[22], w[35] ptr=[11]\n"
+            "  13: purew add w[23], w[22], w[6]\n"
+            "  14: stw w[35], w[23] ptr=[11]\n"
+            "  15: purew mux w[25], ops=(w[40..43], w[22])\n"
+            "  16: drv [1], w[58..61] after [8]\n"
+            "  17: drvw [2], w[25] after [8]\n"
+            "  18: purew ult w[28], w[23], w[7]\n"
+            "  19: condjmpw w[28] ? @20 : @21\n"
+            "  20: wait resume=@25 timeout=[8] obs=()\n"
+            "  21: halt\n"
+            "  22: copy w[62..65], w[36..39]\n"
+            "  23: copy w[40..43], w[62..65]\n"
+            "  24: jmp @4\n"
+            "  25: copy w[66..69], w[58..61]\n"
+            "  26: copy w[40..43], w[66..69]\n"
+            "  27: jmp @4\n"
+            "}\n");
+  auto Ref = runAllEngines(Src.c_str(), "wtop");
+  if (LastJit.Compiled) {
+    EXPECT_EQ(LastJit.NativeProcs, 1u);
+  }
+  // Seven iterations: [7, 1, 0, 7] becomes [8, 1, 1, 1]; the last mux
+  // index, 6, reads element 3.
+  RtValue Mem = signalValue(*Ref, "/mem");
+  ASSERT_EQ(Mem.kind(), RtValue::Kind::Array);
+  std::vector<uint64_t> Got;
+  for (const RtValue &E : Mem.elements())
+    Got.push_back(E.intValue().zextToU64());
+  EXPECT_EQ(Got, (std::vector<uint64_t>{8, 1, 1, 1}));
+  EXPECT_EQ(signalValue(*Ref, "/pick").intValue().zextToU64(), 1u);
+
+  std::string Wide = wordArraySrc("i65");
+  Module *MW = parseFresh(Wide.c_str(), "warr65");
+  LirUnit LW = lowerNamed(*MW, "shuf");
+  for (const LirOp &Op : LW.Ops)
+    EXPECT_NE(Op.C, LirOpc::ArrW) << LW.dump();
+  for (const LirSlot &Sl : LW.Slots)
+    EXPECT_TRUE(Sl.Word || !Sl.Len) << LW.dump();
+  auto RefW = runAllEngines(Wide.c_str(), "wtop");
+  EXPECT_EQ(LastJit.NativeProcs, 0u);
+  EXPECT_EQ(RefW->trace().digest(), Ref->trace().digest());
 }
 
 TEST_F(LirTest, WordLaneBoundaryAcrossEngines) {
